@@ -9,15 +9,18 @@ second route.
 Sweeps enumerate lexicographically, so the first violation is the same on
 every run and platform.  ``mode`` selects between collecting every
 violation ("exhaustive", the default for n <= 3) and stopping at the
-first one ("first", the default for larger n; always sequential).  The
-exhaustive mode can fan out over worker processes; the merged violation
-set is identical for every parallelism degree.
+first one ("first", the default for larger n; always sequential).
+
+The report-pair sweep evaluates the mechanism once per profile into a
+dense integer domain table (:mod:`ramkit.domain`) and compares shares as
+integers.  In exhaustive mode the table is built once, by index range on
+up to ``jobs`` worker processes, and then swept serially, so the
+violation list is identical for every parallelism degree.
 """
 
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 from typing import Iterable, Optional
 
@@ -40,6 +43,7 @@ from .core import (
     validate_assignment,
 )
 from .decomp import _improvement_cycle, birkhoff_decompose
+from .domain import DomainTable
 from .mechanisms import Mechanism
 from .reports import CheckOutcome, ViolationReport
 from .simplex import solve_max
@@ -66,8 +70,7 @@ def _strict_dominance_rank(
 ) -> Optional[tuple[int, Fraction, Fraction]]:
     """First prefix where ``winner`` strictly exceeds ``loser`` (both known
     to satisfy weak dominance of winner over loser)."""
-    lhs = ZERO
-    rhs = ZERO
+    lhs = rhs = 0
     for rank, a in enumerate(pref, start=1):
         lhs += winner[a]
         rhs += loser[a]
@@ -76,117 +79,168 @@ def _strict_dominance_rank(
     return None
 
 
-def _check_cell(
-    mech: Mechanism,
-    agent: int,
-    opponents: tuple[Preference, ...],
-    prefs: list[Preference],
-    axioms: tuple[str, ...],
-    first_only: bool,
-) -> tuple[dict[str, list[ViolationReport]], int, int]:
-    """Run the requested pair axioms for one (agent, opponents) cell."""
-    rows = {}
-    for report in prefs:
-        profile = insert_report(opponents, agent, report)
-        rows[report] = mech.assignment(profile)[agent]
-    found: dict[str, list[ViolationReport]] = {ax: [] for ax in axioms}
-    comparisons = 0
+def _swap_pairs(prefs: list[Preference]) -> list[tuple]:
+    """Each unordered adjacent-swap pair of reports once, in sweep order.
 
-    def want(ax: str) -> bool:
-        return ax in found and not (first_only and found[ax])
+    Entries are ``(r, s, swap, above, below)``: ``prefs[s]`` is ``prefs[r]``
+    with the pair ``swap`` exchanged, ``prefs[r] < prefs[s]``, and ``above``
+    and ``below`` are the objects ``prefs[r]`` ranks above and below the
+    pair.  The swap conditions are symmetric, so one order suffices.
+    """
+    index = {p: k for k, p in enumerate(prefs)}
+    pairs = []
+    for r, base in enumerate(prefs):
+        for swapped, info in adjacent_swaps(base):
+            if swapped > base:
+                pairs.append((
+                    r, index[swapped], info,
+                    base[: info.position - 1], base[info.position + 1:],
+                ))
+    return pairs
 
-    if "sp" in found or "weak-sp" in found:
-        for truth in prefs:
-            base = insert_report(opponents, agent, truth)
-            for dev in prefs:
-                if dev == truth:
-                    continue
-                if want("sp"):
-                    comparisons += 1
-                    fail = fosd_failure(rows[truth], rows[dev], truth)
-                    if fail is not None:
-                        rank, lhs, rhs = fail
-                        found["sp"].append(ViolationReport(
-                            axiom="sp", agent=agent, profile=base, deviation=dev,
-                            rank=rank, lhs=lhs, rhs=rhs, relation="<",
-                            detail="truthful prefix falls below deviation prefix",
-                        ))
-                if want("weak-sp"):
-                    comparisons += 1
-                    if rows[dev] != rows[truth] and fosd(rows[dev], rows[truth], truth):
-                        rank, lhs, rhs = _strict_dominance_rank(
-                            rows[dev], rows[truth], truth
-                        )
-                        found["weak-sp"].append(ViolationReport(
-                            axiom="weak-sp", agent=agent, profile=base, deviation=dev,
-                            rank=rank, lhs=lhs, rhs=rhs, relation=">",
-                            detail="deviation strictly dominates truth-telling",
-                        ))
 
-    if "em" in found or "ui" in found or "li" in found:
-        for base_pref in prefs:
-            base = insert_report(opponents, agent, base_pref)
-            for swapped, info in adjacent_swaps(base_pref):
-                if swapped < base_pref:
-                    continue  # each unordered pair once; conditions are symmetric
-                old = rows[base_pref]
-                new = rows[swapped]
-                if want("em"):
+class _PairSweep:
+    """The pair axioms over a :class:`DomainTable`, one cell at a time.
+
+    A cell is one agent with fixed opponents; its rows are the agent's
+    shares under each report, as integers over the cell's common
+    denominator, so every comparison is an integer comparison.  Fractions
+    are built only for recorded violations, and interned.
+
+    Cells run in lexicographic order of (agent, opponents) and the
+    comparisons inside a cell in a fixed order, so violation lists and
+    counters do not depend on how the table was filled.  With ``first_only`` an axiom stops being checked
+    right after the comparison block that found its first violation, and
+    the sweep ends after the cell in which the last axiom fell.
+    """
+
+    def __init__(self, table: DomainTable, axioms: tuple[str, ...], first_only: bool):
+        self.table = table
+        self.first_only = first_only
+        self.found: dict[str, list[ViolationReport]] = {ax: [] for ax in axioms}
+        self.live = set(axioms)  # axioms still being checked
+        self.rows_read = 0
+        self.comparisons = 0
+        self._pairs = _swap_pairs(table.prefs)
+        self._fractions: dict[tuple[int, int], Fraction] = {}
+
+    def run(self) -> None:
+        table = self.table
+        for agent in range(table.n):
+            for base in table.cell_bases(agent):
+                self._cell(agent, base)
+                if not self.live:
+                    return
+
+    def _fraction(self, value: int, denominator: int) -> Fraction:
+        key = (value, denominator)
+        f = self._fractions.get(key)
+        if f is None:
+            f = self._fractions[key] = Fraction(value, denominator)
+        return f
+
+    def _cell(self, agent: int, base: int) -> None:
+        table = self.table
+        prefs = table.prefs
+        rows, common = table.cell(agent, base)
+        self.rows_read += len(rows)
+        live = self.live
+        found = self.found
+        first_only = self.first_only
+        frac = self._fraction
+        profiles: dict[int, Profile] = {}  # report index -> full profile
+        around: list[tuple] = []  # reports of the agents before and after
+
+        def profile_of(r: int) -> Profile:
+            profile = profiles.get(r)
+            if profile is None:
+                if not around:
+                    at_base = table.profile(base)
+                    around.extend((at_base[:agent], at_base[agent + 1:]))
+                profile = profiles[r] = around[0] + (prefs[r],) + around[1]
+            return profile
+
+        def keep(ax: str, report: ViolationReport) -> None:
+            found[ax].append(report)
+            if first_only:
+                live.discard(ax)
+
+        def prefix_violation(ax, t, v, rank, lhs, rhs, relation, detail) -> None:
+            keep(ax, ViolationReport(
+                axiom=ax, agent=agent, profile=profile_of(t), deviation=prefs[v],
+                rank=rank, lhs=frac(lhs, common), rhs=frac(rhs, common),
+                relation=relation, detail=detail,
+            ))
+
+        def swap_violation(ax, r, s, info, x, relation, detail) -> None:
+            keep(ax, ViolationReport(
+                axiom=ax, agent=agent, profile=profile_of(r), deviation=prefs[s],
+                swap=info, objects=(x,), lhs=frac(rows[s][x], common),
+                rhs=frac(rows[r][x], common), relation=relation, detail=detail,
+            ))
+
+        comparisons = 0
+        if "sp" in live or "weak-sp" in live:
+            for t, truth in enumerate(prefs):
+                for v in range(len(prefs)):
+                    if v == t:
+                        continue
+                    if "sp" in live:
+                        comparisons += 1
+                        fail = fosd_failure(rows[t], rows[v], truth)
+                        if fail is not None:
+                            prefix_violation(
+                                "sp", t, v, *fail, "<",
+                                "truthful prefix falls below deviation prefix",
+                            )
+                    if "weak-sp" in live:
+                        comparisons += 1
+                        if rows[v] != rows[t] and fosd(rows[v], rows[t], truth):
+                            prefix_violation(
+                                "weak-sp", t, v,
+                                *_strict_dominance_rank(rows[v], rows[t], truth), ">",
+                                "deviation strictly dominates truth-telling",
+                            )
+
+        em, ui, li = "em" in live, "ui" in live, "li" in live
+        if em or ui or li:
+            for r, s, info, above, below in self._pairs:
+                old = rows[r]
+                new = rows[s]
+                if em:
                     comparisons += 2
-                    if new[info.raised] < old[info.raised]:
-                        found["em"].append(ViolationReport(
-                            axiom="em", agent=agent, profile=base, deviation=swapped,
-                            swap=info, objects=(info.raised,),
-                            lhs=new[info.raised], rhs=old[info.raised], relation="<",
-                            detail="share of the raised object decreased",
-                        ))
-                    if new[info.lowered] > old[info.lowered]:
-                        found["em"].append(ViolationReport(
-                            axiom="em", agent=agent, profile=base, deviation=swapped,
-                            swap=info, objects=(info.lowered,),
-                            lhs=new[info.lowered], rhs=old[info.lowered], relation=">",
-                            detail="share of the lowered object increased",
-                        ))
-                if want("ui"):
-                    for x in base_pref[: info.position - 1]:
-                        comparisons += 1
+                    x = info.raised
+                    if new[x] < old[x]:
+                        swap_violation(
+                            "em", r, s, info, x, "<",
+                            "share of the raised object decreased",
+                        )
+                    x = info.lowered
+                    if new[x] > old[x]:
+                        swap_violation(
+                            "em", r, s, info, x, ">",
+                            "share of the lowered object increased",
+                        )
+                    em = "em" in live
+                if ui:
+                    comparisons += len(above)
+                    for x in above:
                         if new[x] != old[x]:
-                            found["ui"].append(ViolationReport(
-                                axiom="ui", agent=agent, profile=base,
-                                deviation=swapped, swap=info, objects=(x,),
-                                lhs=new[x], rhs=old[x], relation="!=",
-                                detail="share above the swapped pair moved",
-                            ))
-                if want("li"):
-                    for x in base_pref[info.position + 1:]:
-                        comparisons += 1
+                            swap_violation(
+                                "ui", r, s, info, x, "!=",
+                                "share above the swapped pair moved",
+                            )
+                    ui = "ui" in live
+                if li:
+                    comparisons += len(below)
+                    for x in below:
                         if new[x] != old[x]:
-                            found["li"].append(ViolationReport(
-                                axiom="li", agent=agent, profile=base,
-                                deviation=swapped, swap=info, objects=(x,),
-                                lhs=new[x], rhs=old[x], relation="!=",
-                                detail="share below the swapped pair moved",
-                            ))
-    return found, len(prefs), comparisons
-
-
-def _pair_chunk_worker(args) -> tuple[dict[str, list[ViolationReport]], int, int]:
-    mech, agent, start, stop, axioms, max_n = args
-    prefs = enumerate_preferences(mech.instance, max_n=max_n)
-    n = mech.instance.n
-    merged: dict[str, list[ViolationReport]] = {ax: [] for ax in axioms}
-    evaluations = 0
-    comparisons = 0
-    cells = itertools.islice(
-        itertools.product(prefs, repeat=n - 1), start, stop
-    )
-    for opponents in cells:
-        found, ev, cmps = _check_cell(mech, agent, opponents, prefs, axioms, False)
-        for ax in axioms:
-            merged[ax].extend(found[ax])
-        evaluations += ev
-        comparisons += cmps
-    return merged, evaluations, comparisons
+                            swap_violation(
+                                "li", r, s, info, x, "!=",
+                                "share below the swapped pair moved",
+                            )
+                    li = "li" in live
+        self.comparisons += comparisons
 
 
 def run_pair_sweep(
@@ -199,9 +253,18 @@ def run_pair_sweep(
 ) -> dict[str, CheckOutcome]:
     """Sweep several report-pair axioms in one pass over the domain.
 
-    Bundling axioms shares the mechanism evaluations (the dominant cost),
-    which is how the large-n monotonicity/invariance certifications stay
-    affordable.
+    The mechanism is evaluated once per profile into a dense integer
+    :class:`~ramkit.domain.DomainTable`, which every bundled axiom then
+    reads.  In exhaustive mode the table is built first, by index range on
+    up to ``jobs`` worker processes, and then swept serially in this
+    process.  ``mode="first"`` is always serial: it fills the table lazily
+    as the sweep reaches each cell and stops once every axiom has a
+    violation.  The table is dropped when the sweep returns.  Workers are
+    started with the ``spawn`` method, so a script that asks for ``jobs > 1``
+    must call this under ``if __name__ == "__main__":``.
+
+    ``profiles_checked`` counts rows read (the agent's report varies over
+    all n! preferences in each cell), not distinct evaluations.
     """
     instance = mech.instance
     axioms = tuple(axioms)
@@ -209,65 +272,19 @@ def run_pair_sweep(
         if ax not in PAIR_AXIOMS:
             raise ValueError(f"unknown pair axiom {ax!r}")
     _check_sweep_cap(instance.n, max_n)
-    n = instance.n
-    mode = _resolve_mode(mode, n)
-    prefs = enumerate_preferences(instance, max_n=max_n)
-    cell_count = len(prefs) ** (n - 1)
-
-    merged: dict[str, list[ViolationReport]] = {ax: [] for ax in axioms}
-    evaluations = 0
-    comparisons = 0
-
-    if mode == "first":
-        # deterministic early stop in enumeration order; no parallelism
-        done = False
-        for agent in instance.agents:
-            for opponents in itertools.product(prefs, repeat=n - 1):
-                active = tuple(ax for ax in axioms if not merged[ax])
-                found, ev, cmps = _check_cell(
-                    mech, agent, opponents, prefs, active, True
-                )
-                evaluations += ev
-                comparisons += cmps
-                for ax in active:
-                    if found[ax]:
-                        merged[ax] = found[ax][:1]
-                if all(merged[ax] for ax in axioms):
-                    done = True
-                    break
-            if done:
-                break
-    elif jobs <= 1:
-        for agent in instance.agents:
-            for opponents in itertools.product(prefs, repeat=n - 1):
-                found, ev, cmps = _check_cell(
-                    mech, agent, opponents, prefs, axioms, False
-                )
-                evaluations += ev
-                comparisons += cmps
-                for ax in axioms:
-                    merged[ax].extend(found[ax])
-    else:
-        chunk = max(1, min(2048, cell_count // (jobs * 8) or 1))
-        tasks = [
-            (mech, agent, start, min(start + chunk, cell_count), axioms, max_n)
-            for agent in instance.agents
-            for start in range(0, cell_count, chunk)
-        ]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for found, ev, cmps in pool.map(_pair_chunk_worker, tasks, chunksize=1):
-                evaluations += ev
-                comparisons += cmps
-                for ax in axioms:
-                    merged[ax].extend(found[ax])
-
+    mode = _resolve_mode(mode, instance.n)
+    table = DomainTable(mech, enumerate_preferences(instance, max_n=max_n))
+    if mode == "exhaustive":
+        table.fill(jobs)
+    sweep = _PairSweep(table, axioms, first_only=mode == "first")
+    sweep.run()
     return {
         ax: CheckOutcome(
             axiom=ax,
-            satisfied=not merged[ax],
-            violations=tuple(merged[ax]),
-            profiles_checked=evaluations,
-            comparisons=comparisons,
+            satisfied=not sweep.found[ax],
+            violations=tuple(sweep.found[ax][:1] if mode == "first" else sweep.found[ax]),
+            profiles_checked=sweep.rows_read,
+            comparisons=sweep.comparisons,
         )
         for ax in axioms
     }

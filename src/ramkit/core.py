@@ -20,7 +20,6 @@ Representation conventions used throughout the package:
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
@@ -124,14 +123,6 @@ class Instance:
                 f"unknown object {name!r}; objects are {' '.join(self.object_names)}"
             ) from None
 
-    def preference_from_names(self, names: Sequence[str]) -> Preference:
-        pref = tuple(self.object_index(x) for x in names)
-        validate_preference(pref, self.n)
-        return pref
-
-    def preference_names(self, pref: Preference) -> tuple[str, ...]:
-        return tuple(self.object_names[x] for x in pref)
-
 
 class SwapInfo(NamedTuple):
     """Witness that two preferences differ by one adjacent transposition.
@@ -152,12 +143,6 @@ def validate_preference(pref: Sequence[int], n: int) -> Preference:
     if len(t) != n or sorted(t) != list(range(n)):
         raise ValueError(f"not a permutation of 0..{n - 1}: {t}")
     return t
-
-
-def validate_profile(profile: Sequence[Sequence[int]], n: int) -> Profile:
-    if len(profile) != n:
-        raise ValueError(f"expected {n} preferences, got {len(profile)}")
-    return tuple(validate_preference(p, n) for p in profile)
 
 
 def object_at(pref: Preference, k: int) -> int:
@@ -205,13 +190,6 @@ def inverse_permutation(sigma: ObjectPermutation) -> ObjectPermutation:
     for x, y in enumerate(sigma):
         inv[y] = x
     return tuple(inv)
-
-
-def validate_permutation(sigma: Sequence[int], n: int) -> ObjectPermutation:
-    t = tuple(sigma)
-    if len(t) != n or sorted(t) != list(range(n)):
-        raise ValueError(f"not a bijection on 0..{n - 1}: {t}")
-    return t
 
 
 def apply_permutation(pref: Preference, sigma: ObjectPermutation) -> Preference:
@@ -265,12 +243,12 @@ def fosd(pi: ShareVector, pi_prime: ShareVector, pref: Preference) -> bool:
 
     True iff every top-l prefix of ``pi`` under ``pref`` weakly exceeds the
     matching prefix of ``pi_prime``.  Weak inequality at every prefix; the
-    relation is reflexive and not complete.
+    relation is reflexive and not complete.  Integer share numerators over
+    one common denominator work as well as Fractions.
     """
     if not (len(pi) == len(pi_prime) == len(pref)):
         raise ValueError("mismatched sizes in FOSD comparison")
-    lhs = ZERO
-    rhs = ZERO
+    lhs = rhs = 0
     for a in pref:
         lhs += pi[a]
         rhs += pi_prime[a]
@@ -285,12 +263,12 @@ def fosd_failure(
     """First failing prefix of ``fosd(pi, pi_prime, pref)``.
 
     Returns ``(l, lhs, rhs)`` for the smallest 1-based prefix length l with
-    ``lhs < rhs``, or None when dominance holds.
+    ``lhs < rhs``, or None when dominance holds.  On integer numerators the
+    prefix sums are integers over the same denominator.
     """
     if not (len(pi) == len(pi_prime) == len(pref)):
         raise ValueError("mismatched sizes in FOSD comparison")
-    lhs = ZERO
-    rhs = ZERO
+    lhs = rhs = 0
     for rank, a in enumerate(pref, start=1):
         lhs += pi[a]
         rhs += pi_prime[a]
@@ -332,20 +310,11 @@ def enumerate_opponent_profiles(
     return itertools.product(prefs, repeat=instance.n - 1)
 
 
-def opponent_profile_count(instance: Instance) -> int:
-    return math.factorial(instance.n) ** (instance.n - 1)
-
-
 def insert_report(
     opponents: tuple[Preference, ...], agent: int, report: Preference
 ) -> Profile:
     """Rebuild a full profile from agent ``agent``'s report and the rest."""
     return opponents[:agent] + (report,) + opponents[agent:]
-
-
-def drop_agent(profile: Profile, agent: int) -> tuple[Preference, ...]:
-    """Opponent profile obtained by removing ``agent``'s preference."""
-    return profile[:agent] + profile[agent + 1:]
 
 
 def _as_exact(value) -> Fraction:
@@ -387,11 +356,6 @@ def validate_assignment(
     if violations:
         raise InvalidAssignmentError(violations)
     return tuple(rows)
-
-
-def format_rational(x: Fraction) -> str:
-    """Render ``p/q``, omitting the denominator when it is 1."""
-    return str(x)
 
 
 def parse_rational(text: str) -> Fraction:

@@ -286,10 +286,6 @@ def preference_str(instance: Instance, pref: Preference) -> str:
     return ">".join(instance.object_names[x] for x in pref)
 
 
-def profile_str(instance: Instance, profile: Profile) -> str:
-    return "|".join(preference_str(instance, p) for p in profile)
-
-
 def assignment_table(instance: Instance, matrix: AssignmentMatrix) -> str:
     """Human-readable aligned table, agents as rows and objects as columns."""
     headers = ["agent"] + list(instance.object_names)

@@ -35,7 +35,7 @@ from .core import (
     fosd_failure,
     insert_report,
 )
-from .axioms import check_lower_invariance, check_upper_invariance
+from .axioms import _resolve_mode, check_lower_invariance, check_upper_invariance
 from .mechanisms import Mechanism
 from .reports import CheckOutcome, ViolationReport
 
@@ -46,6 +46,12 @@ PRIOR_GRID = 10 ** 6
 SAMPLER_RETRY_BUDGET = 10_000
 
 INTERIM_AXIOMS = ("interim-em", "interim-ui", "interim-li")
+
+
+def _first_only(mode: Optional[str], n: int) -> bool:
+    """Interim checks run exhaustively unless ``mode="first"`` is asked for,
+    at every n; any other mode string is rejected."""
+    return _resolve_mode("exhaustive" if mode is None else mode, n) == "first"
 
 
 class SamplingExhaustedError(RuntimeError):
@@ -189,7 +195,7 @@ def check_obic(
     max_n: Optional[int] = None,
 ) -> CheckOutcome:
     """Truth-telling must FOSD every deviation in interim shares."""
-    first_only = mode == "first"
+    first_only = _first_only(mode, mech.instance.n)
     violations: list[ViolationReport] = []
     evaluations = 0
     comparisons = 0
@@ -232,7 +238,7 @@ def run_interim_sweep(
     for ax in axioms:
         if ax not in INTERIM_AXIOMS:
             raise ValueError(f"unknown interim axiom {ax!r}")
-    first_only = mode == "first"
+    first_only = _first_only(mode, mech.instance.n)
     prefs = enumerate_preferences(mech.instance, max_n=max_n)
     found: dict[str, list[ViolationReport]] = {ax: [] for ax in axioms}
     evaluations = 0

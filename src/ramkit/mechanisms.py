@@ -237,11 +237,15 @@ class Mechanism:
         self.instance = instance
         self._cache: Optional[dict[Profile, AssignmentMatrix]] = {} if cache else None
 
-    def assignment(self, profile: Profile) -> AssignmentMatrix:
+    def _check_length(self, profile: Profile) -> None:
         if len(profile) != self.instance.n:
             raise ValueError(
                 f"profile has {len(profile)} preferences, expected {self.instance.n}"
             )
+
+    def assignment(self, profile: Profile) -> AssignmentMatrix:
+        if len(profile) != self.instance.n:
+            self._check_length(profile)
         if self._cache is not None:
             hit = self._cache.get(profile)
             if hit is not None:
@@ -253,6 +257,17 @@ class Mechanism:
 
     def _compute(self, profile: Profile) -> AssignmentMatrix:
         raise NotImplementedError
+
+    def scaled_assignment(self, profile: Profile) -> tuple[list[list[int]], int]:
+        """The assignment as integer numerators over one common denominator.
+
+        Returns ``(numerators, D)`` with ``numerators[i][a] / D`` equal to
+        ``assignment(profile)[i][a]``.  D is some common denominator of the
+        profile's shares, not necessarily the least one.
+        """
+        matrix = self.assignment(profile)
+        d = math.lcm(*(x.denominator for row in matrix for x in row))
+        return [[x.numerator * (d // x.denominator) for x in row] for row in matrix], d
 
     def descriptor(self) -> str:
         return self.kind
@@ -321,17 +336,23 @@ class RandomPriority(Mechanism):
             raise CapExceededError("priority-order enumeration", instance.n, cap, "max_n")
         self._orders = list(itertools.permutations(instance.agents))
 
-    def _compute(self, profile: Profile) -> AssignmentMatrix:
+    def scaled_assignment(self, profile: Profile) -> tuple[list[list[int]], int]:
+        """Order counts over n!: ``counts[i][a]`` orders give agent i object a."""
+        self._check_length(profile)
+        return self._order_counts(profile)
+
+    def _order_counts(self, profile: Profile) -> tuple[list[list[int]], int]:
         n = self.instance.n
         counts = [[0] * n for _ in range(n)]
         for order in self._orders:
             pick = dictatorship_outcome(profile, order)
             for i in range(n):
                 counts[i][pick[i]] += 1
-        total = len(self._orders)
-        return tuple(
-            tuple(Fraction(counts[i][a], total) for a in range(n)) for i in range(n)
-        )
+        return counts, len(self._orders)
+
+    def _compute(self, profile: Profile) -> AssignmentMatrix:
+        counts, total = self._order_counts(profile)
+        return tuple(tuple(Fraction(c, total) for c in row) for row in counts)
 
 
 class SimultaneousEating(Mechanism):
@@ -357,12 +378,14 @@ class ProbabilisticSerial(Mechanism):
 
     kind = "ps"
 
+    def scaled_assignment(self, profile: Profile) -> tuple[list[list[int]], int]:
+        """The integer eating run itself; no Fractions are built."""
+        self._check_length(profile)
+        return _eat_unit_scaled(profile, self.instance.n)
+
     def _compute(self, profile: Profile) -> AssignmentMatrix:
-        n = self.instance.n
-        shares, d = _eat_unit_scaled(profile, n)
-        return tuple(
-            tuple(Fraction(shares[i][a], d) for a in range(n)) for i in range(n)
-        )
+        shares, d = _eat_unit_scaled(profile, self.instance.n)
+        return tuple(tuple(Fraction(x, d) for x in row) for row in shares)
 
 
 class TabulatedMechanism(Mechanism):
@@ -412,7 +435,3 @@ def constant_mechanism(instance: Instance, matrix) -> TabulatedMechanism:
     fixed = validate_assignment(matrix, instance)
     table = {profile: fixed for profile in enumerate_profiles(instance)}
     return TabulatedMechanism(instance, table)
-
-
-def factorial(n: int) -> int:
-    return math.factorial(n)

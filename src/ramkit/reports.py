@@ -29,7 +29,7 @@ def _profile_str(instance: Instance, profile: Profile) -> str:
     return "|".join(_pref_str(instance, p) for p in profile)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ViolationReport:
     """Self-certifying witness of one axiom failure."""
 
@@ -99,9 +99,11 @@ class ViolationReport:
 class CheckOutcome:
     """Verdict of one axiom sweep.
 
-    ``profiles_checked`` counts mechanism evaluations performed and
-    ``comparisons`` the exact comparisons made; both are deterministic for
-    a given mode, independent of parallelism degree.
+    ``profiles_checked`` counts assignment rows read by the sweep, not
+    distinct mechanism evaluations: a pair sweep reads each profile once per
+    agent but evaluates it once.  ``comparisons`` counts the exact
+    comparisons made.  Both are deterministic for a given mode, independent
+    of parallelism degree.
     """
 
     axiom: str

@@ -91,3 +91,142 @@ def dominates_oracle(candidate, incumbent, profile) -> bool:
     if all(candidate[i] == incumbent[i] for i in range(n)):
         return False
     return all(fosd(candidate[i], incumbent[i], profile[i]) for i in range(n))
+
+
+def _strict_dominance_rank_oracle(winner, loser, pref):
+    lhs = rhs = Fraction(0)
+    for rank, a in enumerate(pref, start=1):
+        lhs += winner[a]
+        rhs += loser[a]
+        if lhs > rhs:
+            return rank, lhs, rhs
+    return None
+
+
+def _check_cell_oracle(mech, agent, opponents, prefs, axioms, first_only):
+    """The pair axioms for one (agent, opponents) cell on Fraction rows, each
+    row from a fresh ``mech.assignment`` call."""
+    from ramkit.core import adjacent_swaps, fosd, fosd_failure
+    from ramkit.reports import ViolationReport
+
+    rows = {}
+    for report in prefs:
+        profile = insert_report(opponents, agent, report)
+        rows[report] = mech.assignment(profile)[agent]
+    found = {ax: [] for ax in axioms}
+    comparisons = 0
+
+    def want(ax):
+        return ax in found and not (first_only and found[ax])
+
+    if "sp" in found or "weak-sp" in found:
+        for truth in prefs:
+            base = insert_report(opponents, agent, truth)
+            for dev in prefs:
+                if dev == truth:
+                    continue
+                if want("sp"):
+                    comparisons += 1
+                    fail = fosd_failure(rows[truth], rows[dev], truth)
+                    if fail is not None:
+                        rank, lhs, rhs = fail
+                        found["sp"].append(ViolationReport(
+                            axiom="sp", agent=agent, profile=base, deviation=dev,
+                            rank=rank, lhs=lhs, rhs=rhs, relation="<",
+                            detail="truthful prefix falls below deviation prefix",
+                        ))
+                if want("weak-sp"):
+                    comparisons += 1
+                    if rows[dev] != rows[truth] and fosd(rows[dev], rows[truth], truth):
+                        rank, lhs, rhs = _strict_dominance_rank_oracle(
+                            rows[dev], rows[truth], truth
+                        )
+                        found["weak-sp"].append(ViolationReport(
+                            axiom="weak-sp", agent=agent, profile=base, deviation=dev,
+                            rank=rank, lhs=lhs, rhs=rhs, relation=">",
+                            detail="deviation strictly dominates truth-telling",
+                        ))
+
+    if "em" in found or "ui" in found or "li" in found:
+        for base_pref in prefs:
+            base = insert_report(opponents, agent, base_pref)
+            for swapped, info in adjacent_swaps(base_pref):
+                if swapped < base_pref:
+                    continue
+                old = rows[base_pref]
+                new = rows[swapped]
+                if want("em"):
+                    comparisons += 2
+                    if new[info.raised] < old[info.raised]:
+                        found["em"].append(ViolationReport(
+                            axiom="em", agent=agent, profile=base, deviation=swapped,
+                            swap=info, objects=(info.raised,),
+                            lhs=new[info.raised], rhs=old[info.raised], relation="<",
+                            detail="share of the raised object decreased",
+                        ))
+                    if new[info.lowered] > old[info.lowered]:
+                        found["em"].append(ViolationReport(
+                            axiom="em", agent=agent, profile=base, deviation=swapped,
+                            swap=info, objects=(info.lowered,),
+                            lhs=new[info.lowered], rhs=old[info.lowered], relation=">",
+                            detail="share of the lowered object increased",
+                        ))
+                if want("ui"):
+                    for x in base_pref[: info.position - 1]:
+                        comparisons += 1
+                        if new[x] != old[x]:
+                            found["ui"].append(ViolationReport(
+                                axiom="ui", agent=agent, profile=base,
+                                deviation=swapped, swap=info, objects=(x,),
+                                lhs=new[x], rhs=old[x], relation="!=",
+                                detail="share above the swapped pair moved",
+                            ))
+                if want("li"):
+                    for x in base_pref[info.position + 1:]:
+                        comparisons += 1
+                        if new[x] != old[x]:
+                            found["li"].append(ViolationReport(
+                                axiom="li", agent=agent, profile=base,
+                                deviation=swapped, swap=info, objects=(x,),
+                                lhs=new[x], rhs=old[x], relation="!=",
+                                detail="share below the swapped pair moved",
+                            ))
+    return found, len(prefs), comparisons
+
+
+def pair_sweep_oracle(mech, axioms, *, mode="exhaustive"):
+    """Reference pair sweep: the Fraction cell check over every (agent,
+    opponents) cell in lexicographic order, evaluating each row afresh, so
+    each profile is evaluated n times.  Returns what ``run_pair_sweep``
+    must return for the same ``mode``."""
+    from ramkit.reports import CheckOutcome
+
+    instance = mech.instance
+    n = instance.n
+    axioms = tuple(axioms)
+    prefs = enumerate_preferences(instance)
+    first_only = mode == "first"
+    merged = {ax: [] for ax in axioms}
+    evaluations = comparisons = 0
+    for agent in instance.agents:
+        for opponents in itertools.product(prefs, repeat=n - 1):
+            active = tuple(ax for ax in axioms if not (first_only and merged[ax]))
+            found, ev, cmps = _check_cell_oracle(
+                mech, agent, opponents, prefs, active, first_only
+            )
+            evaluations += ev
+            comparisons += cmps
+            for ax in active:
+                merged[ax].extend(found[ax][:1] if first_only else found[ax])
+            if first_only and all(merged[ax] for ax in axioms):
+                break
+        else:
+            continue
+        break
+    return {
+        ax: CheckOutcome(
+            axiom=ax, satisfied=not merged[ax], violations=tuple(merged[ax]),
+            profiles_checked=evaluations, comparisons=comparisons,
+        )
+        for ax in axioms
+    }

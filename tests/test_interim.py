@@ -375,3 +375,25 @@ class TestExPostInvarianceAcrossSwaps:
         from ramkit.axioms import check_lower_invariance
 
         assert not check_lower_invariance(ps3).satisfied
+
+
+class TestModeValidation:
+    @pytest.mark.parametrize("check", (check_obic, run_interim_sweep))
+    def test_unknown_mode_rejected(self, check):
+        ps = ProbabilisticSerial(Instance.default(2))
+        with pytest.raises(ValueError, match="mode must be 'exhaustive' or 'first'"):
+            check(ps, uniform_prior(Instance.default(2)), mode="frist")
+
+    def test_default_mode_is_exhaustive_at_n4(self):
+        instance = Instance.default(4)
+        ps = ProbabilisticSerial(instance)
+        # half on a>b>c>d, half on a>b>d>c: cheap, and PS fails OBIC there
+        prior = Prior(instance, tuple(
+            Fraction(1, 2) if k < 2 else Fraction(0) for k in range(24)
+        ))
+        obic = check_obic(ps, prior)
+        assert len(obic.violations) > 1
+        assert obic == check_obic(ps, prior, mode="exhaustive")
+        sweep = run_interim_sweep(ps, prior)
+        assert len(sweep["interim-li"].violations) > 1
+        assert sweep == run_interim_sweep(ps, prior, mode="exhaustive")
