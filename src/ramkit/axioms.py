@@ -259,9 +259,7 @@ def run_pair_sweep(
     up to ``jobs`` worker processes, and then swept serially in this
     process.  ``mode="first"`` is always serial: it fills the table lazily
     as the sweep reaches each cell and stops once every axiom has a
-    violation.  The table is dropped when the sweep returns.  Workers are
-    started with the ``spawn`` method, so a script that asks for ``jobs > 1``
-    must call this under ``if __name__ == "__main__":``.
+    violation.  The table is dropped when the sweep returns.
 
     ``profiles_checked`` counts rows read (the agent's report varies over
     all n! preferences in each cell), not distinct evaluations.

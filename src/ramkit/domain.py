@@ -7,22 +7,23 @@ mixed-radix index ``sum_j d_j * m**(n-1-j)`` in ``[0, m**n)``.  Varying one
 agent's report therefore walks the index in steps of ``m**(n-1-agent)``.
 
 For every profile the table holds the ``n*n`` share numerators over that
-profile's least common denominator ``D``; no Fractions are stored.  Values
-live in signed 64-bit arrays and the table falls back to Python int lists
-as soon as one value does not fit, so storage never truncates or wraps.
+profile's least common denominator ``D``; no Fractions are stored.  Dense
+values live in signed 64-bit arrays, and the table falls back to Python int
+lists as soon as one value does not fit, so storage never truncates or
+wraps.
 
-A table is filled either all at once (:meth:`DomainTable.fill`, optionally
-by index range on a process pool) or lazily, profile by profile, as
-:meth:`DomainTable.cell` reads rows.  Either way each profile is evaluated
-at most once.  A table is meant to live for one sweep; nothing is cached at
-module level.
+A table is filled either all at once into dense arrays
+(:meth:`DomainTable.fill`, optionally by index range on a process pool) or
+lazily, profile by profile, as :meth:`DomainTable.cell` reads rows; lazy
+entries live in a dict keyed by index, so an early exit allocates only what
+it read.  Either way each profile is evaluated at most once.  A table is
+meant to live for one sweep; nothing is cached at module level.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import multiprocessing
 from array import array
 from concurrent.futures import ProcessPoolExecutor
 from typing import Iterator, Optional, Sequence, Union
@@ -99,10 +100,11 @@ class DomainTable:
         self.m = m = len(prefs)
         self.size = m ** n
         self._nn = n * n
-        self.nums: Store = array("q", [0]) * (self.size * self._nn)
-        self.dens: Store = array("q", [0]) * self.size  # 0: not evaluated yet
-        #: distinct profiles evaluated so far
-        self.evaluations = 0
+        # Dense storage, allocated by fill(); until then profiles are
+        # evaluated as cells read them and kept in _lazy by index.
+        self.nums: Optional[Store] = None
+        self.dens: Optional[Store] = None
+        self._lazy: dict[int, tuple[tuple[int, ...], int]] = {}
 
     # -- indexing ----------------------------------------------------------
 
@@ -139,11 +141,13 @@ class DomainTable:
             self.dens = self.dens.tolist()
         self.nums[lo * self._nn: hi * self._nn] = nums
         self.dens[lo:hi] = dens
-        self.evaluations += hi - lo
 
     def fill(self, jobs: int = 1) -> None:
-        """Evaluate every profile by index range, on up to ``jobs`` worker
-        processes; in this process when ``jobs <= 1``."""
+        """Evaluate every profile into dense storage, by index range on up to
+        ``jobs`` worker processes; in this process when ``jobs <= 1``."""
+        self.nums = array("q", [0]) * (self.size * self._nn)
+        self.dens = array("q", [0]) * self.size
+        self._lazy.clear()
         tasks = min(self.size, max(jobs, 1) * _TASKS_PER_WORKER)
         step = -(-self.size // tasks)
         bounds = [(lo, min(lo + step, self.size)) for lo in range(0, self.size, step)]
@@ -153,7 +157,6 @@ class DomainTable:
             return
         with ProcessPoolExecutor(
             max_workers=min(jobs, len(bounds)),
-            mp_context=multiprocessing.get_context("spawn"),
             initializer=_init_worker,
             initargs=(self.mech, self.prefs),
         ) as pool:
@@ -162,34 +165,33 @@ class DomainTable:
 
     # -- reading -----------------------------------------------------------
 
-    def entry(self, index: int) -> tuple[list[int], int]:
-        """Flat ``n*n`` numerators and the denominator of one profile,
-        evaluating it first if needed."""
-        if not self.dens[index]:
+    def _lazy_entry(self, index: int) -> tuple[tuple[int, ...], int]:
+        entry = self._lazy.get(index)
+        if entry is None:
             flat, d = _evaluate(self.mech, self.profile(index))
-            self._put(index, index + 1, _pack(flat), _pack([d]))
-        o = index * self._nn
-        return list(self.nums[o: o + self._nn]), self.dens[index]
+            entry = self._lazy[index] = (tuple(flat), d)
+        return entry
 
     def cell(self, agent: int, base: int) -> tuple[list, int]:
         """``agent``'s rows at the ``m`` profiles ``base + r*stride``, one per
         report ``prefs[r]``, scaled to one common denominator ``L``.
 
-        Returns ``(rows, L)``; profiles not yet evaluated are evaluated here.
+        Returns ``(rows, L)``.  Before :meth:`fill`, profiles not yet
+        evaluated are evaluated here, once each.
         """
         n, nn = self.n, self._nn
         stride = self.stride(agent)
         stop = base + self.m * stride
-        dens = self.dens[base:stop:stride]
-        if 0 in dens:
-            for r, d in enumerate(dens):
-                if not d:
-                    self.entry(base + r * stride)
+        if self.dens is None:
+            entries = [self._lazy_entry(i) for i in range(base, stop, stride)]
+            dens = [d for _, d in entries]
+            nums = [x for flat, _ in entries for x in flat[agent * n: agent * n + n]]
+            start, step = 0, n
+        else:
             dens = self.dens[base:stop:stride]
+            nums = self.nums
+            start, step = base * nn + agent * n, stride * nn
         common = math.lcm(*dens)
-        nums = self.nums
-        step = stride * nn
-        start = base * nn + agent * n
         rows = []
         for o, d in zip(range(start, start + self.m * step, step), dens):
             if d == common:

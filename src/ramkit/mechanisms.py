@@ -244,8 +244,7 @@ class Mechanism:
             )
 
     def assignment(self, profile: Profile) -> AssignmentMatrix:
-        if len(profile) != self.instance.n:
-            self._check_length(profile)
+        self._check_length(profile)
         if self._cache is not None:
             hit = self._cache.get(profile)
             if hit is not None:
