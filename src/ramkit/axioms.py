@@ -45,7 +45,7 @@ from .core import (
 from .decomp import _improvement_cycle, birkhoff_decompose
 from .domain import DomainTable
 from .mechanisms import Mechanism
-from .reports import CheckOutcome, ViolationReport
+from .reports import CheckOutcome, ViolationReport, pair_report
 from .simplex import solve_max
 
 PAIR_AXIOMS = ("sp", "weak-sp", "em", "ui", "li")
@@ -122,7 +122,8 @@ class _PairSweep:
         self.rows_read = 0
         self.comparisons = 0
         self._pairs = _swap_pairs(table.prefs)
-        self._fractions: dict[tuple[int, int], Fraction] = {}
+        self._values: dict[int, dict[int, Fraction]] = {}  # D -> {v: v/D}
+        self._singles = tuple((x,) for x in range(table.n))  # shared objects=(x,)
 
     def run(self) -> None:
         table = self.table
@@ -132,13 +133,6 @@ class _PairSweep:
                 if not self.live:
                     return
 
-    def _fraction(self, value: int, denominator: int) -> Fraction:
-        key = (value, denominator)
-        f = self._fractions.get(key)
-        if f is None:
-            f = self._fractions[key] = Fraction(value, denominator)
-        return f
-
     def _cell(self, agent: int, base: int) -> None:
         table = self.table
         prefs = table.prefs
@@ -147,12 +141,19 @@ class _PairSweep:
         live = self.live
         found = self.found
         first_only = self.first_only
-        frac = self._fraction
-        profiles: dict[int, Profile] = {}  # report index -> full profile
+        singles = self._singles
+        values = self._values.setdefault(common, {})
+        profiles: list[Optional[Profile]] = [None] * len(prefs)  # by report index
         around: list[tuple] = []  # reports of the agents before and after
 
+        def frac(value: int) -> Fraction:
+            f = values.get(value)
+            if f is None:
+                f = values[value] = Fraction(value, common)
+            return f
+
         def profile_of(r: int) -> Profile:
-            profile = profiles.get(r)
+            profile = profiles[r]
             if profile is None:
                 if not around:
                     at_base = table.profile(base)
@@ -160,24 +161,21 @@ class _PairSweep:
                 profile = profiles[r] = around[0] + (prefs[r],) + around[1]
             return profile
 
-        def keep(ax: str, report: ViolationReport) -> None:
-            found[ax].append(report)
+        def prefix_violation(ax, t, v, rank, lhs, rhs, relation, detail) -> None:
+            found[ax].append(pair_report(
+                ax, agent, profile_of(t), prefs[v], None, (), rank,
+                frac(lhs), frac(rhs), relation, detail,
+            ))
             if first_only:
                 live.discard(ax)
 
-        def prefix_violation(ax, t, v, rank, lhs, rhs, relation, detail) -> None:
-            keep(ax, ViolationReport(
-                axiom=ax, agent=agent, profile=profile_of(t), deviation=prefs[v],
-                rank=rank, lhs=frac(lhs, common), rhs=frac(rhs, common),
-                relation=relation, detail=detail,
-            ))
-
         def swap_violation(ax, r, s, info, x, relation, detail) -> None:
-            keep(ax, ViolationReport(
-                axiom=ax, agent=agent, profile=profile_of(r), deviation=prefs[s],
-                swap=info, objects=(x,), lhs=frac(rows[s][x], common),
-                rhs=frac(rows[r][x], common), relation=relation, detail=detail,
+            found[ax].append(pair_report(
+                ax, agent, profile_of(r), prefs[s], info, singles[x], None,
+                frac(rows[s][x]), frac(rows[r][x]), relation, detail,
             ))
+            if first_only:
+                live.discard(ax)
 
         comparisons = 0
         if "sp" in live or "weak-sp" in live:

@@ -35,7 +35,7 @@ from .core import (
 from .decomp import Decomposition
 from .interim import Prior
 from .mechanisms import EatingSpeedSchedule, TabulatedMechanism
-from .reports import CheckOutcome
+from .reports import CheckOutcome, render_reports
 
 _PIECE = re.compile(r"^\[([^,\]]+),([^)\]]+)\):(\S+)$")
 
@@ -334,13 +334,11 @@ def outcome_lines(
             f"evaluations={outcome.profiles_checked} "
             f"comparisons={outcome.comparisons}"
         )
-        return [head] + [
-            "violation " + v.render(instance) for v in outcome.violations
-        ]
+        return [head] + render_reports(instance, outcome.violations, "violation ")
     head = (
         f"{outcome.axiom}: {outcome.verdict.upper()}  "
         f"[{len(outcome.violations)} violation(s); "
         f"{outcome.profiles_checked} evaluations, "
         f"{outcome.comparisons} comparisons]"
     )
-    return [head] + ["  " + v.render(instance) for v in outcome.violations]
+    return [head] + render_reports(instance, outcome.violations, "  ")

@@ -175,16 +175,18 @@ def eat(
 
 
 def _eat_unit_scaled(profile: Profile, n: int) -> tuple[list[list[int]], int]:
-    """Unit-speed eating over a running common denominator.
+    """Unit-speed eating over the fixed common denominator ``D = L**n``,
+    ``L = lcm(1, ..., n)``.
 
-    All state is kept as integers scaled by a common denominator ``D``
-    (time, supplies and accumulated shares are integer multiples of 1/D),
-    so the inner loop runs entirely on small machine integers.  Returns
-    the share numerators and D.
+    Time, supplies and accumulated shares are kept as integer multiples of
+    1/D, so the inner loop runs entirely on integers and never rescales.
+    D suffices: each of the at most n events divides a supply by an eater
+    count in 1..n, so before the k-th event every quantity is a multiple of
+    ``L**(n-k)``.  Returns the share numerators and D.
     """
-    D = 1
+    D = math.lcm(*range(1, n + 1)) ** n
     T = 0
-    supply = [1] * n
+    supply = [D] * n
     shares = [[0] * n for _ in range(n)]
     pos = [0] * n
     alive = [True] * n
@@ -200,28 +202,21 @@ def _eat_unit_scaled(profile: Profile, n: int) -> tuple[list[list[int]], int]:
             a = ranking[p]
             target[i] = a
             eaters[a] += 1
-        # earliest event: object exhaustion at supply[a]/(D*eaters[a]), or
-        # the horizon (D-T)/D; ties resolve to the horizon, which is safe
+        # earliest event: object exhaustion at supply[a]/eaters[a], or the
+        # horizon D-T; ties resolve to the earlier candidate, which is safe
         # because the subtraction below still zeroes tied objects.
-        best_num, best_den, scale = D - T, D, 1
+        dt = D - T
         for a in range(n):
             e = eaters[a]
-            if e and supply[a] * best_den < best_num * D * e:
-                best_num, best_den, scale = supply[a], D * e, e
-        if scale != 1:
-            D *= scale
-            T *= scale
-            for a in range(n):
-                supply[a] *= scale
-            for row in shares:
-                for a in range(n):
-                    row[a] *= scale
-        dt = best_num  # in units of 1/D after rescaling
+            if e and supply[a] < dt * e:
+                dt = supply[a] // e
         T += dt
         for a in range(n):
-            if eaters[a]:
-                supply[a] -= eaters[a] * dt
-                if supply[a] == 0:
+            e = eaters[a]
+            if e:
+                left = supply[a] - e * dt
+                supply[a] = left
+                if not left:
                     alive[a] = False
         for i in range(n):
             shares[i][target[i]] += dt

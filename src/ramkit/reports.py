@@ -21,12 +21,53 @@ from .core import (
 )
 
 
-def _pref_str(instance: Instance, pref: Preference) -> str:
-    return ">".join(instance.object_names[x] for x in pref)
+class _Names:
+    """Display strings of one instance, each built once while a batch of
+    reports renders: a pair sweep's reports share a few preferences, swaps
+    and values among hundreds of thousands of violations."""
 
+    def __init__(self, instance: Instance):
+        self.objects = instance.object_names
+        self._prefs: dict[Preference, str] = {}
+        self._profiles: dict[Profile, str] = {}
+        # keyed by id(), since hashing a Fraction is slow; each entry holds
+        # its value, so an id is not reused while the memo lives
+        self._values: dict[int, tuple[Fraction, str]] = {}
+        self._swaps: dict[SwapInfo, str] = {}
+        self._lists: dict[tuple[int, ...], str] = {}
 
-def _profile_str(instance: Instance, profile: Profile) -> str:
-    return "|".join(_pref_str(instance, p) for p in profile)
+    def pref(self, pref: Preference) -> str:
+        s = self._prefs.get(pref)
+        if s is None:
+            s = self._prefs[pref] = ">".join(self.objects[x] for x in pref)
+        return s
+
+    def profile(self, profile: Profile) -> str:
+        s = self._profiles.get(profile)
+        if s is None:
+            s = self._profiles[profile] = "|".join(self.pref(p) for p in profile)
+        return s
+
+    def value(self, value: Fraction) -> str:
+        hit = self._values.get(id(value))
+        if hit is None:
+            hit = self._values[id(value)] = (value, str(value))
+        return hit[1]
+
+    def object_list(self, objects: tuple[int, ...]) -> str:
+        s = self._lists.get(objects)
+        if s is None:
+            s = self._lists[objects] = ",".join(self.objects[x] for x in objects)
+        return s
+
+    def swap(self, swap: SwapInfo) -> str:
+        s = self._swaps.get(swap)
+        if s is None:
+            names = self.objects
+            s = self._swaps[swap] = (
+                f"swap=rank{swap.position}:{names[swap.lowered]}<->{names[swap.raised]}"
+            )
+        return s
 
 
 @dataclass(frozen=True, slots=True)
@@ -51,48 +92,95 @@ class ViolationReport:
     detail: str = ""
 
     def render(self, instance: Instance) -> str:
+        return self._render(_Names(instance))
+
+    def _render(self, names: _Names) -> str:
         bits = [self.axiom]
         if self.agent is not None:
             bits.append(f"agent={self.agent + 1}")
         if self.agent2 is not None:
             bits.append(f"other_agent={self.agent2 + 1}")
         if self.profile is not None:
-            bits.append(f"profile={_profile_str(instance, self.profile)}")
+            bits.append("profile=" + names.profile(self.profile))
         if self.truth is not None:
-            bits.append(f"truth={_pref_str(instance, self.truth)}")
+            bits.append("truth=" + names.pref(self.truth))
         if self.deviation is not None:
-            bits.append(f"deviation={_pref_str(instance, self.deviation)}")
+            bits.append("deviation=" + names.pref(self.deviation))
         if self.swap is not None:
-            names = instance.object_names
-            bits.append(
-                f"swap=rank{self.swap.position}:"
-                f"{names[self.swap.lowered]}<->{names[self.swap.raised]}"
-            )
+            bits.append(names.swap(self.swap))
+        objects = names.objects
         if self.sigma is not None:
             bits.append(
                 "sigma=" + ",".join(
-                    f"{instance.object_names[x]}->{instance.object_names[y]}"
+                    f"{objects[x]}->{objects[y]}"
                     for x, y in enumerate(self.sigma) if x != y
                 )
             )
         if self.objects:
-            bits.append(
-                "objects=" + ",".join(instance.object_names[x] for x in self.objects)
-            )
+            bits.append("objects=" + names.object_list(self.objects))
         if self.component is not None:
             bits.append(
                 "component=" + ",".join(
-                    f"{i + 1}:{instance.object_names[a]}"
-                    for i, a in enumerate(self.component)
+                    f"{i + 1}:{objects[a]}" for i, a in enumerate(self.component)
                 )
             )
         if self.rank is not None:
             bits.append(f"prefix={self.rank}")
         if self.lhs is not None and self.rhs is not None:
-            bits.append(f"violated={self.lhs}{self.relation}{self.rhs}")
+            bits.append(
+                "violated=" + names.value(self.lhs) + self.relation + names.value(self.rhs)
+            )
         if self.detail:
             bits.append(self.detail)
         return " ".join(bits)
+
+
+class _Unfrozen:
+    """ViolationReport's slots without its frozen ``__setattr__``."""
+
+    __slots__ = ViolationReport.__slots__
+
+
+def pair_report(
+    axiom: str, agent: int, profile: Profile, deviation: Preference,
+    swap: Optional[SwapInfo], objects: tuple[int, ...], rank: Optional[int],
+    lhs: Fraction, rhs: Fraction, relation: str, detail: str,
+) -> ViolationReport:
+    """The report ``ViolationReport(axiom=axiom, agent=agent, ...)`` of a
+    report-pair violation; the other fields keep their defaults.
+
+    A pair sweep can record hundreds of thousands of these, and the frozen
+    dataclass ``__init__`` makes one ``object.__setattr__`` call per field,
+    about six times the cost of plain slot stores.  So the fields are
+    stored on an instance with the same slots, which then becomes a
+    ViolationReport.
+    """
+    r = _Unfrozen()
+    r.axiom = axiom
+    r.agent = agent
+    r.agent2 = None
+    r.profile = profile
+    r.truth = None
+    r.deviation = deviation
+    r.swap = swap
+    r.sigma = None
+    r.objects = objects
+    r.component = None
+    r.rank = rank
+    r.lhs = lhs
+    r.rhs = rhs
+    r.relation = relation
+    r.prior = None
+    r.detail = detail
+    r.__class__ = ViolationReport
+    return r
+
+
+def render_reports(instance: Instance, reports, prefix: str = "") -> list[str]:
+    """``prefix + report.render(instance)`` for each report, with the
+    display strings the reports share built once."""
+    names = _Names(instance)
+    return [prefix + report._render(names) for report in reports]
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import TRUTH_PROFILE, random_prior
+from helpers import TRUTH_PROFILE, random_bistochastic, random_prior
 from ramkit.core import Instance, enumerate_profiles
 from ramkit.formats import (
     ParseError,
@@ -21,7 +21,12 @@ from ramkit.formats import (
     render_table_file,
 )
 from ramkit.interim import uniform_prior
-from ramkit.mechanisms import EatingSpeedSchedule, ProbabilisticSerial, tabulate
+from ramkit.mechanisms import (
+    EatingSpeedSchedule,
+    ProbabilisticSerial,
+    TabulatedMechanism,
+    tabulate,
+)
 
 F = Fraction
 
@@ -202,3 +207,32 @@ class TestRendering:
         assert machine[0].startswith("check axiom=sp verdict=violated")
         assert human[0].startswith("sp: VIOLATED")
         assert len(machine) == len(human) == 2
+
+    def test_batch_render_matches_render(self, instance3, ps3):
+        from ramkit.axioms import check_neutrality, run_pair_sweep
+        from ramkit.interim import check_obic
+        from ramkit.reports import ViolationReport, render_reports
+
+        reports = [
+            v
+            for outcome in run_pair_sweep(
+                ps3, ("sp", "weak-sp", "em", "ui", "li"), mode="exhaustive"
+            ).values()
+            for v in outcome.violations
+        ]
+        rng = random.Random(5)
+        table = TabulatedMechanism(instance3, {
+            profile: random_bistochastic(rng, 3) for profile in enumerate_profiles(instance3)
+        })
+        reports += check_obic(table, uniform_prior(instance3), mode="first").violations
+        reports += check_neutrality(table, mode="first").violations
+        # equal values that are distinct objects, and every optional field
+        reports.append(ViolationReport(
+            axiom="x", agent=0, agent2=2, profile=TRUTH_PROFILE, truth=(0, 1, 2),
+            deviation=(1, 0, 2), sigma=(1, 0, 2), objects=(0, 2), component=(2, 0),
+            rank=2, lhs=Fraction(2, 4), rhs=Fraction(1, 2), relation="<", detail="d",
+        ))
+        assert len({v.axiom for v in reports}) >= 4
+        assert render_reports(instance3, reports, "> ") == [
+            "> " + v.render(instance3) for v in reports
+        ]

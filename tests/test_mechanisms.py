@@ -224,6 +224,19 @@ class TestSimultaneousEating:
             profile = random_profile(rng, 4)
             assert eat(profile, sched) == ps.assignment(profile)
 
+    @pytest.mark.parametrize("n", [5, 6])
+    def test_fast_path_matches_general_engine_larger_n_sampled(self, n):
+        # up to n events, each dividing by an eater count: the fast path's
+        # fixed denominator lcm(1..n)**n must still hold every quantity
+        ps = ProbabilisticSerial(Instance.default(n))
+        sched = EatingSpeedSchedule.unit(n)
+        rng = random.Random(n)
+        for _ in range(40):
+            profile = random_profile(rng, n)
+            assert eat(profile, sched) == ps.assignment(profile)
+        crowded = tuple(tuple(range(n)) for _ in range(n))  # everyone shares every object
+        assert eat(crowded, sched) == ps.assignment(crowded)
+
     def test_breakpoint_hand_run(self):
         inst = Instance.default(2)
         sea = SimultaneousEating(inst, two_speed_schedule())

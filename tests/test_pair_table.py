@@ -249,3 +249,25 @@ def test_lazy_cells_keep_wide_values_exact():
         assert _rows_at(table, index) == mech.assignment(table.profile(index))
     assert table.nums is None  # nothing dense was allocated
     assert max(d for _, d in table._lazy.values()) > 2 ** 64
+
+
+def test_pair_report_is_the_frozen_dataclass_report():
+    import dataclasses
+
+    from ramkit.core import SwapInfo
+    from ramkit.reports import ViolationReport, pair_report
+
+    profile = ((0, 1, 2), (1, 0, 2), (2, 1, 0))
+    swap = SwapInfo(1, 0, 1)
+    fast = pair_report("li", 1, profile, (1, 0, 2), swap, (2,), None,
+                       Fraction(1, 3), Fraction(1, 6), "!=", "moved")
+    slow = ViolationReport(axiom="li", agent=1, profile=profile, deviation=(1, 0, 2),
+                           swap=swap, objects=(2,), lhs=Fraction(1, 3),
+                           rhs=Fraction(1, 6), relation="!=", detail="moved")
+    assert type(fast) is ViolationReport
+    assert fast == slow and hash(fast) == hash(slow)
+    assert [getattr(fast, f.name) for f in dataclasses.fields(ViolationReport)] == [
+        getattr(slow, f.name) for f in dataclasses.fields(ViolationReport)
+    ]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        fast.axiom = "em"
