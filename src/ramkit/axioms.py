@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from operator import itemgetter
 from typing import Iterable, Optional
 
 from .core import (
@@ -82,19 +83,24 @@ def _strict_dominance_rank(
 def _swap_pairs(prefs: list[Preference]) -> list[tuple]:
     """Each unordered adjacent-swap pair of reports once, in sweep order.
 
-    Entries are ``(r, s, swap, above, below)``: ``prefs[s]`` is ``prefs[r]``
-    with the pair ``swap`` exchanged, ``prefs[r] < prefs[s]``, and ``above``
-    and ``below`` are the objects ``prefs[r]`` ranks above and below the
-    pair.  The swap conditions are symmetric, so one order suffices.
+    Entries are ``(r, s, swap, above, below, pick_above, pick_below)``:
+    ``prefs[s]`` is ``prefs[r]`` with the pair ``swap`` exchanged,
+    ``prefs[r] < prefs[s]``, ``above`` and ``below`` are the objects
+    ``prefs[r]`` ranks above and below the pair, and ``pick_*`` reads those
+    shares from a row in one call (None when there are none).  The swap
+    conditions are symmetric, so one order suffices.
     """
     index = {p: k for k, p in enumerate(prefs)}
     pairs = []
     for r, base in enumerate(prefs):
         for swapped, info in adjacent_swaps(base):
             if swapped > base:
+                above = base[: info.position - 1]
+                below = base[info.position + 1:]
                 pairs.append((
-                    r, index[swapped], info,
-                    base[: info.position - 1], base[info.position + 1:],
+                    r, index[swapped], info, above, below,
+                    itemgetter(*above) if above else None,
+                    itemgetter(*below) if below else None,
                 ))
     return pairs
 
@@ -202,7 +208,7 @@ class _PairSweep:
 
         em, ui, li = "em" in live, "ui" in live, "li" in live
         if em or ui or li:
-            for r, s, info, above, below in self._pairs:
+            for r, s, info, above, below, pick_above, pick_below in self._pairs:
                 old = rows[r]
                 new = rows[s]
                 if em:
@@ -222,21 +228,23 @@ class _PairSweep:
                     em = "em" in live
                 if ui:
                     comparisons += len(above)
-                    for x in above:
-                        if new[x] != old[x]:
-                            swap_violation(
-                                "ui", r, s, info, x, "!=",
-                                "share above the swapped pair moved",
-                            )
+                    if above and pick_above(new) != pick_above(old):
+                        for x in above:
+                            if new[x] != old[x]:
+                                swap_violation(
+                                    "ui", r, s, info, x, "!=",
+                                    "share above the swapped pair moved",
+                                )
                     ui = "ui" in live
                 if li:
                     comparisons += len(below)
-                    for x in below:
-                        if new[x] != old[x]:
-                            swap_violation(
-                                "li", r, s, info, x, "!=",
-                                "share below the swapped pair moved",
-                            )
+                    if below and pick_below(new) != pick_below(old):
+                        for x in below:
+                            if new[x] != old[x]:
+                                swap_violation(
+                                    "li", r, s, info, x, "!=",
+                                    "share below the swapped pair moved",
+                                )
                     li = "li" in live
         self.comparisons += comparisons
 

@@ -6,8 +6,10 @@ With ``m = n!`` preferences, the profile whose agent ``j`` reports the
 mixed-radix index ``sum_j d_j * m**(n-1-j)`` in ``[0, m**n)``.  Varying one
 agent's report therefore walks the index in steps of ``m**(n-1-agent)``.
 
-For every profile the table holds the ``n*n`` share numerators over that
-profile's least common denominator ``D``; no Fractions are stored.  Dense
+For every profile the table holds the ``n*n`` share numerators over the
+common denominator ``D`` that :meth:`Mechanism.scaled_assignment` gave for
+it (for PS one fixed D, so a cell's rows need no rescaling); no Fractions
+are stored.  Dense
 values live in signed 64-bit arrays, and the table falls back to Python int
 lists as soon as one value does not fit, so storage never truncates or
 wraps.
@@ -47,15 +49,10 @@ def _pack(values: list[int]) -> Store:
         return values
 
 
-def _evaluate(mech: Mechanism, profile: Profile) -> tuple[list[int], int]:
-    """Flat share numerators over the profile's least common denominator."""
+def _evaluate(mech: Mechanism, profile: Profile) -> tuple[tuple[int, ...], int]:
+    """Flat share numerators and their common denominator."""
     rows, d = mech.scaled_assignment(profile)
-    flat = [x for row in rows for x in row]
-    g = math.gcd(d, *flat)
-    if g != 1:
-        d //= g
-        flat = [x // g for x in flat]
-    return flat, d
+    return tuple(x for row in rows for x in row), d
 
 
 def _evaluate_range(
@@ -67,8 +64,9 @@ def _evaluate_range(
     dens: list[int] = []
     profiles = itertools.product(prefs, repeat=len(prefs[0]))
     for profile in itertools.islice(profiles, lo, hi):
-        flat, d = _evaluate(mech, profile)
-        nums.extend(flat)
+        rows, d = mech.scaled_assignment(profile)
+        for row in rows:
+            nums.extend(row)
         dens.append(d)
     return _pack(nums), _pack(dens)
 
@@ -168,8 +166,7 @@ class DomainTable:
     def _lazy_entry(self, index: int) -> tuple[tuple[int, ...], int]:
         entry = self._lazy.get(index)
         if entry is None:
-            flat, d = _evaluate(self.mech, self.profile(index))
-            entry = self._lazy[index] = (tuple(flat), d)
+            entry = self._lazy[index] = _evaluate(self.mech, self.profile(index))
         return entry
 
     def cell(self, agent: int, base: int) -> tuple[list, int]:
