@@ -6,10 +6,11 @@ With ``m = n!`` preferences, the profile whose agent ``j`` reports the
 mixed-radix index ``sum_j d_j * m**(n-1-j)`` in ``[0, m**n)``.  Varying one
 agent's report therefore walks the index in steps of ``m**(n-1-agent)``.
 
-For every profile the table holds the ``n*n`` share numerators over the
-common denominator ``D`` that :meth:`Mechanism.scaled_assignment` gave for
-it (for PS one fixed D, so a cell's rows need no rescaling); no Fractions
-are stored.  Dense
+For every profile the table holds the ``n*n`` share numerators over one
+common denominator ``D``: in dense storage the D that
+:meth:`Mechanism.scaled_assignment` gave (for PS one fixed D, so a cell's
+rows need no rescaling), in lazy entries the profile's least one.  No
+Fractions are stored.  Dense
 values live in signed 64-bit arrays, and the table falls back to Python int
 lists as soon as one value does not fit, so storage never truncates or
 wraps.
@@ -50,9 +51,19 @@ def _pack(values: list[int]) -> Store:
 
 
 def _evaluate(mech: Mechanism, profile: Profile) -> tuple[tuple[int, ...], int]:
-    """Flat share numerators and their common denominator."""
+    """Flat share numerators over the profile's least common denominator.
+
+    Lazy entries are reduced because a lazy table may hold every profile,
+    and in least terms the numerators are mostly Python's shared small
+    ints; over a fixed D such as PS's each would be a separate object.
+    """
     rows, d = mech.scaled_assignment(profile)
-    return tuple(x for row in rows for x in row), d
+    flat = [x for row in rows for x in row]
+    g = math.gcd(d, *flat)
+    if g != 1:
+        d //= g
+        flat = [x // g for x in flat]
+    return tuple(flat), d
 
 
 def _evaluate_range(
