@@ -76,6 +76,7 @@ from .interim import (
     lrobic_search,
     obic_decomposition_report,
     rank_vector_report,
+    rank_vector_reports,
     reverify_interim_violation,
     sample_prior_in_ball,
     uniform_prior,

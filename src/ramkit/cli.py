@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from fractions import Fraction
 
 from .axioms import PAIR_AXIOMS, PROFILE_AXIOMS, run_axiom_check
 from .core import (
@@ -45,7 +44,7 @@ from .interim import (
     SamplingExhaustedError,
     lrobic_search,
     obic_decomposition_report,
-    rank_vector_report,
+    rank_vector_reports,
     uniform_prior,
 )
 from .mechanisms import (
@@ -149,7 +148,8 @@ def cmd_check(args) -> int:
 
 def cmd_obic(args) -> int:
     instance = _instance_from_args(args)
-    mech = build_mechanism(args.mechanism, instance, cache=True)
+    # the interim pass reads each profile once, so a memo would only grow
+    mech = build_mechanism(args.mechanism, instance, cache=False)
     prior = build_prior(args.prior, instance)
     report = obic_decomposition_report(mech, prior, max_n=args.max_n)
     machine = args.format == "machine"
@@ -206,13 +206,13 @@ def cmd_decompose(args) -> int:
 
 def cmd_ranks(args) -> int:
     instance = _instance_from_args(args)
-    mech = build_mechanism(args.mechanism, instance, cache=True)
+    mech = build_mechanism(args.mechanism, instance, cache=False)
     prior = build_prior(args.prior, instance)
-    agents = [args.agent - 1] if args.agent else list(instance.agents)
+    agents = None if args.agent is None else [args.agent - 1]
     machine = args.format == "machine"
     lines = []
-    for agent in agents:
-        report = rank_vector_report(mech, prior, agent, max_n=args.max_n)
+    for report in rank_vector_reports(mech, prior, agents, max_n=args.max_n):
+        agent = report.agent
         flags = (
             f"rank_invariant={str(report.rank_invariant).lower()} "
             f"rank_monotone={str(report.rank_monotone).lower()}"

@@ -10,11 +10,22 @@ local robustness of OBIC around a prior.
 
 All prior probabilities are exact rationals; sampled priors live on an
 integer grid with a fixed denominator so downstream sums stay exact.
+
+The checks read every agent's interim rows from one integer pass over the
+prior's support domain (:func:`_interim_rows`): the prior becomes integer
+weights over its common denominator, each profile with at most one
+off-support report is evaluated exactly once through
+:meth:`Mechanism.scaled_assignment`, and Fractions are built only for the
+finished rows.  The pass needs no memo; a PS or RP mechanism's memo stays
+empty.  :func:`obic_decomposition_report` builds the rows once for OBIC and
+the em/ui/li sweep.  :func:`interim_share_vector` is a separate Fraction
+route, and replaying a witness uses only that route.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -140,49 +151,104 @@ class InterimShareVector:
             raise InternalConsistencyError("interim shares do not sum to 1")
 
 
-def _opponent_support(prior: Prior, n: int):
-    """(opponent profile, product weight) pairs with positive weight."""
-    support = [(p, w) for p, w in prior.items() if w != 0]
-    combos = []
-    for combo in itertools.product(support, repeat=n - 1):
-        weight = ONE
-        for _, w in combo:
-            weight *= w
-        combos.append((tuple(p for p, _ in combo), weight))
-    return combos
-
-
 def _interim_rows(
-    mech: Mechanism, agent: int, prior: Prior, *, max_n: Optional[int] = None
-) -> dict[Preference, ShareVector]:
-    """Interim share vector for every possible report of ``agent``."""
+    mech: Mechanism, prior: Prior, *, agents=None, max_n: Optional[int] = None
+) -> dict[int, dict[Preference, ShareVector]]:
+    """Interim share vector of every report of each of ``agents`` (default
+    all), from one integer pass over the prior's support domain.
+
+    With ``Q`` the prior's common denominator and ``w[p] = prob(p) * Q``,
+    agent i's interim row for report r is the sum over opponent profiles of
+    ``prod_{j != i} w[P_j] * row_i(P)``, over ``Q**(n-1)``.  Only profiles in
+    which at least n-1 agents report a positive-probability preference
+    carry weight for some agent: where all n do, every agent accumulates;
+    where exactly one agent is off the support, only that agent does.  Each
+    such profile is evaluated exactly once, through
+    :meth:`Mechanism.scaled_assignment`, and the weighted numerators are
+    summed as integers per (agent, report, profile denominator D).
+    Fractions are built only at the end, over ``lcm(D) * Q**(n-1)``.
+    """
     instance = mech.instance
     _check_sweep_cap(instance.n, max_n)
     n = instance.n
     prefs = enumerate_preferences(instance, max_n=max_n)
-    combos = _opponent_support(prior, n)
-    rows: dict[Preference, ShareVector] = {}
-    for report in prefs:
-        acc = [ZERO] * n
-        for opponents, weight in combos:
-            row = mech.assignment(insert_report(opponents, agent, report))[agent]
-            for a in range(n):
-                if row[a] != 0:
-                    acc[a] += weight * row[a]
-        rows[report] = tuple(acc)
-    return rows
+    agents = tuple(instance.agents) if agents is None else tuple(agents)
+    for i in agents:
+        if not 0 <= i < n:
+            raise ValueError(f"agent {i + 1} is not one of agents 1..{n}")
+    q = math.lcm(*(p.denominator for p in prior.probs))
+    weights = [p.numerator * (q // p.denominator) for p in prior.probs]
+    on = [k for k, w in enumerate(weights) if w]
+    on_prefs = [prefs[k] for k in on]
+    on_weights = [weights[k] for k in on]
+    # sums[i][k][D]: agent i's weighted numerators over D for report prefs[k]
+    sums = [[{} for _ in prefs] for _ in range(n)]
+    scaled = mech.scaled_assignment
+
+    def add(i, k, weight, row, d):
+        acc = sums[i][k].get(d)
+        if acc is None:
+            sums[i][k][d] = [weight * x for x in row]
+        else:
+            for a, x in enumerate(row):
+                if x:
+                    acc[a] += weight * x
+
+    for profile, ks, ws in zip(
+        itertools.product(on_prefs, repeat=n),
+        itertools.product(on, repeat=n),
+        itertools.product(on_weights, repeat=n),
+    ):
+        rows, d = scaled(profile)
+        total = math.prod(ws)
+        for i in agents:
+            add(i, ks[i], total // ws[i], rows[i], d)
+    for i in agents:
+        for k, w in enumerate(weights):
+            if w:
+                continue
+            report = prefs[k]
+            for opponents, ws in zip(
+                itertools.product(on_prefs, repeat=n - 1),
+                itertools.product(on_weights, repeat=n - 1),
+            ):
+                rows, d = scaled(insert_report(opponents, i, report))
+                add(i, k, math.prod(ws), rows[i], d)
+
+    scale = q ** (n - 1)
+    table: dict[int, dict[Preference, ShareVector]] = {}
+    for i in agents:
+        rows = {}
+        for report, by_d in zip(prefs, sums[i]):
+            common = math.lcm(*by_d)
+            total = [0] * n
+            for d, acc in by_d.items():
+                f = common // d
+                for a in range(n):
+                    total[a] += acc[a] * f
+            rows[report] = tuple(Fraction(x, common * scale) for x in total)
+        table[i] = rows
+    return table
 
 
 def interim_share_vector(
     mech: Mechanism, agent: int, report: Preference, prior: Prior, *,
     max_n: Optional[int] = None,
 ) -> InterimShareVector:
-    """Exact prior-weighted average of the agent's rows over opponents."""
+    """Exact prior-weighted average of the agent's rows over opponents.
+
+    This is the independent Fraction route, one ``assignment`` call per
+    positive-weight opponent profile; replaying a witness relies on it not
+    sharing code with :func:`_interim_rows`.
+    """
     instance = mech.instance
     _check_sweep_cap(instance.n, max_n)
     n = instance.n
+    support = [(p, w) for p, w in prior.items() if w != 0]
     acc = [ZERO] * n
-    for opponents, weight in _opponent_support(prior, n):
+    for combo in itertools.product(support, repeat=n - 1):
+        weight = math.prod((w for _, w in combo), start=ONE)
+        opponents = tuple(p for p, _ in combo)
         row = mech.assignment(insert_report(opponents, agent, report))[agent]
         for a in range(n):
             if row[a] != 0:
@@ -190,21 +256,16 @@ def interim_share_vector(
     return InterimShareVector(agent=agent, report=report, prior=prior, shares=tuple(acc))
 
 
-def check_obic(
-    mech: Mechanism, prior: Prior, *, mode: Optional[str] = None,
-    max_n: Optional[int] = None,
-) -> CheckOutcome:
-    """Truth-telling must FOSD every deviation in interim shares."""
-    first_only = _first_only(mode, mech.instance.n)
+def _obic_outcome(table, prior: Prior, first_only: bool) -> CheckOutcome:
+    """OBIC on prebuilt interim rows: truth-telling must FOSD every
+    deviation, agent by agent in order."""
     violations: list[ViolationReport] = []
     evaluations = 0
     comparisons = 0
-    prefs = enumerate_preferences(mech.instance, max_n=max_n)
-    for agent in mech.instance.agents:
-        rows = _interim_rows(mech, agent, prior, max_n=max_n)
+    for agent, rows in table.items():
         evaluations += len(rows)
-        for truth in prefs:
-            for dev in prefs:
+        for truth in rows:
+            for dev in rows:
                 if dev == truth:
                     continue
                 comparisons += 1
@@ -228,25 +289,23 @@ def check_obic(
     )
 
 
-def run_interim_sweep(
-    mech: Mechanism, prior: Prior, axioms=INTERIM_AXIOMS, *,
-    mode: Optional[str] = None, max_n: Optional[int] = None,
-) -> dict[str, CheckOutcome]:
-    """Interim swap axioms: monotonicity of the swapped pair's shares and
-    invariance of the shares above and below the pair."""
-    axioms = tuple(axioms)
-    for ax in axioms:
-        if ax not in INTERIM_AXIOMS:
-            raise ValueError(f"unknown interim axiom {ax!r}")
+def check_obic(
+    mech: Mechanism, prior: Prior, *, mode: Optional[str] = None,
+    max_n: Optional[int] = None,
+) -> CheckOutcome:
+    """Truth-telling must FOSD every deviation in interim shares."""
     first_only = _first_only(mode, mech.instance.n)
-    prefs = enumerate_preferences(mech.instance, max_n=max_n)
+    return _obic_outcome(_interim_rows(mech, prior, max_n=max_n), prior, first_only)
+
+
+def _swap_outcomes(table, prior: Prior, axioms, first_only: bool) -> dict[str, CheckOutcome]:
+    """The interim swap axioms on prebuilt interim rows."""
     found: dict[str, list[ViolationReport]] = {ax: [] for ax in axioms}
     evaluations = 0
     comparisons = 0
-    for agent in mech.instance.agents:
-        rows = _interim_rows(mech, agent, prior, max_n=max_n)
+    for agent, rows in table.items():
         evaluations += len(rows)
-        for base in prefs:
+        for base in rows:
             for swapped, info in adjacent_swaps(base):
                 if swapped < base:
                     continue
@@ -301,6 +360,21 @@ def run_interim_sweep(
     }
 
 
+def run_interim_sweep(
+    mech: Mechanism, prior: Prior, axioms=INTERIM_AXIOMS, *,
+    mode: Optional[str] = None, max_n: Optional[int] = None,
+) -> dict[str, CheckOutcome]:
+    """Interim swap axioms: monotonicity of the swapped pair's shares and
+    invariance of the shares above and below the pair."""
+    axioms = tuple(axioms)
+    for ax in axioms:
+        if ax not in INTERIM_AXIOMS:
+            raise ValueError(f"unknown interim axiom {ax!r}")
+    first_only = _first_only(mode, mech.instance.n)
+    table = _interim_rows(mech, prior, max_n=max_n)
+    return _swap_outcomes(table, prior, axioms, first_only)
+
+
 def check_interim_elementary_monotonicity(mech, prior, *, mode=None, max_n=None):
     return run_interim_sweep(mech, prior, ("interim-em",), mode=mode, max_n=max_n)["interim-em"]
 
@@ -332,23 +406,33 @@ class RankVectorReport:
     rank_vector: Optional[tuple[Fraction, ...]]
 
 
+def rank_vector_reports(
+    mech: Mechanism, prior: Prior, agents=None, *, max_n: Optional[int] = None
+) -> list[RankVectorReport]:
+    """Rank vector reports of ``agents`` (default all), in order, from one
+    pass over the prior's support domain."""
+    reports = []
+    for agent, rows in _interim_rows(mech, prior, agents=agents, max_n=max_n).items():
+        vectors = {
+            report: tuple(shares[a] for a in report) for report, shares in rows.items()
+        }
+        values = list(vectors.values())
+        invariant = all(v == values[0] for v in values[1:])
+        monotone = all(
+            all(v[k] >= v[k + 1] for k in range(len(v) - 1)) for v in values
+        )
+        reports.append(RankVectorReport(
+            agent=agent, prior=prior, vectors=vectors,
+            rank_invariant=invariant, rank_monotone=monotone,
+            rank_vector=values[0] if invariant else None,
+        ))
+    return reports
+
+
 def rank_vector_report(
     mech: Mechanism, prior: Prior, agent: int, *, max_n: Optional[int] = None
 ) -> RankVectorReport:
-    rows = _interim_rows(mech, agent, prior, max_n=max_n)
-    vectors = {
-        report: tuple(shares[a] for a in report) for report, shares in rows.items()
-    }
-    values = list(vectors.values())
-    invariant = all(v == values[0] for v in values[1:])
-    monotone = all(
-        all(v[k] >= v[k + 1] for k in range(len(v) - 1)) for v in values
-    )
-    return RankVectorReport(
-        agent=agent, prior=prior, vectors=vectors,
-        rank_invariant=invariant, rank_monotone=monotone,
-        rank_vector=values[0] if invariant else None,
-    )
+    return rank_vector_reports(mech, prior, (agent,), max_n=max_n)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -586,8 +670,11 @@ class ObicDecompositionReport:
 def obic_decomposition_report(
     mech: Mechanism, prior: Prior, *, max_n: Optional[int] = None
 ) -> ObicDecompositionReport:
-    obic = check_obic(mech, prior, max_n=max_n)
-    interim = run_interim_sweep(mech, prior, INTERIM_AXIOMS, max_n=max_n)
+    """OBIC and the interim em/ui/li sweep, exhaustive, on one set of
+    interim rows."""
+    table = _interim_rows(mech, prior, max_n=max_n)
+    obic = _obic_outcome(table, prior, first_only=False)
+    interim = _swap_outcomes(table, prior, INTERIM_AXIOMS, first_only=False)
     return ObicDecompositionReport(
         obic=obic,
         interim_em=interim["interim-em"],

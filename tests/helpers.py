@@ -6,7 +6,15 @@ import math
 import random
 from fractions import Fraction
 
-from ramkit.core import enumerate_preferences, insert_report
+from ramkit.core import Instance, enumerate_preferences, enumerate_profiles, insert_report
+from ramkit.mechanisms import (
+    EatingSpeedSchedule,
+    ProbabilisticSerial,
+    RandomPriority,
+    SerialDictatorship,
+    SimultaneousEating,
+    TabulatedMechanism,
+)
 
 # Table-1 objects a=0, b=1, c=2
 A, B, C = 0, 1, 2
@@ -63,6 +71,59 @@ def random_prior(rng: random.Random, instance):
     raw = [uniform_int(rng, 1, 999) for _ in range(m)]
     total = sum(raw)
     return Prior(instance, tuple(Fraction(r, total) for r in raw))
+
+
+HALF = Fraction(1, 2)
+
+#: Mechanism kinds of :func:`build_mechanism`.
+MECHANISM_KINDS = ("ps", "rp", "sd", "sea", "table")
+
+
+def nonunit_schedule(n):
+    """A non-unit speed schedule: agent 1 eats fast then slow, agent n the
+    reverse, everyone else at unit speed."""
+    fast_slow = ((0, HALF, Fraction(3, 2)), (HALF, 1, HALF))
+    slow_fast = ((0, HALF, HALF), (HALF, 1, Fraction(3, 2)))
+    unit = ((0, 1, 1),)
+    return EatingSpeedSchedule(
+        (fast_slow,) + (unit,) * (n - 2) + (slow_fast,)
+    )
+
+
+def random_table(instance, seed):
+    """Tabulated mechanism with a seeded random bistochastic matrix at every
+    profile."""
+    rng = random.Random(seed)
+    return TabulatedMechanism(instance, {
+        profile: random_bistochastic(rng, instance.n)
+        for profile in enumerate_profiles(instance)
+    })
+
+
+def build_mechanism(kind, n):
+    """One mechanism of each kind in :data:`MECHANISM_KINDS`, without memo."""
+    instance = Instance.default(n)
+    if kind == "ps":
+        return ProbabilisticSerial(instance)
+    if kind == "rp":
+        return RandomPriority(instance)
+    if kind == "sd":
+        return SerialDictatorship(instance, reversed(range(n)))
+    if kind == "sea":
+        return SimultaneousEating(instance, nonunit_schedule(n))
+    return random_table(instance, seed=n)
+
+
+class CountingPS(ProbabilisticSerial):
+    """PS that counts its integer evaluations per profile, in this process."""
+
+    def __init__(self, instance, *, cache=False):
+        super().__init__(instance, cache=cache)
+        self.counts = {}
+
+    def scaled_assignment(self, profile):
+        self.counts[profile] = self.counts.get(profile, 0) + 1
+        return super().scaled_assignment(profile)
 
 
 def interim_shares_oracle(mechanism, agent, report, prior):

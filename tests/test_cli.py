@@ -225,6 +225,16 @@ class TestDecomposeAndRanks:
         assert code == 0
         assert out.count("ranks agent=") == 3
 
+    @pytest.mark.parametrize("agent", ("4", "0", "-1"))
+    def test_ranks_unknown_agent_exits_2(self, agent):
+        code, out, err = run_cli(
+            "ranks", "--mechanism", "ps", "--prior", "uniform", "--n", "3",
+            "--agent", agent,
+        )
+        assert code == 2
+        assert out == ""
+        assert "is not one of agents 1..3" in err
+
 
 class TestUsage:
     def test_missing_required_flag_exits_2(self):

@@ -1,12 +1,14 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
 from helpers import (
-    DEVIATION,
-    TRUTH_PROFILE,
+    MECHANISM_KINDS,
+    CountingPS,
+    build_mechanism,
     interim_shares_oracle,
     random_prior,
 )
@@ -24,7 +26,9 @@ from ramkit.interim import (
     interim_share_vector,
     lrobic_search,
     obic_decomposition_report,
+    _interim_rows,
     rank_vector_report,
+    rank_vector_reports,
     reverify_interim_violation,
     run_interim_sweep,
     sample_prior_in_ball,
@@ -397,3 +401,157 @@ class TestModeValidation:
         sweep = run_interim_sweep(ps, prior)
         assert len(sweep["interim-li"].violations) > 1
         assert sweep == run_interim_sweep(ps, prior, mode="exhaustive")
+
+
+# ---------------------------------------------------------------------------
+# the one-pass interim rows
+# ---------------------------------------------------------------------------
+
+
+def _half_support(instance):
+    """Uniform over the first n!/2 preferences, zero on the rest."""
+    m = len(enumerate_preferences(instance))
+    return Prior(instance, tuple(
+        F(1, m // 2) if k < m // 2 else F(0) for k in range(m)
+    ))
+
+
+def _coprime_prior(instance):
+    """Full support over distinct Mersenne-prime denominators, so the
+    integer weights and sums run far past 64 bits."""
+    exponents = (89, 107, 127, 61, 31)
+    m = len(enumerate_preferences(instance))
+    probs = [F(1, 2 ** e - 1) for e in exponents[: m - 1]]
+    return Prior(instance, tuple(probs) + (1 - sum(probs),))
+
+
+def _priors(instance, seed):
+    prefs = enumerate_preferences(instance)
+    rng = random.Random(seed)
+    return {
+        "uniform": uniform_prior(instance),
+        "random": random_prior(rng, instance),
+        "half": _half_support(instance),
+        "point": Prior(instance, tuple(
+            F(1) if p == prefs[-1] else F(0) for p in prefs
+        )),
+        "coprime": _coprime_prior(instance),
+    }
+
+
+class TestOnePassRows:
+    @pytest.mark.parametrize("n", (2, 3))
+    @pytest.mark.parametrize("kind", MECHANISM_KINDS)
+    def test_rows_match_oracle(self, kind, n):
+        mech = build_mechanism(kind, n)
+        instance = mech.instance
+        for name, prior in _priors(instance, seed=31 + n).items():
+            table = _interim_rows(mech, prior)
+            assert list(table) == list(instance.agents)
+            for agent, rows in table.items():
+                assert list(rows) == enumerate_preferences(instance)
+                for report, shares in rows.items():
+                    expected = interim_shares_oracle(mech, agent, report, prior)
+                    assert shares == expected, (name, agent, report)
+
+    def test_coprime_weights_exceed_64_bits(self, instance3):
+        prior = _coprime_prior(instance3)
+        assert math.lcm(*(p.denominator for p in prior.probs)).bit_length() > 64
+
+    def test_seeded_reports_at_n4_half_support(self):
+        instance = Instance.default(4)
+        prior = _half_support(instance)
+        prefs = enumerate_preferences(instance)
+        table = _interim_rows(ProbabilisticSerial(instance), prior)
+        oracle_mech = ProbabilisticSerial(instance, cache=True)
+        rng = random.Random(404)
+        # two reports on the support and two off it
+        picks = [(rng.randrange(4), prefs[rng.randrange(12)]) for _ in range(2)]
+        picks += [(rng.randrange(4), prefs[12 + rng.randrange(12)]) for _ in range(2)]
+        for agent, report in picks:
+            expected = interim_shares_oracle(oracle_mech, agent, report, prior)
+            assert table[agent][report] == expected, (agent, report)
+
+    def test_agent_subset_matches_full_pass(self, ps3, violating_prior):
+        full = _interim_rows(ps3, violating_prior)
+        assert _interim_rows(ps3, violating_prior, agents=(2, 0)) == {
+            2: full[2], 0: full[0],
+        }
+
+    def test_unknown_agent_rejected(self, ps3, uniform3):
+        with pytest.raises(ValueError, match="agent 4 is not one of agents 1..3"):
+            _interim_rows(ps3, uniform3, agents=(3,))
+
+    def test_each_support_profile_evaluated_once(self, instance3):
+        prior = _half_support(instance3)
+        on = {p for p, w in prior.items() if w}
+        mech = CountingPS(instance3, cache=True)
+        report = obic_decomposition_report(mech, prior)
+        assert report.obic.profiles_checked == 3 * 6
+        expected = {
+            profile for profile in itertools.product(enumerate_preferences(instance3), repeat=3)
+            if sum(p not in on for p in profile) <= 1
+        }
+        assert set(mech.counts) == expected
+        assert set(mech.counts.values()) == {1}
+        assert mech._cache == {}
+
+    def test_rank_vector_reports_share_one_pass(self, instance3, violating_prior):
+        mech = CountingPS(instance3)
+        together = rank_vector_reports(mech, violating_prior)
+        assert set(mech.counts.values()) == {1}
+        assert [r.agent for r in together] == [0, 1, 2]
+        for report in together:
+            single = rank_vector_report(
+                ProbabilisticSerial(instance3), violating_prior, report.agent
+            )
+            assert report == single
+
+
+class TestReplay:
+    def test_every_n3_violation_reverifies(self, ps3, violating_prior):
+        report = obic_decomposition_report(ps3, violating_prior)
+        violations = [
+            v for outcome in (report.obic, report.interim_em,
+                              report.interim_ui, report.interim_li)
+            for v in outcome.violations
+        ]
+        assert violations
+        for v in violations:
+            assert reverify_interim_violation(ps3, v), v
+
+    def test_replay_does_not_read_the_one_pass(
+        self, ps3, violating_prior, monkeypatch
+    ):
+        import ramkit.interim as interim
+
+        witness = check_obic(ps3, violating_prior, mode="first").violations[0]
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("replay read the one-pass rows")
+
+        monkeypatch.setattr(interim, "_interim_rows", forbidden)
+        assert reverify_interim_violation(ps3, witness)
+
+    def test_first_ten_n4_violations_reverify(self):
+        instance = Instance.default(4)
+        prior = _half_support(instance)
+        report = obic_decomposition_report(ProbabilisticSerial(instance), prior)
+        replay = ProbabilisticSerial(instance, cache=True)
+        for outcome in (report.obic, report.interim_li):
+            assert len(outcome.violations) >= 10
+            for v in outcome.violations[:10]:
+                assert reverify_interim_violation(replay, v), v
+
+    @pytest.mark.parametrize("kind", ("ps", "sea", "table"))
+    def test_first_mode_returns_first_exhaustive_violation(self, kind):
+        mech = build_mechanism(kind, 3)
+        prior = random_prior(random.Random(5), mech.instance)
+        exhaustive = check_obic(mech, prior)
+        assert len(exhaustive.violations) > 1
+        first = check_obic(mech, prior, mode="first")
+        assert first.violations == exhaustive.violations[:1]
+        sweep = run_interim_sweep(mech, prior)
+        first_sweep = run_interim_sweep(mech, prior, mode="first")
+        for ax in INTERIM_AXIOMS:
+            assert first_sweep[ax].violations == sweep[ax].violations[:1], ax

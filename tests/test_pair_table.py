@@ -7,62 +7,26 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import pair_sweep_oracle, random_bistochastic, random_profile
+from helpers import (
+    MECHANISM_KINDS,
+    CountingPS,
+    build_mechanism,
+    pair_sweep_oracle,
+    random_bistochastic,
+    random_profile,
+)
 from ramkit.axioms import PAIR_AXIOMS, run_pair_sweep
 from ramkit.core import Instance, enumerate_preferences, enumerate_profiles
 from ramkit.domain import DomainTable
-from ramkit.mechanisms import (
-    EatingSpeedSchedule,
-    ProbabilisticSerial,
-    RandomPriority,
-    SerialDictatorship,
-    SimultaneousEating,
-    TabulatedMechanism,
-)
+from ramkit.mechanisms import ProbabilisticSerial, TabulatedMechanism
 
-HALF = Fraction(1, 2)
-
-
-def _schedule(n):
-    """A non-unit speed schedule: agent 1 eats fast then slow, agent n the
-    reverse, everyone else at unit speed."""
-    fast_slow = ((0, HALF, Fraction(3, 2)), (HALF, 1, HALF))
-    slow_fast = ((0, HALF, HALF), (HALF, 1, Fraction(3, 2)))
-    unit = ((0, 1, 1),)
-    return EatingSpeedSchedule(
-        (fast_slow,) + (unit,) * (n - 2) + (slow_fast,)
-    )
-
-
-def _random_table(instance, seed):
-    rng = random.Random(seed)
-    return TabulatedMechanism(instance, {
-        profile: random_bistochastic(rng, instance.n)
-        for profile in enumerate_profiles(instance)
-    })
-
-
-def _mechanism(kind, n):
-    instance = Instance.default(n)
-    if kind == "ps":
-        return ProbabilisticSerial(instance)
-    if kind == "rp":
-        return RandomPriority(instance)
-    if kind == "sd":
-        return SerialDictatorship(instance, reversed(range(n)))
-    if kind == "sea":
-        return SimultaneousEating(instance, _schedule(n))
-    return _random_table(instance, seed=n)
-
-
-MECHANISMS = ("ps", "rp", "sd", "sea", "table")
 AXIOM_SETS = [PAIR_AXIOMS] + [(ax,) for ax in PAIR_AXIOMS]
 
 
 @pytest.mark.parametrize("n", (2, 3))
-@pytest.mark.parametrize("kind", MECHANISMS)
+@pytest.mark.parametrize("kind", MECHANISM_KINDS)
 def test_exhaustive_matches_oracle_for_every_jobs(kind, n):
-    mech = _mechanism(kind, n)
+    mech = build_mechanism(kind, n)
     expected = pair_sweep_oracle(mech, PAIR_AXIOMS, mode="exhaustive")
     for jobs in (1, 2, 3):
         got = run_pair_sweep(mech, PAIR_AXIOMS, mode="exhaustive", jobs=jobs)
@@ -71,16 +35,16 @@ def test_exhaustive_matches_oracle_for_every_jobs(kind, n):
 
 @pytest.mark.parametrize("mode", ("exhaustive", "first"))
 @pytest.mark.parametrize("n", (2, 3))
-@pytest.mark.parametrize("kind", MECHANISMS)
+@pytest.mark.parametrize("kind", MECHANISM_KINDS)
 def test_every_axiom_set_matches_oracle(kind, n, mode):
-    mech = _mechanism(kind, n)
+    mech = build_mechanism(kind, n)
     for axioms in AXIOM_SETS:
         expected = pair_sweep_oracle(mech, axioms, mode=mode)
         assert run_pair_sweep(mech, axioms, mode=mode) == expected, axioms
 
 
 def test_first_mode_ignores_jobs():
-    mech = _mechanism("table", 3)
+    mech = build_mechanism("table", 3)
     expected = pair_sweep_oracle(mech, PAIR_AXIOMS, mode="first")
     for jobs in (2, 3):
         assert run_pair_sweep(mech, PAIR_AXIOMS, mode="first", jobs=jobs) == expected
@@ -99,7 +63,7 @@ def _rows_at(table, index):
 
 @pytest.mark.parametrize("kind", ("ps", "rp"))
 def test_n4_rows_match_assignment(kind):
-    mech = _mechanism(kind, 4)
+    mech = build_mechanism(kind, 4)
     prefs = enumerate_preferences(mech.instance)
     table = DomainTable(mech, prefs)
     rng = random.Random(4)
@@ -113,7 +77,7 @@ def test_n4_rows_match_assignment(kind):
 
 
 def test_cell_walks_one_agent_report():
-    mech = _mechanism("sea", 3)
+    mech = build_mechanism("sea", 3)
     table = DomainTable(mech, enumerate_preferences(mech.instance))
     position = {p: k for k, p in enumerate(table.prefs)}
     rng = random.Random(7)
@@ -129,18 +93,6 @@ def test_cell_walks_one_agent_report():
                 profile = base[:agent] + (pref,) + base[agent + 1:]
                 expected = mech.assignment(profile)[agent]
                 assert tuple(Fraction(x, common) for x in rows[r]) == expected
-
-
-class CountingPS(ProbabilisticSerial):
-    """PS that counts its integer evaluations per profile, in this process."""
-
-    def __init__(self, instance):
-        super().__init__(instance)
-        self.counts = {}
-
-    def scaled_assignment(self, profile):
-        self.counts[profile] = self.counts.get(profile, 0) + 1
-        return super().scaled_assignment(profile)
 
 
 @pytest.mark.parametrize("mode", ("exhaustive", "first"))
