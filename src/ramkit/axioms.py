@@ -16,12 +16,19 @@ dense integer domain table (:mod:`ramkit.domain`) and compares shares as
 integers.  In exhaustive mode the table is built once, by index range on
 up to ``jobs`` worker processes, and then swept serially, so the
 violation list is identical for every parallelism degree.
+
+One kernel, :class:`_PairSweep`, makes the pair comparisons both for this
+sweep (a cell of integer rows per agent and opponents) and for the interim
+checks of :mod:`ramkit.interim` (a cell of interim rows per agent, where
+strategy-proofness is OBIC).  :func:`_replay_pair` is the one replay
+comparison for both; interim replay feeds it Fraction rows only.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from functools import partial
 from operator import itemgetter
 from typing import Iterable, Optional
 
@@ -105,48 +112,80 @@ def _swap_pairs(prefs: list[Preference]) -> list[tuple]:
     return pairs
 
 
+#: Per pair axiom, the axiom name its reports and outcome carry, then the
+#: detail string of its reports (for em: raised object, then lowered one).
+#: Ex-post sweeps use these; interim checks pass their own.
+_EX_POST_LABELS = {
+    "sp": ("sp", "truthful prefix falls below deviation prefix"),
+    "weak-sp": ("weak-sp", "deviation strictly dominates truth-telling"),
+    "em": ("em", "share of the raised object decreased",
+           "share of the lowered object increased"),
+    "ui": ("ui", "share above the swapped pair moved"),
+    "li": ("li", "share below the swapped pair moved"),
+}
+
+
 class _PairSweep:
-    """The pair axioms over a :class:`DomainTable`, one cell at a time.
+    """The pair axioms over a sequence of cells, one cell at a time.
 
-    A cell is one agent with fixed opponents; its rows are the agent's
-    shares under each report, as integers over the cell's common
-    denominator, so every comparison is an integer comparison.  Fractions
-    are built only for recorded violations, and interned.
+    A cell is one agent's rows under each report of ``prefs``, as integers
+    over one common denominator, so every comparison is an integer
+    comparison: per (agent, opponents) from a :class:`DomainTable`, or an
+    agent's interim rows.  Fractions are built only for recorded
+    violations, and interned.  ``labels`` (see :data:`_EX_POST_LABELS`)
+    names the axioms and details; a cell with a profile (ex-post) records
+    ``profile=``, one without (interim) ``truth=`` and ``prior=``.
 
-    Cells run in lexicographic order of (agent, opponents) and the
-    comparisons inside a cell in a fixed order, so violation lists and
-    counters do not depend on how the table was filled.  With ``first_only`` an axiom stops being checked
-    right after the comparison block that found its first violation, and
-    the sweep ends after the cell in which the last axiom fell.
+    Comparisons inside a cell run in a fixed order, so violation lists and
+    counters do not depend on how the rows were produced.  With
+    ``first_only`` an axiom stops being checked right after the comparison
+    block that found its first violation, the sweep ends after the cell in
+    which the last axiom fell, and each outcome keeps its first violation.
     """
 
-    def __init__(self, table: DomainTable, axioms: tuple[str, ...], first_only: bool):
-        self.table = table
+    def __init__(
+        self, prefs: list[Preference], axioms: tuple[str, ...], first_only: bool,
+        labels: dict = _EX_POST_LABELS, prior=None,
+    ):
+        self.prefs = prefs
         self.first_only = first_only
+        self.labels = labels
+        self.prior = prior
         self.found: dict[str, list[ViolationReport]] = {ax: [] for ax in axioms}
         self.live = set(axioms)  # axioms still being checked
         self.rows_read = 0
         self.comparisons = 0
-        self._pairs = _swap_pairs(table.prefs)
+        self._pairs = _swap_pairs(prefs)
         self._values: dict[int, dict[int, Fraction]] = {}  # D -> {v: v/D}
-        self._singles = tuple((x,) for x in range(table.n))  # shared objects=(x,)
+        self._singles = tuple((x,) for x in range(len(prefs[0])))  # objects=(x,)
 
-    def run(self) -> None:
-        table = self.table
-        for agent in range(table.n):
-            for base in table.cell_bases(agent):
-                self._cell(agent, base)
-                if not self.live:
-                    return
+    def run(self, cells: Iterable[tuple]) -> dict[str, CheckOutcome]:
+        """Sweep ``(agent, rows, common, profile_at)`` cells in order, where
+        ``profile_at`` is None or returns a profile of the cell, and return
+        each axiom's outcome under its label."""
+        for agent, rows, common, profile_at in cells:
+            self._cell(agent, rows, common, profile_at)
+            if not self.live:
+                break
+        return {
+            self.labels[ax][0]: CheckOutcome(
+                axiom=self.labels[ax][0],
+                satisfied=not found,
+                violations=tuple(found[:1] if self.first_only else found),
+                profiles_checked=self.rows_read,
+                comparisons=self.comparisons,
+            )
+            for ax, found in self.found.items()
+        }
 
-    def _cell(self, agent: int, base: int) -> None:
-        table = self.table
-        prefs = table.prefs
-        rows, common = table.cell(agent, base)
+    def _cell(self, agent: int, rows: list, common: int, profile_at) -> None:
+        prefs = self.prefs
         self.rows_read += len(rows)
         live = self.live
         found = self.found
         first_only = self.first_only
+        labels = self.labels
+        prior = self.prior
         singles = self._singles
         values = self._values.setdefault(common, {})
         profiles: list[Optional[Profile]] = [None] * len(prefs)  # by report index
@@ -162,23 +201,22 @@ class _PairSweep:
             profile = profiles[r]
             if profile is None:
                 if not around:
-                    at_base = table.profile(base)
-                    around.extend((at_base[:agent], at_base[agent + 1:]))
+                    at = profile_at()
+                    around.extend((at[:agent], at[agent + 1:]))
                 profile = profiles[r] = around[0] + (prefs[r],) + around[1]
             return profile
 
-        def prefix_violation(ax, t, v, rank, lhs, rhs, relation, detail) -> None:
+        def record(ax, r, v, swap, objects, rank, lhs, rhs, relation, detail=1):
+            """Report that moving from report ``r`` to ``v`` violates ``ax``;
+            ``detail`` indexes the detail string in the axiom's label."""
+            label = labels[ax]
+            if profile_at is None:
+                profile, truth = None, prefs[r]
+            else:
+                profile, truth = profile_of(r), None
             found[ax].append(pair_report(
-                ax, agent, profile_of(t), prefs[v], None, (), rank,
-                frac(lhs), frac(rhs), relation, detail,
-            ))
-            if first_only:
-                live.discard(ax)
-
-        def swap_violation(ax, r, s, info, x, relation, detail) -> None:
-            found[ax].append(pair_report(
-                ax, agent, profile_of(r), prefs[s], info, singles[x], None,
-                frac(rows[s][x]), frac(rows[r][x]), relation, detail,
+                label[0], agent, profile, truth, prefs[v], swap, objects, rank,
+                frac(lhs), frac(rhs), relation, prior, label[detail],
             ))
             if first_only:
                 live.discard(ax)
@@ -193,17 +231,13 @@ class _PairSweep:
                         comparisons += 1
                         fail = fosd_failure(rows[t], rows[v], truth)
                         if fail is not None:
-                            prefix_violation(
-                                "sp", t, v, *fail, "<",
-                                "truthful prefix falls below deviation prefix",
-                            )
+                            record("sp", t, v, None, (), *fail, "<")
                     if "weak-sp" in live:
                         comparisons += 1
                         if rows[v] != rows[t] and fosd(rows[v], rows[t], truth):
-                            prefix_violation(
-                                "weak-sp", t, v,
+                            record(
+                                "weak-sp", t, v, None, (),
                                 *_strict_dominance_rank(rows[v], rows[t], truth), ">",
-                                "deviation strictly dominates truth-telling",
                             )
 
         em, ui, li = "em" in live, "ui" in live, "li" in live
@@ -215,15 +249,11 @@ class _PairSweep:
                     comparisons += 2
                     x = info.raised
                     if new[x] < old[x]:
-                        swap_violation(
-                            "em", r, s, info, x, "<",
-                            "share of the raised object decreased",
-                        )
+                        record("em", r, s, info, singles[x], None, new[x], old[x], "<")
                     x = info.lowered
                     if new[x] > old[x]:
-                        swap_violation(
-                            "em", r, s, info, x, ">",
-                            "share of the lowered object increased",
+                        record(
+                            "em", r, s, info, singles[x], None, new[x], old[x], ">", 2,
                         )
                     em = "em" in live
                 if ui:
@@ -231,9 +261,9 @@ class _PairSweep:
                     if above and pick_above(new) != pick_above(old):
                         for x in above:
                             if new[x] != old[x]:
-                                swap_violation(
-                                    "ui", r, s, info, x, "!=",
-                                    "share above the swapped pair moved",
+                                record(
+                                    "ui", r, s, info, singles[x], None,
+                                    new[x], old[x], "!=",
                                 )
                     ui = "ui" in live
                 if li:
@@ -241,9 +271,9 @@ class _PairSweep:
                     if below and pick_below(new) != pick_below(old):
                         for x in below:
                             if new[x] != old[x]:
-                                swap_violation(
-                                    "li", r, s, info, x, "!=",
-                                    "share below the swapped pair moved",
+                                record(
+                                    "li", r, s, info, singles[x], None,
+                                    new[x], old[x], "!=",
                                 )
                     li = "li" in live
         self.comparisons += comparisons
@@ -280,18 +310,12 @@ def run_pair_sweep(
     table = DomainTable(mech, enumerate_preferences(instance, max_n=max_n))
     if mode == "exhaustive":
         table.fill(jobs)
-    sweep = _PairSweep(table, axioms, first_only=mode == "first")
-    sweep.run()
-    return {
-        ax: CheckOutcome(
-            axiom=ax,
-            satisfied=not sweep.found[ax],
-            violations=tuple(sweep.found[ax][:1] if mode == "first" else sweep.found[ax]),
-            profiles_checked=sweep.rows_read,
-            comparisons=sweep.comparisons,
-        )
-        for ax in axioms
-    }
+    sweep = _PairSweep(table.prefs, axioms, first_only=mode == "first")
+    return sweep.run(
+        (agent, *table.cell(agent, base), partial(table.profile, base))
+        for agent in range(instance.n)
+        for base in table.cell_bases(agent)
+    )
 
 
 def _single(mech, axiom, mode, jobs, max_n) -> CheckOutcome:
@@ -644,39 +668,52 @@ def run_axiom_check(
 # ---------------------------------------------------------------------------
 
 
+def _replay_pair(
+    axiom: str, truth: Preference, old, new, report: ViolationReport
+) -> bool:
+    """Whether rows ``old`` (under report ``truth``) and ``new`` (under
+    ``report.deviation``) reproduce the recorded witness of pair axiom
+    ``axiom`` (one of :data:`PAIR_AXIOMS`) exactly.
+
+    Ex-post and interim replay both end here; they differ only in where the
+    two rows come from.  A swap witness must also name the adjacent swap
+    from ``truth`` to the deviation and an object the axiom constrains.
+    """
+    if axiom == "sp":
+        return fosd_failure(old, new, truth) == (report.rank, report.lhs, report.rhs)
+    if axiom == "weak-sp":
+        if new == old or not fosd(new, old, truth):
+            return False
+        return _strict_dominance_rank(new, old, truth) == (
+            report.rank, report.lhs, report.rhs
+        )
+    swap = report.swap
+    swaps = dict(adjacent_swaps(truth))
+    if swap is None or swaps.get(report.deviation) != swap or len(report.objects) != 1:
+        return False
+    x = report.objects[0]
+    if (new[x], old[x]) != (report.lhs, report.rhs):
+        return False
+    if axiom == "em":
+        if x == swap.raised:
+            return new[x] < old[x]
+        return x == swap.lowered and new[x] > old[x]
+    region = truth[: swap.position - 1] if axiom == "ui" else truth[swap.position + 1:]
+    return x in region and new[x] != old[x]
+
+
 def reverify_violation(mech: Mechanism, report: ViolationReport) -> bool:
     """Recompute a report's values from the mechanism and confirm they
     reproduce the recorded witness exactly."""
     ax = report.axiom
-    if ax in ("sp", "weak-sp"):
-        agent = report.agent
-        truth = report.profile[agent]
-        truth_row = mech.assignment(report.profile)[agent]
-        dev_profile = insert_report(
-            report.profile[:agent] + report.profile[agent + 1:], agent, report.deviation
-        )
-        dev_row = mech.assignment(dev_profile)[agent]
-        if ax == "sp":
-            fail = fosd_failure(truth_row, dev_row, truth)
-            return fail == (report.rank, report.lhs, report.rhs)
-        if dev_row == truth_row or not fosd(dev_row, truth_row, truth):
-            return False
-        return _strict_dominance_rank(dev_row, truth_row, truth) == (
-            report.rank, report.lhs, report.rhs
-        )
-    if ax in ("em", "ui", "li"):
+    if ax in PAIR_AXIOMS:
         agent = report.agent
         old = mech.assignment(report.profile)[agent]
         dev_profile = insert_report(
             report.profile[:agent] + report.profile[agent + 1:], agent, report.deviation
         )
         new = mech.assignment(dev_profile)[agent]
-        x = report.objects[0]
-        if (new[x], old[x]) != (report.lhs, report.rhs):
-            return False
-        if ax == "em":
-            return (new[x] < old[x]) if x == report.swap.raised else (new[x] > old[x])
-        return new[x] != old[x]
+        return _replay_pair(ax, report.profile[agent], old, new, report)
     if ax == "neutral":
         out = mech.assignment(report.profile)
         relabeled = mech.assignment(

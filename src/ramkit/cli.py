@@ -138,7 +138,8 @@ def cmd_eval(args) -> int:
 
 def cmd_check(args) -> int:
     instance = _instance_from_args(args)
-    mech = build_mechanism(args.mechanism, instance, cache=args.n <= 3)
+    # every check reads each profile at most once, so a memo would only grow
+    mech = build_mechanism(args.mechanism, instance, cache=False)
     outcome = run_axiom_check(
         mech, args.axiom, mode=args.mode, jobs=args.jobs, max_n=args.max_n
     )

@@ -13,13 +13,16 @@ integer grid with a fixed denominator so downstream sums stay exact.
 
 The checks read every agent's interim rows from one integer pass over the
 prior's support domain (:func:`_interim_rows`): the prior becomes integer
-weights over its common denominator, each profile with at most one
+weights over its common denominator, and each profile with at most one
 off-support report is evaluated exactly once through
-:meth:`Mechanism.scaled_assignment`, and Fractions are built only for the
-finished rows.  The pass needs no memo; a PS or RP mechanism's memo stays
-empty.  :func:`obic_decomposition_report` builds the rows once for OBIC and
-the em/ui/li sweep.  :func:`interim_share_vector` is a separate Fraction
-route, and replaying a witness uses only that route.
+:meth:`Mechanism.scaled_assignment`.  Each agent's rows come out as
+integers over one per-agent denominator, and OBIC and the interim em/ui/li
+run on them in the ex-post pair sweep's kernel
+(:class:`ramkit.axioms._PairSweep`).  The pass needs no memo; a PS or RP
+mechanism's memo stays empty.  :func:`obic_decomposition_report` builds the
+rows once for OBIC and the em/ui/li sweep.  :func:`interim_share_vector` is
+a separate Fraction route, and replaying a witness reads its rows only
+from that route.
 """
 
 from __future__ import annotations
@@ -41,12 +44,16 @@ from .core import (
     ShareVector,
     _check_pref_cap,
     _check_sweep_cap,
-    adjacent_swaps,
     enumerate_preferences,
-    fosd_failure,
     insert_report,
 )
-from .axioms import _resolve_mode, check_lower_invariance, check_upper_invariance
+from .axioms import (
+    _PairSweep,
+    _replay_pair,
+    _resolve_mode,
+    check_lower_invariance,
+    check_upper_invariance,
+)
 from .mechanisms import Mechanism
 from .reports import CheckOutcome, ViolationReport
 
@@ -57,6 +64,19 @@ PRIOR_GRID = 10 ** 6
 SAMPLER_RETRY_BUDGET = 10_000
 
 INTERIM_AXIOMS = ("interim-em", "interim-ui", "interim-li")
+
+#: The pair kernel's labels for interim rows (see ``axioms._EX_POST_LABELS``):
+#: strategy-proofness on interim rows is OBIC.
+_INTERIM_LABELS = {
+    "sp": ("obic", "interim truthful prefix falls below deviation"),
+    "em": ("interim-em", "interim share of the raised object decreased",
+           "interim share of the lowered object increased"),
+    "ui": ("interim-ui", "interim share above the pair moved"),
+    "li": ("interim-li", "interim share below the pair moved"),
+}
+
+#: Interim axiom name -> the pair axiom the kernel checks for it.
+_PAIR_AXIOM = {label[0]: ax for ax, label in _INTERIM_LABELS.items()}
 
 
 def _first_only(mode: Optional[str], n: int) -> bool:
@@ -153,9 +173,14 @@ class InterimShareVector:
 
 def _interim_rows(
     mech: Mechanism, prior: Prior, *, agents=None, max_n: Optional[int] = None
-) -> dict[int, dict[Preference, ShareVector]]:
+) -> dict[int, tuple[list[list[int]], int]]:
     """Interim share vector of every report of each of ``agents`` (default
     all), from one integer pass over the prior's support domain.
+
+    Each agent maps to ``(rows, common)``: ``rows[k]`` holds the numerators
+    of the agent's interim shares for report ``enumerate_preferences()[k]``,
+    all over the one denominator ``common``, the shape of a
+    :meth:`DomainTable.cell <ramkit.domain.DomainTable.cell>`.
 
     With ``Q`` the prior's common denominator and ``w[p] = prob(p) * Q``,
     agent i's interim row for report r is the sum over opponent profiles of
@@ -165,8 +190,9 @@ def _interim_rows(
     where exactly one agent is off the support, only that agent does.  Each
     such profile is evaluated exactly once, through
     :meth:`Mechanism.scaled_assignment`, and the weighted numerators are
-    summed as integers per (agent, report, profile denominator D).
-    Fractions are built only at the end, over ``lcm(D) * Q**(n-1)``.
+    summed as integers per (agent, report, profile denominator D), and
+    brought to the agent's ``common = lcm(D) * Q**(n-1)`` at the end.  No
+    Fraction is built.
     """
     instance = mech.instance
     _check_sweep_cap(instance.n, max_n)
@@ -215,19 +241,18 @@ def _interim_rows(
                 rows, d = scaled(insert_report(opponents, i, report))
                 add(i, k, math.prod(ws), rows[i], d)
 
-    scale = q ** (n - 1)
-    table: dict[int, dict[Preference, ShareVector]] = {}
+    table = {}
     for i in agents:
-        rows = {}
-        for report, by_d in zip(prefs, sums[i]):
-            common = math.lcm(*by_d)
+        common = math.lcm(*(d for by_d in sums[i] for d in by_d))
+        rows = []
+        for by_d in sums[i]:
             total = [0] * n
             for d, acc in by_d.items():
                 f = common // d
                 for a in range(n):
                     total[a] += acc[a] * f
-            rows[report] = tuple(Fraction(x, common * scale) for x in total)
-        table[i] = rows
+            rows.append(total)
+        table[i] = (rows, common * q ** (n - 1))
     return table
 
 
@@ -256,36 +281,17 @@ def interim_share_vector(
     return InterimShareVector(agent=agent, report=report, prior=prior, shares=tuple(acc))
 
 
-def _obic_outcome(table, prior: Prior, first_only: bool) -> CheckOutcome:
-    """OBIC on prebuilt interim rows: truth-telling must FOSD every
-    deviation, agent by agent in order."""
-    violations: list[ViolationReport] = []
-    evaluations = 0
-    comparisons = 0
-    for agent, rows in table.items():
-        evaluations += len(rows)
-        for truth in rows:
-            for dev in rows:
-                if dev == truth:
-                    continue
-                comparisons += 1
-                fail = fosd_failure(rows[truth], rows[dev], truth)
-                if fail is not None:
-                    rank, lhs, rhs = fail
-                    violations.append(ViolationReport(
-                        axiom="obic", agent=agent, truth=truth, deviation=dev,
-                        rank=rank, lhs=lhs, rhs=rhs, relation="<", prior=prior,
-                        detail="interim truthful prefix falls below deviation",
-                    ))
-                    if first_only:
-                        return CheckOutcome(
-                            axiom="obic", satisfied=False,
-                            violations=tuple(violations),
-                            profiles_checked=evaluations, comparisons=comparisons,
-                        )
-    return CheckOutcome(
-        axiom="obic", satisfied=not violations, violations=tuple(violations),
-        profiles_checked=evaluations, comparisons=comparisons,
+def _interim_sweep(
+    table, prior: Prior, axioms, first_only: bool
+) -> dict[str, CheckOutcome]:
+    """The pair kernel on prebuilt interim rows, one cell per agent;
+    ``axioms`` are pair-axiom names, the outcomes carry interim names."""
+    sweep = _PairSweep(
+        enumerate_preferences(prior.instance), axioms, first_only,
+        labels=_INTERIM_LABELS, prior=prior,
+    )
+    return sweep.run(
+        (agent, rows, common, None) for agent, (rows, common) in table.items()
     )
 
 
@@ -295,69 +301,8 @@ def check_obic(
 ) -> CheckOutcome:
     """Truth-telling must FOSD every deviation in interim shares."""
     first_only = _first_only(mode, mech.instance.n)
-    return _obic_outcome(_interim_rows(mech, prior, max_n=max_n), prior, first_only)
-
-
-def _swap_outcomes(table, prior: Prior, axioms, first_only: bool) -> dict[str, CheckOutcome]:
-    """The interim swap axioms on prebuilt interim rows."""
-    found: dict[str, list[ViolationReport]] = {ax: [] for ax in axioms}
-    evaluations = 0
-    comparisons = 0
-    for agent, rows in table.items():
-        evaluations += len(rows)
-        for base in rows:
-            for swapped, info in adjacent_swaps(base):
-                if swapped < base:
-                    continue
-                old = rows[base]
-                new = rows[swapped]
-                if "interim-em" in found and not (first_only and found["interim-em"]):
-                    comparisons += 2
-                    if new[info.raised] < old[info.raised]:
-                        found["interim-em"].append(ViolationReport(
-                            axiom="interim-em", agent=agent, truth=base,
-                            deviation=swapped, swap=info, objects=(info.raised,),
-                            lhs=new[info.raised], rhs=old[info.raised],
-                            relation="<", prior=prior,
-                            detail="interim share of the raised object decreased",
-                        ))
-                    if new[info.lowered] > old[info.lowered]:
-                        found["interim-em"].append(ViolationReport(
-                            axiom="interim-em", agent=agent, truth=base,
-                            deviation=swapped, swap=info, objects=(info.lowered,),
-                            lhs=new[info.lowered], rhs=old[info.lowered],
-                            relation=">", prior=prior,
-                            detail="interim share of the lowered object increased",
-                        ))
-                if "interim-ui" in found and not (first_only and found["interim-ui"]):
-                    for x in base[: info.position - 1]:
-                        comparisons += 1
-                        if new[x] != old[x]:
-                            found["interim-ui"].append(ViolationReport(
-                                axiom="interim-ui", agent=agent, truth=base,
-                                deviation=swapped, swap=info, objects=(x,),
-                                lhs=new[x], rhs=old[x], relation="!=", prior=prior,
-                                detail="interim share above the pair moved",
-                            ))
-                if "interim-li" in found and not (first_only and found["interim-li"]):
-                    for x in base[info.position + 1:]:
-                        comparisons += 1
-                        if new[x] != old[x]:
-                            found["interim-li"].append(ViolationReport(
-                                axiom="interim-li", agent=agent, truth=base,
-                                deviation=swapped, swap=info, objects=(x,),
-                                lhs=new[x], rhs=old[x], relation="!=", prior=prior,
-                                detail="interim share below the pair moved",
-                            ))
-        if first_only and all(found[ax] for ax in axioms):
-            break
-    return {
-        ax: CheckOutcome(
-            axiom=ax, satisfied=not found[ax], violations=tuple(found[ax]),
-            profiles_checked=evaluations, comparisons=comparisons,
-        )
-        for ax in axioms
-    }
+    table = _interim_rows(mech, prior, max_n=max_n)
+    return _interim_sweep(table, prior, ("sp",), first_only)["obic"]
 
 
 def run_interim_sweep(
@@ -372,7 +317,7 @@ def run_interim_sweep(
             raise ValueError(f"unknown interim axiom {ax!r}")
     first_only = _first_only(mode, mech.instance.n)
     table = _interim_rows(mech, prior, max_n=max_n)
-    return _swap_outcomes(table, prior, axioms, first_only)
+    return _interim_sweep(table, prior, [_PAIR_AXIOM[ax] for ax in axioms], first_only)
 
 
 def check_interim_elementary_monotonicity(mech, prior, *, mode=None, max_n=None):
@@ -411,10 +356,14 @@ def rank_vector_reports(
 ) -> list[RankVectorReport]:
     """Rank vector reports of ``agents`` (default all), in order, from one
     pass over the prior's support domain."""
+    prefs = enumerate_preferences(mech.instance, max_n=max_n)
     reports = []
-    for agent, rows in _interim_rows(mech, prior, agents=agents, max_n=max_n).items():
+    for agent, (rows, common) in _interim_rows(
+        mech, prior, agents=agents, max_n=max_n
+    ).items():
         vectors = {
-            report: tuple(shares[a] for a in report) for report, shares in rows.items()
+            report: tuple(Fraction(row[a], common) for a in report)
+            for report, row in zip(prefs, rows)
         }
         values = list(vectors.values())
         invariant = all(v == values[0] for v in values[1:])
@@ -673,8 +622,9 @@ def obic_decomposition_report(
     """OBIC and the interim em/ui/li sweep, exhaustive, on one set of
     interim rows."""
     table = _interim_rows(mech, prior, max_n=max_n)
-    obic = _obic_outcome(table, prior, first_only=False)
-    interim = _swap_outcomes(table, prior, INTERIM_AXIOMS, first_only=False)
+    # two sweeps, so OBIC's counters stay apart from the em/ui/li ones
+    obic = _interim_sweep(table, prior, ("sp",), first_only=False)["obic"]
+    interim = _interim_sweep(table, prior, ("em", "ui", "li"), first_only=False)
     return ObicDecompositionReport(
         obic=obic,
         interim_em=interim["interim-em"],
@@ -686,20 +636,10 @@ def obic_decomposition_report(
 def reverify_interim_violation(mech: Mechanism, report: ViolationReport) -> bool:
     """Recompute the interim quantities named by a report and confirm the
     recorded values exactly."""
+    axiom = _PAIR_AXIOM.get(report.axiom)
+    if axiom is None:
+        raise ValueError(f"cannot replay axiom {report.axiom!r}")
     prior = report.prior
     truth_row = interim_share_vector(mech, report.agent, report.truth, prior).shares
     dev_row = interim_share_vector(mech, report.agent, report.deviation, prior).shares
-    if report.axiom == "obic":
-        return fosd_failure(truth_row, dev_row, report.truth) == (
-            report.rank, report.lhs, report.rhs
-        )
-    if report.axiom in INTERIM_AXIOMS:
-        x = report.objects[0]
-        if (dev_row[x], truth_row[x]) != (report.lhs, report.rhs):
-            return False
-        if report.axiom == "interim-em":
-            if x == report.swap.raised:
-                return dev_row[x] < truth_row[x]
-            return dev_row[x] > truth_row[x]
-        return dev_row[x] != truth_row[x]
-    raise ValueError(f"cannot replay axiom {report.axiom!r}")
+    return _replay_pair(axiom, report.truth, truth_row, dev_row, report)

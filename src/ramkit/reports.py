@@ -142,12 +142,14 @@ class _Unfrozen:
 
 
 def pair_report(
-    axiom: str, agent: int, profile: Profile, deviation: Preference,
-    swap: Optional[SwapInfo], objects: tuple[int, ...], rank: Optional[int],
-    lhs: Fraction, rhs: Fraction, relation: str, detail: str,
+    axiom: str, agent: int, profile: Optional[Profile], truth: Optional[Preference],
+    deviation: Preference, swap: Optional[SwapInfo], objects: tuple[int, ...],
+    rank: Optional[int], lhs: Fraction, rhs: Fraction, relation: str,
+    prior: object, detail: str,
 ) -> ViolationReport:
     """The report ``ViolationReport(axiom=axiom, agent=agent, ...)`` of a
-    report-pair violation; the other fields keep their defaults.
+    report-pair violation, ex-post (``profile``) or interim (``truth`` and
+    ``prior``); the other fields keep their defaults.
 
     A pair sweep can record hundreds of thousands of these, and the frozen
     dataclass ``__init__`` makes one ``object.__setattr__`` call per field,
@@ -160,7 +162,7 @@ def pair_report(
     r.agent = agent
     r.agent2 = None
     r.profile = profile
-    r.truth = None
+    r.truth = truth
     r.deviation = deviation
     r.swap = swap
     r.sigma = None
@@ -170,7 +172,7 @@ def pair_report(
     r.lhs = lhs
     r.rhs = rhs
     r.relation = relation
-    r.prior = None
+    r.prior = prior
     r.detail = detail
     r.__class__ = ViolationReport
     return r

@@ -291,3 +291,140 @@ def pair_sweep_oracle(mech, axioms, *, mode="exhaustive"):
         )
         for ax in axioms
     }
+
+
+def _obic_oracle(table, prior, first_only):
+    """OBIC on Fraction interim rows: truth-telling must FOSD every
+    deviation, agent by agent in order."""
+    from ramkit.core import fosd_failure
+    from ramkit.reports import CheckOutcome, ViolationReport
+
+    violations = []
+    evaluations = 0
+    comparisons = 0
+    for agent, rows in table.items():
+        evaluations += len(rows)
+        for truth in rows:
+            for dev in rows:
+                if dev == truth:
+                    continue
+                comparisons += 1
+                fail = fosd_failure(rows[truth], rows[dev], truth)
+                if fail is not None:
+                    rank, lhs, rhs = fail
+                    violations.append(ViolationReport(
+                        axiom="obic", agent=agent, truth=truth, deviation=dev,
+                        rank=rank, lhs=lhs, rhs=rhs, relation="<", prior=prior,
+                        detail="interim truthful prefix falls below deviation",
+                    ))
+                    if first_only:
+                        return CheckOutcome(
+                            axiom="obic", satisfied=False,
+                            violations=tuple(violations),
+                            profiles_checked=evaluations, comparisons=comparisons,
+                        )
+    return CheckOutcome(
+        axiom="obic", satisfied=not violations, violations=tuple(violations),
+        profiles_checked=evaluations, comparisons=comparisons,
+    )
+
+
+def _swap_oracle(table, prior, axioms, first_only):
+    """The interim swap axioms on Fraction interim rows; in first mode an
+    axiom is skipped once it has violations, and each violating block is
+    recorded whole."""
+    from ramkit.core import adjacent_swaps
+    from ramkit.reports import CheckOutcome, ViolationReport
+
+    found = {ax: [] for ax in axioms}
+    evaluations = 0
+    comparisons = 0
+    for agent, rows in table.items():
+        evaluations += len(rows)
+        for base in rows:
+            for swapped, info in adjacent_swaps(base):
+                if swapped < base:
+                    continue
+                old = rows[base]
+                new = rows[swapped]
+                if "interim-em" in found and not (first_only and found["interim-em"]):
+                    comparisons += 2
+                    if new[info.raised] < old[info.raised]:
+                        found["interim-em"].append(ViolationReport(
+                            axiom="interim-em", agent=agent, truth=base,
+                            deviation=swapped, swap=info, objects=(info.raised,),
+                            lhs=new[info.raised], rhs=old[info.raised],
+                            relation="<", prior=prior,
+                            detail="interim share of the raised object decreased",
+                        ))
+                    if new[info.lowered] > old[info.lowered]:
+                        found["interim-em"].append(ViolationReport(
+                            axiom="interim-em", agent=agent, truth=base,
+                            deviation=swapped, swap=info, objects=(info.lowered,),
+                            lhs=new[info.lowered], rhs=old[info.lowered],
+                            relation=">", prior=prior,
+                            detail="interim share of the lowered object increased",
+                        ))
+                if "interim-ui" in found and not (first_only and found["interim-ui"]):
+                    for x in base[: info.position - 1]:
+                        comparisons += 1
+                        if new[x] != old[x]:
+                            found["interim-ui"].append(ViolationReport(
+                                axiom="interim-ui", agent=agent, truth=base,
+                                deviation=swapped, swap=info, objects=(x,),
+                                lhs=new[x], rhs=old[x], relation="!=", prior=prior,
+                                detail="interim share above the pair moved",
+                            ))
+                if "interim-li" in found and not (first_only and found["interim-li"]):
+                    for x in base[info.position + 1:]:
+                        comparisons += 1
+                        if new[x] != old[x]:
+                            found["interim-li"].append(ViolationReport(
+                                axiom="interim-li", agent=agent, truth=base,
+                                deviation=swapped, swap=info, objects=(x,),
+                                lhs=new[x], rhs=old[x], relation="!=", prior=prior,
+                                detail="interim share below the pair moved",
+                            ))
+        if first_only and all(found[ax] for ax in axioms):
+            break
+    return {
+        ax: CheckOutcome(
+            axiom=ax, satisfied=not found[ax], violations=tuple(found[ax]),
+            profiles_checked=evaluations, comparisons=comparisons,
+        )
+        for ax in axioms
+    }
+
+
+def interim_sweep_oracle(mech, prior, axioms, *, mode="exhaustive"):
+    """Reference OBIC and interim em/ui/li: Fraction loops on rows from
+    :func:`interim_shares_oracle`, with OBIC's counters kept apart from the
+    shared em/ui/li ones.  ``axioms`` may name "obic" and any interim swap
+    axiom.  Returns what ``check_obic`` and ``run_interim_sweep`` must
+    return for the same ``mode``: in first mode each outcome keeps its
+    first violation."""
+    from ramkit.reports import CheckOutcome
+
+    instance = mech.instance
+    prefs = enumerate_preferences(instance)
+    table = {
+        agent: {report: interim_shares_oracle(mech, agent, report, prior)
+                for report in prefs}
+        for agent in instance.agents
+    }
+    first_only = mode == "first"
+    outcomes = {}
+    if "obic" in axioms:
+        outcomes["obic"] = _obic_oracle(table, prior, first_only)
+    swaps = tuple(ax for ax in axioms if ax != "obic")
+    if swaps:
+        outcomes.update(_swap_oracle(table, prior, swaps, first_only))
+    if first_only:
+        outcomes = {
+            ax: CheckOutcome(
+                axiom=ax, satisfied=o.satisfied, violations=o.violations[:1],
+                profiles_checked=o.profiles_checked, comparisons=o.comparisons,
+            )
+            for ax, o in outcomes.items()
+        }
+    return outcomes

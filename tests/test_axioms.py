@@ -298,6 +298,18 @@ class TestWitnessIntegrity:
         corrupted = dataclasses.replace(violation, lhs=violation.lhs + F(1, 97))
         assert not reverify_violation(ps3, corrupted)
 
+    def test_corrupted_swap_witness_fails_reverification(self, ps3):
+        violation = check_lower_invariance(ps3).violations[0]
+        swap = violation.swap
+        for corrupted in (
+            # the raised object is never below the pair
+            dataclasses.replace(violation, objects=(swap.raised,)),
+            dataclasses.replace(
+                violation, swap=swap._replace(lowered=swap.raised, raised=swap.lowered)
+            ),
+        ):
+            assert not reverify_violation(ps3, corrupted), corrupted
+
     def test_ete_and_expost_witnesses_reverify(self, instance3):
         sd = SerialDictatorship(instance3, (0, 1, 2), cache=True)
         ete = check_equal_treatment_of_equals(sd, mode="first")

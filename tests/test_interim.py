@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import random
@@ -10,6 +11,7 @@ from helpers import (
     CountingPS,
     build_mechanism,
     interim_shares_oracle,
+    interim_sweep_oracle,
     random_prior,
 )
 from ramkit.core import Instance, enumerate_preferences, insert_report
@@ -439,6 +441,17 @@ def _priors(instance, seed):
     }
 
 
+def _fraction_rows(mech, prior):
+    """``_interim_rows`` as Fraction rows keyed by agent, then report."""
+    prefs = enumerate_preferences(mech.instance)
+    return {
+        agent: {
+            report: tuple(F(x, common) for x in row) for report, row in zip(prefs, rows)
+        }
+        for agent, (rows, common) in _interim_rows(mech, prior).items()
+    }
+
+
 class TestOnePassRows:
     @pytest.mark.parametrize("n", (2, 3))
     @pytest.mark.parametrize("kind", MECHANISM_KINDS)
@@ -446,7 +459,7 @@ class TestOnePassRows:
         mech = build_mechanism(kind, n)
         instance = mech.instance
         for name, prior in _priors(instance, seed=31 + n).items():
-            table = _interim_rows(mech, prior)
+            table = _fraction_rows(mech, prior)
             assert list(table) == list(instance.agents)
             for agent, rows in table.items():
                 assert list(rows) == enumerate_preferences(instance)
@@ -462,7 +475,7 @@ class TestOnePassRows:
         instance = Instance.default(4)
         prior = _half_support(instance)
         prefs = enumerate_preferences(instance)
-        table = _interim_rows(ProbabilisticSerial(instance), prior)
+        table = _fraction_rows(ProbabilisticSerial(instance), prior)
         oracle_mech = ProbabilisticSerial(instance, cache=True)
         rng = random.Random(404)
         # two reports on the support and two off it
@@ -546,12 +559,82 @@ class TestReplay:
     @pytest.mark.parametrize("kind", ("ps", "sea", "table"))
     def test_first_mode_returns_first_exhaustive_violation(self, kind):
         mech = build_mechanism(kind, 3)
-        prior = random_prior(random.Random(5), mech.instance)
-        exhaustive = check_obic(mech, prior)
-        assert len(exhaustive.violations) > 1
-        first = check_obic(mech, prior, mode="first")
-        assert first.violations == exhaustive.violations[:1]
-        sweep = run_interim_sweep(mech, prior)
-        first_sweep = run_interim_sweep(mech, prior, mode="first")
-        for ax in INTERIM_AXIOMS:
-            assert first_sweep[ax].violations == sweep[ax].violations[:1], ax
+        # at seed 0 one swap of the table mechanism both lowers the raised
+        # object's interim share and raises the lowered one's
+        for seed in (5, 0):
+            prior = random_prior(random.Random(seed), mech.instance)
+            exhaustive = check_obic(mech, prior)
+            assert len(exhaustive.violations) > 1
+            first = check_obic(mech, prior, mode="first")
+            assert first.violations == exhaustive.violations[:1]
+            sweep = run_interim_sweep(mech, prior)
+            first_sweep = run_interim_sweep(mech, prior, mode="first")
+            for ax in INTERIM_AXIOMS:
+                assert first_sweep[ax].violations == sweep[ax].violations[:1], (seed, ax)
+            first_em = check_interim_elementary_monotonicity(mech, prior, mode="first")
+            assert first_em.violations == sweep["interim-em"].violations[:1], seed
+
+    @pytest.fixture(scope="class")
+    def table_witnesses(self):
+        """First obic, interim-em and interim-li witnesses of the table
+        mechanism at a random prior, and the mechanism."""
+        mech = build_mechanism("table", 3)
+        prior = random_prior(random.Random(0), mech.instance)
+        report = obic_decomposition_report(mech, prior)
+        return mech, {
+            outcome.axiom: outcome.violations[0]
+            for outcome in (report.obic, report.interim_em, report.interim_li)
+        }
+
+    @pytest.mark.parametrize("corruption", ("lhs", "object", "swap"))
+    @pytest.mark.parametrize("axiom", ("obic", "interim-em", "interim-li"))
+    def test_corrupted_witness_fails_replay(self, table_witnesses, axiom, corruption):
+        mech, witnesses = table_witnesses
+        v = witnesses[axiom]
+        assert reverify_interim_violation(mech, v)
+        if corruption == "lhs":
+            bad = dataclasses.replace(v, lhs=v.lhs + F(1, 97))
+        elif axiom == "obic":
+            # no object or swap: a wrong prefix, and the reports exchanged
+            bad = (dataclasses.replace(v, rank=v.rank + 1) if corruption == "object"
+                   else dataclasses.replace(v, truth=v.deviation, deviation=v.truth))
+        elif corruption == "object":
+            pair = (v.swap.raised, v.swap.lowered)
+            # an object outside the pair for em, the raised one for li
+            wrong = (next(a for a in v.truth if a not in pair)
+                     if axiom == "interim-em" else v.swap.raised)
+            bad = dataclasses.replace(v, objects=(wrong,))
+        else:
+            bad = dataclasses.replace(v, swap=v.swap._replace(
+                lowered=v.swap.raised, raised=v.swap.lowered,
+            ))
+        assert not reverify_interim_violation(mech, bad)
+
+    def test_unknown_axiom_rejected(self, table_witnesses):
+        mech, witnesses = table_witnesses
+        bad = dataclasses.replace(witnesses["obic"], axiom="interim-xx")
+        with pytest.raises(ValueError, match="cannot replay axiom 'interim-xx'"):
+            reverify_interim_violation(mech, bad)
+
+
+class TestKernelMatchesFractionOracle:
+    @pytest.mark.parametrize("n", (2, 3))
+    @pytest.mark.parametrize("kind", MECHANISM_KINDS)
+    def test_outcomes_match_oracle(self, kind, n):
+        mech = build_mechanism(kind, n)
+        for name, prior in _priors(mech.instance, seed=31 + n).items():
+            for mode in ("first", "exhaustive"):
+                expected = interim_sweep_oracle(
+                    mech, prior, ("obic",) + INTERIM_AXIOMS, mode=mode
+                )
+                obic = check_obic(mech, prior, mode=mode)
+                assert obic == expected["obic"], (name, mode)
+                swept = run_interim_sweep(mech, prior, mode=mode)
+                for ax in INTERIM_AXIOMS:
+                    assert swept[ax] == expected[ax], (name, mode, ax)
+            # expected holds the exhaustive outcomes now
+            report = obic_decomposition_report(mech, prior)
+            assert report.obic == expected["obic"], name
+            assert report.interim_em == expected["interim-em"], name
+            assert report.interim_ui == expected["interim-ui"], name
+            assert report.interim_li == expected["interim-li"], name

@@ -211,8 +211,8 @@ def test_pair_report_is_the_frozen_dataclass_report():
 
     profile = ((0, 1, 2), (1, 0, 2), (2, 1, 0))
     swap = SwapInfo(1, 0, 1)
-    fast = pair_report("li", 1, profile, (1, 0, 2), swap, (2,), None,
-                       Fraction(1, 3), Fraction(1, 6), "!=", "moved")
+    fast = pair_report("li", 1, profile, None, (1, 0, 2), swap, (2,), None,
+                       Fraction(1, 3), Fraction(1, 6), "!=", None, "moved")
     slow = ViolationReport(axiom="li", agent=1, profile=profile, deviation=(1, 0, 2),
                            swap=swap, objects=(2,), lhs=Fraction(1, 3),
                            rhs=Fraction(1, 6), relation="!=", detail="moved")
