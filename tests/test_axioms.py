@@ -300,10 +300,15 @@ class TestWitnessIntegrity:
 
     def test_corrupted_swap_witness_fails_reverification(self, ps3):
         violation = check_lower_invariance(ps3).violations[0]
-        swap = violation.swap
+        swap, agent = violation.swap, violation.agent
+        deviated = list(violation.profile)
+        deviated[agent] = violation.deviation
+        old = ps3.assignment(violation.profile)[agent][swap.raised]
+        new = ps3.assignment(tuple(deviated))[agent][swap.raised]
+        assert new != old
         for corrupted in (
-            # the raised object is never below the pair
-            dataclasses.replace(violation, objects=(swap.raised,)),
+            # the raised object is never below the pair, whatever its shares
+            dataclasses.replace(violation, objects=(swap.raised,), lhs=new, rhs=old),
             dataclasses.replace(
                 violation, swap=swap._replace(lowered=swap.raised, raised=swap.lowered)
             ),

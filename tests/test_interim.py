@@ -599,11 +599,17 @@ class TestReplay:
             bad = (dataclasses.replace(v, rank=v.rank + 1) if corruption == "object"
                    else dataclasses.replace(v, truth=v.deviation, deviation=v.truth))
         elif corruption == "object":
+            # an object the axiom does not constrain, with its true values:
+            # outside the pair for em, the raised one for li
             pair = (v.swap.raised, v.swap.lowered)
-            # an object outside the pair for em, the raised one for li
             wrong = (next(a for a in v.truth if a not in pair)
                      if axiom == "interim-em" else v.swap.raised)
-            bad = dataclasses.replace(v, objects=(wrong,))
+            old, new = (
+                interim_share_vector(mech, v.agent, report, v.prior).shares[wrong]
+                for report in (v.truth, v.deviation)
+            )
+            assert new != old
+            bad = dataclasses.replace(v, objects=(wrong,), lhs=new, rhs=old)
         else:
             bad = dataclasses.replace(v, swap=v.swap._replace(
                 lowered=v.swap.raised, raised=v.swap.lowered,
