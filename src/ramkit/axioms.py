@@ -12,24 +12,32 @@ violation ("exhaustive", the default for n <= 3) and stopping at the
 first one ("first", the default for larger n; always sequential).
 
 The report-pair sweep evaluates the mechanism once per profile into a
-dense integer domain table (:mod:`ramkit.domain`) and compares shares as
-integers.  In exhaustive mode the table is built once, by index range on
-up to ``jobs`` worker processes, and then swept serially, so the
-violation list is identical for every parallelism degree.
+dense integer domain table (:mod:`ramkit.domain`) over one table-wide
+denominator, and compares shares as integers.  In exhaustive mode the
+table is built once, by index range on up to ``jobs`` worker processes,
+and the comparisons then run in this process, so the violation list is
+identical for every parallelism degree.
 
-One kernel, :class:`_PairSweep`, makes the pair comparisons both for this
-sweep (a cell of integer rows per agent and opponents) and for the interim
-checks of :mod:`ramkit.interim` (a cell of interim rows per agent, where
-strategy-proofness is OBIC).  :func:`_replay_pair` is the one replay
-comparison for both; interim replay feeds it Fraction rows only.
+One kernel, :class:`_PairSweep`, makes the pair comparisons for this
+sweep and for the interim checks of :mod:`ramkit.interim` (where
+strategy-proofness is OBIC).  It compares **columns**: a batch holds one
+agent's numerators ``cols[r][x]`` of object ``x`` under report ``r`` for
+K consecutive cells, all over one denominator, and each comparison slot
+compares two whole columns before looking at single cells.  The
+exhaustive sweep feeds one batch per agent with all ``(n!)**(n-1)``
+opponent profiles, and interim checks one batch per agent with a single
+cell of interim rows.  ``mode="first"`` feeds batches of growing size and
+sweeps the batch in which an axiom first fails again cell by cell, so
+its early exit and counters are those of a cell-by-cell sweep.
+:func:`_replay_pair` is the one replay comparison for both families;
+interim replay feeds it Fraction rows only.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from functools import partial
-from operator import itemgetter
+from operator import add, ge, gt, lt, mul, ne
 from typing import Iterable, Optional
 
 from .core import (
@@ -90,12 +98,11 @@ def _strict_dominance_rank(
 def _swap_pairs(prefs: list[Preference]) -> list[tuple]:
     """Each unordered adjacent-swap pair of reports once, in sweep order.
 
-    Entries are ``(r, s, swap, above, below, pick_above, pick_below)``:
-    ``prefs[s]`` is ``prefs[r]`` with the pair ``swap`` exchanged,
-    ``prefs[r] < prefs[s]``, ``above`` and ``below`` are the objects
-    ``prefs[r]`` ranks above and below the pair, and ``pick_*`` reads those
-    shares from a row in one call (None when there are none).  The swap
-    conditions are symmetric, so one order suffices.
+    Entries are ``(r, s, swap, above, below)``: ``prefs[s]`` is
+    ``prefs[r]`` with the pair ``swap`` exchanged, ``prefs[r] < prefs[s]``,
+    and ``above`` and ``below`` are the objects ``prefs[r]`` ranks above
+    and below the pair.  The swap conditions are symmetric, so one order
+    suffices.
     """
     index = {p: k for k, p in enumerate(prefs)}
     pairs = []
@@ -104,12 +111,25 @@ def _swap_pairs(prefs: list[Preference]) -> list[tuple]:
             if swapped > base:
                 above = base[: info.position - 1]
                 below = base[info.position + 1:]
-                pairs.append((
-                    r, index[swapped], info, above, below,
-                    itemgetter(*above) if above else None,
-                    itemgetter(*below) if below else None,
-                ))
+                pairs.append((r, index[swapped], info, above, below))
     return pairs
+
+
+def _prefix_columns(cols: list, pref: Preference, floor: Optional[list] = None) -> list:
+    """Columns of the running sums of ``cols[a]`` over the objects ``a`` of
+    ``pref`` in order: entry ``j`` is the top-``j+1`` prefix.
+
+    With ``floor`` (prefix columns of another row), stop after the first
+    prefix at which no cell reaches ``floor``: from there on no cell can
+    weakly dominate it, which is all a weak-sp check asks.
+    """
+    out = []
+    for a in pref:
+        acc = cols[a] if not out else list(map(add, out[-1], cols[a]))
+        out.append(acc)
+        if floor is not None and not any(map(ge, acc, floor[len(out) - 1])):
+            break
+    return out
 
 
 #: Per pair axiom, the axiom name its reports and outcome carry, then the
@@ -124,23 +144,41 @@ _EX_POST_LABELS = {
     "li": ("li", "share below the swapped pair moved"),
 }
 
+_FOSD_AXIOMS = ("sp", "weak-sp")
+
+#: Most cells in one batch of a ``mode="first"`` sweep.
+_FIRST_BATCH_CAP = 256
+
 
 class _PairSweep:
-    """The pair axioms over a sequence of cells, one cell at a time.
+    """The pair axioms over report columns, one batch of cells at a time.
 
-    A cell is one agent's rows under each report of ``prefs``, as integers
-    over one common denominator, so every comparison is an integer
-    comparison: per (agent, opponents) from a :class:`DomainTable`, or an
-    agent's interim rows.  Fractions are built only for recorded
-    violations, and interned.  ``labels`` (see :data:`_EX_POST_LABELS`)
-    names the axioms and details; a cell with a profile (ex-post) records
-    ``profile=``, one without (interim) ``truth=`` and ``prior=``.
+    A source gives, per agent, ``cells`` cells (an opponent profile, or for
+    interim rows a single cell) and cuts batches of consecutive cells as
+    columns: ``columns(agent, start, count)`` returns ``(cols, common)``
+    with ``cols[r][x][k]`` the agent's numerator of object ``x`` under
+    report ``prefs[r]`` in cell ``start + k``, all over ``common``.  Its
+    ``opponents(cell)`` gives the cell's opponent reports; a source whose
+    ``opponents`` is None (interim rows) makes reports with ``truth=`` and
+    ``prior=`` instead of ``profile=``.  ``labels`` (see
+    :data:`_EX_POST_LABELS`) names the axioms and details.
 
-    Comparisons inside a cell run in a fixed order, so violation lists and
-    counters do not depend on how the rows were produced.  With
-    ``first_only`` an axiom stops being checked right after the comparison
-    block that found its first violation, the sweep ends after the cell in
-    which the last axiom fell, and each outcome keeps its first violation.
+    Each comparison slot (em raised or lowered, ui above or li below the
+    pair, for each swap pair; sp and weak-sp per prefix, for each ordered
+    report pair) first compares two whole columns; only columns that
+    differ are scanned for the cells that fail.  The failing cells of a
+    slot form one group.  At the end of the batch the groups become
+    reports, with interned Fractions and one profile per (cell, report),
+    ordered by an integer key that orders like (cell, report pair, slot):
+    the order in which a cell-by-cell sweep records them.
+
+    Exhaustive sweeps take one batch per agent.  With ``first_only`` the
+    batches grow (1, 1, 2, 4, ... cells, up to :data:`_FIRST_BATCH_CAP`); a
+    batch in which a live axiom fails is swept again cell by cell, where
+    an axiom stops being checked right after the comparison block that
+    found its first violation.  The sweep ends after the cell in which the
+    last axiom fell, and each outcome keeps its first violation, so
+    counters equal those of a cell-by-cell sweep.
     """
 
     def __init__(
@@ -148,6 +186,8 @@ class _PairSweep:
         labels: dict = _EX_POST_LABELS, prior=None,
     ):
         self.prefs = prefs
+        self.m = len(prefs)
+        self.n = n = len(prefs[0])
         self.first_only = first_only
         self.labels = labels
         self.prior = prior
@@ -156,15 +196,17 @@ class _PairSweep:
         self.rows_read = 0
         self.comparisons = 0
         self._pairs = _swap_pairs(prefs)
-        self._values: dict[int, dict[int, Fraction]] = {}  # D -> {v: v/D}
-        self._singles = tuple((x,) for x in range(len(prefs[0])))  # objects=(x,)
+        self._values: dict[int, _Fractions] = {}  # by denominator
+        self._singles = tuple((x,) for x in range(n))  # objects=(x,)
 
-    def run(self, cells: Iterable[tuple]) -> dict[str, CheckOutcome]:
-        """Sweep ``(agent, rows, common, profile_at)`` cells in order, where
-        ``profile_at`` is None or returns a profile of the cell, and return
-        each axiom's outcome under its label."""
-        for agent, rows, common, profile_at in cells:
-            self._cell(agent, rows, common, profile_at)
+    def run(self, source) -> dict[str, CheckOutcome]:
+        """Sweep the agents of ``source`` in order and return each axiom's
+        outcome under its label."""
+        for agent in source.agents:
+            if self.first_only:
+                self._first_batches(source, agent)
+            else:
+                self._batch(source, agent, 0, source.cells)
             if not self.live:
                 break
         return {
@@ -178,105 +220,201 @@ class _PairSweep:
             for ax, found in self.found.items()
         }
 
-    def _cell(self, agent: int, rows: list, common: int, profile_at) -> None:
-        prefs = self.prefs
-        self.rows_read += len(rows)
-        live = self.live
-        found = self.found
-        first_only = self.first_only
-        labels = self.labels
-        prior = self.prior
-        singles = self._singles
-        values = self._values.setdefault(common, {})
-        profiles: list[Optional[Profile]] = [None] * len(prefs)  # by report index
-        around: list[tuple] = []  # reports of the agents before and after
+    def _first_batches(self, source, agent: int) -> None:
+        """``agent``'s cells in batches as large as all cells before them
+        (1, 1, 2, 4, ..., up to the cap); a batch in which a live axiom
+        fails is swept again cell by cell."""
+        start = 0
+        while start < source.cells and self.live:
+            count = min(max(start, 1), _FIRST_BATCH_CAP, source.cells - start)
+            if not self._batch(source, agent, start, count):
+                for cell in range(start, start + count):
+                    self._batch(source, agent, cell, 1)
+                    if not self.live:
+                        return
+            start += count
 
-        def frac(value: int) -> Fraction:
-            f = values.get(value)
-            if f is None:
-                f = values[value] = Fraction(value, common)
-            return f
-
-        def profile_of(r: int) -> Profile:
-            profile = profiles[r]
-            if profile is None:
-                if not around:
-                    at = profile_at()
-                    around.extend((at[:agent], at[agent + 1:]))
-                profile = profiles[r] = around[0] + (prefs[r],) + around[1]
-            return profile
-
-        def record(ax, r, v, swap, objects, rank, lhs, rhs, relation, detail=1):
-            """Report that moving from report ``r`` to ``v`` violates ``ax``;
-            ``detail`` indexes the detail string in the axiom's label."""
-            label = labels[ax]
-            if profile_at is None:
-                profile, truth = None, prefs[r]
-            else:
-                profile, truth = profile_of(r), None
-            found[ax].append(pair_report(
-                label[0], agent, profile, truth, prefs[v], swap, objects, rank,
-                frac(lhs), frac(rhs), relation, prior, label[detail],
-            ))
-            if first_only:
-                live.discard(ax)
-
+    def _batch(self, source, agent: int, start: int, count: int) -> bool:
+        """Compare the columns of cells ``[start, start + count)`` and record
+        their violations.  With ``first_only`` and more than one cell, stop
+        at the first violation of a live axiom and return False, recording
+        and counting nothing."""
+        cols, common = source.columns(agent, start, count)
+        # per axiom, groups of failing cells sharing a slot; see _record
+        groups: dict[str, list] = {ax: [] for ax in self.live}
         comparisons = 0
-        if "sp" in live or "weak-sp" in live:
-            for t, truth in enumerate(prefs):
-                for v in range(len(prefs)):
-                    if v == t:
-                        continue
-                    if "sp" in live:
-                        comparisons += 1
-                        fail = fosd_failure(rows[t], rows[v], truth)
-                        if fail is not None:
-                            record("sp", t, v, None, (), *fail, "<")
-                    if "weak-sp" in live:
-                        comparisons += 1
-                        if rows[v] != rows[t] and fosd(rows[v], rows[t], truth):
-                            record(
-                                "weak-sp", t, v, None, (),
-                                *_strict_dominance_rank(rows[v], rows[t], truth), ">",
-                            )
-
-        em, ui, li = "em" in live, "ui" in live, "li" in live
-        if em or ui or li:
-            for r, s, info, above, below, pick_above, pick_below in self._pairs:
-                old = rows[r]
-                new = rows[s]
-                if em:
-                    comparisons += 2
-                    x = info.raised
-                    if new[x] < old[x]:
-                        record("em", r, s, info, singles[x], None, new[x], old[x], "<")
-                    x = info.lowered
-                    if new[x] > old[x]:
-                        record(
-                            "em", r, s, info, singles[x], None, new[x], old[x], ">", 2,
-                        )
-                    em = "em" in live
-                if ui:
-                    comparisons += len(above)
-                    if above and pick_above(new) != pick_above(old):
-                        for x in above:
-                            if new[x] != old[x]:
-                                record(
-                                    "ui", r, s, info, singles[x], None,
-                                    new[x], old[x], "!=",
-                                )
-                    ui = "ui" in live
-                if li:
-                    comparisons += len(below)
-                    if below and pick_below(new) != pick_below(old):
-                        for x in below:
-                            if new[x] != old[x]:
-                                record(
-                                    "li", r, s, info, singles[x], None,
-                                    new[x], old[x], "!=",
-                                )
-                    li = "li" in live
+        for compare in (self._compare_fosd, self._compare_swaps):
+            made = compare(cols, count, groups)
+            if made is None:
+                return False
+            comparisons += made
+        del cols  # the groups hold their values; free the batch before reporting
         self.comparisons += comparisons
+        self.rows_read += count * self.m
+        shared: list[dict[int, Profile]] = [{} for _ in range(self.m)]  # by report
+        for ax, found in groups.items():
+            if found:
+                modulus = self.m ** 2 if ax in _FOSD_AXIOMS else len(self._pairs) * self.n
+                self._record(ax, found, modulus, source, agent, start, common, shared)
+        return True
+
+    def _settle(self, groups: dict, axioms: tuple[str, ...], K: int) -> bool:
+        """After a comparison block under ``first_only``: stop checking each
+        of ``axioms`` that has a violation, or, probing a batch of ``K > 1``
+        cells, return False at the first such axiom."""
+        for ax in axioms:
+            if groups.get(ax):
+                if K > 1:
+                    return False
+                self.live.discard(ax)
+        return True
+
+    def _compare_fosd(self, cols, K: int, groups: dict) -> Optional[int]:
+        """sp and weak-sp, per ordered report pair (truth ``t``, deviation
+        ``v``), on prefix columns along the truth's order; the number of
+        comparisons, or None when a probe found a violation."""
+        live, labels = self.live, self.labels
+        if "sp" not in live and "weak-sp" not in live:
+            return 0
+        m, n = self.m, self.n
+        cells = range(K)
+        comparisons = 0
+        for t, truth in enumerate(self.prefs):
+            mine = _prefix_columns(cols[t], truth)
+            for v in range(m):
+                sp, weak = "sp" in live, "weak-sp" in live
+                if v == t or not (sp or weak):
+                    continue
+                comparisons += K * (sp + weak)
+                theirs = _prefix_columns(cols[v], truth, None if sp else mine)
+                if len(theirs) < n:
+                    continue  # only weak-sp is live, and no cell can fail it
+                ranks: dict[int, int] = {}  # cell -> first prefix it fails
+                for j in range(n):
+                    if mine[j] != theirs[j]:
+                        for k in itertools.compress(cells, map(lt, mine[j], theirs[j])):
+                            ranks.setdefault(k, j)
+                if not ranks:
+                    continue
+                failing = [(k, j + 1, mine[j][k], theirs[j][k]) for k, j in ranks.items()]
+                if sp:
+                    groups["sp"].append(_fosd_group(t, v, m, "<", labels["sp"][1], failing))
+                if weak:
+                    dominated = [
+                        (k, rank, rhs, lhs) for k, rank, lhs, rhs in failing
+                        if all(mine[i][k] <= theirs[i][k] for i in range(n))
+                    ]
+                    if dominated:
+                        groups["weak-sp"].append(_fosd_group(
+                            t, v, m, ">", labels["weak-sp"][1], dominated,
+                        ))
+                if self.first_only and not self._settle(groups, _FOSD_AXIOMS, K):
+                    return None
+        return comparisons
+
+    def _compare_swaps(self, cols, K: int, groups: dict) -> Optional[int]:
+        """em, ui and li, per adjacent-swap pair of reports; the number of
+        comparisons, or None when a probe found a violation."""
+        live, labels = self.live, self.labels
+        em, ui, li = "em" in live, "ui" in live, "li" in live
+        cells = range(K)
+        none = itertools.repeat(None)
+        comparisons = 0
+        for p, (r, s, info, above, below) in enumerate(self._pairs):
+            if not (em or ui or li):
+                break
+            old, new = cols[r], cols[s]
+            for ax, on in (("em", em), ("ui", ui), ("li", li)):
+                if not on:
+                    continue
+                if ax == "em":
+                    slots = (
+                        (0, info.raised, lt, "<", labels["em"][1]),
+                        (1, info.lowered, gt, ">", labels["em"][2]),
+                    )
+                else:
+                    slots = [
+                        (slot, x, ne, "!=", labels[ax][1])
+                        for slot, x in enumerate(above if ax == "ui" else below)
+                    ]
+                comparisons += len(slots) * K
+                for slot, x, op, relation, detail in slots:
+                    if new[x] == old[x]:
+                        continue
+                    failing = list(itertools.compress(cells, map(op, new[x], old[x])))
+                    if failing:
+                        groups[ax].append((
+                            p * self.n + slot, r, s, info, self._singles[x], relation,
+                            detail, failing, none,
+                            list(map(new[x].__getitem__, failing)),
+                            list(map(old[x].__getitem__, failing)),
+                        ))
+            if self.first_only:
+                if not self._settle(groups, ("em", "ui", "li"), K):
+                    return None
+                em, ui, li = "em" in live, "ui" in live, "li" in live
+        return comparisons
+
+    def _record(
+        self, ax, groups, modulus, source, agent, start, common, shared
+    ) -> None:
+        """Append the reports of a batch's violation groups of ``ax``.
+
+        A group is ``(offset, r, s, swap, objects, relation, detail, cells,
+        ranks, lhs, rhs)``: cells (relative to ``start``) failing the slot
+        ``offset`` of the move from report ``prefs[r]`` to ``prefs[s]``,
+        with per-cell iterables of rank and numerators.  A report's key
+        ``cell * modulus + offset`` orders like (cell, report pair, slot),
+        so the reports are appended in key order.  Ex-post reports of one
+        cell and report share one profile, through ``shared``.
+        """
+        prefs, prior = self.prefs, self.prior
+        name = self.labels[ax][0]
+        values = self._values.get(common)
+        if values is None:
+            values = self._values[common] = _Fractions(common)
+        opponents = source.opponents
+        repeat = itertools.repeat
+        keys: list[int] = []
+        reports: list[ViolationReport] = []
+        for offset, r, s, info, objects, relation, detail, cells, ranks, lhs, rhs in groups:
+            keys.extend(map(add, map(mul, cells, repeat(modulus)), repeat(offset)))
+            if opponents is None:
+                profiles, truths = repeat(None), repeat(prefs[r])
+            else:
+                have = shared[r]
+                for k in cells:
+                    if k not in have:
+                        opp = opponents(start + k)
+                        have[k] = opp[:agent] + (prefs[r],) + opp[agent:]
+                profiles, truths = map(have.__getitem__, cells), repeat(None)
+            reports.extend(map(
+                pair_report, repeat(name), repeat(agent), profiles, truths,
+                repeat(prefs[s]), repeat(info), repeat(objects), ranks,
+                map(values.__getitem__, lhs), map(values.__getitem__, rhs),
+                repeat(relation), repeat(prior), repeat(detail),
+            ))
+        order = sorted(range(len(keys)), key=keys.__getitem__)
+        self.found[ax].extend(map(reports.__getitem__, order))
+
+
+def _fosd_group(t: int, v: int, m: int, relation: str, detail: str, failing) -> tuple:
+    """A :meth:`_PairSweep._record` group of sp or weak-sp violations of the
+    move from report ``t`` to ``v``, from ``(cell, rank, lhs, rhs)`` rows."""
+    cells, ranks, lhs, rhs = zip(*failing)
+    return (t * m + v, t, v, None, (), relation, detail, cells, ranks, lhs, rhs)
+
+
+class _Fractions(dict):
+    """Interned ``Fraction(v, d)`` by numerator ``v`` over one ``d``."""
+
+    def __init__(self, d: int):
+        super().__init__()
+        self.d = d
+
+    def __missing__(self, v: int) -> Fraction:
+        f = self[v] = Fraction(v, self.d)
+        return f
 
 
 def run_pair_sweep(
@@ -291,11 +429,12 @@ def run_pair_sweep(
 
     The mechanism is evaluated once per profile into a dense integer
     :class:`~ramkit.domain.DomainTable`, which every bundled axiom then
-    reads.  In exhaustive mode the table is built first, by index range on
-    up to ``jobs`` worker processes, and then swept serially in this
-    process.  ``mode="first"`` is always serial: it fills the table lazily
-    as the sweep reaches each cell and stops once every axiom has a
-    violation.  The table is dropped when the sweep returns.
+    reads as report columns.  In exhaustive mode the table is built first,
+    by index range on up to ``jobs`` worker processes, and then swept in
+    this process, one batch of columns per agent.  ``mode="first"`` is
+    always serial: it fills the table lazily as growing batches of cells
+    are read and stops once every axiom has a violation.  The table is
+    dropped when the sweep returns.
 
     ``profiles_checked`` counts rows read (the agent's report varies over
     all n! preferences in each cell), not distinct evaluations.
@@ -311,11 +450,7 @@ def run_pair_sweep(
     if mode == "exhaustive":
         table.fill(jobs)
     sweep = _PairSweep(table.prefs, axioms, first_only=mode == "first")
-    return sweep.run(
-        (agent, *table.cell(agent, base), partial(table.profile, base))
-        for agent in range(instance.n)
-        for base in table.cell_bases(agent)
-    )
+    return sweep.run(table)
 
 
 def _single(mech, axiom, mode, jobs, max_n) -> CheckOutcome:

@@ -330,8 +330,9 @@ def make_parser() -> argparse.ArgumentParser:
                         "(default: exhaustive for n<=3, first above)")
     p.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
                    help="worker processes that build the domain table of an "
-                        "exhaustive pair-axiom sweep; mode=first, the default "
-                        "for n>3, always runs serially")
+                        "exhaustive pair-axiom sweep; the comparisons run in "
+                        "the main process; mode=first, the default for n>3, "
+                        "always runs serially")
     common(p, need_n=True)
     p.set_defaults(func=cmd_check)
 

@@ -1,26 +1,42 @@
-"""Dense domain table: each profile's assignment, evaluated once, as integers.
+"""Dense domain table: each profile's assignment, evaluated once, as integers,
+read back as report columns.
 
 Profiles are numbered in the order of :func:`ramkit.core.enumerate_profiles`.
 With ``m = n!`` preferences, the profile whose agent ``j`` reports the
 ``d_j``-th preference of :func:`ramkit.core.enumerate_preferences` has the
 mixed-radix index ``sum_j d_j * m**(n-1-j)`` in ``[0, m**n)``.  Varying one
-agent's report therefore walks the index in steps of ``m**(n-1-agent)``.
+agent's report therefore walks the index in steps of
+``s = m**(n-1-agent)``.
 
-For every profile the table holds the ``n*n`` share numerators over one
-common denominator ``D``: in dense storage the D that
-:meth:`Mechanism.scaled_assignment` gave (for PS one fixed D, so a cell's
-rows need no rescaling), in lazy entries the profile's least one.  No
-Fractions are stored.  Dense
-values live in signed 64-bit arrays, and the table falls back to Python int
-lists as soon as one value does not fit, so storage never truncates or
-wraps.
+The pair sweep reads the table by **column**.  A cell of an agent is one
+opponent profile; the ``K = m**(n-1)`` cells of an agent are numbered in
+lexicographic order of the opponents' reports, so cell ``c`` has the
+agents before ``agent`` at ``c // s`` and those after at ``c % s``.
+:meth:`DomainTable.columns` returns, for a run of consecutive cells,
+``cols[r][x]``: the agent's numerators of object ``x`` under report
+``prefs[r]``, one per cell, all over one denominator.  In dense storage a
+column is cut by strided slices: one slice for agent 0 (its cells are
+contiguous profiles), one slice with step ``m`` profiles for the last
+agent, and for the agents in between one slice per run of ``s``
+consecutive cells that share the agents before.
 
-A table is filled either all at once into dense arrays
+Dense storage keeps the ``n*n`` numerators of every profile over **one
+denominator for the whole table**, ``D``: PS gives the fixed
+``lcm(1..n)**n`` and RP ``n!`` for every profile; for other mechanisms
+each filled index range is brought to the lcm of the denominators seen so
+far, rescaling what is already stored when that lcm grows.  Values live in
+a signed 64-bit array, and the table falls back to a list of Python ints
+as soon as one value does not fit, so storage never truncates or wraps.
+No Fractions are stored.
+
+A table is filled either all at once into dense storage
 (:meth:`DomainTable.fill`, optionally by index range on a process pool) or
-lazily, profile by profile, as :meth:`DomainTable.cell` reads rows; lazy
-entries live in a dict keyed by index, so an early exit allocates only what
-it read.  Either way each profile is evaluated at most once.  A table is
-meant to live for one sweep; nothing is cached at module level.
+lazily, as :meth:`DomainTable.columns` reads cells; lazy entries live in a
+dict keyed by index, each in least terms, and a lazy batch of columns is
+brought to the lcm of its entries' denominators, so an early exit
+allocates only what it read.  Either way each profile is evaluated at
+most once.  A table is meant to live for one sweep; nothing is cached at
+module level.
 """
 
 from __future__ import annotations
@@ -29,7 +45,7 @@ import itertools
 import math
 from array import array
 from concurrent.futures import ProcessPoolExecutor
-from typing import Iterator, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 from .core import Preference, Profile
 from .mechanisms import Mechanism
@@ -68,9 +84,9 @@ def _evaluate(mech: Mechanism, profile: Profile) -> tuple[tuple[int, ...], int]:
 
 def _evaluate_range(
     mech: Mechanism, prefs: Sequence[Preference], lo: int, hi: int
-) -> tuple[Store, Store]:
-    """Packed numerators and denominators of the profiles with index in
-    ``[lo, hi)``."""
+) -> tuple[Store, int]:
+    """Packed numerators of the profiles with index in ``[lo, hi)``, all
+    over one denominator, and that denominator."""
     nums: list[int] = []
     dens: list[int] = []
     profiles = itertools.product(prefs, repeat=len(prefs[0]))
@@ -79,7 +95,11 @@ def _evaluate_range(
         for row in rows:
             nums.extend(row)
         dens.append(d)
-    return _pack(nums), _pack(dens)
+    common = math.lcm(*set(dens))
+    if any(d != common for d in dens):
+        nn = len(nums) // len(dens)
+        nums = [x * (common // dens[i // nn]) for i, x in enumerate(nums)]
+    return _pack(nums), common
 
 
 # Set once per pool worker by the initializer, so the mechanism is pickled
@@ -92,7 +112,7 @@ def _init_worker(mech: Mechanism, prefs: list[Preference]) -> None:
     _worker_job = (mech, prefs)
 
 
-def _fill_task(bounds: tuple[int, int]) -> tuple[int, int, Store, Store]:
+def _fill_task(bounds: tuple[int, int]) -> tuple[int, int, Store, int]:
     lo, hi = bounds
     mech, prefs = _worker_job
     return (lo, hi, *_evaluate_range(mech, prefs, lo, hi))
@@ -108,12 +128,16 @@ class DomainTable:
         self.n = n = mech.instance.n
         self.m = m = len(prefs)
         self.size = m ** n
+        self.agents = range(n)
+        self.cells = m ** (n - 1)  # cells (opponent profiles) per agent
         self._nn = n * n
-        # Dense storage, allocated by fill(); until then profiles are
-        # evaluated as cells read them and kept in _lazy by index.
+        # Dense storage over the one denominator D, allocated by fill();
+        # until then profiles are evaluated as columns read them and kept
+        # in _lazy by index.
         self.nums: Optional[Store] = None
-        self.dens: Optional[Store] = None
+        self.D: Optional[int] = None
         self._lazy: dict[int, tuple[tuple[int, ...], int]] = {}
+        self._opponents: Optional[list[Profile]] = None
 
     # -- indexing ----------------------------------------------------------
 
@@ -128,35 +152,39 @@ class DomainTable:
             digits.append(self.prefs[d])
         return tuple(reversed(digits))
 
-    def cell_bases(self, agent: int) -> Iterator[int]:
-        """Indices of the profiles where ``agent`` reports ``prefs[0]``, in
-        lexicographic order of the opponents' reports."""
-        stride = self.stride(agent)
-        span = self.m * stride
-        return (
-            high + low
-            for high in range(0, self.size, span)
-            for low in range(stride)
-        )
+    def opponents(self, cell: int) -> Profile:
+        """The opponents' reports of cell ``cell``, in agent order."""
+        if self._opponents is not None:
+            return self._opponents[cell]
+        return self.profile(cell)[1:]
 
     # -- filling -----------------------------------------------------------
 
-    def _put(self, lo: int, hi: int, nums: Store, dens: Store) -> None:
-        if isinstance(self.nums, array) and not (
-            isinstance(nums, array) and isinstance(dens, array)
-        ):
+    def _put(self, lo: int, hi: int, nums: Store, d: int) -> None:
+        """Store the numerators of profiles ``[lo, hi)``, given over ``d``,
+        over the table's denominator, which grows to ``lcm(D, d)``."""
+        if self.D is None:
+            self.D = d
+        common = math.lcm(self.D, d)
+        if common != self.D:
+            f = common // self.D
+            self.nums = _pack([x * f for x in self.nums])
+            self.D = common
+        if d != common:
+            f = common // d
+            nums = _pack([x * f for x in nums])
+        if isinstance(self.nums, array) and not isinstance(nums, array):
             # a value exceeds 64 bits: keep everything as Python ints
             self.nums = self.nums.tolist()
-            self.dens = self.dens.tolist()
         self.nums[lo * self._nn: hi * self._nn] = nums
-        self.dens[lo:hi] = dens
 
     def fill(self, jobs: int = 1) -> None:
         """Evaluate every profile into dense storage, by index range on up to
         ``jobs`` worker processes; in this process when ``jobs <= 1``."""
         self.nums = array("q", [0]) * (self.size * self._nn)
-        self.dens = array("q", [0]) * self.size
+        self.D = None
         self._lazy.clear()
+        self._opponents = list(itertools.product(self.prefs, repeat=self.n - 1))
         tasks = min(self.size, max(jobs, 1) * _TASKS_PER_WORKER)
         step = -(-self.size // tasks)
         bounds = [(lo, min(lo + step, self.size)) for lo in range(0, self.size, step)]
@@ -169,10 +197,53 @@ class DomainTable:
             initializer=_init_worker,
             initargs=(self.mech, self.prefs),
         ) as pool:
-            for lo, hi, nums, dens in pool.map(_fill_task, bounds):
-                self._put(lo, hi, nums, dens)
+            for lo, hi, nums, d in pool.map(_fill_task, bounds):
+                self._put(lo, hi, nums, d)
 
     # -- reading -----------------------------------------------------------
+
+    def columns(self, agent: int, start: int, count: int) -> tuple[list, int]:
+        """``agent``'s report columns over cells ``[start, start + count)``.
+
+        Returns ``(cols, common)``: ``cols[r][x][k]`` is the numerator over
+        ``common`` of the agent's share of object ``x`` when she reports
+        ``prefs[r]`` against the opponents of cell ``start + k``.  Before
+        :meth:`fill`, profiles not yet evaluated are evaluated here, once
+        each.
+        """
+        if self.nums is None:
+            return self._lazy_columns(agent, start, count)
+        n, nn, s = self.n, self._nn, self.stride(agent)
+        span = self.m * s * nn  # flat step from one run of cells to the next
+        cols = []
+        for r in range(self.m):
+            first = r * s * nn + agent * n
+            cols.append([
+                self._cut(first + x, s, span, start, count) for x in range(n)
+            ])
+        return cols, self.D
+
+    def _cut(self, first: int, s: int, span: int, start: int, count: int) -> Store:
+        """Values at flat offset ``first`` of cells ``[start, start+count)``:
+        cell ``c`` sits at ``first + (c // s) * span + (c % s) * n*n``."""
+        nums = self.nums
+        if s == 1:
+            a = first + start * span
+            return nums[a: a + count * span: span]
+        nn = self._nn
+        out = None
+        c, end = start, start + count
+        while c < end:
+            high, low = divmod(c, s)
+            run = min(end - c, s - low)
+            a = first + high * span + low * nn
+            piece = nums[a: a + run * nn: nn]
+            if out is None:
+                out = piece
+            else:
+                out += piece
+            c += run
+        return out
 
     def _lazy_entry(self, index: int) -> tuple[tuple[int, ...], int]:
         entry = self._lazy.get(index)
@@ -180,31 +251,21 @@ class DomainTable:
             entry = self._lazy[index] = _evaluate(self.mech, self.profile(index))
         return entry
 
-    def cell(self, agent: int, base: int) -> tuple[list, int]:
-        """``agent``'s rows at the ``m`` profiles ``base + r*stride``, one per
-        report ``prefs[r]``, scaled to one common denominator ``L``.
-
-        Returns ``(rows, L)``.  Before :meth:`fill`, profiles not yet
-        evaluated are evaluated here, once each.
-        """
-        n, nn = self.n, self._nn
-        stride = self.stride(agent)
-        stop = base + self.m * stride
-        if self.dens is None:
-            entries = [self._lazy_entry(i) for i in range(base, stop, stride)]
-            dens = [d for _, d in entries]
-            nums = [x for flat, _ in entries for x in flat[agent * n: agent * n + n]]
-            start, step = 0, n
-        else:
-            dens = self.dens[base:stop:stride]
-            nums = self.nums
-            start, step = base * nn + agent * n, stride * nn
-        common = math.lcm(*dens)
-        rows = []
-        for o, d in zip(range(start, start + self.m * step, step), dens):
-            if d == common:
-                rows.append(list(nums[o: o + n]))
-            else:
-                f = common // d
-                rows.append([x * f for x in nums[o: o + n]])
-        return rows, common
+    def _lazy_columns(self, agent: int, start: int, count: int) -> tuple[list, int]:
+        n, m, s = self.n, self.m, self.stride(agent)
+        bases = [
+            c // s * m * s + c % s for c in range(start, start + count)
+        ]
+        entries = [
+            [self._lazy_entry(base + r * s) for base in bases] for r in range(m)
+        ]
+        common = math.lcm(*{d for col in entries for _, d in col})
+        lo = agent * n
+        cols = []
+        for col in entries:
+            factors = [common // d for _, d in col]
+            cols.append([
+                [flat[lo + x] * f for (flat, _), f in zip(col, factors)]
+                for x in range(n)
+            ])
+        return cols, common

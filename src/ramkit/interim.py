@@ -17,12 +17,12 @@ weights over its common denominator, and each profile with at most one
 off-support report is evaluated exactly once through
 :meth:`Mechanism.scaled_assignment`.  Each agent's rows come out as
 integers over one per-agent denominator, and OBIC and the interim em/ui/li
-run on them in the ex-post pair sweep's kernel
-(:class:`ramkit.axioms._PairSweep`).  The pass needs no memo; a PS or RP
-mechanism's memo stays empty.  :func:`obic_decomposition_report` builds the
-rows once for OBIC and the em/ui/li sweep.  :func:`interim_share_vector` is
-a separate Fraction route, and replaying a witness reads its rows only
-from that route.
+run on them in the ex-post pair sweep's column kernel
+(:class:`ramkit.axioms._PairSweep`), one single-cell batch per agent.  The
+pass needs no memo; a PS or RP mechanism's memo stays empty.
+:func:`obic_decomposition_report` builds the rows once for OBIC and the
+em/ui/li sweep.  :func:`interim_share_vector` is a separate Fraction
+route, and replaying a witness reads its rows only from that route.
 """
 
 from __future__ import annotations
@@ -171,6 +171,15 @@ class InterimShareVector:
             raise InternalConsistencyError("interim shares do not sum to 1")
 
 
+def _check_prior(mech: Mechanism, prior: Prior) -> None:
+    """Reject a prior over preferences of another number of objects."""
+    if prior.instance.n != mech.instance.n:
+        raise ValueError(
+            f"prior is over n={prior.instance.n} objects, "
+            f"the mechanism over n={mech.instance.n}"
+        )
+
+
 def _interim_rows(
     mech: Mechanism, prior: Prior, *, agents=None, max_n: Optional[int] = None
 ) -> dict[int, tuple[list[list[int]], int]]:
@@ -179,8 +188,8 @@ def _interim_rows(
 
     Each agent maps to ``(rows, common)``: ``rows[k]`` holds the numerators
     of the agent's interim shares for report ``enumerate_preferences()[k]``,
-    all over the one denominator ``common``, the shape of a
-    :meth:`DomainTable.cell <ramkit.domain.DomainTable.cell>`.
+    all over the one denominator ``common``; the pair kernel reads them as
+    a batch of one cell (:class:`_RowCells`).
 
     With ``Q`` the prior's common denominator and ``w[p] = prob(p) * Q``,
     agent i's interim row for report r is the sum over opponent profiles of
@@ -195,6 +204,7 @@ def _interim_rows(
     Fraction is built.
     """
     instance = mech.instance
+    _check_prior(mech, prior)
     _check_sweep_cap(instance.n, max_n)
     n = instance.n
     prefs = enumerate_preferences(instance, max_n=max_n)
@@ -267,6 +277,7 @@ def interim_share_vector(
     sharing code with :func:`_interim_rows`.
     """
     instance = mech.instance
+    _check_prior(mech, prior)
     _check_sweep_cap(instance.n, max_n)
     n = instance.n
     support = [(p, w) for p, w in prior.items() if w != 0]
@@ -281,6 +292,21 @@ def interim_share_vector(
     return InterimShareVector(agent=agent, report=report, prior=prior, shares=tuple(acc))
 
 
+class _RowCells:
+    """Interim rows as a source for the pair kernel: one cell per agent."""
+
+    cells = 1
+    opponents = None  # reports carry truth= and prior=
+
+    def __init__(self, table: dict[int, tuple[list[list[int]], int]]):
+        self.table = table
+        self.agents = tuple(table)
+
+    def columns(self, agent: int, start: int, count: int) -> tuple[list, int]:
+        rows, common = self.table[agent]
+        return [[[x] for x in row] for row in rows], common
+
+
 def _interim_sweep(
     table, prior: Prior, axioms, first_only: bool
 ) -> dict[str, CheckOutcome]:
@@ -290,9 +316,7 @@ def _interim_sweep(
         enumerate_preferences(prior.instance), axioms, first_only,
         labels=_INTERIM_LABELS, prior=prior,
     )
-    return sweep.run(
-        (agent, rows, common, None) for agent, (rows, common) in table.items()
-    )
+    return sweep.run(_RowCells(table))
 
 
 def check_obic(

@@ -405,6 +405,25 @@ class TestModeValidation:
         assert sweep == run_interim_sweep(ps, prior, mode="exhaustive")
 
 
+class TestPriorInstanceMismatch:
+    @pytest.mark.parametrize("check", (
+        check_obic, run_interim_sweep, obic_decomposition_report, rank_vector_reports,
+    ))
+    @pytest.mark.parametrize("mech_n,prior_n", ((3, 2), (2, 3)))
+    def test_prior_of_another_size_rejected(self, check, mech_n, prior_n):
+        ps = ProbabilisticSerial(Instance.default(mech_n))
+        prior = uniform_prior(Instance.default(prior_n))
+        with pytest.raises(ValueError, match=(
+            f"prior is over n={prior_n} objects, the mechanism over n={mech_n}"
+        )):
+            check(ps, prior)
+
+    def test_fraction_route_rejects_it_too(self):
+        ps = ProbabilisticSerial(Instance.default(3))
+        with pytest.raises(ValueError, match="prior is over n=2"):
+            interim_share_vector(ps, 0, (0, 1, 2), uniform_prior(Instance.default(2)))
+
+
 # ---------------------------------------------------------------------------
 # the one-pass interim rows
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from helpers import (
     MECHANISM_KINDS,
@@ -18,7 +19,12 @@ from helpers import (
 from ramkit.axioms import PAIR_AXIOMS, run_pair_sweep
 from ramkit.core import Instance, enumerate_preferences, enumerate_profiles
 from ramkit.domain import DomainTable
-from ramkit.mechanisms import ProbabilisticSerial, TabulatedMechanism
+from ramkit.mechanisms import (
+    Mechanism,
+    ProbabilisticSerial,
+    RandomPriority,
+    TabulatedMechanism,
+)
 
 AXIOM_SETS = [PAIR_AXIOMS] + [(ax,) for ax in PAIR_AXIOMS]
 
@@ -51,13 +57,14 @@ def test_first_mode_ignores_jobs():
 
 
 def _rows_at(table, index):
-    """Every agent's row at profile ``index``, read through ``table.cell``."""
+    """Every agent's row at profile ``index``, read as one-cell columns."""
     out = []
     for agent in range(table.n):
         stride = table.stride(agent)
-        r = index // stride % table.m
-        rows, common = table.cell(agent, index - r * stride)
-        out.append(tuple(Fraction(x, common) for x in rows[r]))
+        high, rest = divmod(index, table.m * stride)
+        r, low = divmod(rest, stride)
+        cols, common = table.columns(agent, high * stride + low, 1)
+        out.append(tuple(Fraction(col[0], common) for col in cols[r]))
     return tuple(out)
 
 
@@ -84,15 +91,14 @@ def test_cell_walks_one_agent_report():
     for _ in range(20):
         base = random_profile(rng, 3)
         for agent in range(3):
-            start = sum(
-                position[p] * table.stride(j)
-                for j, p in enumerate(base) if j != agent
-            )
-            rows, common = table.cell(agent, start)
+            opponents = base[:agent] + base[agent + 1:]
+            cell = sum(position[p] * 6 ** (1 - j) for j, p in enumerate(opponents))
+            assert table.opponents(cell) == opponents
+            cols, common = table.columns(agent, cell, 1)
             for r, pref in enumerate(table.prefs):
                 profile = base[:agent] + (pref,) + base[agent + 1:]
                 expected = mech.assignment(profile)[agent]
-                assert tuple(Fraction(x, common) for x in rows[r]) == expected
+                assert tuple(Fraction(col[0], common) for col in cols[r]) == expected
 
 
 @pytest.mark.parametrize("mode", ("exhaustive", "first"))
@@ -183,7 +189,7 @@ def test_one_wide_profile_widens_the_whole_table(jobs):
     mech = _huge_denominator_table(instance, seed=65, every=False)
     table = DomainTable(mech, enumerate_preferences(instance))
     table.fill(jobs)
-    assert isinstance(table.nums, list) and isinstance(table.dens, list)
+    assert isinstance(table.nums, list) and table.D > 2 ** 64
     for index, profile in enumerate(enumerate_profiles(instance)):
         assert _rows_at(table, index) == mech.assignment(profile)
     assert run_pair_sweep(mech, PAIR_AXIOMS, mode="exhaustive", jobs=jobs) == (
@@ -223,3 +229,171 @@ def test_pair_report_is_the_frozen_dataclass_report():
     ]
     with pytest.raises(dataclasses.FrozenInstanceError):
         fast.axiom = "em"
+
+
+# ---------------------------------------------------------------------------
+# report columns cut from the table
+# ---------------------------------------------------------------------------
+
+
+class CodedShares(Mechanism):
+    """Not an assignment: each numerator encodes (profile index, agent,
+    object), so a value read from the wrong place cannot match.  Profiles
+    in the upper half of the index range come over denominator 2, the rest
+    over 1, so a fill must rescale what it has stored to one D."""
+
+    def __init__(self, instance):
+        super().__init__(instance)
+        prefs = enumerate_preferences(instance)
+        self._digit = {p: k for k, p in enumerate(prefs)}
+        self._half = len(prefs) ** instance.n // 2
+
+    def scaled_assignment(self, profile):
+        self._check_length(profile)
+        n = self.instance.n
+        code = 0
+        for pref in profile:
+            code = code * len(self._digit) + self._digit[pref]
+        d = 1 + (code >= self._half)
+        base = code * n * n * d
+        return [[base + (i * n + x) * d for x in range(n)] for i in range(n)], d
+
+
+def _check_columns(table, agent, start, count):
+    """``table.columns`` over cells ``[start, start + count)`` against the
+    agent's row read profile by profile through ``scaled_assignment``."""
+    n = table.n
+    opponents = list(itertools.product(table.prefs, repeat=n - 1))
+    cols, common = table.columns(agent, start, count)
+    assert len(cols) == table.m and all(len(c) == n for c in cols)
+    for k in range(count):
+        opp = opponents[start + k]
+        assert table.opponents(start + k) == opp
+        for r, pref in enumerate(table.prefs):
+            rows, d = table.mech.scaled_assignment(opp[:agent] + (pref,) + opp[agent:])
+            assert [col[k] * d for col in cols[r]] == [x * common for x in rows[agent]]
+
+
+@pytest.mark.parametrize("dense", (True, False))
+@pytest.mark.parametrize("kind", ("coded", "ps", "sea", "table"))
+def test_columns_match_scaled_assignment_at_n3(kind, dense):
+    instance = Instance.default(3)
+    mech = CodedShares(instance) if kind == "coded" else build_mechanism(kind, 3)
+    table = DomainTable(mech, enumerate_preferences(instance))
+    if dense:
+        table.fill(1)
+    for agent in range(3):
+        _check_columns(table, agent, 0, table.cells)
+        # windows that start and end inside a run of cells sharing the
+        # agents before (runs of 6 for agent 1)
+        for start, count in ((0, 1), (5, 2), (4, 9), (13, 23), (35, 1)):
+            _check_columns(table, agent, start, count)
+
+
+def test_columns_match_scaled_assignment_at_n4():
+    instance = Instance.default(4)
+    table = DomainTable(CodedShares(instance), enumerate_preferences(instance))
+    table.fill(2)
+    assert table.D == 2
+    rng = random.Random(44)
+    for agent in range(4):
+        stride = table.stride(agent)
+        for _ in range(4):
+            start = rng.randrange(table.cells - 60)
+            _check_columns(table, agent, start, rng.randrange(1, 60))
+        # across a boundary between runs of ``stride`` cells
+        if 1 < stride < table.cells:
+            _check_columns(table, agent, 3 * stride - 5, stride + 10)
+
+
+# ---------------------------------------------------------------------------
+# mode="first": growing batches, refined cell by cell where an axiom falls
+# ---------------------------------------------------------------------------
+
+
+def _perturbed_ps(changes):
+    """PS at n=3 with agents 1 and 2 trading 1/1000 of two objects at some
+    profiles: ``(r, cell, to, frm)`` moves agent 1's share from the object
+    ``prefs[r]`` ranks ``frm``-th to the one it ranks ``to``-th (0-based),
+    where agent 1 reports ``prefs[r]`` and the others as in ``cell``."""
+    instance = Instance.default(3)
+    ps = ProbabilisticSerial(instance)
+    prefs = enumerate_preferences(instance)
+    table = {p: [list(row) for row in ps.assignment(p)] for p in enumerate_profiles(instance)}
+    eps = Fraction(1, 1000)
+    for r, cell, to, frm in changes:
+        a, b = prefs[r][to], prefs[r][frm]
+        m = table[(prefs[r], prefs[cell // 6], prefs[cell % 6])]
+        m[0][a] += eps
+        m[0][b] -= eps
+        m[1][a] -= eps
+        m[1][b] += eps
+    return TabulatedMechanism(instance, {p: tuple(map(tuple, m)) for p, m in table.items()})
+
+
+def _first_batch(mech, axiom):
+    """(agent, batch) of ``axiom``'s first violation, with agent 1's cells
+    in batches 0 | 1 | 2-3 | 4-7 | 8-15 | ..."""
+    prefs = enumerate_preferences(mech.instance)
+    first = pair_sweep_oracle(mech, (axiom,), mode="first")[axiom].violations[0]
+    opp = first.profile[:first.agent] + first.profile[first.agent + 1:]
+    cell = prefs.index(opp[0]) * 6 + prefs.index(opp[1])
+    return first.agent, cell.bit_length()
+
+
+@pytest.mark.parametrize("changes,same_batch", (
+    ([(5, 9, 2, 0)], True),  # em and ui both fail in cell 9
+    ([(0, 9, 0, 1), (5, 14, 2, 0)], True),  # ui in cell 9, em in cell 14
+    ([(0, 2, 0, 1), (5, 20, 2, 0)], False),  # ui in cell 2, em in cell 20
+))
+def test_first_mode_refines_the_batch_an_axiom_falls_in(changes, same_batch):
+    mech = _perturbed_ps(changes)
+    em, ui = _first_batch(mech, "em"), _first_batch(mech, "ui")
+    assert em[0] == ui[0] == 0
+    assert (em == ui) == same_batch
+    for axioms in (("em", "ui"), PAIR_AXIOMS):
+        expected = pair_sweep_oracle(mech, axioms, mode="first")
+        assert run_pair_sweep(mech, axioms, mode="first") == expected
+
+
+# ---------------------------------------------------------------------------
+# property: random tables with mixed and wide denominators
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def perturbed_tables(draw):
+    """PS or RP tabulated at n=2 or 3, with a few profiles mixed with a
+    random bistochastic matrix; the mixing weight's denominator is small or
+    above 2**64."""
+    n = draw(st.sampled_from((2, 3)))
+    base = draw(st.sampled_from((ProbabilisticSerial, RandomPriority)))
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    instance = Instance.default(n)
+    mech = base(instance)
+    table = {p: mech.assignment(p) for p in enumerate_profiles(instance)}
+    profiles = list(table)
+    for _ in range(draw(st.integers(0, 4))):
+        profile = rng.choice(profiles)
+        if draw(st.booleans()):
+            w = Fraction(rng.randrange(1, 2 ** 70), 2 ** 70 + rng.randrange(1, 2 ** 40))
+        else:
+            w = Fraction(rng.randrange(1, 7), 7)
+        other = random_bistochastic(rng, n)
+        table[profile] = tuple(
+            tuple(w * x + (1 - w) * y for x, y in zip(row, orow))
+            for row, orow in zip(table[profile], other)
+        )
+    return TabulatedMechanism(instance, table)
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    mech=perturbed_tables(),
+    axioms=st.sampled_from(AXIOM_SETS),
+    mode=st.sampled_from(("exhaustive", "first")),
+    jobs=st.sampled_from((1, 2)),
+)
+def test_random_tables_match_oracle(mech, axioms, mode, jobs):
+    expected = pair_sweep_oracle(mech, axioms, mode=mode)
+    assert run_pair_sweep(mech, axioms, mode=mode, jobs=jobs) == expected
