@@ -81,6 +81,6 @@ from .interim import (
     sample_prior_in_ball,
     uniform_prior,
 )
-from .reports import CheckOutcome, ViolationReport
+from .reports import CheckOutcome, ViolationReport, Violations
 
 __version__ = "0.1.0"

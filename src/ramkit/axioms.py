@@ -31,11 +31,17 @@ sweeps the batch in which an axiom first fails again cell by cell, so
 its early exit and counters are those of a cell-by-cell sweep.
 :func:`_replay_pair` is the one replay comparison for both families;
 interim replay feeds it Fraction rows only.
+
+The pair checks return their violations as integer records: a
+:class:`~ramkit.reports.Violations` is a tuple-like sequence that builds
+a ViolationReport when indexed or iterated and renders its lines straight
+from the records.
 """
 
 from __future__ import annotations
 
 import itertools
+from array import array
 from fractions import Fraction
 from operator import add, ge, gt, lt, mul, ne
 from typing import Iterable, Optional
@@ -59,9 +65,9 @@ from .core import (
     validate_assignment,
 )
 from .decomp import _improvement_cycle, birkhoff_decompose
-from .domain import DomainTable
+from .domain import DomainTable, _pack
 from .mechanisms import Mechanism
-from .reports import CheckOutcome, ViolationReport, pair_report
+from .reports import CheckOutcome, PairBatch, ViolationReport, Violations
 from .simplex import solve_max
 
 PAIR_AXIOMS = ("sp", "weak-sp", "em", "ui", "li")
@@ -157,7 +163,8 @@ class _PairSweep:
     interim rows a single cell) and cuts batches of consecutive cells as
     columns: ``columns(agent, start, count)`` returns ``(cols, common)``
     with ``cols[r][x][k]`` the agent's numerator of object ``x`` under
-    report ``prefs[r]`` in cell ``start + k``, all over ``common``.  Its
+    report ``prefs[r]`` in cell ``start + k``, all over ``common``.  Cells
+    are numbered as in :class:`~ramkit.domain.DomainTable`, whose
     ``opponents(cell)`` gives the cell's opponent reports; a source whose
     ``opponents`` is None (interim rows) makes reports with ``truth=`` and
     ``prior=`` instead of ``profile=``.  ``labels`` (see
@@ -167,10 +174,13 @@ class _PairSweep:
     pair, for each swap pair; sp and weak-sp per prefix, for each ordered
     report pair) first compares two whole columns; only columns that
     differ are scanned for the cells that fail.  The failing cells of a
-    slot form one group.  At the end of the batch the groups become
-    reports, with interned Fractions and one profile per (cell, report),
-    ordered by an integer key that orders like (cell, report pair, slot):
-    the order in which a cell-by-cell sweep records them.
+    slot form one group.  At the end of the batch each axiom's groups
+    become one :class:`~ramkit.reports.PairBatch` of integer arrays (cells,
+    numerators, ranks), with an ``order`` sorted by an integer key that
+    orders like (cell, report pair, slot): the order in which a
+    cell-by-cell sweep finds them.  No ViolationReport is built; each
+    outcome's ``violations`` is a :class:`~ramkit.reports.Violations` over
+    its batches, which builds a report only when one is read.
 
     Exhaustive sweeps take one batch per agent.  With ``first_only`` the
     batches grow (1, 1, 2, 4, ... cells, up to :data:`_FIRST_BATCH_CAP`); a
@@ -191,12 +201,11 @@ class _PairSweep:
         self.first_only = first_only
         self.labels = labels
         self.prior = prior
-        self.found: dict[str, list[ViolationReport]] = {ax: [] for ax in axioms}
+        self.found: dict[str, list[PairBatch]] = {ax: [] for ax in axioms}
         self.live = set(axioms)  # axioms still being checked
         self.rows_read = 0
         self.comparisons = 0
         self._pairs = _swap_pairs(prefs)
-        self._values: dict[int, _Fractions] = {}  # by denominator
         self._singles = tuple((x,) for x in range(n))  # objects=(x,)
 
     def run(self, source) -> dict[str, CheckOutcome]:
@@ -209,16 +218,22 @@ class _PairSweep:
                 self._batch(source, agent, 0, source.cells)
             if not self.live:
                 break
-        return {
-            self.labels[ax][0]: CheckOutcome(
-                axiom=self.labels[ax][0],
-                satisfied=not found,
-                violations=tuple(found[:1] if self.first_only else found),
+        outcomes = {}
+        for ax, batches in self.found.items():
+            if self.first_only and batches:  # keep the first violation
+                batches = [batches[0]._replace(order=batches[0].order[:1])]
+            name = self.labels[ax][0]
+            outcomes[name] = CheckOutcome(
+                axiom=name,
+                satisfied=not batches,
+                violations=Violations(
+                    name, self.prefs, batches,
+                    ex_post=source.opponents is not None, prior=self.prior,
+                ),
                 profiles_checked=self.rows_read,
                 comparisons=self.comparisons,
             )
-            for ax, found in self.found.items()
-        }
+        return outcomes
 
     def _first_batches(self, source, agent: int) -> None:
         """``agent``'s cells in batches as large as all cells before them
@@ -244,18 +259,17 @@ class _PairSweep:
         groups: dict[str, list] = {ax: [] for ax in self.live}
         comparisons = 0
         for compare in (self._compare_fosd, self._compare_swaps):
-            made = compare(cols, count, groups)
+            made = compare(cols, start, count, groups)
             if made is None:
                 return False
             comparisons += made
-        del cols  # the groups hold their values; free the batch before reporting
+        del cols  # the groups hold their values; free the batch before recording
         self.comparisons += comparisons
         self.rows_read += count * self.m
-        shared: list[dict[int, Profile]] = [{} for _ in range(self.m)]  # by report
         for ax, found in groups.items():
             if found:
                 modulus = self.m ** 2 if ax in _FOSD_AXIOMS else len(self._pairs) * self.n
-                self._record(ax, found, modulus, source, agent, start, common, shared)
+                self._record(ax, found, modulus, agent, common)
         return True
 
     def _settle(self, groups: dict, axioms: tuple[str, ...], K: int) -> bool:
@@ -269,10 +283,11 @@ class _PairSweep:
                 self.live.discard(ax)
         return True
 
-    def _compare_fosd(self, cols, K: int, groups: dict) -> Optional[int]:
+    def _compare_fosd(self, cols, start: int, K: int, groups: dict) -> Optional[int]:
         """sp and weak-sp, per ordered report pair (truth ``t``, deviation
-        ``v``), on prefix columns along the truth's order; the number of
-        comparisons, or None when a probe found a violation."""
+        ``v``), on prefix columns along the truth's order, over cells
+        ``[start, start + K)``; the number of comparisons, or None when a
+        probe found a violation."""
         live, labels = self.live, self.labels
         if "sp" not in live and "weak-sp" not in live:
             return 0
@@ -298,7 +313,9 @@ class _PairSweep:
                     continue
                 failing = [(k, j + 1, mine[j][k], theirs[j][k]) for k, j in ranks.items()]
                 if sp:
-                    groups["sp"].append(_fosd_group(t, v, m, "<", labels["sp"][1], failing))
+                    groups["sp"].append(_fosd_group(
+                        t, v, m, "<", labels["sp"][1], start, failing,
+                    ))
                 if weak:
                     dominated = [
                         (k, rank, rhs, lhs) for k, rank, lhs, rhs in failing
@@ -306,19 +323,19 @@ class _PairSweep:
                     ]
                     if dominated:
                         groups["weak-sp"].append(_fosd_group(
-                            t, v, m, ">", labels["weak-sp"][1], dominated,
+                            t, v, m, ">", labels["weak-sp"][1], start, dominated,
                         ))
                 if self.first_only and not self._settle(groups, _FOSD_AXIOMS, K):
                     return None
         return comparisons
 
-    def _compare_swaps(self, cols, K: int, groups: dict) -> Optional[int]:
-        """em, ui and li, per adjacent-swap pair of reports; the number of
-        comparisons, or None when a probe found a violation."""
+    def _compare_swaps(self, cols, start: int, K: int, groups: dict) -> Optional[int]:
+        """em, ui and li, per adjacent-swap pair of reports, over cells
+        ``[start, start + K)``; the number of comparisons, or None when a
+        probe found a violation."""
         live, labels = self.live, self.labels
         em, ui, li = "em" in live, "ui" in live, "li" in live
-        cells = range(K)
-        none = itertools.repeat(None)
+        cells = range(start, start + K)
         comparisons = 0
         for p, (r, s, info, above, below) in enumerate(self._pairs):
             if not (em or ui or li):
@@ -341,13 +358,14 @@ class _PairSweep:
                 for slot, x, op, relation, detail in slots:
                     if new[x] == old[x]:
                         continue
-                    failing = list(itertools.compress(cells, map(op, new[x], old[x])))
+                    mask = list(map(op, new[x], old[x]))
+                    failing = array("q", itertools.compress(cells, mask))
                     if failing:
                         groups[ax].append((
                             p * self.n + slot, r, s, info, self._singles[x], relation,
-                            detail, failing, none,
-                            list(map(new[x].__getitem__, failing)),
-                            list(map(old[x].__getitem__, failing)),
+                            detail, failing, None,
+                            _pack(list(itertools.compress(new[x], mask))),
+                            _pack(list(itertools.compress(old[x], mask))),
                         ))
             if self.first_only:
                 if not self._settle(groups, ("em", "ui", "li"), K):
@@ -355,66 +373,39 @@ class _PairSweep:
                 em, ui, li = "em" in live, "ui" in live, "li" in live
         return comparisons
 
-    def _record(
-        self, ax, groups, modulus, source, agent, start, common, shared
-    ) -> None:
-        """Append the reports of a batch's violation groups of ``ax``.
+    def _record(self, ax, groups, modulus, agent, common) -> None:
+        """Append a batch's violation groups of ``ax`` as one record.
 
         A group is ``(offset, r, s, swap, objects, relation, detail, cells,
-        ranks, lhs, rhs)``: cells (relative to ``start``) failing the slot
-        ``offset`` of the move from report ``prefs[r]`` to ``prefs[s]``,
-        with per-cell iterables of rank and numerators.  A report's key
-        ``cell * modulus + offset`` orders like (cell, report pair, slot),
-        so the reports are appended in key order.  Ex-post reports of one
-        cell and report share one profile, through ``shared``.
+        ranks, lhs, rhs)``: the cells failing the slot ``offset`` of the
+        move from report ``prefs[r]`` to ``prefs[s]``, with per-cell arrays
+        of rank (or None) and numerators.  An entry's key ``cell * modulus
+        + offset`` orders like (cell, report pair, slot), the order in
+        which a cell-by-cell sweep finds them.
         """
-        prefs, prior = self.prefs, self.prior
-        name = self.labels[ax][0]
-        values = self._values.get(common)
-        if values is None:
-            values = self._values[common] = _Fractions(common)
-        opponents = source.opponents
         repeat = itertools.repeat
         keys: list[int] = []
-        reports: list[ViolationReport] = []
-        for offset, r, s, info, objects, relation, detail, cells, ranks, lhs, rhs in groups:
+        starts = [0]
+        for offset, *_, cells, _ranks, _lhs, _rhs in groups:
             keys.extend(map(add, map(mul, cells, repeat(modulus)), repeat(offset)))
-            if opponents is None:
-                profiles, truths = repeat(None), repeat(prefs[r])
-            else:
-                have = shared[r]
-                for k in cells:
-                    if k not in have:
-                        opp = opponents(start + k)
-                        have[k] = opp[:agent] + (prefs[r],) + opp[agent:]
-                profiles, truths = map(have.__getitem__, cells), repeat(None)
-            reports.extend(map(
-                pair_report, repeat(name), repeat(agent), profiles, truths,
-                repeat(prefs[s]), repeat(info), repeat(objects), ranks,
-                map(values.__getitem__, lhs), map(values.__getitem__, rhs),
-                repeat(relation), repeat(prior), repeat(detail),
-            ))
-        order = sorted(range(len(keys)), key=keys.__getitem__)
-        self.found[ax].extend(map(reports.__getitem__, order))
+            starts.append(len(keys))
+        order = array("q", sorted(range(len(keys)), key=keys.__getitem__))
+        records = [group[1:] for group in groups]
+        self.found[ax].append(PairBatch(agent, common, records, starts, order))
 
 
-def _fosd_group(t: int, v: int, m: int, relation: str, detail: str, failing) -> tuple:
+def _fosd_group(
+    t: int, v: int, m: int, relation: str, detail: str, start: int, failing
+) -> tuple:
     """A :meth:`_PairSweep._record` group of sp or weak-sp violations of the
-    move from report ``t`` to ``v``, from ``(cell, rank, lhs, rhs)`` rows."""
+    move from report ``t`` to ``v``, from ``(cell, rank, lhs, rhs)`` rows
+    with cells relative to ``start``."""
     cells, ranks, lhs, rhs = zip(*failing)
-    return (t * m + v, t, v, None, (), relation, detail, cells, ranks, lhs, rhs)
-
-
-class _Fractions(dict):
-    """Interned ``Fraction(v, d)`` by numerator ``v`` over one ``d``."""
-
-    def __init__(self, d: int):
-        super().__init__()
-        self.d = d
-
-    def __missing__(self, v: int) -> Fraction:
-        f = self[v] = Fraction(v, self.d)
-        return f
+    return (
+        t * m + v, t, v, None, (), relation, detail,
+        array("q", [start + k for k in cells]), array("q", ranks),
+        _pack(list(lhs)), _pack(list(rhs)),
+    )
 
 
 def run_pair_sweep(

@@ -32,7 +32,7 @@ from .formats import (
     assignment_records,
     assignment_table,
     decomposition_lines,
-    outcome_lines,
+    outcome_chunks,
     parse_prior_file,
     parse_profile_file,
     parse_speed_file,
@@ -117,7 +117,25 @@ def _instance_from_args(args) -> Instance:
 
 
 def _emit(lines) -> None:
-    sys.stdout.write("\n".join(lines) + "\n")
+    _stream([lines])
+
+
+def _stream(chunks) -> None:
+    """Write each chunk of lines to stdout as it comes.  A reader that
+    closes the pipe early ends the output quietly; the exit status still
+    reports the verdict."""
+    out = sys.stdout
+    try:
+        for lines in chunks:
+            out.write("\n".join(lines))
+            out.write("\n")
+        out.flush()
+    except BrokenPipeError:
+        # send what is still buffered nowhere, so the flush at exit cannot fail
+        try:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), out.fileno())
+        except (OSError, ValueError):  # stdout has no file descriptor
+            pass
 
 
 def cmd_eval(args) -> int:
@@ -137,13 +155,15 @@ def cmd_eval(args) -> int:
 
 
 def cmd_check(args) -> int:
+    if args.jobs < 1:
+        raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
     instance = _instance_from_args(args)
     # every check reads each profile at most once, so a memo would only grow
     mech = build_mechanism(args.mechanism, instance, cache=False)
     outcome = run_axiom_check(
         mech, args.axiom, mode=args.mode, jobs=args.jobs, max_n=args.max_n
     )
-    _emit(outcome_lines(instance, outcome, machine=args.format == "machine"))
+    _stream(outcome_chunks(instance, outcome, machine=args.format == "machine"))
     return 0 if outcome.satisfied else 1
 
 
@@ -154,10 +174,11 @@ def cmd_obic(args) -> int:
     prior = build_prior(args.prior, instance)
     report = obic_decomposition_report(mech, prior, max_n=args.max_n)
     machine = args.format == "machine"
-    lines = []
-    for outcome in (report.obic, report.interim_em, report.interim_ui, report.interim_li):
-        lines.extend(outcome_lines(instance, outcome, machine=machine))
-    _emit(lines)
+    _stream(
+        chunk
+        for outcome in (report.obic, report.interim_em, report.interim_ui, report.interim_li)
+        for chunk in outcome_chunks(instance, outcome, machine=machine)
+    )
     return 0 if report.obic.satisfied else 1
 
 
@@ -330,9 +351,10 @@ def make_parser() -> argparse.ArgumentParser:
                         "(default: exhaustive for n<=3, first above)")
     p.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
                    help="worker processes that build the domain table of an "
-                        "exhaustive pair-axiom sweep; the comparisons run in "
-                        "the main process; mode=first, the default for n>3, "
-                        "always runs serially")
+                        "exhaustive pair-axiom sweep, at least 1 and at most "
+                        "the CPU count; the comparisons run in the main "
+                        "process; mode=first, the default for n>3, always "
+                        "runs serially")
     common(p, need_n=True)
     p.set_defaults(func=cmd_check)
 

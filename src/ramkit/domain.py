@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
 from array import array
 from concurrent.futures import ProcessPoolExecutor
 from typing import Optional, Sequence, Union
@@ -64,6 +65,17 @@ def _pack(values: list[int]) -> Store:
         return array("q", values)
     except OverflowError:
         return values
+
+
+def reports_at(prefs: Sequence[Preference], count: int, index: int) -> Profile:
+    """The ``count`` reports whose mixed-radix index over ``prefs`` is
+    ``index``, the first report most significant: a profile for ``count =
+    n``, a cell's opponents for ``count = n - 1``."""
+    digits = []
+    for _ in range(count):
+        index, d = divmod(index, len(prefs))
+        digits.append(prefs[d])
+    return tuple(reversed(digits))
 
 
 def _evaluate(mech: Mechanism, profile: Profile) -> tuple[tuple[int, ...], int]:
@@ -137,7 +149,6 @@ class DomainTable:
         self.nums: Optional[Store] = None
         self.D: Optional[int] = None
         self._lazy: dict[int, tuple[tuple[int, ...], int]] = {}
-        self._opponents: Optional[list[Profile]] = None
 
     # -- indexing ----------------------------------------------------------
 
@@ -146,17 +157,11 @@ class DomainTable:
         return self.m ** (self.n - 1 - agent)
 
     def profile(self, index: int) -> Profile:
-        digits = []
-        for _ in range(self.n):
-            index, d = divmod(index, self.m)
-            digits.append(self.prefs[d])
-        return tuple(reversed(digits))
+        return reports_at(self.prefs, self.n, index)
 
     def opponents(self, cell: int) -> Profile:
         """The opponents' reports of cell ``cell``, in agent order."""
-        if self._opponents is not None:
-            return self._opponents[cell]
-        return self.profile(cell)[1:]
+        return reports_at(self.prefs, self.n - 1, cell)
 
     # -- filling -----------------------------------------------------------
 
@@ -180,11 +185,12 @@ class DomainTable:
 
     def fill(self, jobs: int = 1) -> None:
         """Evaluate every profile into dense storage, by index range on up to
-        ``jobs`` worker processes; in this process when ``jobs <= 1``."""
+        ``jobs`` worker processes, never more than the CPU count; in this
+        process when ``jobs <= 1``."""
         self.nums = array("q", [0]) * (self.size * self._nn)
         self.D = None
         self._lazy.clear()
-        self._opponents = list(itertools.product(self.prefs, repeat=self.n - 1))
+        jobs = min(jobs, os.cpu_count() or 1)
         tasks = min(self.size, max(jobs, 1) * _TASKS_PER_WORKER)
         step = -(-self.size // tasks)
         bounds = [(lo, min(lo + step, self.size)) for lo in range(0, self.size, step)]

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterator
 
 from .core import (
     AssignmentMatrix,
@@ -35,7 +35,7 @@ from .core import (
 from .decomp import Decomposition
 from .interim import Prior
 from .mechanisms import EatingSpeedSchedule, TabulatedMechanism
-from .reports import CheckOutcome, render_reports
+from .reports import CheckOutcome, Violations, render_reports
 
 _PIECE = re.compile(r"^\[([^,\]]+),([^)\]]+)\):(\S+)$")
 
@@ -324,21 +324,39 @@ def decomposition_lines(instance: Instance, decomposition: Decomposition) -> lis
     return out
 
 
+def outcome_chunks(
+    instance: Instance, outcome: CheckOutcome, *, machine: bool
+) -> Iterator[list[str]]:
+    """The lines of :func:`outcome_lines` in pieces: the head line, then the
+    violations, a :class:`~ramkit.reports.Violations` one batch at a time
+    from its records."""
+    violations = outcome.violations
+    if machine:
+        prefix = "violation "
+        yield [
+            f"check axiom={outcome.axiom} verdict={outcome.verdict} "
+            f"violations={len(violations)} "
+            f"evaluations={outcome.profiles_checked} "
+            f"comparisons={outcome.comparisons}"
+        ]
+    else:
+        prefix = "  "
+        yield [
+            f"{outcome.axiom}: {outcome.verdict.upper()}  "
+            f"[{len(violations)} violation(s); "
+            f"{outcome.profiles_checked} evaluations, "
+            f"{outcome.comparisons} comparisons]"
+        ]
+    if isinstance(violations, Violations):
+        yield from violations.render(instance, prefix)
+    elif violations:
+        yield render_reports(instance, violations, prefix)
+
+
 def outcome_lines(
     instance: Instance, outcome: CheckOutcome, *, machine: bool
 ) -> list[str]:
-    if machine:
-        head = (
-            f"check axiom={outcome.axiom} verdict={outcome.verdict} "
-            f"violations={len(outcome.violations)} "
-            f"evaluations={outcome.profiles_checked} "
-            f"comparisons={outcome.comparisons}"
-        )
-        return [head] + render_reports(instance, outcome.violations, "violation ")
-    head = (
-        f"{outcome.axiom}: {outcome.verdict.upper()}  "
-        f"[{len(outcome.violations)} violation(s); "
-        f"{outcome.profiles_checked} evaluations, "
-        f"{outcome.comparisons} comparisons]"
-    )
-    return [head] + render_reports(instance, outcome.violations, "  ")
+    lines: list[str] = []
+    for chunk in outcome_chunks(instance, outcome, machine=machine):
+        lines += chunk
+    return lines

@@ -4,13 +4,22 @@ A ViolationReport carries every input needed to replay the failed
 comparison (agent, profile or report pair, swap, permutation, prior) plus
 the exact left/right values observed, so any report can be re-verified
 against the mechanism from scratch.
+
+A pair sweep can find hundreds of thousands of violations, so it keeps
+them as packed integer records instead: a :class:`Violations` sequence,
+which builds a ViolationReport only when one is read and renders its lines
+straight from the records.
 """
 
 from __future__ import annotations
 
+import itertools
+import operator
+from bisect import bisect_right
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
+from typing import Iterator, NamedTuple, Optional
 
 from .core import (
     Instance,
@@ -18,21 +27,19 @@ from .core import (
     Preference,
     Profile,
     SwapInfo,
+    insert_report,
 )
+from .domain import reports_at
 
 
 class _Names:
     """Display strings of one instance, each built once while a batch of
-    reports renders: a pair sweep's reports share a few preferences, swaps
-    and values among hundreds of thousands of violations."""
+    reports renders."""
 
     def __init__(self, instance: Instance):
         self.objects = instance.object_names
         self._prefs: dict[Preference, str] = {}
         self._profiles: dict[Profile, str] = {}
-        # keyed by id(), since hashing a Fraction is slow; each entry holds
-        # its value, so an id is not reused while the memo lives
-        self._values: dict[int, tuple[Fraction, str]] = {}
         self._swaps: dict[SwapInfo, str] = {}
         self._lists: dict[tuple[int, ...], str] = {}
 
@@ -47,12 +54,6 @@ class _Names:
         if s is None:
             s = self._profiles[profile] = "|".join(self.pref(p) for p in profile)
         return s
-
-    def value(self, value: Fraction) -> str:
-        hit = self._values.get(id(value))
-        if hit is None:
-            hit = self._values[id(value)] = (value, str(value))
-        return hit[1]
 
     def object_list(self, objects: tuple[int, ...]) -> str:
         s = self._lists.get(objects)
@@ -127,55 +128,10 @@ class ViolationReport:
         if self.rank is not None:
             bits.append(f"prefix={self.rank}")
         if self.lhs is not None and self.rhs is not None:
-            bits.append(
-                "violated=" + names.value(self.lhs) + self.relation + names.value(self.rhs)
-            )
+            bits.append(f"violated={self.lhs}{self.relation}{self.rhs}")
         if self.detail:
             bits.append(self.detail)
         return " ".join(bits)
-
-
-class _Unfrozen:
-    """ViolationReport's slots without its frozen ``__setattr__``."""
-
-    __slots__ = ViolationReport.__slots__
-
-
-def pair_report(
-    axiom: str, agent: int, profile: Optional[Profile], truth: Optional[Preference],
-    deviation: Preference, swap: Optional[SwapInfo], objects: tuple[int, ...],
-    rank: Optional[int], lhs: Fraction, rhs: Fraction, relation: str,
-    prior: object, detail: str,
-) -> ViolationReport:
-    """The report ``ViolationReport(axiom=axiom, agent=agent, ...)`` of a
-    report-pair violation, ex-post (``profile``) or interim (``truth`` and
-    ``prior``); the other fields keep their defaults.
-
-    A pair sweep can record hundreds of thousands of these, and the frozen
-    dataclass ``__init__`` makes one ``object.__setattr__`` call per field,
-    about six times the cost of plain slot stores.  So the fields are
-    stored on an instance with the same slots, which then becomes a
-    ViolationReport.
-    """
-    r = _Unfrozen()
-    r.axiom = axiom
-    r.agent = agent
-    r.agent2 = None
-    r.profile = profile
-    r.truth = truth
-    r.deviation = deviation
-    r.swap = swap
-    r.sigma = None
-    r.objects = objects
-    r.component = None
-    r.rank = rank
-    r.lhs = lhs
-    r.rhs = rhs
-    r.relation = relation
-    r.prior = prior
-    r.detail = detail
-    r.__class__ = ViolationReport
-    return r
 
 
 def render_reports(instance: Instance, reports, prefix: str = "") -> list[str]:
@@ -185,9 +141,182 @@ def render_reports(instance: Instance, reports, prefix: str = "") -> list[str]:
     return [prefix + report._render(names) for report in reports]
 
 
+class PairBatch(NamedTuple):
+    """The violations of one pair axiom in one batch of the pair kernel.
+
+    A group is ``(r, s, swap, objects, relation, detail, cells, ranks, lhs,
+    rhs)``: the move from report ``prefs[r]`` to ``prefs[s]`` failed one
+    comparison slot in each of ``cells``, with ``lhs`` and ``rhs`` the
+    numerators over ``common`` and, for sp and weak-sp, ``ranks`` the
+    prefix of each failure (None otherwise).  The per-cell fields are
+    integer arrays, or lists of Python ints where a value exceeds 64 bits.
+    Entry ``k`` of the batch is entry ``k - starts[g]`` of the group ``g``
+    with ``starts[g] <= k < starts[g + 1]``; ``order`` lists the entries in
+    sweep order.
+    """
+
+    agent: int
+    common: int
+    groups: list
+    starts: list
+    order: Sequence
+
+
+#: Most lines in one list given out by :meth:`Violations.render`.
+_CHUNK_LINES = 8192
+
+
+class _ValueStrings(dict):
+    """``str(Fraction(v, d))`` by numerator ``v`` over one ``d``."""
+
+    def __init__(self, d: int):
+        super().__init__()
+        self.d = d
+
+    def __missing__(self, v: int) -> str:
+        s = self[v] = str(Fraction(v, self.d))
+        return s
+
+
+class Violations(Sequence):
+    """The violations of one pair axiom, held as :class:`PairBatch` records.
+
+    It behaves like the tuple of its reports: ``len``, iteration, an index
+    (a ViolationReport built on the spot), a slice (a tuple of reports),
+    ``==`` against such a tuple and its hash.  Ex-post records name a cell
+    of :mod:`ramkit.domain`, numbered in lexicographic order of its
+    opponents' reports, and their reports carry ``profile=``; interim
+    records carry ``truth=`` and ``prior=`` instead.
+    """
+
+    __slots__ = ("axiom", "prefs", "prior", "ex_post", "_batches", "_ends")
+
+    def __init__(self, axiom: str, prefs: list[Preference], batches: list[PairBatch],
+                 *, ex_post: bool, prior: object = None):
+        self.axiom = axiom
+        self.prefs = prefs
+        self.prior = prior
+        self.ex_post = ex_post
+        self._batches = batches
+        self._ends = list(itertools.accumulate(len(b.order) for b in batches))
+
+    def __len__(self) -> int:
+        return self._ends[-1] if self._ends else 0
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return tuple(map(self.__getitem__, range(*index.indices(len(self)))))
+        size = len(self)
+        i = operator.index(index)
+        if i < 0:
+            i += size
+        if not 0 <= i < size:
+            raise IndexError("violation index out of range")
+        b = bisect_right(self._ends, i)
+        batch = self._batches[b]
+        return self._report(batch, batch.order[i - (self._ends[b - 1] if b else 0)])
+
+    def __iter__(self) -> Iterator[ViolationReport]:
+        for batch in self._batches:
+            for k in batch.order:
+                yield self._report(batch, k)
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, Violations):
+            other = tuple(other)
+        if not isinstance(other, tuple):
+            return NotImplemented
+        return len(other) == len(self) and all(map(operator.eq, self, other))
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return f"<Violations axiom={self.axiom} reports={len(self)}>"
+
+    def _report(self, batch: PairBatch, k: int) -> ViolationReport:
+        g = bisect_right(batch.starts, k) - 1
+        r, s, swap, objects, relation, detail, cells, ranks, lhs, rhs = batch.groups[g]
+        at = k - batch.starts[g]
+        prefs, agent = self.prefs, batch.agent
+        profile = truth = None
+        if self.ex_post:
+            opponents = reports_at(prefs, len(prefs[0]) - 1, cells[at])
+            profile = insert_report(opponents, agent, prefs[r])
+        else:
+            truth = prefs[r]
+        return ViolationReport(
+            axiom=self.axiom, agent=agent, profile=profile, truth=truth,
+            deviation=prefs[s], swap=swap, objects=objects,
+            rank=None if ranks is None else ranks[at],
+            lhs=Fraction(lhs[at], batch.common), rhs=Fraction(rhs[at], batch.common),
+            relation=relation, prior=self.prior, detail=detail,
+        )
+
+    def render(self, instance: Instance, prefix: str = "") -> Iterator[list[str]]:
+        """``prefix + report.render(instance)`` for each report, built from
+        the records a batch at a time and given out in lists of at most
+        :data:`_CHUNK_LINES` lines, so a writer joins only that many.
+
+        A value string is built once per numerator and denominator.  The
+        profile of an ex-post cell is the string of the agents before the
+        reporting one, then her report, then the agents after; the strings
+        of every j opponents are built once, for all ``m**j`` index values.
+        """
+        names = _Names(instance)
+        prefs = self.prefs
+        m, n = len(prefs), len(prefs[0])
+        P = [names.pref(p) for p in prefs]
+        opponents: dict[int, list[str]] = {}  # by number of agents
+        values: dict[int, _ValueStrings] = {}  # by denominator
+        rank_strings = {rank: f"{rank} violated=" for rank in range(1, n + 1)}
+        for batch in self._batches:
+            agent = batch.agent
+            V = values.setdefault(batch.common, _ValueStrings(batch.common))
+            if self.ex_post:
+                for j in (agent, n - 1 - agent):
+                    if j not in opponents:
+                        opponents[j] = ["|".join(t) for t in itertools.product(P, repeat=j)]
+                before = [x + "|" for x in opponents[agent]] if agent else [""]
+                after = ["|" + x for x in opponents[n - 1 - agent]] if agent < n - 1 else [""]
+                head = f"{prefix}{self.axiom} agent={agent + 1} profile="
+                step = m ** (n - 1 - agent)
+            else:  # one cell, 0
+                before = after = [""]
+                head = f"{prefix}{self.axiom} agent={agent + 1} truth="
+                step = 1
+            lines: list[str] = []
+            for r, s, swap, objects, relation, detail, cells, ranks, lhs, rhs in batch.groups:
+                mid = f" deviation={P[s]}"
+                if swap is not None:
+                    mid += " " + names.swap(swap)
+                if objects:
+                    mid += " objects=" + names.object_list(objects)
+                if ranks is None:
+                    mid += " violated="
+                    ranks = itertools.repeat("")
+                else:
+                    mid += " prefix="
+                    ranks = map(rank_strings.__getitem__, ranks)
+                tail = " " + detail if detail else ""
+                truth = P[r]
+                lines += [
+                    f"{head}{before[c // step]}{truth}{after[c % step]}{mid}{rank}"
+                    f"{V[x]}{relation}{V[y]}{tail}"
+                    for c, rank, x, y in zip(cells, ranks, lhs, rhs)
+                ]
+            lines = list(map(lines.__getitem__, batch.order))
+            for at in range(0, len(lines), _CHUNK_LINES):
+                yield lines[at: at + _CHUNK_LINES]
+
+
 @dataclass(frozen=True)
 class CheckOutcome:
     """Verdict of one axiom sweep.
+
+    ``violations`` is a sequence of ViolationReports: a tuple, or for the
+    ex-post and interim pair checks a :class:`Violations` of integer
+    records that behaves like one.
 
     ``profiles_checked`` counts assignment rows read by the sweep, not
     distinct mechanism evaluations: a pair sweep reads each profile once per
@@ -198,7 +327,7 @@ class CheckOutcome:
 
     axiom: str
     satisfied: bool
-    violations: tuple[ViolationReport, ...] = field(default_factory=tuple)
+    violations: Sequence[ViolationReport] = field(default_factory=tuple)
     profiles_checked: int = 0
     comparisons: int = 0
 

@@ -100,6 +100,26 @@ def random_table(instance, seed):
     })
 
 
+def huge_denominator_table(instance, seed, every=True):
+    """Random bistochastic tables; with ``every`` each matrix, otherwise only
+    the first profile's, is mixed with a weight whose denominator exceeds
+    2**64, so shares and numerators do not fit in 64 bits."""
+    rng = random.Random(seed)
+    n = instance.n
+    table = {}
+    for k, profile in enumerate(enumerate_profiles(instance)):
+        matrix = random_bistochastic(rng, n)
+        if every or k == 0:
+            w = Fraction(rng.randrange(1, 2 ** 70), 2 ** 70 + rng.randrange(1, 2 ** 40))
+            other = random_bistochastic(rng, n)
+            matrix = tuple(
+                tuple(w * x + (1 - w) * y for x, y in zip(row, orow))
+                for row, orow in zip(matrix, other)
+            )
+        table[profile] = matrix
+    return TabulatedMechanism(instance, table)
+
+
 def build_mechanism(kind, n):
     """One mechanism of each kind in :data:`MECHANISM_KINDS`, without memo."""
     instance = Instance.default(n)

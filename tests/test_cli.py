@@ -1,9 +1,15 @@
 import io
+import os
+import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 
+import ramkit
+from helpers import huge_denominator_table
+from ramkit import domain
 from ramkit.cli import main
 from ramkit.formats import parse_prior_file, render_speed_file, render_table_file
 from ramkit.mechanisms import EatingSpeedSchedule, tabulate
@@ -246,3 +252,119 @@ class TestUsage:
         with pytest.raises(SystemExit) as err:
             run_cli("check", "--axiom", "nope", "--mechanism", "ps", "--n", "3")
         assert err.value.code == 2
+
+
+class TestJobs:
+    @pytest.mark.parametrize("jobs", ("0", "-1"))
+    def test_jobs_below_one_exits_2(self, jobs):
+        code, out, err = run_cli(
+            "check", "--axiom", "em", "--mechanism", "ps", "--n", "3", "--jobs", jobs,
+        )
+        assert code == 2 and out == ""
+        assert "--jobs must be at least 1" in err
+
+    @pytest.mark.parametrize("cpus, jobs, started", (
+        (3, "500", [3]), (8, "2", [2]), (None, "500", []), (1, "4", []),
+    ))
+    def test_fill_pool_never_exceeds_cpu_count(self, monkeypatch, cpus, jobs, started):
+        """A stand-in pool records the workers a fill asks for and runs the
+        tasks in this process; no process is started."""
+        asked = []
+
+        class RecordingPool:
+            def __init__(self, max_workers, initializer, initargs):
+                asked.append(max_workers)
+                initializer(*initargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        args = ("check", "--axiom", "em", "--mechanism", "ps", "--n", "3",
+                "--mode", "exhaustive", "--format", "machine")
+        _, serial, _ = run_cli(*args, "--jobs", "1")
+        monkeypatch.setattr(domain, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(domain, "_worker_job", None)
+        monkeypatch.setattr(domain.os, "cpu_count", lambda: cpus)
+        code, out, _ = run_cli(*args, "--jobs", jobs)
+        assert asked == started
+        assert code == 0 and out == serial
+
+
+def _ram(*argv):
+    """Command line of ``ram`` run from this checkout's sources."""
+    return [sys.executable, "-m", "ramkit.cli", *argv]
+
+
+def _env():
+    src = str(Path(ramkit.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    return dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+
+
+#: sha256 of ``ram check --axiom li --mechanism ps --n 4 --mode exhaustive
+#: --format machine``: 457,632 violation lines, 72,693,882 bytes.
+LI_PS4_SHA256 = "67a8a68fda89b54b8d60a24b44d2e24351df4e9324ff80a8477bdd09c562c216"
+
+#: Runs argv[1:] as its one child and prints that child's exit code, the
+#: sha256 of its stdout and its max RSS in KiB (the largest of it and the
+#: pool workers it waited for).
+_MEASURE = """
+import hashlib, resource, subprocess, sys
+proc = subprocess.Popen(sys.argv[1:], stdout=subprocess.PIPE)
+digest = hashlib.sha256()
+for block in iter(lambda: proc.stdout.read(1 << 16), b""):
+    digest.update(block)
+code = proc.wait()
+print(code, digest.hexdigest(), resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
+"""
+
+
+@pytest.fixture(scope="module")
+def li_ps4():
+    run = subprocess.run(
+        [sys.executable, "-c", _MEASURE] + _ram(
+            "check", "--axiom", "li", "--mechanism", "ps", "--n", "4",
+            "--mode", "exhaustive", "--format", "machine", "--jobs", "2",
+        ),
+        env=_env(), capture_output=True, text=True, check=True,
+    )
+    code, digest, max_rss_kib = run.stdout.split()
+    return int(code), digest, int(max_rss_kib)
+
+
+class TestStreamedOutput:
+    def test_n4_li_output_pinned(self, li_ps4):
+        code, digest, _ = li_ps4
+        assert code == 1
+        assert digest == LI_PS4_SHA256
+
+    def test_n4_li_max_rss(self, li_ps4):
+        _, _, max_rss_kib = li_ps4
+        assert max_rss_kib <= 250 * 1024
+
+    def test_closed_pipe_ends_quietly(self, tmp_path, instance3):
+        """The reader takes one line and closes the pipe, as ``| head -1``
+        does; the output is several times a pipe buffer, so later writes
+        fail, and the run still ends with its verdict and no traceback."""
+        mech = huge_denominator_table(instance3, seed=64)
+        path = tmp_path / "mech.txt"
+        path.write_text(render_table_file(instance3, mech._table))
+        args = ("check", "--axiom", "sp", "--mechanism", f"table:{path}", "--n", "3",
+                "--mode", "exhaustive", "--format", "machine")
+        _, full, _ = run_cli(*args)
+        assert len(full) > 4 * 65536
+        proc = subprocess.Popen(
+            _ram(*args), env=_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        )
+        first = proc.stdout.readline().decode()
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        assert proc.wait() == 1
+        assert first == full.splitlines(keepends=True)[0]
+        assert err == ""

@@ -12,6 +12,7 @@ from helpers import (
     MECHANISM_KINDS,
     CountingPS,
     build_mechanism,
+    huge_denominator_table,
     pair_sweep_oracle,
     random_bistochastic,
     random_profile,
@@ -149,29 +150,9 @@ def test_pool_pickles_mechanism_once_per_worker(jobs):
     assert PickleCountingPS.pickles <= jobs
 
 
-def _huge_denominator_table(instance, seed, every=True):
-    """Random bistochastic tables; with ``every`` each matrix, otherwise only
-    the first profile's, is mixed with a weight whose denominator exceeds
-    2**64, so shares and numerators do not fit in 64 bits."""
-    rng = random.Random(seed)
-    n = instance.n
-    table = {}
-    for k, profile in enumerate(enumerate_profiles(instance)):
-        matrix = random_bistochastic(rng, n)
-        if every or k == 0:
-            w = Fraction(rng.randrange(1, 2 ** 70), 2 ** 70 + rng.randrange(1, 2 ** 40))
-            other = random_bistochastic(rng, n)
-            matrix = tuple(
-                tuple(w * x + (1 - w) * y for x, y in zip(row, orow))
-                for row, orow in zip(matrix, other)
-            )
-        table[profile] = matrix
-    return TabulatedMechanism(instance, table)
-
-
 def test_huge_denominators_stay_exact():
     instance = Instance.default(3)
-    mech = _huge_denominator_table(instance, seed=64)
+    mech = huge_denominator_table(instance, seed=64)
     shares = [x for m in mech._table.values() for row in m for x in row]
     assert max(x.denominator for x in shares) > 2 ** 64
     expected = pair_sweep_oracle(mech, PAIR_AXIOMS)
@@ -186,7 +167,7 @@ def test_huge_denominators_stay_exact():
 @pytest.mark.parametrize("jobs", (1, 3))
 def test_one_wide_profile_widens_the_whole_table(jobs):
     instance = Instance.default(3)
-    mech = _huge_denominator_table(instance, seed=65, every=False)
+    mech = huge_denominator_table(instance, seed=65, every=False)
     table = DomainTable(mech, enumerate_preferences(instance))
     table.fill(jobs)
     assert isinstance(table.nums, list) and table.D > 2 ** 64
@@ -199,7 +180,7 @@ def test_one_wide_profile_widens_the_whole_table(jobs):
 
 def test_lazy_cells_keep_wide_values_exact():
     instance = Instance.default(3)
-    mech = _huge_denominator_table(instance, seed=66, every=False)
+    mech = huge_denominator_table(instance, seed=66, every=False)
     table = DomainTable(mech, enumerate_preferences(instance))
     rng = random.Random(66)
     indices = [rng.randrange(1, table.size) for _ in range(20)]
@@ -209,26 +190,29 @@ def test_lazy_cells_keep_wide_values_exact():
     assert max(d for _, d in table._lazy.values()) > 2 ** 64
 
 
-def test_pair_report_is_the_frozen_dataclass_report():
+def test_violations_build_the_frozen_dataclass_report():
     import dataclasses
 
     from ramkit.core import SwapInfo
-    from ramkit.reports import ViolationReport, pair_report
+    from ramkit.reports import ViolationReport, Violations
 
-    profile = ((0, 1, 2), (1, 0, 2), (2, 1, 0))
-    swap = SwapInfo(1, 0, 1)
-    fast = pair_report("li", 1, profile, None, (1, 0, 2), swap, (2,), None,
-                       Fraction(1, 3), Fraction(1, 6), "!=", None, "moved")
-    slow = ViolationReport(axiom="li", agent=1, profile=profile, deviation=(1, 0, 2),
-                           swap=swap, objects=(2,), lhs=Fraction(1, 3),
-                           rhs=Fraction(1, 6), relation="!=", detail="moved")
-    assert type(fast) is ViolationReport
-    assert fast == slow and hash(fast) == hash(slow)
-    assert [getattr(fast, f.name) for f in dataclasses.fields(ViolationReport)] == [
-        getattr(slow, f.name) for f in dataclasses.fields(ViolationReport)
+    mech = build_mechanism("ps", 3)
+    violations = run_pair_sweep(mech, ("li",), mode="exhaustive")["li"].violations
+    assert isinstance(violations, Violations)
+    read = violations[0]
+    built = ViolationReport(
+        axiom="li", agent=0, profile=((0, 1, 2), (0, 1, 2), (0, 2, 1)),
+        deviation=(1, 0, 2), swap=SwapInfo(1, 0, 1), objects=(2,),
+        lhs=Fraction(1, 4), rhs=Fraction(1, 6), relation="!=",
+        detail="share below the swapped pair moved",
+    )
+    assert type(read) is ViolationReport
+    assert read == built and hash(read) == hash(built)
+    assert [getattr(read, f.name) for f in dataclasses.fields(ViolationReport)] == [
+        getattr(built, f.name) for f in dataclasses.fields(ViolationReport)
     ]
     with pytest.raises(dataclasses.FrozenInstanceError):
-        fast.axiom = "em"
+        read.axiom = "em"
 
 
 # ---------------------------------------------------------------------------
