@@ -10,7 +10,9 @@ Exit status: 0 when the checked property holds or the task completed,
 1 when a violation was found, 2 on usage or input errors, and 3 when a
 resource cap or the sampler's retry budget was hit.  Machine output
 (``--format machine``) is one record per line and byte-identical across
-runs for identical arguments and seeds.
+runs for identical arguments and seeds.  ``check`` and ``obic`` write
+their violation lines in chunks as they are rendered; if the reader closes
+the pipe early, the output stops and the exit status is unchanged.
 """
 
 from __future__ import annotations

@@ -15,7 +15,7 @@ from helpers import (
     random_prior,
 )
 from ramkit.axioms import PAIR_AXIOMS, reverify_violation, run_pair_sweep
-from ramkit.core import Instance, enumerate_preferences
+from ramkit.core import Instance
 from ramkit.formats import outcome_lines
 from ramkit.interim import (
     Prior,
