@@ -1,46 +1,38 @@
 """Ex-post axiom verification engine.
 
 Exhaustive sweeps over the full preference domain for strategy-proofness,
-weak strategy-proofness, elementary monotonicity, neutrality, upper/lower
-invariance and equal treatment of equals, plus pointwise ordinal- and
-ex-post-efficiency checks with the exact LP oracle as an independent
-second route.
+weak strategy-proofness, elementary monotonicity, upper/lower invariance,
+neutrality, equal treatment of equals and ordinal and ex-post efficiency,
+plus pointwise efficiency checks with the exact LP oracle as an
+independent second route.
 
 Sweeps enumerate lexicographically, so the first violation is the same on
 every run and platform.  ``mode`` selects between collecting every
 violation ("exhaustive", the default for n <= 3) and stopping at the
 first one ("first", the default for larger n; always sequential).
 
-The report-pair sweep evaluates the mechanism once per profile into a
-dense integer domain table (:mod:`ramkit.domain`) over one table-wide
-denominator, and compares shares as integers.  In exhaustive mode the
-table is built once, by index range on up to ``jobs`` worker processes,
-and the comparisons then run in this process, so the violation list is
-identical for every parallelism degree.
+Every sweep reads the mechanism through a dense integer domain table
+(:mod:`ramkit.domain`) over one table-wide denominator and compares
+shares as integers.  In exhaustive mode the table is built once, by index
+range on up to ``jobs`` worker processes, and the comparisons then run in
+this process, so the violation list is identical for every parallelism
+degree; in first mode profiles are evaluated as they are read.
 
-One kernel, :class:`_PairSweep`, makes the pair comparisons for this
-sweep and for the interim checks of :mod:`ramkit.interim` (where
-strategy-proofness is OBIC).  It compares **columns**: a batch holds one
-agent's numerators ``cols[r][x]`` of object ``x`` under report ``r`` for
-K consecutive cells, all over one denominator, and each comparison slot
-compares two whole columns before looking at single cells.  The
-exhaustive sweep feeds one batch per agent with all ``(n!)**(n-1)``
-opponent profiles, and interim checks one batch per agent with a single
-cell of interim rows.  ``mode="first"`` feeds batches of growing size and
-sweeps the batch in which an axiom first fails again cell by cell, so
-its early exit and counters are those of a cell-by-cell sweep.
-:func:`_replay_pair` is the one replay comparison for both families;
-interim replay feeds it Fraction rows only.
-
-The pair checks return their violations as integer records: a
-:class:`~ramkit.reports.Violations` is a tuple-like sequence that builds
-a ViolationReport when indexed or iterated and renders its lines straight
-from the records.
+The report-pair axioms share one column kernel, :class:`_PairSweep`,
+with the interim checks of :mod:`ramkit.interim` (where strategy-proofness
+is OBIC), and keep their violations as integer records: a
+:class:`~ramkit.reports.Violations` builds a ViolationReport only when one
+is read.  :func:`_replay_pair` is the one replay comparison for both
+families.  Neutrality, equal treatment of equals and ordinal and ex-post
+efficiency share one driver, :func:`_profile_sweep`, which runs one test
+on the integer rows of each profile in turn; only ex-post efficiency
+builds Fractions, for the outcomes it decomposes.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from array import array
 from fractions import Fraction
 from operator import add, ge, gt, lt, mul, ne
@@ -55,16 +47,16 @@ from .core import (
     SwapInfo,
     _check_sweep_cap,
     adjacent_swaps,
+    apply_permutation,
     apply_permutation_profile,
     enumerate_preferences,
-    enumerate_profiles,
     fosd,
     fosd_failure,
     insert_report,
     prefers,
     validate_assignment,
 )
-from .decomp import _improvement_cycle, birkhoff_decompose
+from .decomp import _improvement_cycle, birkhoff_decompose, find_cycle
 from .domain import DomainTable, _pack
 from .mechanisms import Mechanism
 from .reports import CheckOutcome, PairBatch, ViolationReport, Violations
@@ -80,6 +72,19 @@ def _resolve_mode(mode: Optional[str], n: int) -> str:
     if mode not in ("exhaustive", "first"):
         raise ValueError(f"mode must be 'exhaustive' or 'first', got {mode!r}")
     return mode
+
+
+def _domain_table(mech: Mechanism, mode, jobs: int, max_n) -> tuple[DomainTable, str]:
+    """The sweep's table and resolved mode, after the cap check: filled
+    densely on up to ``jobs`` workers in exhaustive mode, and evaluated as
+    it is read in first mode."""
+    instance = mech.instance
+    _check_sweep_cap(instance.n, max_n)
+    mode = _resolve_mode(mode, instance.n)
+    table = DomainTable(mech, enumerate_preferences(instance, max_n=max_n))
+    if mode == "exhaustive":
+        table.fill(jobs)
+    return table, mode
 
 
 # ---------------------------------------------------------------------------
@@ -418,28 +423,19 @@ def run_pair_sweep(
 ) -> dict[str, CheckOutcome]:
     """Sweep several report-pair axioms in one pass over the domain.
 
-    The mechanism is evaluated once per profile into a dense integer
-    :class:`~ramkit.domain.DomainTable`, which every bundled axiom then
-    reads as report columns.  In exhaustive mode the table is built first,
-    by index range on up to ``jobs`` worker processes, and then swept in
-    this process, one batch of columns per agent.  ``mode="first"`` is
-    always serial: it fills the table lazily as growing batches of cells
-    are read and stops once every axiom has a violation.  The table is
-    dropped when the sweep returns.
+    Every bundled axiom reads the table of :func:`_domain_table` as report
+    columns: one batch per agent in exhaustive mode, and in first mode
+    growing batches of cells until every axiom has a violation.  The table
+    is dropped when the sweep returns.
 
     ``profiles_checked`` counts rows read (the agent's report varies over
     all n! preferences in each cell), not distinct evaluations.
     """
-    instance = mech.instance
     axioms = tuple(axioms)
     for ax in axioms:
         if ax not in PAIR_AXIOMS:
             raise ValueError(f"unknown pair axiom {ax!r}")
-    _check_sweep_cap(instance.n, max_n)
-    mode = _resolve_mode(mode, instance.n)
-    table = DomainTable(mech, enumerate_preferences(instance, max_n=max_n))
-    if mode == "exhaustive":
-        table.fill(jobs)
+    table, mode = _domain_table(mech, mode, jobs, max_n)
     sweep = _PairSweep(table.prefs, axioms, first_only=mode == "first")
     return sweep.run(table)
 
@@ -475,107 +471,7 @@ def check_lower_invariance(mech: Mechanism, *, mode=None, jobs=1, max_n=None):
 
 
 # ---------------------------------------------------------------------------
-# whole-profile sweeps
-# ---------------------------------------------------------------------------
-
-
-def check_neutrality(
-    mech: Mechanism, *, mode: Optional[str] = None, max_n: Optional[int] = None
-) -> CheckOutcome:
-    """Relabeling objects must relabel output shares: for every profile and
-    every object permutation, the share of ``a`` at the original profile
-    equals the share of the image of ``a`` at the relabeled profile.
-
-    Profiles are grouped into relabeling orbits so each assignment is
-    evaluated once.
-    """
-    instance = mech.instance
-    _check_sweep_cap(instance.n, max_n)
-    n = instance.n
-    mode = _resolve_mode(mode, n)
-    sigmas = [tuple(s) for s in itertools.permutations(range(n))]
-    violations: list[ViolationReport] = []
-    evaluations = 0
-    comparisons = 0
-    for profile in enumerate_profiles(instance, max_n=max_n):
-        images = {
-            sigma: apply_permutation_profile(profile, sigma) for sigma in sigmas
-        }
-        if min(images.values()) < profile:
-            continue  # handled at the orbit's lexicographic minimum
-        table = {}
-        for image in images.values():
-            if image not in table:
-                table[image] = mech.assignment(image)
-                evaluations += 1
-        members = sorted(table)
-        for base in members:
-            out = table[base]
-            for sigma in sigmas:
-                relabeled = table[apply_permutation_profile(base, sigma)]
-                for i in range(n):
-                    for a in range(n):
-                        comparisons += 1
-                        if out[i][a] != relabeled[i][sigma[a]]:
-                            violations.append(ViolationReport(
-                                axiom="neutral", agent=i, profile=base,
-                                sigma=sigma, objects=(a,),
-                                lhs=out[i][a], rhs=relabeled[i][sigma[a]],
-                                relation="!=",
-                                detail="share does not follow the relabeling",
-                            ))
-                            if mode == "first":
-                                return CheckOutcome(
-                                    axiom="neutral", satisfied=False,
-                                    violations=tuple(violations),
-                                    profiles_checked=evaluations,
-                                    comparisons=comparisons,
-                                )
-    return CheckOutcome(
-        axiom="neutral", satisfied=not violations, violations=tuple(violations),
-        profiles_checked=evaluations, comparisons=comparisons,
-    )
-
-
-def check_equal_treatment_of_equals(
-    mech: Mechanism, *, mode: Optional[str] = None, max_n: Optional[int] = None
-) -> CheckOutcome:
-    """Agents reporting identical preferences receive identical rows."""
-    instance = mech.instance
-    _check_sweep_cap(instance.n, max_n)
-    mode = _resolve_mode(mode, instance.n)
-    violations: list[ViolationReport] = []
-    evaluations = 0
-    comparisons = 0
-    for profile in enumerate_profiles(instance, max_n=max_n):
-        out = mech.assignment(profile)
-        evaluations += 1
-        for i in range(instance.n):
-            for j in range(i + 1, instance.n):
-                if profile[i] != profile[j]:
-                    continue
-                comparisons += 1
-                if out[i] != out[j]:
-                    a = next(x for x in range(instance.n) if out[i][x] != out[j][x])
-                    violations.append(ViolationReport(
-                        axiom="ete", agent=i, agent2=j, profile=profile,
-                        objects=(a,), lhs=out[i][a], rhs=out[j][a], relation="!=",
-                        detail="equal reports received unequal rows",
-                    ))
-                    if mode == "first":
-                        return CheckOutcome(
-                            axiom="ete", satisfied=False,
-                            violations=tuple(violations),
-                            profiles_checked=evaluations, comparisons=comparisons,
-                        )
-    return CheckOutcome(
-        axiom="ete", satisfied=not violations, violations=tuple(violations),
-        profiles_checked=evaluations, comparisons=comparisons,
-    )
-
-
-# ---------------------------------------------------------------------------
-# efficiency: pointwise operations and their mechanism sweeps
+# efficiency: pointwise operations
 # ---------------------------------------------------------------------------
 
 
@@ -585,40 +481,18 @@ def trade_cycle(assignment: AssignmentMatrix, profile: Profile) -> Optional[tupl
 
     Acyclicity of this relation characterizes ordinal efficiency, giving a
     cheap production check; the LP oracle stays available as an independent
-    second route.
+    second route.  Only the signs of the shares are read, so integer
+    numerators work as well as Fractions.
     """
     n = len(profile)
     edge = [[False] * n for _ in range(n)]
-    for i in range(n):
-        pref = profile[i]
-        holds = [a for a in range(n) if assignment[i][a] > 0]
-        for b in holds:
-            for a in pref[: pref.index(b)]:
-                edge[a][b] = True
-    color = [0] * n
-    stack: list[int] = []
-
-    def dfs(x: int) -> Optional[tuple[int, ...]]:
-        color[x] = 1
-        stack.append(x)
-        for y in range(n):
-            if edge[x][y]:
-                if color[y] == 1:
-                    return tuple(stack[stack.index(y):])
-                if color[y] == 0:
-                    found = dfs(y)
-                    if found is not None:
-                        return found
-        stack.pop()
-        color[x] = 2
-        return None
-
-    for x in range(n):
-        if color[x] == 0:
-            cycle = dfs(x)
-            if cycle is not None:
-                return cycle
-    return None
+    for pref, row in zip(profile, assignment):
+        for k, b in enumerate(pref):
+            if row[b] > 0:
+                for a in pref[:k]:
+                    edge[a][b] = True
+    cycle = find_cycle([[y for y in range(n) if edge[x][y]] for x in range(n)])
+    return None if cycle is None else tuple(cycle)
 
 
 def check_ordinal_efficiency(
@@ -711,60 +585,183 @@ def ex_post_inefficiency_witness(
     return None
 
 
+# ---------------------------------------------------------------------------
+# whole-profile sweeps: one driver, one integer test per profile
+# ---------------------------------------------------------------------------
+
+
+def _profile_sweep(mech, axiom, mode, jobs, max_n) -> CheckOutcome:
+    """Sweep ``axiom``, one of :data:`PROFILE_AXIOMS`, over the profiles in
+    lexicographic order.  Its test returns a profile's violations, the
+    profiles it read and the comparisons it made; with ``first`` it stops
+    at its first violation, and so does the sweep."""
+    table, mode = _domain_table(mech, mode, jobs, max_n)
+    test = _PROFILE_TESTS[axiom](table)
+    first = mode == "first"
+    violations: list[ViolationReport] = []
+    read = comparisons = 0
+    for index, profile in enumerate(itertools.product(table.prefs, repeat=table.n)):
+        found, r, c = test(index, profile, first)
+        violations += found
+        read += r
+        comparisons += c
+        if first and violations:
+            break
+    return CheckOutcome(
+        axiom=axiom, satisfied=not violations, violations=tuple(violations),
+        profiles_checked=read, comparisons=comparisons,
+    )
+
+
+def _neutrality_test(table: DomainTable):
+    """Neutrality at the lexicographic minimum of each relabeling orbit:
+    each member's rows against those of each of its relabelings, found by
+    report index.  Each member is read once."""
+    n, prefs = table.n, table.prefs
+    position = {p: k for k, p in enumerate(prefs)}
+    sigmas = list(itertools.permutations(range(n)))
+    which = {s: k for k, s in enumerate(sigmas)}
+    weights = [table.stride(j) for j in range(n)]
+    # relabel[s][d]: the index of prefs[d] relabeled by sigmas[s];
+    # compose[s][t]: sigmas[t], then sigmas[s];
+    # moved[s][i*n + a]: the flat position of agent i's share of sigmas[s][a]
+    relabel = [[position[apply_permutation(p, s)] for p in prefs] for s in sigmas]
+    compose = [[which[tuple(s[x] for x in t)] for t in sigmas] for s in sigmas]
+    moved = [[i * n + s[a] for i in range(n) for a in range(n)] for s in sigmas]
+
+    def test(index, profile, first):
+        digits = [position[p] for p in profile]
+        images = [[r[d] for d in digits] for r in relabel]
+        if min(images) < digits:
+            return (), 0, 0  # handled at the orbit's lexicographic minimum
+        at = [sum(map(mul, image, weights)) for image in images]
+        members = {k: t for t, k in enumerate(at)}  # image index -> a relabeling to it
+        entries = {k: table.entry(k) for k in sorted(members)}
+        common = math.lcm(*(d for _, d in entries.values()))
+        rows = {k: [x * (common // d) for x in flat] for k, (flat, d) in entries.items()}
+        found = []
+        for b, (base, out) in enumerate(rows.items()):
+            t = members[base]
+            for s, sigma in enumerate(sigmas):
+                relabeled = rows[at[compose[s][t]]]
+                if list(map(relabeled.__getitem__, moved[s])) == out:
+                    continue
+                for k, place in enumerate(moved[s]):
+                    if out[k] != relabeled[place]:
+                        found.append(ViolationReport(
+                            axiom="neutral", agent=k // n,
+                            profile=tuple(prefs[d] for d in images[t]), sigma=sigma,
+                            objects=(k % n,), lhs=Fraction(out[k], common),
+                            rhs=Fraction(relabeled[place], common), relation="!=",
+                            detail="share does not follow the relabeling",
+                        ))
+                        if first:  # the comparisons made up to this one
+                            return found, len(rows), (b * len(sigmas) + s) * n * n + k + 1
+        return found, len(rows), len(rows) * len(sigmas) * n * n
+
+    return test
+
+
+def _ete_test(table: DomainTable):
+    """Equal treatment of equals on the row slices of agents with equal
+    reports; a profile whose reports all differ is not evaluated."""
+    n = table.n
+
+    def test(index, profile, first):
+        found, made, flat = [], 0, None
+        for i, j in itertools.combinations(range(n), 2):
+            if profile[i] != profile[j]:
+                continue
+            made += 1
+            if flat is None:
+                flat, d = table.entry(index)
+            mine, theirs = flat[i * n:(i + 1) * n], flat[j * n:(j + 1) * n]
+            if mine != theirs:
+                a = next(x for x in range(n) if mine[x] != theirs[x])
+                found.append(ViolationReport(
+                    axiom="ete", agent=i, agent2=j, profile=profile, objects=(a,),
+                    lhs=Fraction(mine[a], d), rhs=Fraction(theirs[a], d),
+                    relation="!=", detail="equal reports received unequal rows",
+                ))
+                if first:
+                    break
+        return found, 1, made
+
+    return test
+
+
+def _efficiency_test(table: DomainTable, ex_post: bool):
+    """Ordinal efficiency, by :func:`trade_cycle` on the integer rows; or
+    ex-post efficiency, which decomposes, in Fractions, only the outcomes
+    with a trade cycle."""
+    n = table.n
+
+    def test(index, profile, first):
+        flat, d = table.entry(index)
+        rows = [flat[i * n:(i + 1) * n] for i in range(n)]
+        cycle = trade_cycle(rows, profile)
+        # OE implies ex-post: a dominated component, swapped for its improvement, would dominate
+        if cycle is None:
+            return (), 1, 1
+        if not ex_post:
+            return [ViolationReport(
+                axiom="oe", profile=profile, objects=cycle,
+                detail="objects trade along the cycle",
+            )], 1, 1
+        matrix = tuple(tuple(Fraction(x, d) for x in row) for row in rows)
+        witness = ex_post_inefficiency_witness(matrix, profile)
+        if witness is None:
+            return (), 1, 1
+        weight, perm, cycle = witness
+        return [ViolationReport(
+            axiom="ex-post", profile=profile, component=perm,
+            objects=tuple(perm[i] for i in cycle),
+            lhs=weight, rhs=ZERO, relation=">",
+            detail="component with positive weight admits a trading cycle "
+                   f"among agents {','.join(str(i + 1) for i in cycle)}",
+        )], 1, 1
+
+    return test
+
+
+_PROFILE_TESTS = {
+    "neutral": _neutrality_test,
+    "ete": _ete_test,
+    "oe": lambda table: _efficiency_test(table, ex_post=False),
+    "ex-post": lambda table: _efficiency_test(table, ex_post=True),
+}
+
+
+def check_neutrality(
+    mech: Mechanism, *, mode: Optional[str] = None, max_n: Optional[int] = None
+) -> CheckOutcome:
+    """Relabeling objects must relabel output shares: for every profile and
+    every object permutation, the share of ``a`` at the original profile
+    equals the share of the image of ``a`` at the relabeled profile.  Each
+    assignment is read once, with its relabeling orbit.
+    """
+    return _profile_sweep(mech, "neutral", mode, 1, max_n)
+
+
+def check_equal_treatment_of_equals(
+    mech: Mechanism, *, mode: Optional[str] = None, max_n: Optional[int] = None
+) -> CheckOutcome:
+    """Agents reporting identical preferences receive identical rows."""
+    return _profile_sweep(mech, "ete", mode, 1, max_n)
+
+
 def check_mechanism_ordinal_efficiency(
     mech: Mechanism, *, mode: Optional[str] = None, max_n: Optional[int] = None
 ) -> CheckOutcome:
     """Ordinal efficiency of every output over the full profile domain."""
-    instance = mech.instance
-    _check_sweep_cap(instance.n, max_n)
-    mode = _resolve_mode(mode, instance.n)
-    violations: list[ViolationReport] = []
-    evaluations = 0
-    for profile in enumerate_profiles(instance, max_n=max_n):
-        out = mech.assignment(profile)
-        evaluations += 1
-        cycle = trade_cycle(out, profile)
-        if cycle is not None:
-            violations.append(ViolationReport(
-                axiom="oe", profile=profile, objects=cycle,
-                detail="objects trade along the cycle",
-            ))
-            if mode == "first":
-                break
-    return CheckOutcome(
-        axiom="oe", satisfied=not violations, violations=tuple(violations),
-        profiles_checked=evaluations, comparisons=evaluations,
-    )
+    return _profile_sweep(mech, "oe", mode, 1, max_n)
 
 
 def check_mechanism_ex_post_efficiency(
     mech: Mechanism, *, mode: Optional[str] = None, max_n: Optional[int] = None
 ) -> CheckOutcome:
     """Ex-post efficiency of every output over the full profile domain."""
-    instance = mech.instance
-    _check_sweep_cap(instance.n, max_n)
-    mode = _resolve_mode(mode, instance.n)
-    violations: list[ViolationReport] = []
-    evaluations = 0
-    for profile in enumerate_profiles(instance, max_n=max_n):
-        out = mech.assignment(profile)
-        evaluations += 1
-        witness = ex_post_inefficiency_witness(out, profile)
-        if witness is not None:
-            weight, perm, cycle = witness
-            violations.append(ViolationReport(
-                axiom="ex-post", profile=profile, component=perm,
-                objects=tuple(perm[i] for i in cycle),
-                lhs=weight, rhs=ZERO, relation=">",
-                detail="component with positive weight admits a trading cycle "
-                       f"among agents {','.join(str(i + 1) for i in cycle)}",
-            ))
-            if mode == "first":
-                break
-    return CheckOutcome(
-        axiom="ex-post", satisfied=not violations, violations=tuple(violations),
-        profiles_checked=evaluations, comparisons=evaluations,
-    )
+    return _profile_sweep(mech, "ex-post", mode, 1, max_n)
 
 
 def run_axiom_check(
@@ -778,14 +775,8 @@ def run_axiom_check(
     """Dispatch one named axiom sweep (the CLI surface)."""
     if axiom in PAIR_AXIOMS:
         return _single(mech, axiom, mode, jobs, max_n)
-    if axiom == "neutral":
-        return check_neutrality(mech, mode=mode, max_n=max_n)
-    if axiom == "ete":
-        return check_equal_treatment_of_equals(mech, mode=mode, max_n=max_n)
-    if axiom == "oe":
-        return check_mechanism_ordinal_efficiency(mech, mode=mode, max_n=max_n)
-    if axiom == "ex-post":
-        return check_mechanism_ex_post_efficiency(mech, mode=mode, max_n=max_n)
+    if axiom in PROFILE_AXIOMS:
+        return _profile_sweep(mech, axiom, mode, jobs, max_n)
     raise ValueError(f"unknown axiom {axiom!r}")
 
 

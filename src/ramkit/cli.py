@@ -352,11 +352,10 @@ def make_parser() -> argparse.ArgumentParser:
                    help="collect all violations or stop at the first "
                         "(default: exhaustive for n<=3, first above)")
     p.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
-                   help="worker processes that build the domain table of an "
-                        "exhaustive pair-axiom sweep, at least 1 and at most "
-                        "the CPU count; the comparisons run in the main "
-                        "process; mode=first, the default for n>3, always "
-                        "runs serially")
+                   help="worker processes that build the domain table of "
+                        "every exhaustive sweep, at least 1 and at most the "
+                        "CPU count; the comparisons run in the main process; "
+                        "mode=first, the default for n>3, always runs serially")
     common(p, need_n=True)
     p.set_defaults(func=cmd_check)
 

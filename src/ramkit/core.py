@@ -22,7 +22,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional
 
 Rational = Fraction
 Preference = tuple[int, ...]
@@ -135,14 +135,6 @@ class SwapInfo(NamedTuple):
     position: int
     lowered: int
     raised: int
-
-
-def validate_preference(pref: Sequence[int], n: int) -> Preference:
-    """Check that ``pref`` is a strict ranking (permutation of 0..n-1)."""
-    t = tuple(pref)
-    if len(t) != n or sorted(t) != list(range(n)):
-        raise ValueError(f"not a permutation of 0..{n - 1}: {t}")
-    return t
 
 
 def object_at(pref: Preference, k: int) -> int:

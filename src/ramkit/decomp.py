@@ -150,10 +150,16 @@ def _improvement_cycle(
 ) -> list[int] | None:
     """An agent cycle along strict-improvement edges, or None."""
     n = len(perm)
-    adj = [
+    return find_cycle([
         [j for j in range(n) if j != i and prefers(profile[i], perm[j], perm[i])]
         for i in range(n)
-    ]
+    ])
+
+
+def find_cycle(adj: list[list[int]]) -> list[int] | None:
+    """The first cycle a depth-first search meets, starting from the nodes
+    in index order and following ``adj[x]`` in its order, or None."""
+    n = len(adj)
     color = [0] * n  # 0 unvisited, 1 on stack, 2 done
     stack: list[int] = []
 

@@ -35,8 +35,9 @@ lazily, as :meth:`DomainTable.columns` reads cells; lazy entries live in a
 dict keyed by index, each in least terms, and a lazy batch of columns is
 brought to the lcm of its entries' denominators, so an early exit
 allocates only what it read.  Either way each profile is evaluated at
-most once.  A table is meant to live for one sweep; nothing is cached at
-module level.
+most once.  :meth:`DomainTable.entry` reads one whole profile, which a
+profile sweep reads once; before a fill it keeps nothing.  A table is
+meant to live for one sweep; nothing is cached at module level.
 """
 
 from __future__ import annotations
@@ -250,6 +251,14 @@ class DomainTable:
                 out += piece
             c += run
         return out
+
+    def entry(self, index: int) -> tuple[Sequence[int], int]:
+        """Profile ``index``'s numerators, agent by agent, and their
+        denominator.  Before :meth:`fill` the profile is evaluated here and
+        nothing is kept."""
+        if self.nums is None:
+            return _evaluate(self.mech, self.profile(index))
+        return self.nums[index * self._nn: (index + 1) * self._nn], self.D
 
     def _lazy_entry(self, index: int) -> tuple[tuple[int, ...], int]:
         entry = self._lazy.get(index)

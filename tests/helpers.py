@@ -5,16 +5,28 @@ import itertools
 import math
 import random
 from fractions import Fraction
+from typing import Optional
 
-from ramkit.core import Instance, enumerate_preferences, enumerate_profiles, insert_report
+from ramkit.axioms import _resolve_mode, ex_post_inefficiency_witness, trade_cycle
+from ramkit.core import (
+    ZERO,
+    Instance,
+    _check_sweep_cap,
+    apply_permutation_profile,
+    enumerate_preferences,
+    enumerate_profiles,
+    insert_report,
+)
 from ramkit.mechanisms import (
     EatingSpeedSchedule,
+    Mechanism,
     ProbabilisticSerial,
     RandomPriority,
     SerialDictatorship,
     SimultaneousEating,
     TabulatedMechanism,
 )
+from ramkit.reports import CheckOutcome, ViolationReport
 
 # Table-1 objects a=0, b=1, c=2
 A, B, C = 0, 1, 2
@@ -135,15 +147,21 @@ def build_mechanism(kind, n):
 
 
 class CountingPS(ProbabilisticSerial):
-    """PS that counts its integer evaluations per profile, in this process."""
+    """PS that counts its integer evaluations per profile, and its Fraction
+    ``assignment`` calls, in this process."""
 
     def __init__(self, instance, *, cache=False):
         super().__init__(instance, cache=cache)
         self.counts = {}
+        self.assignment_calls = 0
 
     def scaled_assignment(self, profile):
         self.counts[profile] = self.counts.get(profile, 0) + 1
         return super().scaled_assignment(profile)
+
+    def assignment(self, profile):
+        self.assignment_calls += 1
+        return super().assignment(profile)
 
 
 def interim_shares_oracle(mechanism, agent, report, prior):
@@ -448,3 +466,171 @@ def interim_sweep_oracle(mech, prior, axioms, *, mode="exhaustive"):
             for ax, o in outcomes.items()
         }
     return outcomes
+
+
+# ---------------------------------------------------------------------------
+# whole-profile sweeps: Fraction loops over Mechanism.assignment
+# ---------------------------------------------------------------------------
+
+
+def profile_sweep_oracle(mech, axiom, *, mode):
+    """Reference neutrality, ETE, OE and ex-post sweeps: Fraction loops over
+    ``mech.assignment``, one profile at a time in lexicographic order.
+    Returns what ``run_axiom_check(mech, axiom, mode=mode)`` must return."""
+    return {
+        "neutral": _neutrality_oracle,
+        "ete": _ete_oracle,
+        "oe": _oe_oracle,
+        "ex-post": _ex_post_oracle,
+    }[axiom](mech, mode=mode)
+
+
+def _neutrality_oracle(
+    mech: Mechanism, *, mode: Optional[str] = None, max_n: Optional[int] = None
+) -> CheckOutcome:
+    """Relabeling objects must relabel output shares: for every profile and
+    every object permutation, the share of ``a`` at the original profile
+    equals the share of the image of ``a`` at the relabeled profile.
+
+    Profiles are grouped into relabeling orbits so each assignment is
+    evaluated once.
+    """
+    instance = mech.instance
+    _check_sweep_cap(instance.n, max_n)
+    n = instance.n
+    mode = _resolve_mode(mode, n)
+    sigmas = [tuple(s) for s in itertools.permutations(range(n))]
+    violations: list[ViolationReport] = []
+    evaluations = 0
+    comparisons = 0
+    for profile in enumerate_profiles(instance, max_n=max_n):
+        images = {
+            sigma: apply_permutation_profile(profile, sigma) for sigma in sigmas
+        }
+        if min(images.values()) < profile:
+            continue  # handled at the orbit's lexicographic minimum
+        table = {}
+        for image in images.values():
+            if image not in table:
+                table[image] = mech.assignment(image)
+                evaluations += 1
+        members = sorted(table)
+        for base in members:
+            out = table[base]
+            for sigma in sigmas:
+                relabeled = table[apply_permutation_profile(base, sigma)]
+                for i in range(n):
+                    for a in range(n):
+                        comparisons += 1
+                        if out[i][a] != relabeled[i][sigma[a]]:
+                            violations.append(ViolationReport(
+                                axiom="neutral", agent=i, profile=base,
+                                sigma=sigma, objects=(a,),
+                                lhs=out[i][a], rhs=relabeled[i][sigma[a]],
+                                relation="!=",
+                                detail="share does not follow the relabeling",
+                            ))
+                            if mode == "first":
+                                return CheckOutcome(
+                                    axiom="neutral", satisfied=False,
+                                    violations=tuple(violations),
+                                    profiles_checked=evaluations,
+                                    comparisons=comparisons,
+                                )
+    return CheckOutcome(
+        axiom="neutral", satisfied=not violations, violations=tuple(violations),
+        profiles_checked=evaluations, comparisons=comparisons,
+    )
+
+
+def _ete_oracle(
+    mech: Mechanism, *, mode: Optional[str] = None, max_n: Optional[int] = None
+) -> CheckOutcome:
+    """Agents reporting identical preferences receive identical rows."""
+    instance = mech.instance
+    _check_sweep_cap(instance.n, max_n)
+    mode = _resolve_mode(mode, instance.n)
+    violations: list[ViolationReport] = []
+    evaluations = 0
+    comparisons = 0
+    for profile in enumerate_profiles(instance, max_n=max_n):
+        out = mech.assignment(profile)
+        evaluations += 1
+        for i in range(instance.n):
+            for j in range(i + 1, instance.n):
+                if profile[i] != profile[j]:
+                    continue
+                comparisons += 1
+                if out[i] != out[j]:
+                    a = next(x for x in range(instance.n) if out[i][x] != out[j][x])
+                    violations.append(ViolationReport(
+                        axiom="ete", agent=i, agent2=j, profile=profile,
+                        objects=(a,), lhs=out[i][a], rhs=out[j][a], relation="!=",
+                        detail="equal reports received unequal rows",
+                    ))
+                    if mode == "first":
+                        return CheckOutcome(
+                            axiom="ete", satisfied=False,
+                            violations=tuple(violations),
+                            profiles_checked=evaluations, comparisons=comparisons,
+                        )
+    return CheckOutcome(
+        axiom="ete", satisfied=not violations, violations=tuple(violations),
+        profiles_checked=evaluations, comparisons=comparisons,
+    )
+
+
+def _oe_oracle(
+    mech: Mechanism, *, mode: Optional[str] = None, max_n: Optional[int] = None
+) -> CheckOutcome:
+    """Ordinal efficiency of every output over the full profile domain."""
+    instance = mech.instance
+    _check_sweep_cap(instance.n, max_n)
+    mode = _resolve_mode(mode, instance.n)
+    violations: list[ViolationReport] = []
+    evaluations = 0
+    for profile in enumerate_profiles(instance, max_n=max_n):
+        out = mech.assignment(profile)
+        evaluations += 1
+        cycle = trade_cycle(out, profile)
+        if cycle is not None:
+            violations.append(ViolationReport(
+                axiom="oe", profile=profile, objects=cycle,
+                detail="objects trade along the cycle",
+            ))
+            if mode == "first":
+                break
+    return CheckOutcome(
+        axiom="oe", satisfied=not violations, violations=tuple(violations),
+        profiles_checked=evaluations, comparisons=evaluations,
+    )
+
+
+def _ex_post_oracle(
+    mech: Mechanism, *, mode: Optional[str] = None, max_n: Optional[int] = None
+) -> CheckOutcome:
+    """Ex-post efficiency of every output over the full profile domain."""
+    instance = mech.instance
+    _check_sweep_cap(instance.n, max_n)
+    mode = _resolve_mode(mode, instance.n)
+    violations: list[ViolationReport] = []
+    evaluations = 0
+    for profile in enumerate_profiles(instance, max_n=max_n):
+        out = mech.assignment(profile)
+        evaluations += 1
+        witness = ex_post_inefficiency_witness(out, profile)
+        if witness is not None:
+            weight, perm, cycle = witness
+            violations.append(ViolationReport(
+                axiom="ex-post", profile=profile, component=perm,
+                objects=tuple(perm[i] for i in cycle),
+                lhs=weight, rhs=ZERO, relation=">",
+                detail="component with positive weight admits a trading cycle "
+                       f"among agents {','.join(str(i + 1) for i in cycle)}",
+            ))
+            if mode == "first":
+                break
+    return CheckOutcome(
+        axiom="ex-post", satisfied=not violations, violations=tuple(violations),
+        profiles_checked=evaluations, comparisons=evaluations,
+    )

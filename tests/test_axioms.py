@@ -8,7 +8,11 @@ import pytest
 from helpers import (
     DEVIATION,
     DEVIATION_PROFILE,
+    MECHANISM_KINDS,
     TRUTH_PROFILE,
+    CountingPS,
+    build_mechanism,
+    profile_sweep_oracle,
     random_bistochastic,
     random_profile,
 )
@@ -19,7 +23,10 @@ from ramkit.core import (
     enumerate_profiles,
     transposition,
 )
+import ramkit.axioms
 from ramkit.axioms import (
+    PAIR_AXIOMS,
+    PROFILE_AXIOMS,
     check_elementary_monotonicity,
     check_equal_treatment_of_equals,
     check_ex_post_efficiency,
@@ -381,3 +388,102 @@ class TestSweepMechanics:
         with pytest.raises(ValueError, match="inconsistent"):
             CheckOutcome(axiom="sp", satisfied=True,
                          violations=(ViolationReport(axiom="sp"),))
+
+
+def _profile_sweep_mechanism(name, n):
+    """The mechanisms the profile sweeps are checked on: each kind of
+    ``helpers.build_mechanism``, more serial dictatorship orders and a
+    constant mechanism."""
+    instance = Instance.default(n)
+    if name == "sd-identity":
+        return SerialDictatorship(instance, range(n))
+    if name == "sd-rotated":
+        return SerialDictatorship(instance, [(i + 1) % n for i in range(n)])
+    if name == "constant":
+        return constant_mechanism(instance, [[int(i == a) for a in range(n)] for i in range(n)])
+    return build_mechanism(name, n)
+
+
+PUBLIC_PROFILE_CHECKS = {
+    "neutral": check_neutrality,
+    "ete": check_equal_treatment_of_equals,
+    "oe": check_mechanism_ordinal_efficiency,
+    "ex-post": check_mechanism_ex_post_efficiency,
+}
+
+
+class TestProfileSweeps:
+    """Neutrality, ETE, OE and ex-post read the integer domain table and
+    must return what the Fraction loops of ``helpers.profile_sweep_oracle``
+    return, outcome for outcome."""
+
+    @pytest.mark.parametrize("mode", ("exhaustive", "first"))
+    @pytest.mark.parametrize("n", (2, 3))
+    @pytest.mark.parametrize(
+        "name", MECHANISM_KINDS + ("sd-identity", "sd-rotated", "constant")
+    )
+    def test_matches_oracle(self, name, n, mode):
+        mech = _profile_sweep_mechanism(name, n)
+        for axiom in PROFILE_AXIOMS:
+            expected = profile_sweep_oracle(mech, axiom, mode=mode)
+            assert PUBLIC_PROFILE_CHECKS[axiom](mech, mode=mode) == expected, axiom
+            for jobs in (1, 2):
+                got = run_axiom_check(mech, axiom, mode=mode, jobs=jobs)
+                assert got == expected, (axiom, jobs)
+
+    def test_oracle_finds_violations_of_every_axiom(self):
+        """The oracle comparisons above cover failing sweeps too."""
+        failing = {
+            ax: [name for name in MECHANISM_KINDS + ("sd-identity", "constant")
+                 if not profile_sweep_oracle(
+                     _profile_sweep_mechanism(name, 3), ax, mode="first"
+                 ).satisfied]
+            for ax in PROFILE_AXIOMS
+        }
+        assert all(failing.values()), failing
+
+    @pytest.mark.parametrize("axiom", PROFILE_AXIOMS)
+    def test_jobs_do_not_change_the_outcome(self, axiom):
+        mech = build_mechanism("table", 3)
+        outcomes = [
+            run_axiom_check(mech, axiom, mode="exhaustive", jobs=jobs)
+            for jobs in (1, 2, 3)
+        ]
+        assert outcomes[0] == outcomes[1] == outcomes[2]
+
+    @pytest.mark.parametrize("axiom", PROFILE_AXIOMS)
+    def test_cap_raises_before_any_evaluation(self, axiom):
+        mech = CountingPS(Instance.default(5))
+        with pytest.raises(CapExceededError):
+            run_axiom_check(mech, axiom)
+        with pytest.raises(CapExceededError):
+            PUBLIC_PROFILE_CHECKS[axiom](mech)
+        assert mech.counts == {} and mech.assignment_calls == 0
+
+    @pytest.mark.parametrize("mode", ("exhaustive", "first"))
+    @pytest.mark.parametrize("axiom", PAIR_AXIOMS + PROFILE_AXIOMS)
+    def test_each_profile_evaluated_at_most_once(self, axiom, mode):
+        mech = CountingPS(Instance.default(3))
+        run_axiom_check(mech, axiom, mode=mode, jobs=1)
+        assert mech.assignment_calls == 0
+        assert set(mech.counts.values()) == {1}
+        if mode == "exhaustive":
+            assert len(mech.counts) == 6 ** 3
+
+    def test_ex_post_settles_ordinally_efficient_outcomes_without_decomposing(
+        self, monkeypatch
+    ):
+        calls = []
+        original = ramkit.axioms.birkhoff_decompose
+
+        def counting(matrix):
+            calls.append(matrix)
+            return original(matrix)
+
+        monkeypatch.setattr(ramkit.axioms, "birkhoff_decompose", counting)
+        outcome = check_mechanism_ex_post_efficiency(build_mechanism("ps", 3))
+        assert outcome.satisfied and outcome.profiles_checked == 6 ** 3
+        assert calls == []
+        # an outcome with a trade cycle is still decomposed
+        assert not check_mechanism_ex_post_efficiency(build_mechanism("table", 3)).satisfied
+        assert calls

@@ -84,6 +84,20 @@ def test_n4_rows_match_assignment(kind):
         assert _rows_at(table, index) == mech.assignment(profile)
 
 
+@pytest.mark.parametrize("dense", (True, False))
+@pytest.mark.parametrize("kind", MECHANISM_KINDS)
+def test_entry_reads_one_profile(kind, dense):
+    mech = build_mechanism(kind, 3)
+    table = DomainTable(mech, enumerate_preferences(mech.instance))
+    if dense:
+        table.fill()
+    for index, profile in enumerate(enumerate_profiles(mech.instance)):
+        flat, d = table.entry(index)
+        rows = tuple(tuple(Fraction(x, d) for x in flat[i * 3:(i + 1) * 3]) for i in range(3))
+        assert rows == mech.assignment(profile)
+    assert table._lazy == {}  # a read before the fill keeps nothing
+
+
 def test_cell_walks_one_agent_report():
     mech = build_mechanism("sea", 3)
     table = DomainTable(mech, enumerate_preferences(mech.instance))
