@@ -11,12 +11,15 @@ every run and platform.  ``mode`` selects between collecting every
 violation ("exhaustive", the default for n <= 3) and stopping at the
 first one ("first", the default for larger n; always sequential).
 
-Every sweep reads the mechanism through a dense integer domain table
+Every sweep reads the mechanism through an integer domain table
 (:mod:`ramkit.domain`) over one table-wide denominator and compares
-shares as integers.  In exhaustive mode the table is built once, by index
-range on up to ``jobs`` worker processes, and the comparisons then run in
-this process, so the violation list is identical for every parallelism
-degree; in first mode profiles are evaluated as they are read.
+shares as integers.  In exhaustive mode the table is built once, and the
+comparisons then run in this process, so the violation list is identical
+for every parallelism degree: an anonymous mechanism is evaluated once per
+multiset of reports, in this process, and any other at every profile, by
+index range on up to ``jobs`` worker processes.  In first mode, and for
+equal treatment of equals in either mode, profiles are evaluated as they
+are read.
 
 The report-pair axioms share one column kernel, :class:`_PairSweep`,
 with the interim checks of :mod:`ramkit.interim` (where strategy-proofness
@@ -74,15 +77,17 @@ def _resolve_mode(mode: Optional[str], n: int) -> str:
     return mode
 
 
-def _domain_table(mech: Mechanism, mode, jobs: int, max_n) -> tuple[DomainTable, str]:
-    """The sweep's table and resolved mode, after the cap check: filled
-    densely on up to ``jobs`` workers in exhaustive mode, and evaluated as
-    it is read in first mode."""
+def _domain_table(
+    mech: Mechanism, mode, jobs: int, max_n, fill: bool = True
+) -> tuple[DomainTable, str]:
+    """The sweep's table and resolved mode, after the cap check: filled (see
+    :meth:`DomainTable.fill`) in exhaustive mode when ``fill``, and
+    evaluated as it is read otherwise."""
     instance = mech.instance
     _check_sweep_cap(instance.n, max_n)
     mode = _resolve_mode(mode, instance.n)
     table = DomainTable(mech, enumerate_preferences(instance, max_n=max_n))
-    if mode == "exhaustive":
+    if fill and mode == "exhaustive":
         table.fill(jobs)
     return table, mode
 
@@ -173,7 +178,8 @@ class _PairSweep:
     ``opponents(cell)`` gives the cell's opponent reports; a source whose
     ``opponents`` is None (interim rows) makes reports with ``truth=`` and
     ``prior=`` instead of ``profile=``.  ``labels`` (see
-    :data:`_EX_POST_LABELS`) names the axioms and details.
+    :data:`_EX_POST_LABELS`) names the axioms and details.  A source whose
+    ``anonymous`` is true gives every agent the same columns.
 
     Each comparison slot (em raised or lowered, ui above or li below the
     pair, for each swap pair; sp and weak-sp per prefix, for each ordered
@@ -187,7 +193,10 @@ class _PairSweep:
     outcome's ``violations`` is a :class:`~ramkit.reports.Violations` over
     its batches, which builds a report only when one is read.
 
-    Exhaustive sweeps take one batch per agent.  With ``first_only`` the
+    Exhaustive sweeps take one batch per agent.  On an anonymous source
+    they sweep agent 0 only: every other agent fails the same slots in the
+    same cells, so its batches are agent 0's under its own number, and the
+    rows read and comparisons count n times over.  With ``first_only`` the
     batches grow (1, 1, 2, 4, ... cells, up to :data:`_FIRST_BATCH_CAP`); a
     batch in which a live axiom fails is swept again cell by cell, where
     an axiom stops being checked right after the comparison block that
@@ -216,13 +225,22 @@ class _PairSweep:
     def run(self, source) -> dict[str, CheckOutcome]:
         """Sweep the agents of ``source`` in order and return each axiom's
         outcome under its label."""
-        for agent in source.agents:
-            if self.first_only:
-                self._first_batches(source, agent)
-            else:
-                self._batch(source, agent, 0, source.cells)
-            if not self.live:
-                break
+        if source.anonymous and not self.first_only:
+            self._batch(source, 0, 0, source.cells)
+            for ax, batches in self.found.items():
+                self.found[ax] = [
+                    batch._replace(agent=agent) for agent in source.agents for batch in batches
+                ]
+            self.rows_read *= len(source.agents)
+            self.comparisons *= len(source.agents)
+        else:
+            for agent in source.agents:
+                if self.first_only:
+                    self._first_batches(source, agent)
+                else:
+                    self._batch(source, agent, 0, source.cells)
+                if not self.live:
+                    break
         outcomes = {}
         for ax, batches in self.found.items():
             if self.first_only and batches:  # keep the first violation
@@ -424,7 +442,8 @@ def run_pair_sweep(
     """Sweep several report-pair axioms in one pass over the domain.
 
     Every bundled axiom reads the table of :func:`_domain_table` as report
-    columns: one batch per agent in exhaustive mode, and in first mode
+    columns: one batch per agent in exhaustive mode (agent 0's only on an
+    anonymous mechanism's table), and in first mode
     growing batches of cells until every axiom has a violation.  The table
     is dropped when the sweep returns.
 
@@ -595,7 +614,9 @@ def _profile_sweep(mech, axiom, mode, jobs, max_n) -> CheckOutcome:
     lexicographic order.  Its test returns a profile's violations, the
     profiles it read and the comparisons it made; with ``first`` it stops
     at its first violation, and so does the sweep."""
-    table, mode = _domain_table(mech, mode, jobs, max_n)
+    # ETE reads only the profiles with two equal reports (a quarter of
+    # them at n=4), so it evaluates those as it reads them, with no fill
+    table, mode = _domain_table(mech, mode, jobs, max_n, fill=axiom != "ete")
     test = _PROFILE_TESTS[axiom](table)
     first = mode == "first"
     violations: list[ViolationReport] = []

@@ -353,9 +353,12 @@ def make_parser() -> argparse.ArgumentParser:
                         "(default: exhaustive for n<=3, first above)")
     p.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
                    help="worker processes that build the domain table of "
-                        "every exhaustive sweep, at least 1 and at most the "
-                        "CPU count; the comparisons run in the main process; "
-                        "mode=first, the default for n>3, always runs serially")
+                        "an exhaustive sweep, at least 1 and at most the "
+                        "CPU count; anonymous mechanisms (ps, rp, sea with one "
+                        "schedule for all) are filled in this process, once "
+                        "per multiset of reports; the comparisons run in the "
+                        "main process; mode=first, the default for n>3, and "
+                        "ete always run serially")
     common(p, need_n=True)
     p.set_defaults(func=cmd_check)
 

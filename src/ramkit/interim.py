@@ -297,6 +297,7 @@ class _RowCells:
 
     cells = 1
     opponents = None  # reports carry truth= and prior=
+    anonymous = False  # each agent has her own rows
 
     def __init__(self, table: dict[int, tuple[list[list[int]], int]]):
         self.table = table

@@ -10,6 +10,13 @@ mechanisms.
 A mechanism is a pure map from profiles to bistochastic matrices; the same
 profile always evaluates to the identical assignment.  Evaluation can be
 memoized per profile (``cache=True``); caching never changes results.
+
+A mechanism is **anonymous** when permuting the agents permutes its rows
+the same way, so an agent's row depends only on her report and the
+multiset of the others' reports.  PS and RP are; an eating mechanism is
+when every agent eats on the same schedule.  ``Mechanism.anonymous`` states
+this as a fact of the mechanism, not an option, and lets a domain table
+evaluate each multiset of reports once (:mod:`ramkit.domain`).
 """
 
 from __future__ import annotations
@@ -227,6 +234,9 @@ class Mechanism:
     """Pure deterministic map from profiles to assignments."""
 
     kind = "mechanism"
+    #: Permuting the agents permutes the rows (see the module docstring).
+    #: False unless the mechanism is anonymous by construction.
+    anonymous = False
 
     def __init__(self, instance: Instance, *, cache: bool = False):
         self.instance = instance
@@ -321,6 +331,7 @@ class RandomPriority(Mechanism):
     """
 
     kind = "rp"
+    anonymous = True
 
     def __init__(self, instance: Instance, *, cache: bool = False,
                  max_n: Optional[int] = None):
@@ -363,6 +374,11 @@ class SimultaneousEating(Mechanism):
             )
         self.schedule = schedule
 
+    @property
+    def anonymous(self) -> bool:
+        """Every agent eats on the same schedule."""
+        return len(set(self.schedule.pieces)) == 1
+
     def _compute(self, profile: Profile) -> AssignmentMatrix:
         return eat(profile, self.schedule)
 
@@ -371,6 +387,7 @@ class ProbabilisticSerial(Mechanism):
     """Unit-speed simultaneous eating (every agent eats at speed 1)."""
 
     kind = "ps"
+    anonymous = True
 
     def scaled_assignment(self, profile: Profile) -> tuple[list[list[int]], int]:
         """The integer eating run itself; no Fractions are built."""

@@ -320,7 +320,8 @@ class CheckOutcome:
 
     ``profiles_checked`` counts assignment rows read by the sweep, not
     distinct mechanism evaluations: a pair sweep reads each profile once per
-    agent but evaluates it once.  A profile sweep (neutrality, ETE, OE,
+    agent but evaluates it at most once (an anonymous mechanism once per
+    multiset of reports).  A profile sweep (neutrality, ETE, OE,
     ex-post) counts each profile it visits once.  ``comparisons`` counts
     the exact comparisons made.  Both are deterministic for a given mode,
     independent of parallelism degree.

@@ -133,7 +133,9 @@ def huge_denominator_table(instance, seed, every=True):
 
 
 def build_mechanism(kind, n):
-    """One mechanism of each kind in :data:`MECHANISM_KINDS`, without memo."""
+    """One mechanism of each kind in :data:`MECHANISM_KINDS`, without memo;
+    also ``sea-unit`` and ``sea-shared``, eating on one schedule for every
+    agent: unit speed, or :func:`nonunit_schedule`'s fast-then-slow."""
     instance = Instance.default(n)
     if kind == "ps":
         return ProbabilisticSerial(instance)
@@ -143,6 +145,11 @@ def build_mechanism(kind, n):
         return SerialDictatorship(instance, reversed(range(n)))
     if kind == "sea":
         return SimultaneousEating(instance, nonunit_schedule(n))
+    if kind == "sea-unit":
+        return SimultaneousEating(instance, EatingSpeedSchedule.unit(n))
+    if kind == "sea-shared":
+        shared = nonunit_schedule(n).pieces[0]
+        return SimultaneousEating(instance, EatingSpeedSchedule((shared,) * n))
     return random_table(instance, seed=n)
 
 
@@ -162,6 +169,13 @@ class CountingPS(ProbabilisticSerial):
     def assignment(self, profile):
         self.assignment_calls += 1
         return super().assignment(profile)
+
+
+class CountingUndeclaredPS(CountingPS):
+    """A counting PS that does not declare itself anonymous, so a domain
+    table fills it profile by profile."""
+
+    anonymous = False
 
 
 def interim_shares_oracle(mechanism, agent, report, prior):

@@ -13,6 +13,7 @@ from fractions import Fraction
 import pytest
 
 from helpers import (
+    CountingPS,
     DEVIATION,
     DEVIATION_PROFILE,
     DEVIATION_ROW,
@@ -29,6 +30,7 @@ from ramkit.core import (
     swap_relation,
 )
 from ramkit.axioms import (
+    PAIR_AXIOMS,
     check_equal_treatment_of_equals,
     check_mechanism_ordinal_efficiency,
     check_neutrality,
@@ -244,3 +246,26 @@ def test_four_agent_monotonicity_and_upper_invariance(instance4):
     # 24 reports for each of the 4 * 24**3 (agent, opponents) cells
     assert results["em"].profiles_checked == 4 * 24 ** 3 * 24
     assert time.perf_counter() - start < 600.0
+
+
+def test_four_agent_pair_axiom_profile(instance4):
+    """Every pair axiom at n=4, exhaustively: PS fails sp and li and
+    satisfies weak-sp, em and ui; RP satisfies all five.  Both are
+    anonymous, so each is evaluated once per multiset of reports."""
+    start = time.perf_counter()
+    ps4 = CountingPS(instance4)
+    ps = run_pair_sweep(ps4, PAIR_AXIOMS, mode="exhaustive")
+    assert len(ps4.counts) == 17550 and set(ps4.counts.values()) == {1}
+    assert {ax: len(outcome.violations) for ax, outcome in ps.items()} == {
+        "sp": 1386432, "weak-sp": 0, "em": 0, "ui": 0, "li": 457632,
+    }
+    assert ps["sp"].profiles_checked == 4 * 24 ** 3 * 24
+    rng = random.Random(SEED)
+    for axiom in ("sp", "li"):
+        violations = ps[axiom].violations
+        for k in [0, len(violations) - 1] + rng.sample(range(len(violations)), 20):
+            assert reverify_violation(ps4, violations[k])
+    del ps
+    rp = run_pair_sweep(RandomPriority(instance4), PAIR_AXIOMS, mode="exhaustive")
+    assert all(outcome.satisfied for outcome in rp.values())
+    assert time.perf_counter() - start < 120.0

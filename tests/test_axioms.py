@@ -11,6 +11,7 @@ from helpers import (
     MECHANISM_KINDS,
     TRUTH_PROFILE,
     CountingPS,
+    CountingUndeclaredPS,
     build_mechanism,
     profile_sweep_oracle,
     random_bistochastic,
@@ -468,7 +469,19 @@ class TestProfileSweeps:
         assert mech.assignment_calls == 0
         assert set(mech.counts.values()) == {1}
         if mode == "exhaustive":
-            assert len(mech.counts) == 6 ** 3
+            # ETE evaluates only the 96 profiles with two equal reports;
+            # the other sweeps fill PS once per multiset of reports, C(8, 3)
+            assert len(mech.counts) == (96 if axiom == "ete" else 56)
+
+    @pytest.mark.parametrize("mode", ("exhaustive", "first"))
+    @pytest.mark.parametrize("axiom", PAIR_AXIOMS + PROFILE_AXIOMS)
+    def test_each_profile_evaluated_at_most_once_without_anonymity(self, axiom, mode):
+        mech = CountingUndeclaredPS(Instance.default(3))
+        run_axiom_check(mech, axiom, mode=mode, jobs=1)
+        assert mech.assignment_calls == 0
+        assert set(mech.counts.values()) == {1}
+        if mode == "exhaustive":
+            assert len(mech.counts) == (96 if axiom == "ete" else 6 ** 3)
 
     def test_ex_post_settles_ordinally_efficient_outcomes_without_decomposing(
         self, monkeypatch

@@ -285,7 +285,8 @@ class TestJobs:
             def map(self, fn, items):
                 return map(fn, items)
 
-        args = ("check", "--axiom", "em", "--mechanism", "ps", "--n", "3",
+        # serial dictatorship is not anonymous, so its fill uses the pool
+        args = ("check", "--axiom", "em", "--mechanism", "sd:3,1,2", "--n", "3",
                 "--mode", "exhaustive", "--format", "machine")
         _, serial, _ = run_cli(*args, "--jobs", "1")
         monkeypatch.setattr(domain, "ProcessPoolExecutor", RecordingPool)

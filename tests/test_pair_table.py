@@ -2,6 +2,7 @@
 the Fraction cell oracle in ``helpers.pair_sweep_oracle``."""
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -11,19 +12,21 @@ from hypothesis import given, settings, strategies as st
 from helpers import (
     MECHANISM_KINDS,
     CountingPS,
+    CountingUndeclaredPS,
     build_mechanism,
     huge_denominator_table,
     pair_sweep_oracle,
     random_bistochastic,
     random_profile,
 )
-from ramkit.axioms import PAIR_AXIOMS, run_pair_sweep
+from ramkit.axioms import PAIR_AXIOMS, check_equal_treatment_of_equals, run_pair_sweep
 from ramkit.core import Instance, enumerate_preferences, enumerate_profiles
 from ramkit.domain import DomainTable
 from ramkit.mechanisms import (
     Mechanism,
     ProbabilisticSerial,
     RandomPriority,
+    SerialDictatorship,
     TabulatedMechanism,
 )
 
@@ -31,7 +34,7 @@ AXIOM_SETS = [PAIR_AXIOMS] + [(ax,) for ax in PAIR_AXIOMS]
 
 
 @pytest.mark.parametrize("n", (2, 3))
-@pytest.mark.parametrize("kind", MECHANISM_KINDS)
+@pytest.mark.parametrize("kind", MECHANISM_KINDS + ("sea-shared",))
 def test_exhaustive_matches_oracle_for_every_jobs(kind, n):
     mech = build_mechanism(kind, n)
     expected = pair_sweep_oracle(mech, PAIR_AXIOMS, mode="exhaustive")
@@ -73,19 +76,27 @@ def _rows_at(table, index):
 def test_n4_rows_match_assignment(kind):
     mech = build_mechanism(kind, 4)
     prefs = enumerate_preferences(mech.instance)
-    table = DomainTable(mech, prefs)
+    lazy, filled = DomainTable(mech, prefs), DomainTable(mech, prefs)
+    filled.fill()  # by multiset
+    assert filled.anonymous and not lazy.anonymous
     rng = random.Random(4)
     for _ in range(40):
-        index = rng.randrange(table.size)
-        profile = table.profile(index)
+        index = rng.randrange(lazy.size)
+        profile = lazy.profile(index)
         assert profile == next(itertools.islice(
             itertools.product(prefs, repeat=4), index, None
         ))
-        assert _rows_at(table, index) == mech.assignment(profile)
+        expected = mech.assignment(profile)
+        for table in (lazy, filled):
+            assert _rows_at(table, index) == expected
+            flat, d = table.entry(index)
+            assert tuple(
+                tuple(Fraction(x, d) for x in flat[i * 4:(i + 1) * 4]) for i in range(4)
+            ) == expected
 
 
 @pytest.mark.parametrize("dense", (True, False))
-@pytest.mark.parametrize("kind", MECHANISM_KINDS)
+@pytest.mark.parametrize("kind", MECHANISM_KINDS + ("sea-shared",))
 def test_entry_reads_one_profile(kind, dense):
     mech = build_mechanism(kind, 3)
     table = DomainTable(mech, enumerate_preferences(mech.instance))
@@ -122,6 +133,15 @@ def test_each_profile_evaluated_once(mode):
     run_pair_sweep(mech, ("sp", "em", "ui"), mode=mode, jobs=1)
     assert max(mech.counts.values()) == 1
     if mode == "exhaustive":
+        assert len(mech.counts) == math.comb(6 + 3 - 1, 3)  # one per report multiset
+
+
+@pytest.mark.parametrize("mode", ("exhaustive", "first"))
+def test_each_profile_evaluated_once_without_anonymity(mode):
+    mech = CountingUndeclaredPS(Instance.default(3))
+    run_pair_sweep(mech, ("sp", "em", "ui"), mode=mode, jobs=1)
+    assert max(mech.counts.values()) == 1
+    if mode == "exhaustive":
         assert len(mech.counts) == 6 ** 3
 
 
@@ -143,8 +163,9 @@ def test_satisfied_first_sweep_scans_domain_once():
     assert set(mech.counts.values()) == {1}
 
 
-class PickleCountingPS(ProbabilisticSerial):
-    """PS that counts how often it is pickled in this process."""
+class PickleCountingSD(SerialDictatorship):
+    """Serial dictatorship (not anonymous, so filled on the pool) that
+    counts how often it is pickled in this process."""
 
     pickles = 0
 
@@ -155,13 +176,14 @@ class PickleCountingPS(ProbabilisticSerial):
 
 @pytest.mark.parametrize("jobs", (2, 3))
 def test_pool_pickles_mechanism_once_per_worker(jobs):
-    PickleCountingPS.pickles = 0
-    mech = PickleCountingPS(Instance.default(3))
+    PickleCountingSD.pickles = 0
+    mech = PickleCountingSD(Instance.default(3), (2, 0, 1))
+    assert not mech.anonymous
     out = run_pair_sweep(mech, ("li",), mode="exhaustive", jobs=jobs)
     assert out == pair_sweep_oracle(mech, ("li",))
     # at most one pickle per started worker (none where workers fork),
     # never one per index-range task
-    assert PickleCountingPS.pickles <= jobs
+    assert PickleCountingSD.pickles <= jobs
 
 
 def test_huge_denominators_stay_exact():
@@ -273,13 +295,18 @@ def _check_columns(table, agent, start, count):
 
 
 @pytest.mark.parametrize("dense", (True, False))
-@pytest.mark.parametrize("kind", ("coded", "ps", "sea", "table"))
+@pytest.mark.parametrize("kind", ("coded", "ps", "rp", "sea", "sea-shared", "table"))
 def test_columns_match_scaled_assignment_at_n3(kind, dense):
     instance = Instance.default(3)
     mech = CodedShares(instance) if kind == "coded" else build_mechanism(kind, 3)
     table = DomainTable(mech, enumerate_preferences(instance))
     if dense:
         table.fill(1)
+    # ps, rp and sea-shared fill by multiset; sea-shared's denominators vary
+    assert table.anonymous == (dense and kind in ("ps", "rp", "sea-shared"))
+    if table.anonymous and kind == "sea-shared":
+        dens = {mech.scaled_assignment(p)[1] for p in enumerate_profiles(instance)}
+        assert len(dens) > 1 and table.D == math.lcm(*dens)
     for agent in range(3):
         _check_columns(table, agent, 0, table.cells)
         # windows that start and end inside a run of cells sharing the
@@ -302,6 +329,59 @@ def test_columns_match_scaled_assignment_at_n4():
         # across a boundary between runs of ``stride`` cells
         if 1 < stride < table.cells:
             _check_columns(table, agent, 3 * stride - 5, stride + 10)
+
+
+# ---------------------------------------------------------------------------
+# anonymous mechanisms: the declared fact, and tables filled by multiset
+# ---------------------------------------------------------------------------
+
+
+ANONYMOUS_KINDS = ("ps", "rp", "sea-unit", "sea-shared")
+
+
+@pytest.mark.parametrize("n", (2, 3))
+@pytest.mark.parametrize("kind", ANONYMOUS_KINDS)
+def test_declared_anonymous_mechanisms_permute_rows_with_agents(kind, n):
+    mech = build_mechanism(kind, n)
+    assert mech.anonymous
+    sigmas = list(itertools.permutations(range(n)))
+    for profile in enumerate_profiles(mech.instance):
+        out = mech.assignment(profile)
+        for sigma in sigmas:
+            # agent i of the permuted profile reports what agent sigma[i] did
+            permuted = tuple(profile[j] for j in sigma)
+            assert mech.assignment(permuted) == tuple(out[j] for j in sigma)
+
+
+@pytest.mark.parametrize("n", (2, 3))
+@pytest.mark.parametrize("kind", ("sd", "sea", "table"))
+def test_other_mechanisms_declare_not_anonymous(kind, n):
+    assert not build_mechanism(kind, n).anonymous
+
+
+class AnonymousSD(SerialDictatorship):
+    """Serial dictatorship falsely declared anonymous."""
+
+    anonymous = True
+
+
+def test_false_anonymity_makes_the_fill_raise():
+    mech = AnonymousSD(Instance.default(3), (0, 1, 2))
+    table = DomainTable(mech, enumerate_preferences(mech.instance))
+    with pytest.raises(ValueError, match="declared anonymous"):
+        table.fill()
+    with pytest.raises(ValueError, match="declared anonymous"):
+        run_pair_sweep(mech, ("em",), mode="exhaustive")
+
+
+def test_ete_stays_a_real_check_for_declared_anonymous_mechanisms():
+    """ETE reads profiles one by one, with no fill, so a false declaration
+    does not turn it into a consequence of the fact."""
+    mech = AnonymousSD(Instance.default(3), (0, 1, 2))
+    honest = SerialDictatorship(Instance.default(3), (0, 1, 2))
+    got = check_equal_treatment_of_equals(mech, mode="exhaustive")
+    assert not got.satisfied
+    assert got == check_equal_treatment_of_equals(honest, mode="exhaustive")
 
 
 # ---------------------------------------------------------------------------
