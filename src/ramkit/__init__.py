@@ -36,7 +36,6 @@ from .mechanisms import (
     SimultaneousEating,
     TabulatedMechanism,
     constant_mechanism,
-    eat,
     tabulate,
 )
 from .axioms import (

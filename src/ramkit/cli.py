@@ -60,7 +60,7 @@ from .mechanisms import (
 AXIOM_CHOICES = PAIR_AXIOMS + PROFILE_AXIOMS
 
 
-def build_mechanism(selector: str, instance: Instance | None, *, cache: bool) -> Mechanism:
+def build_mechanism(selector: str, instance: Instance | None) -> Mechanism:
     """Construct a mechanism from a selector string.
 
     ``ps`` | ``rp`` | ``sd:<order>`` | ``sea:<speed-file>`` |
@@ -81,20 +81,20 @@ def build_mechanism(selector: str, instance: Instance | None, *, cache: bool) ->
     if instance is None:
         raise ValueError("this command needs --n to build the mechanism")
     if kind == "ps":
-        return ProbabilisticSerial(instance, cache=cache)
+        return ProbabilisticSerial(instance)
     if kind == "rp":
-        return RandomPriority(instance, cache=cache)
+        return RandomPriority(instance)
     if kind == "sd":
         if not arg:
             raise ValueError("serial dictatorship needs an order: sd:1,2,3")
         order = tuple(int(tok) - 1 for tok in arg.split(","))
-        return SerialDictatorship(instance, order, cache=cache)
+        return SerialDictatorship(instance, order)
     if kind == "sea":
         if not arg:
             raise ValueError("eating mechanism needs a file: sea:<speed-file>")
         with open(arg, encoding="utf-8") as fh:
             schedule = parse_speed_file(fh.read())
-        return SimultaneousEating(instance, schedule, cache=cache)
+        return SimultaneousEating(instance, schedule)
     raise ValueError(f"unknown mechanism selector {selector!r}")
 
 
@@ -143,7 +143,7 @@ def _stream(chunks) -> None:
 def cmd_eval(args) -> int:
     with open(args.profile, encoding="utf-8") as fh:
         instance, profile = parse_profile_file(fh.read())
-    mech = build_mechanism(args.mechanism, instance, cache=False)
+    mech = build_mechanism(args.mechanism, instance)
     out = mech.assignment(profile)
     if args.format == "machine":
         _emit([f"eval mechanism={mech.descriptor()} profile="
@@ -160,8 +160,7 @@ def cmd_check(args) -> int:
     if args.jobs < 1:
         raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
     instance = _instance_from_args(args)
-    # every check reads each profile at most once, so a memo would only grow
-    mech = build_mechanism(args.mechanism, instance, cache=False)
+    mech = build_mechanism(args.mechanism, instance)
     outcome = run_axiom_check(
         mech, args.axiom, mode=args.mode, jobs=args.jobs, max_n=args.max_n
     )
@@ -171,8 +170,7 @@ def cmd_check(args) -> int:
 
 def cmd_obic(args) -> int:
     instance = _instance_from_args(args)
-    # the interim pass reads each profile once, so a memo would only grow
-    mech = build_mechanism(args.mechanism, instance, cache=False)
+    mech = build_mechanism(args.mechanism, instance)
     prior = build_prior(args.prior, instance)
     report = obic_decomposition_report(mech, prior, max_n=args.max_n)
     machine = args.format == "machine"
@@ -186,12 +184,11 @@ def cmd_obic(args) -> int:
 
 def cmd_lrobic(args) -> int:
     instance = _instance_from_args(args)
-    mech = build_mechanism(args.mechanism, instance, cache=True)
+    mech = build_mechanism(args.mechanism, instance)
     center = build_prior(args.center, instance)
     epsilon = parse_rational(args.epsilon)
     hit = lrobic_search(
-        mech, center, epsilon, args.samples, args.seed,
-        targeted=args.targeted, max_n=args.max_n,
+        mech, center, epsilon, args.samples, args.seed, max_n=args.max_n
     )
     machine = args.format == "machine"
     if hit is None:
@@ -216,7 +213,7 @@ def cmd_lrobic(args) -> int:
 def cmd_decompose(args) -> int:
     with open(args.profile, encoding="utf-8") as fh:
         instance, profile = parse_profile_file(fh.read())
-    mech = build_mechanism(args.mechanism, instance, cache=False)
+    mech = build_mechanism(args.mechanism, instance)
     out = mech.assignment(profile)
     decomposition = birkhoff_decompose(out)
     lines = []
@@ -230,7 +227,7 @@ def cmd_decompose(args) -> int:
 
 def cmd_ranks(args) -> int:
     instance = _instance_from_args(args)
-    mech = build_mechanism(args.mechanism, instance, cache=False)
+    mech = build_mechanism(args.mechanism, instance)
     prior = build_prior(args.prior, instance)
     agents = None if args.agent is None else [args.agent - 1]
     machine = args.format == "machine"
@@ -354,8 +351,8 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
                    help="worker processes that build the domain table of "
                         "an exhaustive sweep, at least 1 and at most the "
-                        "CPU count; anonymous mechanisms (ps, rp, sea with one "
-                        "schedule for all) are filled in this process, once "
+                        "CPU count; anonymous mechanisms (ps, rp, sea at one "
+                        "speed for all) are filled in this process, once "
                         "per multiset of reports; the comparisons run in the "
                         "main process; mode=first, the default for n>3, and "
                         "ete always run serially")
@@ -373,9 +370,6 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--epsilon", required=True, help="ball radius, e.g. 1/20")
     p.add_argument("--samples", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--targeted", action="store_true",
-                   help="perturb only the two preferences of a known "
-                        "ex-post invariance violation")
     common(p, need_n=True)
     p.set_defaults(func=cmd_lrobic)
 

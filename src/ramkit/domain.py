@@ -19,13 +19,14 @@ agents before ``agent`` at ``c // s`` and those after at ``c % s``.
 :meth:`DomainTable.fill` evaluates the whole domain, in one of two ways.
 
 - An **anonymous** mechanism (``Mechanism.anonymous``; PS, RP, and eating
-  with one schedule for all) gives an agent a row that depends only on her
+  at one speed for all) gives an agent a row that depends only on her
   report and the multiset of the others' reports.  Each multiset of ``n``
   reports is evaluated once, in this process, at its sorted profile:
   ``C(m+n-1, n)`` evaluations, 17,550 at n=4 instead of 331,776.  The table
   keeps one row per report and multiset of ``n-1`` opponent reports
   (24 x 2,600 at n=4), as Python ints over the lcm ``D`` of the
-  denominators seen, and raises if two agents with equal reports get
+  denominators seen (an eating mechanism's one fixed ``D``, such as PS's
+  ``lcm(1..n)**n``), and raises if two agents with equal reports get
   different rows.  Every cell has a multiset id, so a column is gathered
   through the ids of its cells and is the same for every agent.
 - Any other mechanism is evaluated at every profile into **dense
@@ -95,7 +96,8 @@ def _evaluate(mech: Mechanism, profile: Profile) -> tuple[tuple[int, ...], int]:
 
     Lazy entries are reduced because a lazy table may hold every profile,
     and in least terms the numerators are mostly Python's shared small
-    ints; over a fixed D such as PS's each would be a separate object.
+    ints; over an eating mechanism's fixed D, such as PS's, each would be
+    a separate object.
     """
     rows, d = mech.scaled_assignment(profile)
     flat = [x for row in rows for x in row]

@@ -19,7 +19,7 @@ off-support report is evaluated exactly once through
 integers over one per-agent denominator, and OBIC and the interim em/ui/li
 run on them in the ex-post pair sweep's column kernel
 (:class:`ramkit.axioms._PairSweep`), one single-cell batch per agent.  The
-pass needs no memo; a PS or RP mechanism's memo stays empty.
+pass needs no memo; a mechanism's memo stays empty.
 :func:`obic_decomposition_report` builds the rows once for OBIC and the
 em/ui/li sweep.  :func:`interim_share_vector` is a separate Fraction
 route, and replaying a witness reads its rows only from that route.
@@ -51,8 +51,6 @@ from .axioms import (
     _PairSweep,
     _replay_pair,
     _resolve_mode,
-    check_lower_invariance,
-    check_upper_invariance,
 )
 from .mechanisms import Mechanism
 from .reports import CheckOutcome, ViolationReport
@@ -511,57 +509,6 @@ def sample_prior_in_ball(
     )
 
 
-def sample_prior_pair_shift(
-    center: Prior,
-    epsilon: Fraction,
-    seed: int,
-    pair: tuple[Preference, Preference],
-    *,
-    grid: int = PRIOR_GRID,
-    max_attempts: int = SAMPLER_RETRY_BUDGET,
-) -> PriorBallSample:
-    """Ball sample that perturbs only two preferences, in opposite
-    directions; all other probabilities keep their rounded-center values."""
-    epsilon = Fraction(epsilon)
-    if epsilon <= 0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
-    index = {p: k for k, p in enumerate(enumerate_preferences(center.instance))}
-    up, down = index[pair[0]], index[pair[1]]
-    if up == down:
-        raise ValueError("pair must name two distinct preferences")
-    base = _grid_base(center, grid)
-    reach = max(1, ceil(epsilon * grid) - 1)
-    rng = random.Random(seed)
-    for attempt in range(1, max_attempts + 1):
-        delta = _uniform_int(rng, 1, reach)
-        if _uniform_int(rng, 0, 1):
-            delta = -delta
-        numerators = base[:]
-        numerators[up] += delta
-        numerators[down] -= delta
-        prior = _validate_ball_point(numerators, center, epsilon, grid)
-        if prior is not None:
-            return PriorBallSample(
-                center=center, radius=epsilon, seed=seed,
-                prior=prior, attempts=attempt,
-            )
-    raise SamplingExhaustedError(
-        f"no valid pair-shifted prior within {epsilon} after {max_attempts} attempts"
-    )
-
-
-def _invariance_violation_pair(
-    mech: Mechanism, *, max_n: Optional[int] = None
-) -> Optional[tuple[Preference, Preference]]:
-    """Swap pair of a known ex-post invariance violation, if any."""
-    for checker in (check_lower_invariance, check_upper_invariance):
-        outcome = checker(mech, mode="first", max_n=max_n)
-        if not outcome.satisfied:
-            witness = outcome.violations[0]
-            return witness.profile[witness.agent], witness.deviation
-    return None
-
-
 def lrobic_search(
     mech: Mechanism,
     center: Prior,
@@ -569,7 +516,6 @@ def lrobic_search(
     samples: int,
     seed: int,
     *,
-    targeted: bool = False,
     grid: int = PRIOR_GRID,
     max_n: Optional[int] = None,
 ) -> Optional[tuple[PriorBallSample, ViolationReport]]:
@@ -580,22 +526,11 @@ def lrobic_search(
     passes.  A hit certifies the mechanism is not OBIC at that prior and
     hence not locally robust at (center, epsilon); an empty result
     certifies nothing.
-
-    ``targeted`` perturbs only the two preferences of a known ex-post
-    invariance violation of the mechanism, which concentrates the search
-    where the interim identities are easiest to break; mechanisms with no
-    such violation fall back to blind sampling.
     """
     if samples < 1:
         raise ValueError(f"need at least one sample, got {samples}")
-    pair = _invariance_violation_pair(mech, max_n=max_n) if targeted else None
     for k in range(samples):
-        if pair is not None:
-            sample = sample_prior_pair_shift(
-                center, epsilon, seed + k, pair, grid=grid
-            )
-        else:
-            sample = sample_prior_in_ball(center, epsilon, seed + k, grid=grid)
+        sample = sample_prior_in_ball(center, epsilon, seed + k, grid=grid)
         outcome = check_obic(mech, sample.prior, mode="first", max_n=max_n)
         if not outcome.satisfied:
             return sample, outcome.violations[0]

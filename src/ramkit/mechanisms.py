@@ -3,9 +3,15 @@
 Built-ins: fixed-order serial dictatorship, random priority (the exact
 uniform average of all n! dictatorships), the simultaneous-eating family
 with piecewise-constant rational speed schedules, and probabilistic serial
-(the unit-speed member, with a fast integer-arithmetic evaluator).
-Arbitrary externally supplied mechanisms are wrapped as tabulated lookup
-mechanisms.
+(its unit-speed member).  Arbitrary externally supplied mechanisms are
+wrapped as tabulated lookup mechanisms.
+
+Every mechanism is defined by its integer shares: ``Mechanism._shares``
+returns a profile's assignment as numerators over a common denominator,
+and the Fraction :meth:`Mechanism.assignment` is read from it.  All eating
+mechanisms run on one integer engine over a denominator fixed per schedule
+when the mechanism is built (:func:`_compile`); for PS it is
+``lcm(1, ..., n)**n``.
 
 A mechanism is a pure map from profiles to bistochastic matrices; the same
 profile always evaluates to the identical assignment.  Evaluation can be
@@ -14,9 +20,10 @@ memoized per profile (``cache=True``); caching never changes results.
 A mechanism is **anonymous** when permuting the agents permutes its rows
 the same way, so an agent's row depends only on her report and the
 multiset of the others' reports.  PS and RP are; an eating mechanism is
-when every agent eats on the same schedule.  ``Mechanism.anonymous`` states
-this as a fact of the mechanism, not an option, and lets a domain table
-evaluate each multiset of reports once (:mod:`ramkit.domain`).
+when every agent eats at the same speed at every time.
+``Mechanism.anonymous`` states this as a fact of the mechanism, not an
+option, and lets a domain table evaluate each multiset of reports once
+(:mod:`ramkit.domain`).
 """
 
 from __future__ import annotations
@@ -34,13 +41,14 @@ from .core import (
     CapExceededError,
     Instance,
     PREFERENCE_ENUM_CAP,
-    Preference,
     Profile,
     enumerate_profiles,
     validate_assignment,
 )
 
 SpeedPiece = tuple[Fraction, Fraction, Fraction]  # (start, end, rate)
+# (end tick, (agent, integer rate) for every agent eating in the segment)
+Segments = tuple[tuple[int, tuple[tuple[int, int], ...]], ...]
 
 
 def _exact(x) -> Fraction:
@@ -111,127 +119,104 @@ class EatingSpeedSchedule:
         return tuple(sorted({end for ap in self.pieces for (_, end, _) in ap}))
 
 
-def eat(
-    profile: Profile,
-    schedule: EatingSpeedSchedule,
-    trace: Optional[list] = None,
-) -> AssignmentMatrix:
-    """Run the simultaneous eating simulation, exactly.
+def _compile(schedule: EatingSpeedSchedule) -> tuple[Segments, int]:
+    """The schedule as integer segments over its fixed denominator ``D``.
 
-    Every agent continuously consumes her best object with remaining
-    supply, at her scheduled speed.  The simulation advances event by
-    event to the earliest of (a) an object's supply hitting zero and
-    (b) a speed breakpoint; event times solve single linear equations, so
-    all quantities stay rational.  With equal agent and object counts and
-    unit total consumption per agent, the run ends at time 1 with every
-    supply exactly zero.
+    Rates are scaled to integers by ``Lr``, the lcm of the rate
+    denominators.  The clock runs in ticks of ``1/(Lb * G**n)``, where
+    ``Lb`` is the lcm of the breakpoint denominators and ``G`` the lcm of
+    every nonzero subset sum of each segment's integer rates.  Returns the
+    segments as ``(end tick, ((agent, integer rate), ...))``, listing the
+    agents with a nonzero rate, and ``D = Lr * Lb * G**n``; for unit speeds
+    ``D = lcm(1, ..., n)**n``.
+    """
+    n = schedule.n
+    ends = schedule.breakpoints()
+    rates = [
+        tuple(schedule.rate_at(i, start) for i in range(n))
+        for start in (ZERO,) + ends[:-1]
+    ]
+    lr = math.lcm(*(r.denominator for seg in rates for r in seg))
+    int_rates = [tuple(int(r * lr) for r in seg) for seg in rates]
+    sums: set[int] = set()
+    for seg in int_rates:
+        reach = {0}
+        for r in seg:
+            reach |= {s + r for s in reach}
+        sums |= reach
+    sums.discard(0)
+    ticks = math.lcm(*(b.denominator for b in ends)) * math.lcm(*sums) ** n
+    return tuple(
+        (int(b * ticks), tuple((i, r) for i, r in enumerate(seg) if r))
+        for b, seg in zip(ends, int_rates)
+    ), lr * ticks
 
-    ``trace``, when given, collects one entry per event:
-    ``(time_after, supplies_after, total_eaten_after)``.
+
+def _eat(profile: Profile, segments: Segments, D: int) -> tuple[list[list[int]], int]:
+    """Simultaneous eating over the fixed denominator ``D`` of
+    :func:`_compile`.
+
+    Every agent eats her best object with remaining supply at her integer
+    rate; time, supplies and shares are integer multiples of one tick, so
+    the loop never rescales.  Each event ends at the earliest of an
+    object's exhaustion and the segment's end.  Breakpoints are multiples
+    of ``G**n`` ticks, and each of the at most n exhaustion events divides
+    a supply by a subset sum of the rates, a divisor of ``G``; so before
+    the k-th exhaustion every quantity is a multiple of ``G**(n-k)`` and
+    every event is integral.  Returns the share numerators and ``D``.
     """
     n = len(profile)
-    if schedule.n != n:
-        raise ValueError(f"schedule covers {schedule.n} agents, profile has {n}")
-    supply = [ONE] * n
-    shares = [[ZERO] * n for _ in range(n)]
-    pos = [0] * n
-    alive = [True] * n
-    breaks = schedule.breakpoints()
-    bi = 0
-    t = ZERO
-    while t < ONE:
-        while breaks[bi] <= t:
-            bi += 1
-        rates = [schedule.rate_at(i, t) for i in range(n)]
-        eaters = [ZERO] * n
-        target = [-1] * n
-        for i in range(n):
-            if rates[i] == 0:
-                continue
-            ranking = profile[i]
-            p = pos[i]
-            while not alive[ranking[p]]:
-                p += 1
-            pos[i] = p
-            a = ranking[p]
-            target[i] = a
-            eaters[a] += rates[i]
-        dt = breaks[bi] - t
-        for a in range(n):
-            if eaters[a] != 0:
-                cand = supply[a] / eaters[a]
-                if cand < dt:
-                    dt = cand
-        for i in range(n):
-            a = target[i]
-            if a >= 0:
-                shares[i][a] += rates[i] * dt
-        for a in range(n):
-            if eaters[a] != 0:
-                supply[a] -= eaters[a] * dt
-                if supply[a] == 0:
-                    alive[a] = False
-        t += dt
-        if trace is not None:
-            trace.append(
-                (t, tuple(supply), sum(sum(row) for row in shares))
-            )
-    if t != ONE or any(s != 0 for s in supply):
-        raise AssertionError("eating simulation failed to consume all supply by time 1")
-    return tuple(tuple(row) for row in shares)
-
-
-def _eat_unit_scaled(profile: Profile, n: int) -> tuple[list[list[int]], int]:
-    """Unit-speed eating over the fixed common denominator ``D = L**n``,
-    ``L = lcm(1, ..., n)``.
-
-    Time, supplies and accumulated shares are kept as integer multiples of
-    1/D, so the inner loop runs entirely on integers and never rescales.
-    D suffices: each of the at most n events divides a supply by an eater
-    count in 1..n, so before the k-th event every quantity is a multiple of
-    ``L**(n-k)``.  Returns the share numerators and D.
-    """
-    D = math.lcm(*range(1, n + 1)) ** n
     T = 0
     supply = [D] * n
     shares = [[0] * n for _ in range(n)]
     pos = [0] * n
     alive = [True] * n
-    while T < D:
-        eaters = [0] * n
-        target = [0] * n
-        for i in range(n):
-            ranking = profile[i]
-            p = pos[i]
-            while not alive[ranking[p]]:
-                p += 1
-            pos[i] = p
-            a = ranking[p]
-            target[i] = a
-            eaters[a] += 1
-        # earliest event: object exhaustion at supply[a]/eaters[a], or the
-        # horizon D-T; ties resolve to the earlier candidate, which is safe
-        # because the subtraction below still zeroes tied objects.
-        dt = D - T
-        for a in range(n):
-            e = eaters[a]
-            if e and supply[a] < dt * e:
-                dt = supply[a] // e
-        T += dt
-        for a in range(n):
-            e = eaters[a]
-            if e:
-                left = supply[a] - e * dt
-                supply[a] = left
-                if not left:
-                    alive[a] = False
-        for i in range(n):
-            shares[i][target[i]] += dt
+    for end, eating in segments:
+        while T < end:
+            eaters = [0] * n
+            target = [0] * n
+            for i, r in eating:
+                ranking = profile[i]
+                p = pos[i]
+                while not alive[ranking[p]]:
+                    p += 1
+                pos[i] = p
+                a = target[i] = ranking[p]
+                eaters[a] += r
+            # ties resolve to the earlier candidate, which is safe because
+            # the subtraction below still zeroes tied objects; an exhaustion
+            # between ticks would mean D is too coarse, and would stall the
+            # clock, so it raises
+            dt = end - T
+            for a in range(n):
+                e = eaters[a]
+                if e and supply[a] < dt * e:
+                    dt, rest = divmod(supply[a], e)
+                    if rest:
+                        raise AssertionError("an object runs out between two ticks of D")
+            T += dt
+            for a in range(n):
+                e = eaters[a]
+                if e:
+                    left = supply[a] - e * dt
+                    supply[a] = left
+                    if not left:
+                        alive[a] = False
+            for i, r in eating:
+                shares[i][target[i]] += r * dt
+    if any(supply):
+        raise AssertionError("eating simulation failed to consume all supply by time 1")
     return shares, D
 
 
 class Mechanism:
-    """Pure deterministic map from profiles to assignments."""
+    """Pure deterministic map from profiles to assignments.
+
+    A subclass implements one hook, :meth:`_shares`, which returns the
+    assignment as integer numerators over a common denominator; both
+    :meth:`scaled_assignment` and the Fraction :meth:`assignment` are
+    built from it.
+    """
 
     kind = "mechanism"
     #: Permuting the agents permutes the rows (see the module docstring).
@@ -248,18 +233,8 @@ class Mechanism:
                 f"profile has {len(profile)} preferences, expected {self.instance.n}"
             )
 
-    def assignment(self, profile: Profile) -> AssignmentMatrix:
-        self._check_length(profile)
-        if self._cache is not None:
-            hit = self._cache.get(profile)
-            if hit is not None:
-                return hit
-        out = self._compute(profile)
-        if self._cache is not None:
-            self._cache[profile] = out
-        return out
-
-    def _compute(self, profile: Profile) -> AssignmentMatrix:
+    def _shares(self, profile: Profile) -> tuple[list[list[int]], int]:
+        """``(numerators, D)`` of a profile of the right length."""
         raise NotImplementedError
 
     def scaled_assignment(self, profile: Profile) -> tuple[list[list[int]], int]:
@@ -269,9 +244,20 @@ class Mechanism:
         ``assignment(profile)[i][a]``.  D is some common denominator of the
         profile's shares, not necessarily the least one.
         """
-        matrix = self.assignment(profile)
-        d = math.lcm(*(x.denominator for row in matrix for x in row))
-        return [[x.numerator * (d // x.denominator) for x in row] for row in matrix], d
+        self._check_length(profile)
+        return self._shares(profile)
+
+    def assignment(self, profile: Profile) -> AssignmentMatrix:
+        self._check_length(profile)
+        if self._cache is not None:
+            hit = self._cache.get(profile)
+            if hit is not None:
+                return hit
+        rows, d = self._shares(profile)
+        out = tuple(tuple(Fraction(x, d) for x in row) for row in rows)
+        if self._cache is not None:
+            self._cache[profile] = out
+        return out
 
     def descriptor(self) -> str:
         return self.kind
@@ -298,12 +284,6 @@ def dictatorship_outcome(profile: Profile, order: tuple[int, ...]) -> tuple[int,
     return tuple(pick)
 
 
-def _perm_matrix(perm: tuple[int, ...], n: int) -> AssignmentMatrix:
-    return tuple(
-        tuple(ONE if a == perm[i] else ZERO for a in range(n)) for i in range(n)
-    )
-
-
 class SerialDictatorship(Mechanism):
     """Agents pick their best remaining object in a fixed priority order."""
 
@@ -316,8 +296,11 @@ class SerialDictatorship(Mechanism):
             raise ValueError(f"order must be a permutation of agents, got {order}")
         self.order = order
 
-    def _compute(self, profile: Profile) -> AssignmentMatrix:
-        return _perm_matrix(dictatorship_outcome(profile, self.order), self.instance.n)
+    def _shares(self, profile: Profile) -> tuple[list[list[int]], int]:
+        """The permutation matrix of the picks, over 1."""
+        n = self.instance.n
+        pick = dictatorship_outcome(profile, self.order)
+        return [[int(a == pick[i]) for a in range(n)] for i in range(n)], 1
 
     def descriptor(self) -> str:
         return "sd:" + ",".join(str(i + 1) for i in self.order)
@@ -341,12 +324,8 @@ class RandomPriority(Mechanism):
             raise CapExceededError("priority-order enumeration", instance.n, cap, "max_n")
         self._orders = list(itertools.permutations(instance.agents))
 
-    def scaled_assignment(self, profile: Profile) -> tuple[list[list[int]], int]:
+    def _shares(self, profile: Profile) -> tuple[list[list[int]], int]:
         """Order counts over n!: ``counts[i][a]`` orders give agent i object a."""
-        self._check_length(profile)
-        return self._order_counts(profile)
-
-    def _order_counts(self, profile: Profile) -> tuple[list[list[int]], int]:
         n = self.instance.n
         counts = [[0] * n for _ in range(n)]
         for order in self._orders:
@@ -355,13 +334,10 @@ class RandomPriority(Mechanism):
                 counts[i][pick[i]] += 1
         return counts, len(self._orders)
 
-    def _compute(self, profile: Profile) -> AssignmentMatrix:
-        counts, total = self._order_counts(profile)
-        return tuple(tuple(Fraction(c, total) for c in row) for row in counts)
-
 
 class SimultaneousEating(Mechanism):
-    """Eating mechanism for an arbitrary admissible speed schedule."""
+    """Eating mechanism for an arbitrary admissible speed schedule, run in
+    integers over the schedule's fixed denominator ``D`` (:func:`_compile`)."""
 
     kind = "sea"
 
@@ -373,30 +349,29 @@ class SimultaneousEating(Mechanism):
                 f"schedule covers {schedule.n} agents, instance has {instance.n}"
             )
         self.schedule = schedule
+        self._segments, self.D = _compile(schedule)
 
     @property
     def anonymous(self) -> bool:
-        """Every agent eats on the same schedule."""
-        return len(set(self.schedule.pieces)) == 1
+        """Every agent eats at the same rate in every segment."""
+        n = self.instance.n
+        return all(
+            not eating or (len(eating) == n and len({r for _, r in eating}) == 1)
+            for _, eating in self._segments
+        )
 
-    def _compute(self, profile: Profile) -> AssignmentMatrix:
-        return eat(profile, self.schedule)
+    def _shares(self, profile: Profile) -> tuple[list[list[int]], int]:
+        return _eat(profile, self._segments, self.D)
 
 
-class ProbabilisticSerial(Mechanism):
-    """Unit-speed simultaneous eating (every agent eats at speed 1)."""
+class ProbabilisticSerial(SimultaneousEating):
+    """Unit-speed simultaneous eating (every agent eats at speed 1), over
+    ``D = lcm(1, ..., n)**n``."""
 
     kind = "ps"
-    anonymous = True
 
-    def scaled_assignment(self, profile: Profile) -> tuple[list[list[int]], int]:
-        """The integer eating run itself; no Fractions are built."""
-        self._check_length(profile)
-        return _eat_unit_scaled(profile, self.instance.n)
-
-    def _compute(self, profile: Profile) -> AssignmentMatrix:
-        shares, d = _eat_unit_scaled(profile, self.instance.n)
-        return tuple(tuple(Fraction(x, d) for x in row) for row in shares)
+    def __init__(self, instance: Instance, *, cache: bool = False):
+        super().__init__(instance, EatingSpeedSchedule.unit(instance.n), cache=cache)
 
 
 class TabulatedMechanism(Mechanism):
@@ -404,7 +379,8 @@ class TabulatedMechanism(Mechanism):
 
     The table must be total over all (n!)**n profiles, and every value must
     be a valid assignment; both are checked up front so axiom sweeps can
-    trust lookups blindly.
+    trust lookups blindly.  Shares are stored as Fractions and brought to
+    the lcm of their denominators on lookup.
     """
 
     kind = "table"
@@ -425,11 +401,13 @@ class TabulatedMechanism(Mechanism):
                 raise ValueError(f"table is missing profile {profile}")
         self._table = checked
 
-    def _compute(self, profile: Profile) -> AssignmentMatrix:
+    def _shares(self, profile: Profile) -> tuple[list[list[int]], int]:
         try:
-            return self._table[profile]
+            matrix = self._table[profile]
         except KeyError:
             raise ValueError(f"unknown profile {profile}") from None
+        d = math.lcm(*(x.denominator for row in matrix for x in row))
+        return [[x.numerator * (d // x.denominator) for x in row] for row in matrix], d
 
 
 def tabulate(mechanism: Mechanism, *, max_n: Optional[int] = None) -> TabulatedMechanism:

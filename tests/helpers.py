@@ -135,7 +135,9 @@ def huge_denominator_table(instance, seed, every=True):
 def build_mechanism(kind, n):
     """One mechanism of each kind in :data:`MECHANISM_KINDS`, without memo;
     also ``sea-unit`` and ``sea-shared``, eating on one schedule for every
-    agent: unit speed, or :func:`nonunit_schedule`'s fast-then-slow."""
+    agent: unit speed, or :func:`nonunit_schedule`'s fast-then-slow; and
+    ``sea-split``, unit speed for everyone, with agent 1's speed in one
+    piece and the others' split at 1/2."""
     instance = Instance.default(n)
     if kind == "ps":
         return ProbabilisticSerial(instance)
@@ -150,7 +152,78 @@ def build_mechanism(kind, n):
     if kind == "sea-shared":
         shared = nonunit_schedule(n).pieces[0]
         return SimultaneousEating(instance, EatingSpeedSchedule((shared,) * n))
+    if kind == "sea-split":
+        split = ((0, HALF, 1), (HALF, 1, 1))
+        return SimultaneousEating(
+            instance, EatingSpeedSchedule((((0, 1, 1),),) + (split,) * (n - 1))
+        )
     return random_table(instance, seed=n)
+
+
+def eat(profile, schedule, trace=None):
+    """Fraction oracle of simultaneous eating: the run, event by event, in
+    exact rationals and independent of the library's integer engine.
+
+    Every agent continuously consumes her best object with remaining
+    supply, at her scheduled speed.  The simulation advances to the
+    earliest of (a) an object's supply hitting zero and (b) a speed
+    breakpoint; event times solve single linear equations, so all
+    quantities stay rational.  With equal agent and object counts and unit
+    total consumption per agent, the run ends at time 1 with every supply
+    exactly zero.
+
+    ``trace``, when given, collects one entry per event:
+    ``(time_after, supplies_after, total_eaten_after)``.
+    """
+    n = len(profile)
+    if schedule.n != n:
+        raise ValueError(f"schedule covers {schedule.n} agents, profile has {n}")
+    zero, one = Fraction(0), Fraction(1)
+    supply = [one] * n
+    shares = [[zero] * n for _ in range(n)]
+    pos = [0] * n
+    alive = [True] * n
+    breaks = schedule.breakpoints()
+    bi = 0
+    t = zero
+    while t < one:
+        while breaks[bi] <= t:
+            bi += 1
+        rates = [schedule.rate_at(i, t) for i in range(n)]
+        eaters = [zero] * n
+        target = [-1] * n
+        for i in range(n):
+            if rates[i] == 0:
+                continue
+            ranking = profile[i]
+            p = pos[i]
+            while not alive[ranking[p]]:
+                p += 1
+            pos[i] = p
+            a = ranking[p]
+            target[i] = a
+            eaters[a] += rates[i]
+        dt = breaks[bi] - t
+        for a in range(n):
+            if eaters[a] != 0:
+                cand = supply[a] / eaters[a]
+                if cand < dt:
+                    dt = cand
+        for i in range(n):
+            a = target[i]
+            if a >= 0:
+                shares[i][a] += rates[i] * dt
+        for a in range(n):
+            if eaters[a] != 0:
+                supply[a] -= eaters[a] * dt
+                if supply[a] == 0:
+                    alive[a] = False
+        t += dt
+        if trace is not None:
+            trace.append((t, tuple(supply), sum(sum(row) for row in shares)))
+    if t != one or any(s != 0 for s in supply):
+        raise AssertionError("eating simulation failed to consume all supply by time 1")
+    return tuple(tuple(row) for row in shares)
 
 
 class CountingPS(ProbabilisticSerial):

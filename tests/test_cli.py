@@ -196,14 +196,6 @@ class TestLrobicCommand:
         )
         assert run_cli(*args) == run_cli(*args)
 
-    def test_targeted_flag(self):
-        code, out, _ = run_cli(
-            "lrobic", "--mechanism", "ps", "--center", "uniform",
-            "--epsilon", "1/20", "--samples", "10", "--seed", "7", "--n", "3",
-            "--targeted",
-        )
-        assert code == 1
-
 
 class TestDecomposeAndRanks:
     def test_decompose(self, profile_file):

@@ -34,7 +34,6 @@ from ramkit.interim import (
     reverify_interim_violation,
     run_interim_sweep,
     sample_prior_in_ball,
-    sample_prior_pair_shift,
     uniform_prior,
 )
 from ramkit.mechanisms import (
@@ -306,17 +305,6 @@ class TestSampler:
         with pytest.raises(ValueError):
             sample_prior_in_ball(uniform3, F(0), 1)
 
-    def test_pair_shift_touches_only_two_coordinates(self, uniform3, instance3):
-        pair = ((C, A, B), (A, C, B))
-        sample = sample_prior_pair_shift(uniform3, EPSILON, 3, pair)
-        base = sample_prior_in_ball(uniform3, F(1), 999)  # any valid point
-        moved = [
-            pref for pref, prob in sample.prior.items()
-            if abs(prob - F(1, 6)) > F(1, 10 ** 6)
-        ]
-        assert set(moved) <= set(pair)
-        assert sum(sample.prior.probs) == 1
-
     def test_ball_guard_in_dataclass(self, uniform3):
         from ramkit.interim import PriorBallSample
 
@@ -345,14 +333,8 @@ class TestLrobicSearch:
         assert (lhs, rhs) == (witness.lhs, witness.rhs)
         assert lhs < rhs
 
-    def test_ps_targeted_mode_finds_quickly(self, ps3, uniform3):
-        hit = lrobic_search(ps3, uniform3, EPSILON, 10, 7, targeted=True)
-        assert hit is not None
-        assert not check_obic(ps3, hit[0].prior).satisfied
-
     def test_rp_never_falsified(self, rp3, uniform3):
         assert lrobic_search(rp3, uniform3, EPSILON, 30, 7) is None
-        assert lrobic_search(rp3, uniform3, EPSILON, 10, 7, targeted=True) is None
 
     def test_zero_samples_rejected(self, ps3, uniform3):
         with pytest.raises(ValueError, match="at least one"):

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -7,12 +8,16 @@ import pytest
 from helpers import (
     DEVIATION_PROFILE,
     DEVIATION_ROW,
+    HALF,
     TRUTH_PROFILE,
     TRUTH_ROW,
+    eat,
+    pair_sweep_oracle,
     random_permutation,
     random_profile,
     uniform_int,
 )
+from ramkit.axioms import PAIR_AXIOMS, run_pair_sweep
 from ramkit.core import (
     Instance,
     apply_permutation_profile,
@@ -20,6 +25,7 @@ from ramkit.core import (
     enumerate_profiles,
     validate_assignment,
 )
+from ramkit.domain import DomainTable
 from ramkit.mechanisms import (
     EatingSpeedSchedule,
     ProbabilisticSerial,
@@ -27,9 +33,9 @@ from ramkit.mechanisms import (
     SerialDictatorship,
     SimultaneousEating,
     TabulatedMechanism,
+    _eat,
     constant_mechanism,
     dictatorship_outcome,
-    eat,
     tabulate,
 )
 
@@ -226,8 +232,8 @@ class TestSimultaneousEating:
 
     @pytest.mark.parametrize("n", [5, 6])
     def test_fast_path_matches_general_engine_larger_n_sampled(self, n):
-        # up to n events, each dividing by an eater count: the fast path's
-        # fixed denominator lcm(1..n)**n must still hold every quantity
+        # up to n events, each dividing by an eater count: PS's fixed
+        # denominator lcm(1..n)**n must still hold every quantity
         ps = ProbabilisticSerial(Instance.default(n))
         sched = EatingSpeedSchedule.unit(n)
         rng = random.Random(n)
@@ -284,6 +290,118 @@ class TestSimultaneousEating:
     def test_schedule_size_mismatch(self, instance3):
         with pytest.raises(ValueError, match="covers 2 agents"):
             SimultaneousEating(instance3, EatingSpeedSchedule.unit(2))
+
+
+def random_schedule(rng, n):
+    """Seeded admissible schedule: each agent has up to three pieces cut
+    at breakpoints with denominators 2 to 6, raw rates 0 to 3 (so some
+    pieces eat nothing), scaled to total consumption 1."""
+    grid = sorted({F(k, d) for d in range(2, 7) for k in range(1, d)})
+    agents = []
+    for _ in range(n):
+        cuts = sorted(rng.sample(grid, rng.randrange(3)))
+        bounds = [F(0)] + cuts + [F(1)]
+        raw = [rng.randrange(4) for _ in range(len(bounds) - 1)]
+        if not any(raw):
+            raw[rng.randrange(len(raw))] = 1
+        integral = sum(r * (e - s) for r, s, e in zip(raw, bounds, bounds[1:]))
+        agents.append(tuple(
+            (s, e, r / integral) for r, s, e in zip(raw, bounds, bounds[1:])
+        ))
+    return EatingSpeedSchedule(tuple(agents))
+
+
+def documented_denominator(schedule):
+    """``Lr * Lb * G**n`` straight from the definition: ``G`` is the lcm of
+    the nonzero sums of every subset of agents' integer rates, segment by
+    segment."""
+    n = schedule.n
+    ends = schedule.breakpoints()
+    rates = [[schedule.rate_at(i, t) for i in range(n)] for t in (F(0),) + ends[:-1]]
+    lr = math.lcm(*(r.denominator for seg in rates for r in seg))
+    lb = math.lcm(*(b.denominator for b in ends))
+    sums = {
+        sum(seg[i] * lr for i in agents)
+        for seg in rates
+        for k in range(1, n + 1)
+        for agents in itertools.combinations(range(n), k)
+    } - {0}
+    return lr * lb * math.lcm(*(int(x) for x in sums)) ** n
+
+
+class TestIntegerEngine:
+    """The one integer eating engine against the Fraction oracle ``eat``."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_random_schedules_match_oracle(self, n):
+        rng = random.Random(100 + n)
+        zero_rate = mixed = False
+        for _ in range(8):
+            sched = random_schedule(rng, n)
+            zero_rate |= any(r == 0 for ap in sched.pieces for _, _, r in ap)
+            mixed |= len({b.denominator for b in sched.breakpoints()}) > 1
+            sea = SimultaneousEating(Instance.default(n), sched)
+            profiles = list(enumerate_profiles(sea.instance))
+            if n == 4:
+                profiles = rng.sample(profiles, 40)
+            for profile in profiles:
+                numerators, d = sea.scaled_assignment(profile)
+                assert d == sea.D == documented_denominator(sched)
+                expected = eat(profile, sched)
+                assert [[F(x, d) for x in row] for row in numerators] == [
+                    list(row) for row in expected
+                ]
+                assert sea.assignment(profile) == expected
+        assert zero_rate and mixed
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_unit_denominator_is_lcm_power(self, n):
+        ps = ProbabilisticSerial(Instance.default(n))
+        assert ps.D == math.lcm(*range(1, n + 1)) ** n
+        assert ps.D == documented_denominator(EatingSpeedSchedule.unit(n))
+
+    def test_two_speed_denominator(self):
+        # rates 2, 0 | 1: Lr = 1, Lb = 2, subset sums {1, 2, 3} then {1}
+        sea = SimultaneousEating(Instance.default(2), two_speed_schedule())
+        assert sea.D == 1 * 2 * 6 ** 2 == documented_denominator(two_speed_schedule())
+
+    def test_too_coarse_denominator_raises_instead_of_stalling(self):
+        # three eaters share object a, whose supply of 2 ticks they cannot
+        # split into whole ticks
+        unit3 = ((2, ((0, 1), (1, 1), (2, 1))),)
+        with pytest.raises(AssertionError, match="between two ticks"):
+            _eat(((A, B, C),) * 3, unit3, 2)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_ps_is_unit_speed_eating(self, n):
+        instance = Instance.default(n)
+        ps = ProbabilisticSerial(instance)
+        sea = SimultaneousEating(instance, EatingSpeedSchedule.unit(n))
+        rng = random.Random(n)
+        profiles = [random_profile(rng, n) for _ in range(30)]
+        profiles.append(tuple(tuple(range(n)) for _ in range(n)))
+        for profile in profiles:
+            assert ps.scaled_assignment(profile) == sea.scaled_assignment(profile)
+
+    @pytest.mark.parametrize("shared", [True, False])
+    def test_denominator_above_64_bits_stays_exact(self, shared):
+        instance = Instance.default(3)
+        wide = ((0, HALF, F(1009, 1000)), (HALF, 1, F(991, 1000)))
+        others = wide if shared else ((0, 1, 1),)
+        sched = EatingSpeedSchedule((wide,) + (others,) * 2)
+        sea = SimultaneousEating(instance, sched)
+        assert sea.anonymous == shared and sea.D > 2 ** 64
+        table = DomainTable(sea, enumerate_preferences(instance))
+        table.fill(1)  # by multiset when shared, dense otherwise
+        assert table.anonymous == shared and table.D == sea.D
+        if not shared:
+            assert isinstance(table.nums, list)
+        for index, profile in enumerate(enumerate_profiles(instance)):
+            flat, d = table.entry(index)
+            assert [F(x, d) for x in flat] == [x for row in eat(profile, sched) for x in row]
+        # the sweeps read the same wide values through report columns
+        expected = pair_sweep_oracle(sea, PAIR_AXIOMS)
+        assert run_pair_sweep(sea, PAIR_AXIOMS, mode="exhaustive") == expected
 
 
 class TestTabulatedMechanism:

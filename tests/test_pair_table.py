@@ -268,8 +268,7 @@ class CodedShares(Mechanism):
         self._digit = {p: k for k, p in enumerate(prefs)}
         self._half = len(prefs) ** instance.n // 2
 
-    def scaled_assignment(self, profile):
-        self._check_length(profile)
+    def _shares(self, profile):
         n = self.instance.n
         code = 0
         for pref in profile:
@@ -277,6 +276,16 @@ class CodedShares(Mechanism):
         d = 1 + (code >= self._half)
         base = code * n * n * d
         return [[base + (i * n + x) * d for x in range(n)] for i in range(n)], d
+
+
+class ReducedPS(ProbabilisticSerial):
+    """PS in least terms: anonymous, with denominators that vary by
+    profile, so a fill by multiset must bring its rows to one D."""
+
+    def _shares(self, profile):
+        rows, d = super()._shares(profile)
+        g = math.gcd(d, *(x for row in rows for x in row))
+        return [[x // g for x in row] for row in rows], d // g
 
 
 def _check_columns(table, agent, start, count):
@@ -295,16 +304,24 @@ def _check_columns(table, agent, start, count):
 
 
 @pytest.mark.parametrize("dense", (True, False))
-@pytest.mark.parametrize("kind", ("coded", "ps", "rp", "sea", "sea-shared", "table"))
+@pytest.mark.parametrize(
+    "kind", ("coded", "ps", "reduced-ps", "rp", "sea", "sea-shared", "table")
+)
 def test_columns_match_scaled_assignment_at_n3(kind, dense):
     instance = Instance.default(3)
-    mech = CodedShares(instance) if kind == "coded" else build_mechanism(kind, 3)
+    if kind == "coded":
+        mech = CodedShares(instance)
+    elif kind == "reduced-ps":
+        mech = ReducedPS(instance)
+    else:
+        mech = build_mechanism(kind, 3)
     table = DomainTable(mech, enumerate_preferences(instance))
     if dense:
         table.fill(1)
-    # ps, rp and sea-shared fill by multiset; sea-shared's denominators vary
-    assert table.anonymous == (dense and kind in ("ps", "rp", "sea-shared"))
-    if table.anonymous and kind == "sea-shared":
+    # ps, reduced-ps, rp and sea-shared fill by multiset; reduced-ps's
+    # denominators vary
+    assert table.anonymous == (dense and kind in ("ps", "reduced-ps", "rp", "sea-shared"))
+    if table.anonymous and kind == "reduced-ps":
         dens = {mech.scaled_assignment(p)[1] for p in enumerate_profiles(instance)}
         assert len(dens) > 1 and table.D == math.lcm(*dens)
     for agent in range(3):
@@ -336,7 +353,7 @@ def test_columns_match_scaled_assignment_at_n4():
 # ---------------------------------------------------------------------------
 
 
-ANONYMOUS_KINDS = ("ps", "rp", "sea-unit", "sea-shared")
+ANONYMOUS_KINDS = ("ps", "rp", "sea-unit", "sea-shared", "sea-split")
 
 
 @pytest.mark.parametrize("n", (2, 3))
