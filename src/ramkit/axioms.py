@@ -12,14 +12,14 @@ violation ("exhaustive", the default for n <= 3) and stopping at the
 first one ("first", the default for larger n; always sequential).
 
 Every sweep reads the mechanism through an integer domain table
-(:mod:`ramkit.domain`) over one table-wide denominator and compares
-shares as integers.  In exhaustive mode the table is built once, and the
-comparisons then run in this process, so the violation list is identical
-for every parallelism degree: an anonymous mechanism is evaluated once per
-multiset of reports, in this process, and any other at every profile, by
-index range on up to ``jobs`` worker processes.  In first mode, and for
-equal treatment of equals in either mode, profiles are evaluated as they
-are read.
+(:mod:`ramkit.domain`) over the mechanism's one denominator ``D`` and
+compares shares as integers.  In exhaustive mode the table is built once,
+and the comparisons then run in this process, so the violation list is
+identical for every parallelism degree: an anonymous mechanism is
+evaluated once per multiset of reports, in this process, and any other at
+every profile, by index range on up to ``jobs`` worker processes.  In
+first mode, and for equal treatment of equals in either mode, profiles
+are evaluated as they are read.
 
 The report-pair axioms share one column kernel, :class:`_PairSweep`,
 with the interim checks of :mod:`ramkit.interim` (where strategy-proofness
@@ -35,7 +35,6 @@ builds Fractions, for the outcomes it decomposes.
 from __future__ import annotations
 
 import itertools
-import math
 from array import array
 from fractions import Fraction
 from operator import add, ge, gt, lt, mul, ne
@@ -48,6 +47,7 @@ from .core import (
     Preference,
     Profile,
     SwapInfo,
+    _check_pref_cap,
     _check_sweep_cap,
     adjacent_swaps,
     apply_permutation,
@@ -171,10 +171,11 @@ class _PairSweep:
 
     A source gives, per agent, ``cells`` cells (an opponent profile, or for
     interim rows a single cell) and cuts batches of consecutive cells as
-    columns: ``columns(agent, start, count)`` returns ``(cols, common)``
-    with ``cols[r][x][k]`` the agent's numerator of object ``x`` under
-    report ``prefs[r]`` in cell ``start + k``, all over ``common``.  Cells
-    are numbered as in :class:`~ramkit.domain.DomainTable`, whose
+    columns: ``columns(agent, start, count)`` returns ``cols`` with
+    ``cols[r][x][k]`` the agent's numerator of object ``x`` under report
+    ``prefs[r]`` in cell ``start + k``, over the source's one denominator
+    ``source.D``.  Cells are numbered as in
+    :class:`~ramkit.domain.DomainTable`, whose
     ``opponents(cell)`` gives the cell's opponent reports; a source whose
     ``opponents`` is None (interim rows) makes reports with ``truth=`` and
     ``prior=`` instead of ``profile=``.  ``labels`` (see
@@ -250,7 +251,7 @@ class _PairSweep:
                 axiom=name,
                 satisfied=not batches,
                 violations=Violations(
-                    name, self.prefs, batches,
+                    name, self.prefs, batches, source.D,
                     ex_post=source.opponents is not None, prior=self.prior,
                 ),
                 profiles_checked=self.rows_read,
@@ -277,7 +278,7 @@ class _PairSweep:
         their violations.  With ``first_only`` and more than one cell, stop
         at the first violation of a live axiom and return False, recording
         and counting nothing."""
-        cols, common = source.columns(agent, start, count)
+        cols = source.columns(agent, start, count)
         # per axiom, groups of failing cells sharing a slot; see _record
         groups: dict[str, list] = {ax: [] for ax in self.live}
         comparisons = 0
@@ -292,7 +293,7 @@ class _PairSweep:
         for ax, found in groups.items():
             if found:
                 modulus = self.m ** 2 if ax in _FOSD_AXIOMS else len(self._pairs) * self.n
-                self._record(ax, found, modulus, agent, common)
+                self._record(ax, found, modulus, agent)
         return True
 
     def _settle(self, groups: dict, axioms: tuple[str, ...], K: int) -> bool:
@@ -396,7 +397,7 @@ class _PairSweep:
                 em, ui, li = "em" in live, "ui" in live, "li" in live
         return comparisons
 
-    def _record(self, ax, groups, modulus, agent, common) -> None:
+    def _record(self, ax, groups, modulus, agent) -> None:
         """Append a batch's violation groups of ``ax`` as one record.
 
         A group is ``(offset, r, s, swap, objects, relation, detail, cells,
@@ -414,7 +415,7 @@ class _PairSweep:
             starts.append(len(keys))
         order = array("q", sorted(range(len(keys)), key=keys.__getitem__))
         records = [group[1:] for group in groups]
-        self.found[ax].append(PairBatch(agent, common, records, starts, order))
+        self.found[ax].append(PairBatch(agent, records, starts, order))
 
 
 def _fosd_group(
@@ -537,7 +538,7 @@ def lp_dominance_oracle(
     """
     checked = validate_assignment(assignment)
     n = len(profile)
-    _check_sweep_cap(n, max_n if max_n is not None else 6)
+    _check_pref_cap(n, max_n)
 
     def var(i: int, a: int) -> int:
         return i * n + a
@@ -638,7 +639,7 @@ def _neutrality_test(table: DomainTable):
     """Neutrality at the lexicographic minimum of each relabeling orbit:
     each member's rows against those of each of its relabelings, found by
     report index.  Each member is read once."""
-    n, prefs = table.n, table.prefs
+    n, prefs, D = table.n, table.prefs, table.D
     position = {p: k for k, p in enumerate(prefs)}
     sigmas = list(itertools.permutations(range(n)))
     which = {s: k for k, s in enumerate(sigmas)}
@@ -657,9 +658,7 @@ def _neutrality_test(table: DomainTable):
             return (), 0, 0  # handled at the orbit's lexicographic minimum
         at = [sum(map(mul, image, weights)) for image in images]
         members = {k: t for t, k in enumerate(at)}  # image index -> a relabeling to it
-        entries = {k: table.entry(k) for k in sorted(members)}
-        common = math.lcm(*(d for _, d in entries.values()))
-        rows = {k: [x * (common // d) for x in flat] for k, (flat, d) in entries.items()}
+        rows = {k: list(table.entry(k)) for k in sorted(members)}
         found = []
         for b, (base, out) in enumerate(rows.items()):
             t = members[base]
@@ -672,8 +671,8 @@ def _neutrality_test(table: DomainTable):
                         found.append(ViolationReport(
                             axiom="neutral", agent=k // n,
                             profile=tuple(prefs[d] for d in images[t]), sigma=sigma,
-                            objects=(k % n,), lhs=Fraction(out[k], common),
-                            rhs=Fraction(relabeled[place], common), relation="!=",
+                            objects=(k % n,), lhs=Fraction(out[k], D),
+                            rhs=Fraction(relabeled[place], D), relation="!=",
                             detail="share does not follow the relabeling",
                         ))
                         if first:  # the comparisons made up to this one
@@ -686,7 +685,7 @@ def _neutrality_test(table: DomainTable):
 def _ete_test(table: DomainTable):
     """Equal treatment of equals on the row slices of agents with equal
     reports; a profile whose reports all differ is not evaluated."""
-    n = table.n
+    n, d = table.n, table.D
 
     def test(index, profile, first):
         found, made, flat = [], 0, None
@@ -695,7 +694,7 @@ def _ete_test(table: DomainTable):
                 continue
             made += 1
             if flat is None:
-                flat, d = table.entry(index)
+                flat = table.entry(index)
             mine, theirs = flat[i * n:(i + 1) * n], flat[j * n:(j + 1) * n]
             if mine != theirs:
                 a = next(x for x in range(n) if mine[x] != theirs[x])
@@ -715,10 +714,10 @@ def _efficiency_test(table: DomainTable, ex_post: bool):
     """Ordinal efficiency, by :func:`trade_cycle` on the integer rows; or
     ex-post efficiency, which decomposes, in Fractions, only the outcomes
     with a trade cycle."""
-    n = table.n
+    n, d = table.n, table.D
 
     def test(index, profile, first):
-        flat, d = table.entry(index)
+        flat = table.entry(index)
         rows = [flat[i * n:(i + 1) * n] for i in range(n)]
         cycle = trade_cycle(rows, profile)
         # OE implies ex-post: a dominated component, swapped for its improvement, would dominate

@@ -60,12 +60,16 @@ from .mechanisms import (
 AXIOM_CHOICES = PAIR_AXIOMS + PROFILE_AXIOMS
 
 
-def build_mechanism(selector: str, instance: Instance | None) -> Mechanism:
+def build_mechanism(
+    selector: str, instance: Instance | None, max_n: int | None = None
+) -> Mechanism:
     """Construct a mechanism from a selector string.
 
     ``ps`` | ``rp`` | ``sd:<order>`` | ``sea:<speed-file>`` |
-    ``table:<file>``.  Table files carry their own instance; every other
-    kind needs one from --n or the profile file.
+    ``table:<file>``.  Table files carry their own instance, object names
+    included, and commands render with ``mech.instance``; every other kind
+    needs one from --n or the profile file.  ``max_n`` overrides random
+    priority's enumeration cap.
     """
     kind, _, arg = selector.partition(":")
     if kind == "table":
@@ -83,7 +87,7 @@ def build_mechanism(selector: str, instance: Instance | None) -> Mechanism:
     if kind == "ps":
         return ProbabilisticSerial(instance)
     if kind == "rp":
-        return RandomPriority(instance)
+        return RandomPriority(instance, max_n=max_n)
     if kind == "sd":
         if not arg:
             raise ValueError("serial dictatorship needs an order: sd:1,2,3")
@@ -114,8 +118,24 @@ def build_prior(selector: str, instance: Instance):
     return prior
 
 
-def _instance_from_args(args) -> Instance:
-    return Instance.default(args.n)
+def _mechanism_from_args(args) -> Mechanism:
+    """The mechanism of ``--mechanism`` over ``--n`` objects; a table brings
+    its own object names, so commands render with ``mech.instance``."""
+    return build_mechanism(args.mechanism, Instance.default(args.n), args.max_n)
+
+
+def _profile_and_mechanism(args):
+    """The profile file's instance and profile, and the mechanism over them;
+    a table over other object names is rejected."""
+    with open(args.profile, encoding="utf-8") as fh:
+        instance, profile = parse_profile_file(fh.read())
+    mech = build_mechanism(args.mechanism, instance, args.max_n)
+    if mech.instance.object_names != instance.object_names:
+        raise ValueError(
+            f"profile file objects {instance.object_names} do not match the "
+            f"table's {mech.instance.object_names}"
+        )
+    return instance, profile, mech
 
 
 def _emit(lines) -> None:
@@ -141,9 +161,7 @@ def _stream(chunks) -> None:
 
 
 def cmd_eval(args) -> int:
-    with open(args.profile, encoding="utf-8") as fh:
-        instance, profile = parse_profile_file(fh.read())
-    mech = build_mechanism(args.mechanism, instance)
+    instance, profile, mech = _profile_and_mechanism(args)
     out = mech.assignment(profile)
     if args.format == "machine":
         _emit([f"eval mechanism={mech.descriptor()} profile="
@@ -159,8 +177,8 @@ def cmd_eval(args) -> int:
 def cmd_check(args) -> int:
     if args.jobs < 1:
         raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
-    instance = _instance_from_args(args)
-    mech = build_mechanism(args.mechanism, instance)
+    mech = _mechanism_from_args(args)
+    instance = mech.instance
     outcome = run_axiom_check(
         mech, args.axiom, mode=args.mode, jobs=args.jobs, max_n=args.max_n
     )
@@ -169,8 +187,8 @@ def cmd_check(args) -> int:
 
 
 def cmd_obic(args) -> int:
-    instance = _instance_from_args(args)
-    mech = build_mechanism(args.mechanism, instance)
+    mech = _mechanism_from_args(args)
+    instance = mech.instance
     prior = build_prior(args.prior, instance)
     report = obic_decomposition_report(mech, prior, max_n=args.max_n)
     machine = args.format == "machine"
@@ -183,8 +201,8 @@ def cmd_obic(args) -> int:
 
 
 def cmd_lrobic(args) -> int:
-    instance = _instance_from_args(args)
-    mech = build_mechanism(args.mechanism, instance)
+    mech = _mechanism_from_args(args)
+    instance = mech.instance
     center = build_prior(args.center, instance)
     epsilon = parse_rational(args.epsilon)
     hit = lrobic_search(
@@ -211,9 +229,7 @@ def cmd_lrobic(args) -> int:
 
 
 def cmd_decompose(args) -> int:
-    with open(args.profile, encoding="utf-8") as fh:
-        instance, profile = parse_profile_file(fh.read())
-    mech = build_mechanism(args.mechanism, instance)
+    instance, profile, mech = _profile_and_mechanism(args)
     out = mech.assignment(profile)
     decomposition = birkhoff_decompose(out)
     lines = []
@@ -226,8 +242,8 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_ranks(args) -> int:
-    instance = _instance_from_args(args)
-    mech = build_mechanism(args.mechanism, instance)
+    mech = _mechanism_from_args(args)
+    instance = mech.instance
     prior = build_prior(args.prior, instance)
     agents = None if args.agent is None else [args.agent - 1]
     machine = args.format == "machine"

@@ -14,7 +14,8 @@ lexicographic order of the opponents' reports, so cell ``c`` has the
 agents before ``agent`` at ``c // s`` and those after at ``c % s``.
 :meth:`DomainTable.columns` returns, for a run of consecutive cells,
 ``cols[r][x]``: the agent's numerators of object ``x`` under report
-``prefs[r]``, one per cell, all over one denominator.
+``prefs[r]``, one per cell.  Every value read is a numerator over the
+mechanism's one denominator ``D = mech.D``; nothing is rescaled.
 
 :meth:`DomainTable.fill` evaluates the whole domain, in one of two ways.
 
@@ -24,18 +25,15 @@ agents before ``agent`` at ``c // s`` and those after at ``c % s``.
   reports is evaluated once, in this process, at its sorted profile:
   ``C(m+n-1, n)`` evaluations, 17,550 at n=4 instead of 331,776.  The table
   keeps one row per report and multiset of ``n-1`` opponent reports
-  (24 x 2,600 at n=4), as Python ints over the lcm ``D`` of the
-  denominators seen (an eating mechanism's one fixed ``D``, such as PS's
-  ``lcm(1..n)**n``), and raises if two agents with equal reports get
-  different rows.  Every cell has a multiset id, so a column is gathered
-  through the ids of its cells and is the same for every agent.
+  (24 x 2,600 at n=4), as Python ints, and raises if two agents with
+  equal reports get different rows.  Every cell has a multiset id, so a
+  column is gathered through the ids of its cells and is the same for
+  every agent.
 - Any other mechanism is evaluated at every profile into **dense
-  storage**: the ``n*n`` numerators of every profile over one denominator
-  for the whole table, ``D``.  Each filled index range is brought to the
-  lcm of the denominators seen so far, rescaling what is already stored
-  when that lcm grows.  Values live in a signed 64-bit array, and the
-  table falls back to a list of Python ints as soon as one value does not
-  fit, so storage never truncates or wraps.  A column is cut by strided
+  storage**: the ``n*n`` numerators of every profile.  Values live in a
+  signed 64-bit array, and the table falls back to a list of Python ints
+  as soon as one value does not fit, so storage never truncates or
+  wraps.  A column is cut by strided
   slices: one slice for agent 0 (its cells are contiguous profiles), one
   slice with step ``m`` profiles for the last agent, and for the agents in
   between one slice per run of ``s`` consecutive cells that share the
@@ -44,9 +42,10 @@ agents before ``agent`` at ``c // s`` and those after at ``c % s``.
 
 No Fractions are stored.  Without a fill the table is read lazily, as
 :meth:`DomainTable.columns` reads cells; lazy entries live in a dict keyed
-by index, each in least terms, and a lazy batch of columns is brought to
-the lcm of its entries' denominators, so an early exit allocates only what
-it read.  Either way each profile (or multiset) is evaluated at most once.
+by index, each in least terms over its own denominator ``d`` and
+multiplied by ``D // d`` as it is read, so an early exit allocates only
+what it read.  Either way each profile (or multiset) is evaluated at most
+once.
 :meth:`DomainTable.entry` reads one whole profile, which a profile sweep
 reads once; before a fill it evaluates the profile and keeps nothing.  A
 table is meant to live for one sweep; nothing is cached at module level.
@@ -91,21 +90,9 @@ def reports_at(prefs: Sequence[Preference], count: int, index: int) -> Profile:
     return tuple(reversed(digits))
 
 
-def _evaluate(mech: Mechanism, profile: Profile) -> tuple[tuple[int, ...], int]:
-    """Flat share numerators over the profile's least common denominator.
-
-    Lazy entries are reduced because a lazy table may hold every profile,
-    and in least terms the numerators are mostly Python's shared small
-    ints; over an eating mechanism's fixed D, such as PS's, each would be
-    a separate object.
-    """
-    rows, d = mech.scaled_assignment(profile)
-    flat = [x for row in rows for x in row]
-    g = math.gcd(d, *flat)
-    if g != 1:
-        d //= g
-        flat = [x // g for x in flat]
-    return tuple(flat), d
+def _flat(mech: Mechanism, profile: Profile) -> list[int]:
+    """The profile's share numerators over ``mech.D``, agent by agent."""
+    return [x for row in mech.scaled_assignment(profile) for x in row]
 
 
 def _append(store: Store, values: list[int]) -> Store:
@@ -123,26 +110,15 @@ def _append(store: Store, values: list[int]) -> Store:
 
 def _evaluate_range(
     mech: Mechanism, prefs: Sequence[Preference], lo: int, hi: int
-) -> tuple[Store, int]:
-    """Packed numerators of the profiles with index in ``[lo, hi)``, all
-    over one denominator, and that denominator.  Each profile is packed as
-    it is evaluated, so a range is never held as Python ints unless a value
-    needs them."""
+) -> Store:
+    """Packed numerators of the profiles with index in ``[lo, hi)``.  Each
+    profile is packed as it is evaluated, so a range is never held as
+    Python ints unless a value needs them."""
     nums: Store = array("q")
-    dens: list[int] = []
     profiles = itertools.product(prefs, repeat=len(prefs[0]))
     for profile in itertools.islice(profiles, lo, hi):
-        rows, d = mech.scaled_assignment(profile)
-        nums = _append(nums, [x for row in rows for x in row])
-        dens.append(d)
-    common = math.lcm(*set(dens))
-    if any(d != common for d in dens):
-        nn = len(nums) // len(dens)
-        given, nums = nums, array("q")
-        for k, d in enumerate(dens):
-            f = common // d
-            nums = _append(nums, [x * f for x in given[k * nn:(k + 1) * nn]])
-    return nums, common
+        nums = _append(nums, _flat(mech, profile))
+    return nums
 
 
 # Set once per pool worker by the initializer, so the mechanism is pickled
@@ -155,15 +131,16 @@ def _init_worker(mech: Mechanism, prefs: list[Preference]) -> None:
     _worker_job = (mech, prefs)
 
 
-def _fill_task(bounds: tuple[int, int]) -> tuple[int, int, Store, int]:
+def _fill_task(bounds: tuple[int, int]) -> tuple[int, int, Store]:
     lo, hi = bounds
     mech, prefs = _worker_job
-    return (lo, hi, *_evaluate_range(mech, prefs, lo, hi))
+    return lo, hi, _evaluate_range(mech, prefs, lo, hi)
 
 
 class DomainTable:
     """Integer shares of ``mech`` at every profile of the domain over
-    ``prefs``, indexed by mixed-radix profile index."""
+    ``prefs``, indexed by mixed-radix profile index, all over ``D =
+    mech.D``."""
 
     def __init__(self, mech: Mechanism, prefs: list[Preference]):
         self.mech = mech
@@ -174,15 +151,15 @@ class DomainTable:
         self.agents = range(n)
         self.cells = m ** (n - 1)  # cells (opponent profiles) per agent
         self._nn = n * n
-        # Dense storage over the one denominator D, allocated by fill();
-        # until then profiles are evaluated as columns read them and kept
-        # in _lazy by index.
+        self.D = mech.D
+        # Dense storage, allocated by fill(); until then profiles are
+        # evaluated as columns read them and kept in _lazy by index, in
+        # least terms: (numerators, their denominator).
         self.nums: Optional[Store] = None
-        self.D: Optional[int] = None
         self._lazy: dict[int, tuple[tuple[int, ...], int]] = {}
         # Filled by multiset (anonymous mechanisms): _rows[r][k] is the row
-        # of numerators over D for report prefs[r] against the opponent
-        # multiset k, and _multiset[c] is the id of cell c's multiset.
+        # of numerators for report prefs[r] against the opponent multiset
+        # k, and _multiset[c] is the id of cell c's multiset.
         self._rows: Optional[list[list[tuple[int, ...]]]] = None
         self._multiset: Optional[array] = None
 
@@ -207,19 +184,8 @@ class DomainTable:
 
     # -- filling -----------------------------------------------------------
 
-    def _put(self, lo: int, hi: int, nums: Store, d: int) -> None:
-        """Store the numerators of profiles ``[lo, hi)``, given over ``d``,
-        over the table's denominator, which grows to ``lcm(D, d)``."""
-        if self.D is None:
-            self.D = d
-        common = math.lcm(self.D, d)
-        if common != self.D:
-            f = common // self.D
-            self.nums = _pack([x * f for x in self.nums])
-            self.D = common
-        if d != common:
-            f = common // d
-            nums = _pack([x * f for x in nums])
+    def _put(self, lo: int, hi: int, nums: Store) -> None:
+        """Store the numerators of profiles ``[lo, hi)``."""
         if isinstance(self.nums, array) and not isinstance(nums, array):
             # a value exceeds 64 bits: keep everything as Python ints
             self.nums = self.nums.tolist()
@@ -231,7 +197,7 @@ class DomainTable:
         evaluated at every profile into dense storage, by index range on up
         to ``jobs`` worker processes, never more than the CPU count; in this
         process when ``jobs <= 1``."""
-        self.nums = self._rows = self.D = None
+        self.nums = self._rows = None
         self._lazy.clear()
         if self.mech.anonymous:
             self._fill_by_multiset()
@@ -243,20 +209,20 @@ class DomainTable:
         bounds = [(lo, min(lo + step, self.size)) for lo in range(0, self.size, step)]
         if jobs <= 1:
             for lo, hi in bounds:
-                self._put(lo, hi, *_evaluate_range(self.mech, self.prefs, lo, hi))
+                self._put(lo, hi, _evaluate_range(self.mech, self.prefs, lo, hi))
             return
         with ProcessPoolExecutor(
             max_workers=min(jobs, len(bounds)),
             initializer=_init_worker,
             initargs=(self.mech, self.prefs),
         ) as pool:
-            for lo, hi, nums, d in pool.map(_fill_task, bounds):
-                self._put(lo, hi, nums, d)
+            for lo, hi, nums in pool.map(_fill_task, bounds):
+                self._put(lo, hi, nums)
 
     def _fill_by_multiset(self) -> None:
         """Evaluate each multiset of reports once, at its sorted profile, and
         keep each distinct report's row under (report, multiset of the
-        others' reports), over the lcm of the denominators seen.
+        others' reports).
 
         Raises ValueError if two agents with equal reports get different
         rows: the mechanism is then not anonymous."""
@@ -267,7 +233,7 @@ class DomainTable:
         rows: list[list] = [[None] * len(ids) for _ in range(m)]
         for reports in itertools.combinations_with_replacement(range(m), n):
             profile = tuple(prefs[r] for r in reports)
-            out, d = self.mech.scaled_assignment(profile)
+            out = self.mech.scaled_assignment(profile)
             for i, r in enumerate(reports):
                 if i and r == reports[i - 1]:
                     if out[i] != out[i - 1]:
@@ -277,12 +243,8 @@ class DomainTable:
                             f"profile {profile}"
                         )
                     continue
-                rows[r][ids[reports[:i] + reports[i + 1:]]] = (out[i], d)
-        self.D = D = math.lcm(*{d for by_r in rows for _, d in by_r})
-        self._rows = [
-            [tuple(row) if d == D else tuple([x * (D // d) for x in row]) for row, d in by_r]
-            for by_r in rows
-        ]
+                rows[r][ids[reports[:i] + reports[i + 1:]]] = tuple(out[i])
+        self._rows = rows
         self._multiset = array("l", [
             ids[tuple(sorted(cell))]
             for cell in itertools.product(range(m), repeat=n - 1)
@@ -290,12 +252,11 @@ class DomainTable:
 
     # -- reading -----------------------------------------------------------
 
-    def columns(self, agent: int, start: int, count: int) -> tuple[list, int]:
-        """``agent``'s report columns over cells ``[start, start + count)``.
-
-        Returns ``(cols, common)``: ``cols[r][x][k]`` is the numerator over
-        ``common`` of the agent's share of object ``x`` when she reports
-        ``prefs[r]`` against the opponents of cell ``start + k``.  Before
+    def columns(self, agent: int, start: int, count: int) -> list:
+        """``agent``'s report columns over cells ``[start, start + count)``:
+        ``cols[r][x][k]`` is the numerator over ``D`` of the agent's share
+        of object ``x`` when she reports ``prefs[r]`` against the opponents
+        of cell ``start + k``.  Before
         :meth:`fill`, profiles not yet evaluated are evaluated here, once
         each.
         """
@@ -304,7 +265,7 @@ class DomainTable:
             return [
                 [list(col) for col in zip(*map(by_r.__getitem__, at))]
                 for by_r in self._rows
-            ], self.D
+            ]
         if self.nums is None:
             return self._lazy_columns(agent, start, count)
         n, nn, s = self.n, self._nn, self.stride(agent)
@@ -315,7 +276,7 @@ class DomainTable:
             cols.append([
                 self._cut(first + x, s, span, start, count) for x in range(n)
             ])
-        return cols, self.D
+        return cols
 
     def _cut(self, first: int, s: int, span: int, start: int, count: int) -> Store:
         """Values at flat offset ``first`` of cells ``[start, start+count)``:
@@ -339,10 +300,10 @@ class DomainTable:
             c += run
         return out
 
-    def entry(self, index: int) -> tuple[Sequence[int], int]:
-        """Profile ``index``'s numerators, agent by agent, and their
-        denominator.  Before :meth:`fill` the profile is evaluated here and
-        nothing is kept."""
+    def entry(self, index: int) -> Sequence[int]:
+        """Profile ``index``'s numerators over ``D``, agent by agent.
+        Before :meth:`fill` the profile is evaluated here and nothing is
+        kept."""
         if self._rows is not None:
             flat: tuple[int, ...] = ()
             for agent in self.agents:
@@ -350,32 +311,37 @@ class DomainTable:
                 high, rest = divmod(index, self.m * s)
                 r, low = divmod(rest, s)
                 flat += self._rows[r][self._multiset[high * s + low]]
-            return flat, self.D
+            return flat
         if self.nums is None:
-            return _evaluate(self.mech, self.profile(index))
-        return self.nums[index * self._nn: (index + 1) * self._nn], self.D
+            return _flat(self.mech, self.profile(index))
+        return self.nums[index * self._nn: (index + 1) * self._nn]
 
     def _lazy_entry(self, index: int) -> tuple[tuple[int, ...], int]:
+        """Profile ``index``'s flat numerators over their least common
+        denominator, and that denominator, evaluated once.  Lazy entries are
+        reduced because a lazy table may hold every profile, and in least
+        terms the numerators are mostly Python's shared small ints; over an
+        eating mechanism's D, such as PS's, each would be a separate
+        object."""
         entry = self._lazy.get(index)
         if entry is None:
-            entry = self._lazy[index] = _evaluate(self.mech, self.profile(index))
+            flat = _flat(self.mech, self.profile(index))
+            g = math.gcd(self.D, *flat)
+            entry = self._lazy[index] = (tuple(x // g for x in flat), self.D // g)
         return entry
 
-    def _lazy_columns(self, agent: int, start: int, count: int) -> tuple[list, int]:
-        n, m, s = self.n, self.m, self.stride(agent)
+    def _lazy_columns(self, agent: int, start: int, count: int) -> list:
+        n, m, s, D = self.n, self.m, self.stride(agent), self.D
         bases = [
             c // s * m * s + c % s for c in range(start, start + count)
         ]
-        entries = [
-            [self._lazy_entry(base + r * s) for base in bases] for r in range(m)
-        ]
-        common = math.lcm(*{d for col in entries for _, d in col})
         lo = agent * n
         cols = []
-        for col in entries:
-            factors = [common // d for _, d in col]
+        for r in range(m):
+            col = [self._lazy_entry(base + r * s) for base in bases]
+            factors = [D // d for _, d in col]
             cols.append([
                 [flat[lo + x] * f for (flat, _), f in zip(col, factors)]
                 for x in range(n)
             ])
-        return cols, common
+        return cols

@@ -13,10 +13,11 @@ integer grid with a fixed denominator so downstream sums stay exact.
 
 The checks read every agent's interim rows from one integer pass over the
 prior's support domain (:func:`_interim_rows`): the prior becomes integer
-weights over its common denominator, and each profile with at most one
-off-support report is evaluated exactly once through
-:meth:`Mechanism.scaled_assignment`.  Each agent's rows come out as
-integers over one per-agent denominator, and OBIC and the interim em/ui/li
+weights over its common denominator ``Q``, and each profile with at most
+one off-support report is evaluated exactly once through
+:meth:`Mechanism.scaled_assignment`.  Every agent's rows come out as
+integers over one denominator, ``mech.D * Q**(n-1)``, and OBIC and the
+interim em/ui/li
 run on them in the ex-post pair sweep's column kernel
 (:class:`ramkit.axioms._PairSweep`), one single-cell batch per agent.  The
 pass needs no memo; a mechanism's memo stays empty.
@@ -180,14 +181,15 @@ def _check_prior(mech: Mechanism, prior: Prior) -> None:
 
 def _interim_rows(
     mech: Mechanism, prior: Prior, *, agents=None, max_n: Optional[int] = None
-) -> dict[int, tuple[list[list[int]], int]]:
+) -> tuple[dict[int, list[list[int]]], int]:
     """Interim share vector of every report of each of ``agents`` (default
     all), from one integer pass over the prior's support domain.
 
-    Each agent maps to ``(rows, common)``: ``rows[k]`` holds the numerators
-    of the agent's interim shares for report ``enumerate_preferences()[k]``,
-    all over the one denominator ``common``; the pair kernel reads them as
-    a batch of one cell (:class:`_RowCells`).
+    Returns ``(rows_by_agent, common)``: ``rows_by_agent[i][k]`` holds the
+    numerators of agent i's interim shares for report
+    ``enumerate_preferences()[k]``, all over ``common = mech.D * Q**(n-1)``;
+    the pair kernel reads an agent's rows as a batch of one cell
+    (:class:`_RowCells`).
 
     With ``Q`` the prior's common denominator and ``w[p] = prob(p) * Q``,
     agent i's interim row for report r is the sum over opponent profiles of
@@ -196,10 +198,9 @@ def _interim_rows(
     carry weight for some agent: where all n do, every agent accumulates;
     where exactly one agent is off the support, only that agent does.  Each
     such profile is evaluated exactly once, through
-    :meth:`Mechanism.scaled_assignment`, and the weighted numerators are
-    summed as integers per (agent, report, profile denominator D), and
-    brought to the agent's ``common = lcm(D) * Q**(n-1)`` at the end.  No
-    Fraction is built.
+    :meth:`Mechanism.scaled_assignment`, and the weighted numerators over
+    ``mech.D`` are summed as integers per (agent, report).  No Fraction is
+    built.
     """
     instance = mech.instance
     _check_prior(mech, prior)
@@ -215,28 +216,25 @@ def _interim_rows(
     on = [k for k, w in enumerate(weights) if w]
     on_prefs = [prefs[k] for k in on]
     on_weights = [weights[k] for k in on]
-    # sums[i][k][D]: agent i's weighted numerators over D for report prefs[k]
-    sums = [[{} for _ in prefs] for _ in range(n)]
+    # sums[i][k]: agent i's weighted numerators for report prefs[k]
+    sums = {i: [[0] * n for _ in prefs] for i in agents}
     scaled = mech.scaled_assignment
 
-    def add(i, k, weight, row, d):
-        acc = sums[i][k].get(d)
-        if acc is None:
-            sums[i][k][d] = [weight * x for x in row]
-        else:
-            for a, x in enumerate(row):
-                if x:
-                    acc[a] += weight * x
+    def add(i, k, weight, row):
+        acc = sums[i][k]
+        for a, x in enumerate(row):
+            if x:
+                acc[a] += weight * x
 
     for profile, ks, ws in zip(
         itertools.product(on_prefs, repeat=n),
         itertools.product(on, repeat=n),
         itertools.product(on_weights, repeat=n),
     ):
-        rows, d = scaled(profile)
+        rows = scaled(profile)
         total = math.prod(ws)
         for i in agents:
-            add(i, ks[i], total // ws[i], rows[i], d)
+            add(i, ks[i], total // ws[i], rows[i])
     for i in agents:
         for k, w in enumerate(weights):
             if w:
@@ -246,22 +244,8 @@ def _interim_rows(
                 itertools.product(on_prefs, repeat=n - 1),
                 itertools.product(on_weights, repeat=n - 1),
             ):
-                rows, d = scaled(insert_report(opponents, i, report))
-                add(i, k, math.prod(ws), rows[i], d)
-
-    table = {}
-    for i in agents:
-        common = math.lcm(*(d for by_d in sums[i] for d in by_d))
-        rows = []
-        for by_d in sums[i]:
-            total = [0] * n
-            for d, acc in by_d.items():
-                f = common // d
-                for a in range(n):
-                    total[a] += acc[a] * f
-            rows.append(total)
-        table[i] = (rows, common * q ** (n - 1))
-    return table
+                add(i, k, math.prod(ws), scaled(insert_report(opponents, i, report))[i])
+    return sums, mech.D * q ** (n - 1)
 
 
 def interim_share_vector(
@@ -291,31 +275,33 @@ def interim_share_vector(
 
 
 class _RowCells:
-    """Interim rows as a source for the pair kernel: one cell per agent."""
+    """Interim rows as a source for the pair kernel: one cell per agent,
+    every row over the one denominator ``D``."""
 
     cells = 1
     opponents = None  # reports carry truth= and prior=
     anonymous = False  # each agent has her own rows
 
-    def __init__(self, table: dict[int, tuple[list[list[int]], int]]):
-        self.table = table
-        self.agents = tuple(table)
+    def __init__(self, rows_by_agent: dict[int, list[list[int]]], D: int):
+        self.rows_by_agent = rows_by_agent
+        self.D = D
+        self.agents = tuple(rows_by_agent)
 
-    def columns(self, agent: int, start: int, count: int) -> tuple[list, int]:
-        rows, common = self.table[agent]
-        return [[[x] for x in row] for row in rows], common
+    def columns(self, agent: int, start: int, count: int) -> list:
+        return [[[x] for x in row] for row in self.rows_by_agent[agent]]
 
 
 def _interim_sweep(
     table, prior: Prior, axioms, first_only: bool
 ) -> dict[str, CheckOutcome]:
-    """The pair kernel on prebuilt interim rows, one cell per agent;
-    ``axioms`` are pair-axiom names, the outcomes carry interim names."""
+    """The pair kernel on the interim rows ``table`` of :func:`_interim_rows`,
+    one cell per agent; ``axioms`` are pair-axiom names, the outcomes carry
+    interim names."""
     sweep = _PairSweep(
         enumerate_preferences(prior.instance), axioms, first_only,
         labels=_INTERIM_LABELS, prior=prior,
     )
-    return sweep.run(_RowCells(table))
+    return sweep.run(_RowCells(*table))
 
 
 def check_obic(
@@ -380,10 +366,9 @@ def rank_vector_reports(
     """Rank vector reports of ``agents`` (default all), in order, from one
     pass over the prior's support domain."""
     prefs = enumerate_preferences(mech.instance, max_n=max_n)
+    rows_by_agent, common = _interim_rows(mech, prior, agents=agents, max_n=max_n)
     reports = []
-    for agent, (rows, common) in _interim_rows(
-        mech, prior, agents=agents, max_n=max_n
-    ).items():
+    for agent, rows in rows_by_agent.items():
         vectors = {
             report: tuple(Fraction(row[a], common) for a in report)
             for report, row in zip(prefs, rows)

@@ -6,12 +6,11 @@ with piecewise-constant rational speed schedules, and probabilistic serial
 (its unit-speed member).  Arbitrary externally supplied mechanisms are
 wrapped as tabulated lookup mechanisms.
 
-Every mechanism is defined by its integer shares: ``Mechanism._shares``
-returns a profile's assignment as numerators over a common denominator,
-and the Fraction :meth:`Mechanism.assignment` is read from it.  All eating
-mechanisms run on one integer engine over a denominator fixed per schedule
-when the mechanism is built (:func:`_compile`); for PS it is
-``lcm(1, ..., n)**n``.
+Every mechanism is defined by its integer shares over one denominator
+``Mechanism.D``, fixed when it is built (1, ``n!``, the schedule's
+:func:`_compile`, ``lcm(1, ..., n)**n`` for PS, a table's lcm):
+``Mechanism._shares`` returns numerators over ``D``, and the Fraction
+:meth:`Mechanism.assignment` is read from them.
 
 A mechanism is a pure map from profiles to bistochastic matrices; the same
 profile always evaluates to the identical assignment.  Evaluation can be
@@ -32,7 +31,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Optional, Sequence
 
 from .core import (
     ONE,
@@ -152,7 +151,7 @@ def _compile(schedule: EatingSpeedSchedule) -> tuple[Segments, int]:
     ), lr * ticks
 
 
-def _eat(profile: Profile, segments: Segments, D: int) -> tuple[list[list[int]], int]:
+def _eat(profile: Profile, segments: Segments, D: int) -> list[list[int]]:
     """Simultaneous eating over the fixed denominator ``D`` of
     :func:`_compile`.
 
@@ -163,7 +162,7 @@ def _eat(profile: Profile, segments: Segments, D: int) -> tuple[list[list[int]],
     of ``G**n`` ticks, and each of the at most n exhaustion events divides
     a supply by a subset sum of the rates, a divisor of ``G``; so before
     the k-th exhaustion every quantity is a multiple of ``G**(n-k)`` and
-    every event is integral.  Returns the share numerators and ``D``.
+    every event is integral.  Returns the share numerators over ``D``.
     """
     n = len(profile)
     T = 0
@@ -206,22 +205,24 @@ def _eat(profile: Profile, segments: Segments, D: int) -> tuple[list[list[int]],
                 shares[i][target[i]] += r * dt
     if any(supply):
         raise AssertionError("eating simulation failed to consume all supply by time 1")
-    return shares, D
+    return shares
 
 
 class Mechanism:
     """Pure deterministic map from profiles to assignments.
 
-    A subclass implements one hook, :meth:`_shares`, which returns the
-    assignment as integer numerators over a common denominator; both
-    :meth:`scaled_assignment` and the Fraction :meth:`assignment` are
-    built from it.
+    A subclass sets the denominator :attr:`D` when it is built and
+    implements one hook, :meth:`_shares`, which returns the assignment as
+    integer numerators over ``D``; both :meth:`scaled_assignment` and the
+    Fraction :meth:`assignment` are built from it.
     """
 
     kind = "mechanism"
     #: Permuting the agents permutes the rows (see the module docstring).
     #: False unless the mechanism is anonymous by construction.
     anonymous = False
+    #: The one denominator of every share the mechanism returns.
+    D: int
 
     def __init__(self, instance: Instance, *, cache: bool = False):
         self.instance = instance
@@ -233,17 +234,13 @@ class Mechanism:
                 f"profile has {len(profile)} preferences, expected {self.instance.n}"
             )
 
-    def _shares(self, profile: Profile) -> tuple[list[list[int]], int]:
-        """``(numerators, D)`` of a profile of the right length."""
+    def _shares(self, profile: Profile) -> Sequence[Sequence[int]]:
+        """Numerators over ``D`` of a profile of the right length."""
         raise NotImplementedError
 
-    def scaled_assignment(self, profile: Profile) -> tuple[list[list[int]], int]:
-        """The assignment as integer numerators over one common denominator.
-
-        Returns ``(numerators, D)`` with ``numerators[i][a] / D`` equal to
-        ``assignment(profile)[i][a]``.  D is some common denominator of the
-        profile's shares, not necessarily the least one.
-        """
+    def scaled_assignment(self, profile: Profile) -> Sequence[Sequence[int]]:
+        """The assignment as integer numerators over :attr:`D`, the same at
+        every profile and not necessarily the least denominator of any."""
         self._check_length(profile)
         return self._shares(profile)
 
@@ -253,8 +250,8 @@ class Mechanism:
             hit = self._cache.get(profile)
             if hit is not None:
                 return hit
-        rows, d = self._shares(profile)
-        out = tuple(tuple(Fraction(x, d) for x in row) for row in rows)
+        D = self.D
+        out = tuple(tuple(Fraction(x, D) for x in row) for row in self._shares(profile))
         if self._cache is not None:
             self._cache[profile] = out
         return out
@@ -288,6 +285,7 @@ class SerialDictatorship(Mechanism):
     """Agents pick their best remaining object in a fixed priority order."""
 
     kind = "sd"
+    D = 1
 
     def __init__(self, instance: Instance, order, *, cache: bool = False):
         super().__init__(instance, cache=cache)
@@ -296,11 +294,11 @@ class SerialDictatorship(Mechanism):
             raise ValueError(f"order must be a permutation of agents, got {order}")
         self.order = order
 
-    def _shares(self, profile: Profile) -> tuple[list[list[int]], int]:
-        """The permutation matrix of the picks, over 1."""
+    def _shares(self, profile: Profile) -> list[list[int]]:
+        """The permutation matrix of the picks."""
         n = self.instance.n
         pick = dictatorship_outcome(profile, self.order)
-        return [[int(a == pick[i]) for a in range(n)] for i in range(n)], 1
+        return [[int(a == pick[i]) for a in range(n)] for i in range(n)]
 
     def descriptor(self) -> str:
         return "sd:" + ",".join(str(i + 1) for i in self.order)
@@ -323,8 +321,9 @@ class RandomPriority(Mechanism):
         if instance.n > cap:
             raise CapExceededError("priority-order enumeration", instance.n, cap, "max_n")
         self._orders = list(itertools.permutations(instance.agents))
+        self.D = len(self._orders)
 
-    def _shares(self, profile: Profile) -> tuple[list[list[int]], int]:
+    def _shares(self, profile: Profile) -> list[list[int]]:
         """Order counts over n!: ``counts[i][a]`` orders give agent i object a."""
         n = self.instance.n
         counts = [[0] * n for _ in range(n)]
@@ -332,7 +331,7 @@ class RandomPriority(Mechanism):
             pick = dictatorship_outcome(profile, order)
             for i in range(n):
                 counts[i][pick[i]] += 1
-        return counts, len(self._orders)
+        return counts
 
 
 class SimultaneousEating(Mechanism):
@@ -360,7 +359,7 @@ class SimultaneousEating(Mechanism):
             for _, eating in self._segments
         )
 
-    def _shares(self, profile: Profile) -> tuple[list[list[int]], int]:
+    def _shares(self, profile: Profile) -> list[list[int]]:
         return _eat(profile, self._segments, self.D)
 
 
@@ -379,35 +378,45 @@ class TabulatedMechanism(Mechanism):
 
     The table must be total over all (n!)**n profiles, and every value must
     be a valid assignment; both are checked up front so axiom sweeps can
-    trust lookups blindly.  Shares are stored as Fractions and brought to
-    the lcm of their denominators on lookup.
+    trust lookups blindly.  It keeps integer rows over ``D``, the lcm of
+    every share's denominator, one row tuple per distinct matrix.
     """
 
     kind = "table"
 
     def __init__(self, instance: Instance, table, *, max_n: Optional[int] = None):
         super().__init__(instance, cache=False)
-        checked: dict[Profile, AssignmentMatrix] = {}
+        # profile -> number of its matrix among the distinct ones; a run of
+        # profiles given the same matrix object is validated once
+        checked: dict[Profile, int] = {}
+        distinct: dict[AssignmentMatrix, int] = {}
+        last = number = None
         for profile, matrix in table.items():
             key = tuple(tuple(p) for p in profile)
-            try:
-                checked[key] = validate_assignment(matrix, instance)
-            except ValueError as exc:
-                raise ValueError(
-                    f"invalid assignment for profile {key}: {exc}"
-                ) from exc
+            if matrix is not last:
+                try:
+                    fixed = validate_assignment(matrix, instance)
+                except ValueError as exc:
+                    raise ValueError(
+                        f"invalid assignment for profile {key}: {exc}"
+                    ) from exc
+                last, number = matrix, distinct.setdefault(fixed, len(distinct))
+            checked[key] = number
         for profile in enumerate_profiles(instance, max_n=max_n):
             if profile not in checked:
                 raise ValueError(f"table is missing profile {profile}")
-        self._table = checked
+        self.D = D = math.lcm(*{x.denominator for m in distinct for row in m for x in row})
+        rows = [
+            tuple(tuple(x.numerator * (D // x.denominator) for x in row) for row in m)
+            for m in distinct
+        ]
+        self._table = {profile: rows[k] for profile, k in checked.items()}
 
-    def _shares(self, profile: Profile) -> tuple[list[list[int]], int]:
+    def _shares(self, profile: Profile) -> tuple[tuple[int, ...], ...]:
         try:
-            matrix = self._table[profile]
+            return self._table[profile]
         except KeyError:
             raise ValueError(f"unknown profile {profile}") from None
-        d = math.lcm(*(x.denominator for row in matrix for x in row))
-        return [[x.numerator * (d // x.denominator) for x in row] for row in matrix], d
 
 
 def tabulate(mechanism: Mechanism, *, max_n: Optional[int] = None) -> TabulatedMechanism:

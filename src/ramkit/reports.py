@@ -7,8 +7,9 @@ against the mechanism from scratch.
 
 A pair sweep can find hundreds of thousands of violations, so it keeps
 them as packed integer records instead: a :class:`Violations` sequence,
-which builds a ViolationReport only when one is read and renders its lines
-straight from the records.
+of numerators over the one denominator of the rows swept, which builds a
+ViolationReport only when one is read and renders its lines straight
+from the records.
 """
 
 from __future__ import annotations
@@ -147,8 +148,8 @@ class PairBatch(NamedTuple):
     A group is ``(r, s, swap, objects, relation, detail, cells, ranks, lhs,
     rhs)``: the move from report ``prefs[r]`` to ``prefs[s]`` failed one
     comparison slot in each of ``cells``, with ``lhs`` and ``rhs`` the
-    numerators over ``common`` and, for sp and weak-sp, ``ranks`` the
-    prefix of each failure (None otherwise).  The per-cell fields are
+    numerators over ``Violations.D`` and, for sp and weak-sp, ``ranks``
+    the prefix of each failure (None otherwise).  The per-cell fields are
     integer arrays, or lists of Python ints where a value exceeds 64 bits.
     Entry ``k`` of the batch is entry ``k - starts[g]`` of the group ``g``
     with ``starts[g] <= k < starts[g + 1]``; ``order`` lists the entries in
@@ -156,7 +157,6 @@ class PairBatch(NamedTuple):
     """
 
     agent: int
-    common: int
     groups: list
     starts: list
     order: Sequence
@@ -179,7 +179,8 @@ class _ValueStrings(dict):
 
 
 class Violations(Sequence):
-    """The violations of one pair axiom, held as :class:`PairBatch` records.
+    """The violations of one pair axiom, held as :class:`PairBatch` records
+    of numerators over ``D``.
 
     It behaves like the tuple of its reports: ``len``, iteration, an index
     (a ViolationReport built on the spot), a slice (a tuple of reports),
@@ -189,12 +190,13 @@ class Violations(Sequence):
     records carry ``truth=`` and ``prior=`` instead.
     """
 
-    __slots__ = ("axiom", "prefs", "prior", "ex_post", "_batches", "_ends")
+    __slots__ = ("axiom", "prefs", "D", "prior", "ex_post", "_batches", "_ends")
 
     def __init__(self, axiom: str, prefs: list[Preference], batches: list[PairBatch],
-                 *, ex_post: bool, prior: object = None):
+                 D: int, *, ex_post: bool, prior: object = None):
         self.axiom = axiom
         self.prefs = prefs
+        self.D = D
         self.prior = prior
         self.ex_post = ex_post
         self._batches = batches
@@ -249,7 +251,7 @@ class Violations(Sequence):
             axiom=self.axiom, agent=agent, profile=profile, truth=truth,
             deviation=prefs[s], swap=swap, objects=objects,
             rank=None if ranks is None else ranks[at],
-            lhs=Fraction(lhs[at], batch.common), rhs=Fraction(rhs[at], batch.common),
+            lhs=Fraction(lhs[at], self.D), rhs=Fraction(rhs[at], self.D),
             relation=relation, prior=self.prior, detail=detail,
         )
 
@@ -258,21 +260,20 @@ class Violations(Sequence):
         the records a batch at a time and given out in lists of at most
         :data:`_CHUNK_LINES` lines, so a writer joins only that many.
 
-        A value string is built once per numerator and denominator.  The
-        profile of an ex-post cell is the string of the agents before the
-        reporting one, then her report, then the agents after; the strings
-        of every j opponents are built once, for all ``m**j`` index values.
+        A value string is built once per numerator.  The profile of an
+        ex-post cell is the string of the agents before the reporting one,
+        then her report, then the agents after; the strings of every j
+        opponents are built once, for all ``m**j`` index values.
         """
         names = _Names(instance)
         prefs = self.prefs
         m, n = len(prefs), len(prefs[0])
         P = [names.pref(p) for p in prefs]
         opponents: dict[int, list[str]] = {}  # by number of agents
-        values: dict[int, _ValueStrings] = {}  # by denominator
+        V = _ValueStrings(self.D)
         rank_strings = {rank: f"{rank} violated=" for rank in range(1, n + 1)}
         for batch in self._batches:
             agent = batch.agent
-            V = values.setdefault(batch.common, _ValueStrings(batch.common))
             if self.ex_post:
                 for j in (agent, n - 1 - agent):
                     if j not in opponents:

@@ -5,14 +5,17 @@ import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
+from fractions import Fraction
+
 import pytest
 
 import ramkit
 from helpers import huge_denominator_table
 from ramkit import domain
 from ramkit.cli import main
+from ramkit.core import Instance, enumerate_profiles
 from ramkit.formats import parse_prior_file, render_speed_file, render_table_file
-from ramkit.mechanisms import EatingSpeedSchedule, tabulate
+from ramkit.mechanisms import EatingSpeedSchedule, ProbabilisticSerial, tabulate
 
 PROFILE_TEXT = """\
 objects: a b c
@@ -125,7 +128,7 @@ class TestCheck:
         assert seq == par
 
     def test_table_mechanism_from_file(self, tmp_path, instance3, ps3):
-        from ramkit.core import enumerate_profiles
+        from ramkit.core import Instance, enumerate_profiles
 
         table = {p: ps3.assignment(p) for p in enumerate_profiles(instance3)}
         path = tmp_path / "mech.txt"
@@ -232,6 +235,121 @@ class TestDecomposeAndRanks:
         assert code == 2
         assert out == ""
         assert "is not one of agents 1..3" in err
+
+
+XYZ = Instance(3, ("x", "y", "z"))
+
+
+@pytest.fixture
+def xyz_table(tmp_path):
+    """PS written as a table over objects x, y, z."""
+    ps = ProbabilisticSerial(XYZ)
+    path = tmp_path / "xyz.txt"
+    path.write_text(render_table_file(
+        XYZ, {p: ps.assignment(p) for p in enumerate_profiles(XYZ)}
+    ))
+    return f"table:{path}"
+
+
+def _field(line, key):
+    return next(tok for tok in line.split() if tok.startswith(key + "="))[len(key) + 1:]
+
+
+class TestTableObjectNames:
+    """A table file carries its own object names, and commands keep them."""
+
+    def test_check_renders_the_table_names(self, xyz_table):
+        code, out, _ = run_cli(
+            "check", "--axiom", "li", "--mechanism", xyz_table, "--n", "3",
+            "--format", "machine",
+        )
+        assert code == 1
+        lines = [line for line in out.splitlines() if line.startswith("violation ")]
+        assert lines
+        first = lines[0]
+        assert _field(first, "profile") == "x>y>z|x>y>z|x>z>y"
+        assert _field(first, "objects") == "z"
+        for line in lines:
+            assert set(_field(line, "profile")) <= set("xyz>|")
+            assert _field(line, "objects") in ("x", "y", "z")
+
+    def test_ranks_and_obic_read_priors_over_the_table_names(self, tmp_path, xyz_table):
+        from ramkit.formats import render_prior_file
+        from ramkit.interim import uniform_prior
+
+        xyz, abc = tmp_path / "xyz-prior.txt", tmp_path / "abc-prior.txt"
+        xyz.write_text(render_prior_file(uniform_prior(XYZ)))
+        abc.write_text(render_prior_file(uniform_prior(Instance.default(3))))
+        code, out, _ = run_cli(
+            "ranks", "--mechanism", xyz_table, "--prior", f"file:{xyz}", "--n", "3",
+            "--format", "machine",
+        )
+        assert code == 0
+        assert "report=x>y>z" in out and "report=a" not in out
+        code, out, _ = run_cli(
+            "obic", "--mechanism", xyz_table, "--prior", f"file:{xyz}", "--n", "3",
+        )
+        assert code == 0
+        for command in ("ranks", "obic"):
+            code, out, err = run_cli(
+                command, "--mechanism", xyz_table, "--prior", f"file:{abc}", "--n", "3",
+            )
+            assert code == 2 and out == ""
+            assert "do not match" in err
+
+    def test_lrobic_renders_the_table_names(self, xyz_table):
+        code, out, _ = run_cli(
+            "lrobic", "--mechanism", xyz_table, "--center", "uniform",
+            "--epsilon", "1/20", "--samples", "100", "--seed", "7", "--n", "3",
+            "--format", "machine",
+        )
+        assert code == 1
+        witness = next(line for line in out.splitlines() if line.startswith("violation "))
+        assert set(_field(witness, "truth")) <= set("xyz>")
+        instance, _ = parse_prior_file(out[out.index("objects:"):])
+        assert instance == XYZ
+
+    @pytest.mark.parametrize("command", ("eval", "decompose"))
+    def test_profile_over_other_names_exits_2(
+        self, command, tmp_path, profile_file, xyz_table
+    ):
+        args = (command, "--mechanism", xyz_table, "--profile")
+        code, out, err = run_cli(*args, profile_file)
+        assert code == 2 and out == ""
+        assert "do not match" in err
+        xyz_profile = tmp_path / "xyz-profile.txt"
+        xyz_profile.write_text(
+            "objects: x y z\nagent 1: z x y\nagent 2: x y z\nagent 3: z x y\n"
+        )
+        code, out, _ = run_cli(*args, str(xyz_profile))
+        assert code == 0 and "1/6" in out
+
+
+class TestMaxN:
+    @pytest.fixture
+    def profile7(self, tmp_path):
+        names = "abcdefg"
+        lines = ["objects: " + " ".join(names)] + [
+            f"agent {k + 1}: " + " ".join(names[k:] + names[:k]) for k in range(4)
+        ] + [f"agent {k + 1}: " + " ".join(names) for k in range(4, 7)]
+        path = tmp_path / "profile7.txt"
+        path.write_text("\n".join(lines) + "\n")
+        return str(path)
+
+    def test_max_n_reaches_random_priority(self, profile7):
+        code, out, _ = run_cli(
+            "eval", "--mechanism", "rp", "--profile", profile7, "--max-n", "7",
+            "--format", "machine",
+        )
+        assert code == 0
+        rows = [line for line in out.splitlines() if line.startswith("row ")]
+        assert len(rows) == 7
+        for row in rows:
+            assert sum(Fraction(tok.split("=")[1]) for tok in row.split()[2:]) == 1
+
+    def test_random_priority_cap_without_max_n(self, profile7):
+        code, _, err = run_cli("eval", "--mechanism", "rp", "--profile", profile7)
+        assert code == 3 and "pass max_n to override" in err
 
 
 class TestUsage:
@@ -347,7 +465,9 @@ class TestStreamedOutput:
         fail, and the run still ends with its verdict and no traceback."""
         mech = huge_denominator_table(instance3, seed=64)
         path = tmp_path / "mech.txt"
-        path.write_text(render_table_file(instance3, mech._table))
+        path.write_text(render_table_file(
+            instance3, {p: mech.assignment(p) for p in enumerate_profiles(instance3)}
+        ))
         args = ("check", "--axiom", "sp", "--mechanism", f"table:{path}", "--n", "3",
                 "--mode", "exhaustive", "--format", "machine")
         _, full, _ = run_cli(*args)

@@ -445,11 +445,12 @@ def _priors(instance, seed):
 def _fraction_rows(mech, prior):
     """``_interim_rows`` as Fraction rows keyed by agent, then report."""
     prefs = enumerate_preferences(mech.instance)
+    rows_by_agent, common = _interim_rows(mech, prior)
     return {
         agent: {
             report: tuple(F(x, common) for x in row) for report, row in zip(prefs, rows)
         }
-        for agent, (rows, common) in _interim_rows(mech, prior).items()
+        for agent, rows in rows_by_agent.items()
     }
 
 
@@ -487,10 +488,10 @@ class TestOnePassRows:
             assert table[agent][report] == expected, (agent, report)
 
     def test_agent_subset_matches_full_pass(self, ps3, violating_prior):
-        full = _interim_rows(ps3, violating_prior)
-        assert _interim_rows(ps3, violating_prior, agents=(2, 0)) == {
-            2: full[2], 0: full[0],
-        }
+        full, common = _interim_rows(ps3, violating_prior)
+        assert _interim_rows(ps3, violating_prior, agents=(2, 0)) == (
+            {2: full[2], 0: full[0]}, common,
+        )
 
     def test_unknown_agent_rejected(self, ps3, uniform3):
         with pytest.raises(ValueError, match="agent 4 is not one of agents 1..3"):

@@ -11,8 +11,10 @@ from helpers import (
     HALF,
     TRUTH_PROFILE,
     TRUTH_ROW,
+    build_mechanism,
     eat,
     pair_sweep_oracle,
+    random_bistochastic,
     random_permutation,
     random_profile,
     uniform_int,
@@ -41,6 +43,49 @@ from ramkit.mechanisms import (
 
 F = Fraction
 A, B, C = 0, 1, 2
+
+
+# ---------------------------------------------------------------------------
+# the denominator contract: one D per mechanism, fixed when it is built
+# ---------------------------------------------------------------------------
+
+#: (kind, n) pairs; a random table at n=4 takes a minute to build, so the
+#: tabulated mechanism at n=4 is the constant one.
+D_CONTRACT_CASES = [
+    (kind, n)
+    for kind in ("ps", "rp", "sd", "sea", "sea-shared", "table", "constant")
+    for n in (2, 3, 4)
+    if (kind, n) != ("table", 4)
+]
+
+
+@pytest.mark.parametrize("kind, n", D_CONTRACT_CASES)
+def test_shares_are_integers_over_one_denominator(kind, n):
+    instance = Instance.default(n)
+    if kind == "constant":
+        matrix = random_bistochastic(random.Random(n), n)
+        mech = constant_mechanism(instance, matrix)
+    else:
+        mech = build_mechanism(kind, n)
+    profiles = list(enumerate_profiles(instance))
+    if n == 4:
+        profiles = random.Random(404).sample(profiles, 60)
+    for profile in profiles:
+        scaled = mech.scaled_assignment(profile)
+        assert all(type(x) is int for row in scaled for x in row)
+        assert tuple(tuple(F(x, mech.D) for x in row) for row in scaled) == (
+            mech.assignment(profile)
+        )
+    if kind == "sd":
+        assert mech.D == 1
+    elif kind == "rp":
+        assert mech.D == math.factorial(n)
+    elif kind in ("table", "constant"):
+        tables = [matrix] if kind == "constant" else map(mech.assignment, profiles)
+        dens = {F(x).denominator for m in tables for row in m for x in row}
+        assert mech.D == math.lcm(*dens)
+        if kind == "table":
+            assert len(dens) > 1
 
 
 class TestSerialDictatorship:
@@ -345,10 +390,10 @@ class TestIntegerEngine:
             if n == 4:
                 profiles = rng.sample(profiles, 40)
             for profile in profiles:
-                numerators, d = sea.scaled_assignment(profile)
-                assert d == sea.D == documented_denominator(sched)
+                numerators = sea.scaled_assignment(profile)
+                assert sea.D == documented_denominator(sched)
                 expected = eat(profile, sched)
-                assert [[F(x, d) for x in row] for row in numerators] == [
+                assert [[F(x, sea.D) for x in row] for row in numerators] == [
                     list(row) for row in expected
                 ]
                 assert sea.assignment(profile) == expected
@@ -397,8 +442,9 @@ class TestIntegerEngine:
         if not shared:
             assert isinstance(table.nums, list)
         for index, profile in enumerate(enumerate_profiles(instance)):
-            flat, d = table.entry(index)
-            assert [F(x, d) for x in flat] == [x for row in eat(profile, sched) for x in row]
+            flat = table.entry(index)
+            expected = [x for row in eat(profile, sched) for x in row]
+            assert [F(x, sea.D) for x in flat] == expected
         # the sweeps read the same wide values through report columns
         expected = pair_sweep_oracle(sea, PAIR_AXIOMS)
         assert run_pair_sweep(sea, PAIR_AXIOMS, mode="exhaustive") == expected

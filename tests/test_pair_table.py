@@ -67,8 +67,8 @@ def _rows_at(table, index):
         stride = table.stride(agent)
         high, rest = divmod(index, table.m * stride)
         r, low = divmod(rest, stride)
-        cols, common = table.columns(agent, high * stride + low, 1)
-        out.append(tuple(Fraction(col[0], common) for col in cols[r]))
+        cols = table.columns(agent, high * stride + low, 1)
+        out.append(tuple(Fraction(col[0], table.D) for col in cols[r]))
     return tuple(out)
 
 
@@ -89,10 +89,9 @@ def test_n4_rows_match_assignment(kind):
         expected = mech.assignment(profile)
         for table in (lazy, filled):
             assert _rows_at(table, index) == expected
-            flat, d = table.entry(index)
-            assert tuple(
-                tuple(Fraction(x, d) for x in flat[i * 4:(i + 1) * 4]) for i in range(4)
-            ) == expected
+            flat = table.entry(index)
+            rows = (flat[i * 4:(i + 1) * 4] for i in range(4))
+            assert tuple(tuple(Fraction(x, table.D) for x in row) for row in rows) == expected
 
 
 @pytest.mark.parametrize("dense", (True, False))
@@ -103,8 +102,10 @@ def test_entry_reads_one_profile(kind, dense):
     if dense:
         table.fill()
     for index, profile in enumerate(enumerate_profiles(mech.instance)):
-        flat, d = table.entry(index)
-        rows = tuple(tuple(Fraction(x, d) for x in flat[i * 3:(i + 1) * 3]) for i in range(3))
+        flat = table.entry(index)
+        rows = tuple(
+            tuple(Fraction(x, table.D) for x in flat[i * 3:(i + 1) * 3]) for i in range(3)
+        )
         assert rows == mech.assignment(profile)
     assert table._lazy == {}  # a read before the fill keeps nothing
 
@@ -120,11 +121,11 @@ def test_cell_walks_one_agent_report():
             opponents = base[:agent] + base[agent + 1:]
             cell = sum(position[p] * 6 ** (1 - j) for j, p in enumerate(opponents))
             assert table.opponents(cell) == opponents
-            cols, common = table.columns(agent, cell, 1)
+            cols = table.columns(agent, cell, 1)
             for r, pref in enumerate(table.prefs):
                 profile = base[:agent] + (pref,) + base[agent + 1:]
                 expected = mech.assignment(profile)[agent]
-                assert tuple(Fraction(col[0], common) for col in cols[r]) == expected
+                assert tuple(Fraction(col[0], table.D) for col in cols[r]) == expected
 
 
 @pytest.mark.parametrize("mode", ("exhaustive", "first"))
@@ -189,7 +190,9 @@ def test_pool_pickles_mechanism_once_per_worker(jobs):
 def test_huge_denominators_stay_exact():
     instance = Instance.default(3)
     mech = huge_denominator_table(instance, seed=64)
-    shares = [x for m in mech._table.values() for row in m for x in row]
+    shares = [
+        x for p in enumerate_profiles(instance) for row in mech.assignment(p) for x in row
+    ]
     assert max(x.denominator for x in shares) > 2 ** 64
     expected = pair_sweep_oracle(mech, PAIR_AXIOMS)
     assert any(v.lhs.denominator > 2 ** 64 for o in expected.values() for v in o.violations)
@@ -258,34 +261,23 @@ def test_violations_build_the_frozen_dataclass_report():
 
 class CodedShares(Mechanism):
     """Not an assignment: each numerator encodes (profile index, agent,
-    object), so a value read from the wrong place cannot match.  Profiles
-    in the upper half of the index range come over denominator 2, the rest
-    over 1, so a fill must rescale what it has stored to one D."""
+    object), so a value read from the wrong place cannot match.  The
+    numerators are over a fixed ``D = 2``."""
+
+    D = 2
 
     def __init__(self, instance):
         super().__init__(instance)
         prefs = enumerate_preferences(instance)
         self._digit = {p: k for k, p in enumerate(prefs)}
-        self._half = len(prefs) ** instance.n // 2
 
     def _shares(self, profile):
         n = self.instance.n
         code = 0
         for pref in profile:
             code = code * len(self._digit) + self._digit[pref]
-        d = 1 + (code >= self._half)
-        base = code * n * n * d
-        return [[base + (i * n + x) * d for x in range(n)] for i in range(n)], d
-
-
-class ReducedPS(ProbabilisticSerial):
-    """PS in least terms: anonymous, with denominators that vary by
-    profile, so a fill by multiset must bring its rows to one D."""
-
-    def _shares(self, profile):
-        rows, d = super()._shares(profile)
-        g = math.gcd(d, *(x for row in rows for x in row))
-        return [[x // g for x in row] for row in rows], d // g
+        base = code * n * n
+        return [[base + i * n + x for x in range(n)] for i in range(n)]
 
 
 def _check_columns(table, agent, start, count):
@@ -293,37 +285,27 @@ def _check_columns(table, agent, start, count):
     agent's row read profile by profile through ``scaled_assignment``."""
     n = table.n
     opponents = list(itertools.product(table.prefs, repeat=n - 1))
-    cols, common = table.columns(agent, start, count)
+    cols = table.columns(agent, start, count)
     assert len(cols) == table.m and all(len(c) == n for c in cols)
     for k in range(count):
         opp = opponents[start + k]
         assert table.opponents(start + k) == opp
         for r, pref in enumerate(table.prefs):
-            rows, d = table.mech.scaled_assignment(opp[:agent] + (pref,) + opp[agent:])
-            assert [col[k] * d for col in cols[r]] == [x * common for x in rows[agent]]
+            rows = table.mech.scaled_assignment(opp[:agent] + (pref,) + opp[agent:])
+            assert [col[k] for col in cols[r]] == list(rows[agent])
 
 
 @pytest.mark.parametrize("dense", (True, False))
-@pytest.mark.parametrize(
-    "kind", ("coded", "ps", "reduced-ps", "rp", "sea", "sea-shared", "table")
-)
+@pytest.mark.parametrize("kind", ("coded", "ps", "rp", "sea", "sea-shared", "table"))
 def test_columns_match_scaled_assignment_at_n3(kind, dense):
     instance = Instance.default(3)
-    if kind == "coded":
-        mech = CodedShares(instance)
-    elif kind == "reduced-ps":
-        mech = ReducedPS(instance)
-    else:
-        mech = build_mechanism(kind, 3)
+    mech = CodedShares(instance) if kind == "coded" else build_mechanism(kind, 3)
     table = DomainTable(mech, enumerate_preferences(instance))
     if dense:
         table.fill(1)
-    # ps, reduced-ps, rp and sea-shared fill by multiset; reduced-ps's
-    # denominators vary
-    assert table.anonymous == (dense and kind in ("ps", "reduced-ps", "rp", "sea-shared"))
-    if table.anonymous and kind == "reduced-ps":
-        dens = {mech.scaled_assignment(p)[1] for p in enumerate_profiles(instance)}
-        assert len(dens) > 1 and table.D == math.lcm(*dens)
+    # ps, rp and sea-shared fill by multiset
+    assert table.anonymous == (dense and kind in ("ps", "rp", "sea-shared"))
+    assert table.D == mech.D
     for agent in range(3):
         _check_columns(table, agent, 0, table.cells)
         # windows that start and end inside a run of cells sharing the
