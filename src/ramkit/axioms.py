@@ -9,17 +9,20 @@ independent second route.
 Sweeps enumerate lexicographically, so the first violation is the same on
 every run and platform.  ``mode`` selects between collecting every
 violation ("exhaustive", the default for n <= 3) and stopping at the
-first one ("first", the default for larger n; always sequential).
+first one ("first", the default for larger n).
 
 Every sweep reads the mechanism through an integer domain table
 (:mod:`ramkit.domain`) over the mechanism's one denominator ``D`` and
-compares shares as integers.  In exhaustive mode the table is built once,
-and the comparisons then run in this process, so the violation list is
-identical for every parallelism degree: an anonymous mechanism is
-evaluated once per multiset of reports, in this process, and any other at
-every profile, by index range on up to ``jobs`` worker processes.  In
-first mode, and for equal treatment of equals in either mode, profiles
-are evaluated as they are read.
+compares shares as integers.  A filled table is built once, and the
+comparisons then run in this process, so the violation list is identical
+for every parallelism degree: an anonymous mechanism is evaluated once per
+multiset of reports, in this process, and any other at every profile, by
+index range on up to ``jobs`` worker processes.  Report-pair sweeps fill
+in either mode up to :data:`~ramkit.core.SWEEP_CAP`; past it a first-mode
+pair sweep evaluates each profile as it reads it and keeps nothing.
+Neutrality and ordinal and ex-post efficiency fill in exhaustive mode
+only, and equal treatment of equals never fills, so it stays a real check
+for a mechanism declared anonymous.
 
 The report-pair axioms share one column kernel, :class:`_PairSweep`,
 with the interim checks of :mod:`ramkit.interim` (where strategy-proofness
@@ -41,6 +44,7 @@ from operator import add, ge, gt, lt, mul, ne
 from typing import Iterable, Optional
 
 from .core import (
+    SWEEP_CAP,
     ZERO,
     AssignmentMatrix,
     Instance,
@@ -77,19 +81,12 @@ def _resolve_mode(mode: Optional[str], n: int) -> str:
     return mode
 
 
-def _domain_table(
-    mech: Mechanism, mode, jobs: int, max_n, fill: bool = True
-) -> tuple[DomainTable, str]:
-    """The sweep's table and resolved mode, after the cap check: filled (see
-    :meth:`DomainTable.fill`) in exhaustive mode when ``fill``, and
-    evaluated as it is read otherwise."""
+def _domain_table(mech: Mechanism, mode, max_n) -> tuple[DomainTable, str]:
+    """The sweep's unfilled table and resolved mode, after the cap check."""
     instance = mech.instance
     _check_sweep_cap(instance.n, max_n)
     mode = _resolve_mode(mode, instance.n)
-    table = DomainTable(mech, enumerate_preferences(instance, max_n=max_n))
-    if fill and mode == "exhaustive":
-        table.fill(jobs)
-    return table, mode
+    return DomainTable(mech, enumerate_preferences(instance, max_n=max_n)), mode
 
 
 # ---------------------------------------------------------------------------
@@ -446,6 +443,8 @@ def run_pair_sweep(
     columns: one batch per agent in exhaustive mode (agent 0's only on an
     anonymous mechanism's table), and in first mode
     growing batches of cells until every axiom has a violation.  The table
+    is filled on up to ``jobs`` workers, except in first mode past
+    :data:`~ramkit.core.SWEEP_CAP`, where it is read unfilled.  The table
     is dropped when the sweep returns.
 
     ``profiles_checked`` counts rows read (the agent's report varies over
@@ -455,7 +454,9 @@ def run_pair_sweep(
     for ax in axioms:
         if ax not in PAIR_AXIOMS:
             raise ValueError(f"unknown pair axiom {ax!r}")
-    table, mode = _domain_table(mech, mode, jobs, max_n)
+    table, mode = _domain_table(mech, mode, max_n)
+    if mode == "exhaustive" or table.n <= SWEEP_CAP:
+        table.fill(jobs)
     sweep = _PairSweep(table.prefs, axioms, first_only=mode == "first")
     return sweep.run(table)
 
@@ -615,9 +616,11 @@ def _profile_sweep(mech, axiom, mode, jobs, max_n) -> CheckOutcome:
     lexicographic order.  Its test returns a profile's violations, the
     profiles it read and the comparisons it made; with ``first`` it stops
     at its first violation, and so does the sweep."""
+    table, mode = _domain_table(mech, mode, max_n)
     # ETE reads only the profiles with two equal reports (a quarter of
     # them at n=4), so it evaluates those as it reads them, with no fill
-    table, mode = _domain_table(mech, mode, jobs, max_n, fill=axiom != "ete")
+    if mode == "exhaustive" and axiom != "ete":
+        table.fill(jobs)
     test = _PROFILE_TESTS[axiom](table)
     first = mode == "first"
     violations: list[ViolationReport] = []

@@ -366,12 +366,13 @@ def make_parser() -> argparse.ArgumentParser:
                         "(default: exhaustive for n<=3, first above)")
     p.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
                    help="worker processes that build the domain table of "
-                        "an exhaustive sweep, at least 1 and at most the "
-                        "CPU count; anonymous mechanisms (ps, rp, sea at one "
-                        "speed for all) are filled in this process, once "
-                        "per multiset of reports; the comparisons run in the "
-                        "main process; mode=first, the default for n>3, and "
-                        "ete always run serially")
+                        "a sweep, at least 1 and at most the CPU count; "
+                        "anonymous mechanisms (ps, rp, sea at one speed for "
+                        "all) are filled in this process, once per multiset "
+                        "of reports; the comparisons run in the main "
+                        "process; ete, and with mode=first the neutral, oe "
+                        "and ex-post sweeps and pair sweeps past n=4, "
+                        "evaluate profiles serially as they read them")
     common(p, need_n=True)
     p.set_defaults(func=cmd_check)
 

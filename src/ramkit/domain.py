@@ -40,21 +40,17 @@ mechanism's one denominator ``D = mech.D``; nothing is rescaled.
   agents before.  The fill runs by index range, optionally on a process
   pool.
 
-No Fractions are stored.  Without a fill the table is read lazily, as
-:meth:`DomainTable.columns` reads cells; lazy entries live in a dict keyed
-by index, each in least terms over its own denominator ``d`` and
-multiplied by ``D // d`` as it is read, so an early exit allocates only
-what it read.  Either way each profile (or multiset) is evaluated at most
-once.
-:meth:`DomainTable.entry` reads one whole profile, which a profile sweep
-reads once; before a fill it evaluates the profile and keeps nothing.  A
-table is meant to live for one sweep; nothing is cached at module level.
+No Fractions are stored.  An unfilled table is a stateless reader:
+:meth:`DomainTable.columns` and :meth:`DomainTable.entry` evaluate each
+profile they read and keep nothing, so a read never allocates more than
+it returns.  Sweeps fill up to the sweep cap; only a first-mode sweep past
+it, whose domain is too large to fill, reads unfilled.  A table is meant
+to live for one sweep; nothing is cached at module level.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 import os
 from array import array
 from concurrent.futures import ProcessPoolExecutor
@@ -152,11 +148,9 @@ class DomainTable:
         self.cells = m ** (n - 1)  # cells (opponent profiles) per agent
         self._nn = n * n
         self.D = mech.D
-        # Dense storage, allocated by fill(); until then profiles are
-        # evaluated as columns read them and kept in _lazy by index, in
-        # least terms: (numerators, their denominator).
+        # Dense storage, allocated by fill(); until then every read
+        # evaluates the profiles it reads.
         self.nums: Optional[Store] = None
-        self._lazy: dict[int, tuple[tuple[int, ...], int]] = {}
         # Filled by multiset (anonymous mechanisms): _rows[r][k] is the row
         # of numerators for report prefs[r] against the opponent multiset
         # k, and _multiset[c] is the id of cell c's multiset.
@@ -198,7 +192,6 @@ class DomainTable:
         to ``jobs`` worker processes, never more than the CPU count; in this
         process when ``jobs <= 1``."""
         self.nums = self._rows = None
-        self._lazy.clear()
         if self.mech.anonymous:
             self._fill_by_multiset()
             return
@@ -257,8 +250,8 @@ class DomainTable:
         ``cols[r][x][k]`` is the numerator over ``D`` of the agent's share
         of object ``x`` when she reports ``prefs[r]`` against the opponents
         of cell ``start + k``.  Before
-        :meth:`fill`, profiles not yet evaluated are evaluated here, once
-        each.
+        :meth:`fill`, each profile read is evaluated here and nothing is
+        kept.
         """
         if self._rows is not None:
             at = self._multiset[start:start + count]
@@ -267,7 +260,7 @@ class DomainTable:
                 for by_r in self._rows
             ]
         if self.nums is None:
-            return self._lazy_columns(agent, start, count)
+            return self._evaluate_columns(agent, start, count)
         n, nn, s = self.n, self._nn, self.stride(agent)
         span = self.m * s * nn  # flat step from one run of cells to the next
         cols = []
@@ -316,32 +309,12 @@ class DomainTable:
             return _flat(self.mech, self.profile(index))
         return self.nums[index * self._nn: (index + 1) * self._nn]
 
-    def _lazy_entry(self, index: int) -> tuple[tuple[int, ...], int]:
-        """Profile ``index``'s flat numerators over their least common
-        denominator, and that denominator, evaluated once.  Lazy entries are
-        reduced because a lazy table may hold every profile, and in least
-        terms the numerators are mostly Python's shared small ints; over an
-        eating mechanism's D, such as PS's, each would be a separate
-        object."""
-        entry = self._lazy.get(index)
-        if entry is None:
-            flat = _flat(self.mech, self.profile(index))
-            g = math.gcd(self.D, *flat)
-            entry = self._lazy[index] = (tuple(x // g for x in flat), self.D // g)
-        return entry
-
-    def _lazy_columns(self, agent: int, start: int, count: int) -> list:
-        n, m, s, D = self.n, self.m, self.stride(agent), self.D
-        bases = [
-            c // s * m * s + c % s for c in range(start, start + count)
+    def _evaluate_columns(self, agent: int, start: int, count: int) -> list:
+        """:meth:`columns` before :meth:`fill`: every profile read is
+        evaluated, and nothing is kept."""
+        m, s, read = self.m, self.stride(agent), self.mech.scaled_assignment
+        bases = [c // s * m * s + c % s for c in range(start, start + count)]
+        return [
+            [list(col) for col in zip(*(read(self.profile(b + r * s))[agent] for b in bases))]
+            for r in range(m)
         ]
-        lo = agent * n
-        cols = []
-        for r in range(m):
-            col = [self._lazy_entry(base + r * s) for base in bases]
-            factors = [D // d for _, d in col]
-            cols.append([
-                [flat[lo + x] * f for (flat, _), f in zip(col, factors)]
-                for x in range(n)
-            ])
-        return cols

@@ -48,11 +48,7 @@ from .core import (
     enumerate_preferences,
     insert_report,
 )
-from .axioms import (
-    _PairSweep,
-    _replay_pair,
-    _resolve_mode,
-)
+from .axioms import _PairSweep, _replay_pair
 from .mechanisms import Mechanism
 from .reports import CheckOutcome, ViolationReport
 
@@ -76,12 +72,6 @@ _INTERIM_LABELS = {
 
 #: Interim axiom name -> the pair axiom the kernel checks for it.
 _PAIR_AXIOM = {label[0]: ax for ax, label in _INTERIM_LABELS.items()}
-
-
-def _first_only(mode: Optional[str], n: int) -> bool:
-    """Interim checks run exhaustively unless ``mode="first"`` is asked for,
-    at every n; any other mode string is rejected."""
-    return _resolve_mode("exhaustive" if mode is None else mode, n) == "first"
 
 
 class SamplingExhaustedError(RuntimeError):
@@ -291,32 +281,25 @@ class _RowCells:
         return [[[x] for x in row] for row in self.rows_by_agent[agent]]
 
 
-def _interim_sweep(
-    table, prior: Prior, axioms, first_only: bool
-) -> dict[str, CheckOutcome]:
+def _interim_sweep(table, prior: Prior, axioms) -> dict[str, CheckOutcome]:
     """The pair kernel on the interim rows ``table`` of :func:`_interim_rows`,
-    one cell per agent; ``axioms`` are pair-axiom names, the outcomes carry
-    interim names."""
+    one cell per agent, exhaustive; ``axioms`` are pair-axiom names, the
+    outcomes carry interim names."""
     sweep = _PairSweep(
-        enumerate_preferences(prior.instance), axioms, first_only,
+        enumerate_preferences(prior.instance), axioms, first_only=False,
         labels=_INTERIM_LABELS, prior=prior,
     )
     return sweep.run(_RowCells(*table))
 
 
-def check_obic(
-    mech: Mechanism, prior: Prior, *, mode: Optional[str] = None,
-    max_n: Optional[int] = None,
-) -> CheckOutcome:
+def check_obic(mech: Mechanism, prior: Prior, *, max_n: Optional[int] = None) -> CheckOutcome:
     """Truth-telling must FOSD every deviation in interim shares."""
-    first_only = _first_only(mode, mech.instance.n)
-    table = _interim_rows(mech, prior, max_n=max_n)
-    return _interim_sweep(table, prior, ("sp",), first_only)["obic"]
+    return _interim_sweep(_interim_rows(mech, prior, max_n=max_n), prior, ("sp",))["obic"]
 
 
 def run_interim_sweep(
     mech: Mechanism, prior: Prior, axioms=INTERIM_AXIOMS, *,
-    mode: Optional[str] = None, max_n: Optional[int] = None,
+    max_n: Optional[int] = None,
 ) -> dict[str, CheckOutcome]:
     """Interim swap axioms: monotonicity of the swapped pair's shares and
     invariance of the shares above and below the pair."""
@@ -324,21 +307,20 @@ def run_interim_sweep(
     for ax in axioms:
         if ax not in INTERIM_AXIOMS:
             raise ValueError(f"unknown interim axiom {ax!r}")
-    first_only = _first_only(mode, mech.instance.n)
     table = _interim_rows(mech, prior, max_n=max_n)
-    return _interim_sweep(table, prior, [_PAIR_AXIOM[ax] for ax in axioms], first_only)
+    return _interim_sweep(table, prior, [_PAIR_AXIOM[ax] for ax in axioms])
 
 
-def check_interim_elementary_monotonicity(mech, prior, *, mode=None, max_n=None):
-    return run_interim_sweep(mech, prior, ("interim-em",), mode=mode, max_n=max_n)["interim-em"]
+def check_interim_elementary_monotonicity(mech, prior, *, max_n=None):
+    return run_interim_sweep(mech, prior, ("interim-em",), max_n=max_n)["interim-em"]
 
 
-def check_interim_upper_invariance(mech, prior, *, mode=None, max_n=None):
-    return run_interim_sweep(mech, prior, ("interim-ui",), mode=mode, max_n=max_n)["interim-ui"]
+def check_interim_upper_invariance(mech, prior, *, max_n=None):
+    return run_interim_sweep(mech, prior, ("interim-ui",), max_n=max_n)["interim-ui"]
 
 
-def check_interim_lower_invariance(mech, prior, *, mode=None, max_n=None):
-    return run_interim_sweep(mech, prior, ("interim-li",), mode=mode, max_n=max_n)["interim-li"]
+def check_interim_lower_invariance(mech, prior, *, max_n=None):
+    return run_interim_sweep(mech, prior, ("interim-li",), max_n=max_n)["interim-li"]
 
 
 @dataclass(frozen=True)
@@ -516,7 +498,7 @@ def lrobic_search(
         raise ValueError(f"need at least one sample, got {samples}")
     for k in range(samples):
         sample = sample_prior_in_ball(center, epsilon, seed + k, grid=grid)
-        outcome = check_obic(mech, sample.prior, mode="first", max_n=max_n)
+        outcome = check_obic(mech, sample.prior, max_n=max_n)
         if not outcome.satisfied:
             return sample, outcome.violations[0]
     return None
@@ -568,8 +550,8 @@ def obic_decomposition_report(
     interim rows."""
     table = _interim_rows(mech, prior, max_n=max_n)
     # two sweeps, so OBIC's counters stay apart from the em/ui/li ones
-    obic = _interim_sweep(table, prior, ("sp",), first_only=False)["obic"]
-    interim = _interim_sweep(table, prior, ("em", "ui", "li"), first_only=False)
+    obic = _interim_sweep(table, prior, ("sp",))["obic"]
+    interim = _interim_sweep(table, prior, ("em", "ui", "li"))
     return ObicDecompositionReport(
         obic=obic,
         interim_em=interim["interim-em"],

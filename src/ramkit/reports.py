@@ -262,26 +262,40 @@ class Violations(Sequence):
 
         A value string is built once per numerator.  The profile of an
         ex-post cell is the string of the agents before the reporting one,
-        then her report, then the agents after; the strings of every j
-        opponents are built once, for all ``m**j`` index values.
+        then her report, then the agents after.  The strings of j such
+        agents are built once for all ``m**j`` index values when there are
+        no more of those than lines in the batch, and otherwise only for
+        the batch's cells, so memory stays bounded by the lines rendered.
         """
         names = _Names(instance)
         prefs = self.prefs
         m, n = len(prefs), len(prefs[0])
         P = [names.pref(p) for p in prefs]
-        opponents: dict[int, list[str]] = {}  # by number of agents
+        every: dict[int, list[str]] = {}  # the reports of j agents, by j
         V = _ValueStrings(self.D)
         rank_strings = {rank: f"{rank} violated=" for rank in range(1, n + 1)}
+
+        def reports(j: int, template: str, in_batch: list, index):
+            """``template`` around the reports of j agents, looked up by
+            ``index(c)`` for the cells ``c`` of ``in_batch``."""
+            if m ** j > sum(map(len, in_batch)):
+                keys = {index(c) for cells in in_batch for c in cells}
+                return {k: template.format("|".join(reports_at(P, j, k))) for k in keys}
+            if j not in every:
+                every[j] = ["|".join(t) for t in itertools.product(P, repeat=j)]
+            return [template.format(x) for x in every[j]]
+
         for batch in self._batches:
             agent = batch.agent
             if self.ex_post:
-                for j in (agent, n - 1 - agent):
-                    if j not in opponents:
-                        opponents[j] = ["|".join(t) for t in itertools.product(P, repeat=j)]
-                before = [x + "|" for x in opponents[agent]] if agent else [""]
-                after = ["|" + x for x in opponents[n - 1 - agent]] if agent < n - 1 else [""]
-                head = f"{prefix}{self.axiom} agent={agent + 1} profile="
                 step = m ** (n - 1 - agent)
+                in_batch = [group[6] for group in batch.groups]  # cells per group
+                before = after = [""]
+                if agent:
+                    before = reports(agent, "{}|", in_batch, lambda c: c // step)
+                if agent < n - 1:
+                    after = reports(n - 1 - agent, "|{}", in_batch, lambda c: c % step)
+                head = f"{prefix}{self.axiom} agent={agent + 1} profile="
             else:  # one cell, 0
                 before = after = [""]
                 head = f"{prefix}{self.axiom} agent={agent + 1} truth="

@@ -459,6 +459,26 @@ class TestStreamedOutput:
         _, _, max_rss_kib = li_ps4
         assert max_rss_kib <= 250 * 1024
 
+    def test_first_violation_past_the_cap_renders_in_bounded_memory(self):
+        """At n=5 the first li violation is rendered from its own cell's
+        opponents; strings for all 120**4 opponent profiles of agent 1
+        would not fit in the 1 GiB address space the run is given."""
+        import resource
+
+        def limit():
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+        run = subprocess.run(
+            _ram("check", "--axiom", "li", "--mechanism", "ps", "--n", "5", "--max-n", "5",
+                 "--format", "machine"),
+            env=_env(), capture_output=True, text=True, preexec_fn=limit, timeout=600,
+        )
+        assert (run.returncode, run.stderr) == (1, "")
+        lines = run.stdout.splitlines()
+        assert len(lines) == 2
+        assert lines[0].startswith("check axiom=li verdict=violated violations=1 ")
+        assert lines[1].startswith("violation li agent=1 profile=")
+
     def test_closed_pipe_ends_quietly(self, tmp_path, instance3):
         """The reader takes one line and closes the pipe, as ``| head -1``
         does; the output is several times a pipe buffer, so later writes

@@ -224,7 +224,7 @@ class TestRendering:
         table = TabulatedMechanism(instance3, {
             profile: random_bistochastic(rng, 3) for profile in enumerate_profiles(instance3)
         })
-        reports += check_obic(table, uniform_prior(instance3), mode="first").violations
+        reports += check_obic(table, uniform_prior(instance3)).violations[:1]
         reports += check_neutrality(table, mode="first").violations
         # equal values that are distinct objects, and every optional field
         reports.append(ViolationReport(

@@ -368,9 +368,11 @@ class TestExPostInvarianceAcrossSwaps:
 class TestModeValidation:
     @pytest.mark.parametrize("check", (check_obic, run_interim_sweep))
     def test_unknown_mode_rejected(self, check):
+        """Interim checks take no mode: they build every row in either
+        mode, so stopping early would save no work."""
         ps = ProbabilisticSerial(Instance.default(2))
-        with pytest.raises(ValueError, match="mode must be 'exhaustive' or 'first'"):
-            check(ps, uniform_prior(Instance.default(2)), mode="frist")
+        with pytest.raises(TypeError, match="mode"):
+            check(ps, uniform_prior(Instance.default(2)), mode="first")
 
     def test_default_mode_is_exhaustive_at_n4(self):
         instance = Instance.default(4)
@@ -381,10 +383,8 @@ class TestModeValidation:
         ))
         obic = check_obic(ps, prior)
         assert len(obic.violations) > 1
-        assert obic == check_obic(ps, prior, mode="exhaustive")
         sweep = run_interim_sweep(ps, prior)
         assert len(sweep["interim-li"].violations) > 1
-        assert sweep == run_interim_sweep(ps, prior, mode="exhaustive")
 
 
 class TestPriorInstanceMismatch:
@@ -540,7 +540,7 @@ class TestReplay:
     ):
         import ramkit.interim as interim
 
-        witness = check_obic(ps3, violating_prior, mode="first").violations[0]
+        witness = check_obic(ps3, violating_prior).violations[0]
 
         def forbidden(*args, **kwargs):
             raise AssertionError("replay read the one-pass rows")
@@ -565,16 +565,16 @@ class TestReplay:
         # object's interim share and raises the lowered one's
         for seed in (5, 0):
             prior = random_prior(random.Random(seed), mech.instance)
+            # the first violation is the witness lrobic_search reports
+            first = interim_sweep_oracle(mech, prior, ("obic",) + INTERIM_AXIOMS, mode="first")
             exhaustive = check_obic(mech, prior)
             assert len(exhaustive.violations) > 1
-            first = check_obic(mech, prior, mode="first")
-            assert first.violations == exhaustive.violations[:1]
+            assert first["obic"].violations == exhaustive.violations[:1]
             sweep = run_interim_sweep(mech, prior)
-            first_sweep = run_interim_sweep(mech, prior, mode="first")
             for ax in INTERIM_AXIOMS:
-                assert first_sweep[ax].violations == sweep[ax].violations[:1], (seed, ax)
-            first_em = check_interim_elementary_monotonicity(mech, prior, mode="first")
-            assert first_em.violations == sweep["interim-em"].violations[:1], seed
+                assert first[ax].violations == sweep[ax].violations[:1], (seed, ax)
+            em = check_interim_elementary_monotonicity(mech, prior)
+            assert em.violations == sweep["interim-em"].violations, seed
 
     @pytest.fixture(scope="class")
     def table_witnesses(self):
@@ -631,16 +631,11 @@ class TestKernelMatchesFractionOracle:
     def test_outcomes_match_oracle(self, kind, n):
         mech = build_mechanism(kind, n)
         for name, prior in _priors(mech.instance, seed=31 + n).items():
-            for mode in ("first", "exhaustive"):
-                expected = interim_sweep_oracle(
-                    mech, prior, ("obic",) + INTERIM_AXIOMS, mode=mode
-                )
-                obic = check_obic(mech, prior, mode=mode)
-                assert obic == expected["obic"], (name, mode)
-                swept = run_interim_sweep(mech, prior, mode=mode)
-                for ax in INTERIM_AXIOMS:
-                    assert swept[ax] == expected[ax], (name, mode, ax)
-            # expected holds the exhaustive outcomes now
+            expected = interim_sweep_oracle(mech, prior, ("obic",) + INTERIM_AXIOMS)
+            assert check_obic(mech, prior) == expected["obic"], name
+            swept = run_interim_sweep(mech, prior)
+            for ax in INTERIM_AXIOMS:
+                assert swept[ax] == expected[ax], (name, ax)
             report = obic_decomposition_report(mech, prior)
             assert report.obic == expected["obic"], name
             assert report.interim_em == expected["interim-em"], name

@@ -54,10 +54,14 @@ def test_every_axiom_set_matches_oracle(kind, n, mode):
 
 
 def test_first_mode_ignores_jobs():
-    mech = build_mechanism("table", 3)
-    expected = pair_sweep_oracle(mech, PAIR_AXIOMS, mode="first")
-    for jobs in (2, 3):
-        assert run_pair_sweep(mech, PAIR_AXIOMS, mode="first", jobs=jobs) == expected
+    """A first-mode sweep fills its table on ``jobs`` workers, and its
+    outcome does not depend on them."""
+    for kind in MECHANISM_KINDS:
+        mech = build_mechanism(kind, 3)
+        expected = pair_sweep_oracle(mech, PAIR_AXIOMS, mode="first")
+        for jobs in (1, 2):
+            got = run_pair_sweep(mech, PAIR_AXIOMS, mode="first", jobs=jobs)
+            assert got == expected, (kind, jobs)
 
 
 def _rows_at(table, index):
@@ -107,7 +111,6 @@ def test_entry_reads_one_profile(kind, dense):
             tuple(Fraction(x, table.D) for x in flat[i * 3:(i + 1) * 3]) for i in range(3)
         )
         assert rows == mech.assignment(profile)
-    assert table._lazy == {}  # a read before the fill keeps nothing
 
 
 def test_cell_walks_one_agent_report():
@@ -133,8 +136,7 @@ def test_each_profile_evaluated_once(mode):
     mech = CountingPS(Instance.default(3))
     run_pair_sweep(mech, ("sp", "em", "ui"), mode=mode, jobs=1)
     assert max(mech.counts.values()) == 1
-    if mode == "exhaustive":
-        assert len(mech.counts) == math.comb(6 + 3 - 1, 3)  # one per report multiset
+    assert len(mech.counts) == math.comb(6 + 3 - 1, 3)  # one per report multiset
 
 
 @pytest.mark.parametrize("mode", ("exhaustive", "first"))
@@ -142,8 +144,16 @@ def test_each_profile_evaluated_once_without_anonymity(mode):
     mech = CountingUndeclaredPS(Instance.default(3))
     run_pair_sweep(mech, ("sp", "em", "ui"), mode=mode, jobs=1)
     assert max(mech.counts.values()) == 1
-    if mode == "exhaustive":
-        assert len(mech.counts) == 6 ** 3
+    assert len(mech.counts) == 6 ** 3
+
+
+def test_first_sweep_at_n4_fills_once_per_multiset():
+    """Up to the sweep cap a first-mode sweep reads a filled table, so PS is
+    evaluated once per report multiset even though li fails early."""
+    mech = CountingPS(Instance.default(4))
+    assert not run_pair_sweep(mech, ("li",), mode="first")["li"].satisfied
+    assert len(mech.counts) == math.comb(24 + 4 - 1, 4) == 17_550
+    assert set(mech.counts.values()) == {1}
 
 
 def test_first_sweep_at_n5_stops_early():
@@ -160,7 +170,7 @@ def test_satisfied_first_sweep_scans_domain_once():
     out = run_pair_sweep(mech, ("em",), mode="first")["em"]
     assert out.satisfied
     assert out.profiles_checked == 3 * 6 ** 3  # rows read: 3 agents, every cell
-    assert len(mech.counts) == 6 ** 3
+    assert len(mech.counts) == math.comb(6 + 3 - 1, 3)  # one per report multiset
     assert set(mech.counts.values()) == {1}
 
 
@@ -218,15 +228,18 @@ def test_one_wide_profile_widens_the_whole_table(jobs):
 
 
 def test_lazy_cells_keep_wide_values_exact():
+    """An unfilled table reads values past 64 bits exactly and keeps
+    nothing it read."""
     instance = Instance.default(3)
     mech = huge_denominator_table(instance, seed=66, every=False)
     table = DomainTable(mech, enumerate_preferences(instance))
+    state = dict(vars(table))
     rng = random.Random(66)
     indices = [rng.randrange(1, table.size) for _ in range(20)]
     for index in indices[:10] + [0] + indices[10:]:  # 0 is the wide profile
         assert _rows_at(table, index) == mech.assignment(table.profile(index))
-    assert table.nums is None  # nothing dense was allocated
-    assert max(d for _, d in table._lazy.values()) > 2 ** 64
+    assert max(abs(x) for col in table.columns(0, 0, 1)[0] for x in col) > 2 ** 64
+    assert vars(table) == state and table.nums is None  # nothing was kept
 
 
 def test_violations_build_the_frozen_dataclass_report():
