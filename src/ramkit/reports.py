@@ -178,6 +178,20 @@ class _ValueStrings(dict):
         return s
 
 
+class _ReportStrings(dict):
+    """``template`` around the reports of ``count`` agents, by their
+    mixed-radix index over ``prefs`` (see :func:`ramkit.domain.reports_at`)."""
+
+    def __init__(self, prefs: list[str], count: int, template: str):
+        super().__init__()
+        self.prefs, self.count, self.template = prefs, count, template
+
+    def __missing__(self, index: int) -> str:
+        reports = reports_at(self.prefs, self.count, index)
+        s = self[index] = self.template.format("|".join(reports))
+        return s
+
+
 class Violations(Sequence):
     """The violations of one pair axiom, held as :class:`PairBatch` records
     of numerators over ``D``.
@@ -263,38 +277,21 @@ class Violations(Sequence):
         A value string is built once per numerator.  The profile of an
         ex-post cell is the string of the agents before the reporting one,
         then her report, then the agents after.  The strings of j such
-        agents are built once for all ``m**j`` index values when there are
-        no more of those than lines in the batch, and otherwise only for
-        the batch's cells, so memory stays bounded by the lines rendered.
+        agents are built as the batch's cells read them, and dropped with
+        the batch, so memory stays bounded by the lines rendered.
         """
         names = _Names(instance)
         prefs = self.prefs
         m, n = len(prefs), len(prefs[0])
         P = [names.pref(p) for p in prefs]
-        every: dict[int, list[str]] = {}  # the reports of j agents, by j
         V = _ValueStrings(self.D)
         rank_strings = {rank: f"{rank} violated=" for rank in range(1, n + 1)}
-
-        def reports(j: int, template: str, in_batch: list, index):
-            """``template`` around the reports of j agents, looked up by
-            ``index(c)`` for the cells ``c`` of ``in_batch``."""
-            if m ** j > sum(map(len, in_batch)):
-                keys = {index(c) for cells in in_batch for c in cells}
-                return {k: template.format("|".join(reports_at(P, j, k))) for k in keys}
-            if j not in every:
-                every[j] = ["|".join(t) for t in itertools.product(P, repeat=j)]
-            return [template.format(x) for x in every[j]]
-
         for batch in self._batches:
             agent = batch.agent
             if self.ex_post:
                 step = m ** (n - 1 - agent)
-                in_batch = [group[6] for group in batch.groups]  # cells per group
-                before = after = [""]
-                if agent:
-                    before = reports(agent, "{}|", in_batch, lambda c: c // step)
-                if agent < n - 1:
-                    after = reports(n - 1 - agent, "|{}", in_batch, lambda c: c % step)
+                before = _ReportStrings(P, agent, "{}|") if agent else [""]
+                after = _ReportStrings(P, n - 1 - agent, "|{}") if agent < n - 1 else [""]
                 head = f"{prefix}{self.axiom} agent={agent + 1} profile="
             else:  # one cell, 0
                 before = after = [""]
@@ -335,8 +332,11 @@ class CheckOutcome:
 
     ``profiles_checked`` counts assignment rows read by the sweep, not
     distinct mechanism evaluations: a pair sweep reads each profile once per
-    agent but evaluates it at most once (an anonymous mechanism once per
-    multiset of reports).  A profile sweep (neutrality, ETE, OE,
+    agent.  Up to the sweep cap it reads a filled table, so it evaluates
+    each profile at most once (an anonymous mechanism once per multiset of
+    reports); past the cap it evaluates a profile on every read, once per
+    agent that reads it and again when a failed batch is swept cell by
+    cell.  A profile sweep (neutrality, ETE, OE,
     ex-post) counts each profile it visits once.  ``comparisons`` counts
     the exact comparisons made.  Both are deterministic for a given mode,
     independent of parallelism degree.

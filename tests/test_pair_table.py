@@ -162,6 +162,8 @@ def test_first_sweep_at_n5_stops_early():
     assert not out.satisfied
     # li fails within agent 1's first two cells of 120 reports each
     assert len(mech.counts) <= 2 * 120
+    # past the cap every read evaluates; each profile is read once here only
+    # because those two cells are one-cell batches, never swept again
     assert set(mech.counts.values()) == {1}
 
 
