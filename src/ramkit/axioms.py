@@ -13,16 +13,16 @@ first one ("first", the default for larger n).
 
 Every sweep reads the mechanism through an integer domain table
 (:mod:`ramkit.domain`) over the mechanism's one denominator ``D`` and
-compares shares as integers.  A filled table is built once, and the
-comparisons then run in this process, so the violation list is identical
-for every parallelism degree: an anonymous mechanism is evaluated once per
-multiset of reports, in this process, and any other at every profile, by
-index range on up to ``jobs`` worker processes.  Report-pair sweeps fill
-in either mode up to :data:`~ramkit.core.SWEEP_CAP`; past it a first-mode
-pair sweep evaluates each profile as it reads it and keeps nothing.
-Neutrality and ordinal and ex-post efficiency fill in exhaustive mode
-only, and equal treatment of equals never fills, so it stays a real check
-for a mechanism declared anonymous.
+compares shares as integers.  :func:`_domain_table` decides, from n alone,
+whether a sweep's table is filled.  Up to :data:`~ramkit.core.SWEEP_CAP`
+it is filled in either mode: an anonymous mechanism once per multiset of
+reports, in this process, and any other at every profile, by index range
+on up to ``jobs`` worker processes.  The comparisons then run in this
+process, so the violation list is identical for every parallelism degree.
+Equal treatment of equals never fills, so it stays a real check for a
+mechanism declared anonymous.  Past the cap only first mode runs: it
+evaluates each profile as it reads it and keeps nothing, and an
+exhaustive sweep is refused before anything is evaluated.
 
 The report-pair axioms share one column kernel, :class:`_PairSweep`,
 with the interim checks of :mod:`ramkit.interim` (where strategy-proofness
@@ -47,6 +47,7 @@ from .core import (
     SWEEP_CAP,
     ZERO,
     AssignmentMatrix,
+    CapExceededError,
     Instance,
     Preference,
     Profile,
@@ -81,31 +82,26 @@ def _resolve_mode(mode: Optional[str], n: int) -> str:
     return mode
 
 
-def _domain_table(mech: Mechanism, mode, max_n) -> tuple[DomainTable, str]:
-    """The sweep's unfilled table and resolved mode, after the cap check."""
+def _domain_table(mech: Mechanism, mode, max_n, jobs, fill=True) -> tuple[DomainTable, str]:
+    """The sweep's table and resolved mode, after the cap checks.  Up to
+    :data:`~ramkit.core.SWEEP_CAP` the table is filled on up to ``jobs``
+    workers when ``fill`` is set; past it the table is read unfilled, and an
+    exhaustive sweep, which would read the whole domain, is refused."""
     instance = mech.instance
-    _check_sweep_cap(instance.n, max_n)
-    mode = _resolve_mode(mode, instance.n)
-    return DomainTable(mech, enumerate_preferences(instance, max_n=max_n)), mode
+    n = instance.n
+    _check_sweep_cap(n, max_n)
+    mode = _resolve_mode(mode, n)
+    if n > SWEEP_CAP and mode == "exhaustive":
+        raise CapExceededError("exhaustive sweep", n, SWEEP_CAP, "mode='first'")
+    table = DomainTable(mech, enumerate_preferences(instance, max_n=max_n))
+    if n <= SWEEP_CAP and fill:
+        table.fill(jobs)
+    return table, mode
 
 
 # ---------------------------------------------------------------------------
 # report-pair sweeps: one agent varies her report against fixed opponents
 # ---------------------------------------------------------------------------
-
-
-def _strict_dominance_rank(
-    winner, loser, pref: Preference
-) -> Optional[tuple[int, Fraction, Fraction]]:
-    """First prefix where ``winner`` strictly exceeds ``loser`` (both known
-    to satisfy weak dominance of winner over loser)."""
-    lhs = rhs = 0
-    for rank, a in enumerate(pref, start=1):
-        lhs += winner[a]
-        rhs += loser[a]
-        if lhs > rhs:
-            return rank, lhs, rhs
-    return None
 
 
 def _swap_pairs(prefs: list[Preference]) -> list[tuple]:
@@ -439,13 +435,11 @@ def run_pair_sweep(
 ) -> dict[str, CheckOutcome]:
     """Sweep several report-pair axioms in one pass over the domain.
 
-    Every bundled axiom reads the table of :func:`_domain_table` as report
-    columns: one batch per agent in exhaustive mode (agent 0's only on an
-    anonymous mechanism's table), and in first mode
-    growing batches of cells until every axiom has a violation.  The table
-    is filled on up to ``jobs`` workers, except in first mode past
-    :data:`~ramkit.core.SWEEP_CAP`, where it is read unfilled.  The table
-    is dropped when the sweep returns.
+    Every bundled axiom reads the table of :func:`_domain_table`, which
+    decides whether it is filled, as report columns: one batch per agent in
+    exhaustive mode (agent 0's only on an anonymous mechanism's table), and
+    in first mode growing batches of cells until every axiom has a
+    violation.  The table is dropped when the sweep returns.
 
     ``profiles_checked`` counts rows read (the agent's report varies over
     all n! preferences in each cell), not distinct evaluations.
@@ -454,9 +448,7 @@ def run_pair_sweep(
     for ax in axioms:
         if ax not in PAIR_AXIOMS:
             raise ValueError(f"unknown pair axiom {ax!r}")
-    table, mode = _domain_table(mech, mode, max_n)
-    if mode == "exhaustive" or table.n <= SWEEP_CAP:
-        table.fill(jobs)
+    table, mode = _domain_table(mech, mode, max_n, jobs)
     sweep = _PairSweep(table.prefs, axioms, first_only=mode == "first")
     return sweep.run(table)
 
@@ -616,11 +608,9 @@ def _profile_sweep(mech, axiom, mode, jobs, max_n) -> CheckOutcome:
     lexicographic order.  Its test returns a profile's violations, the
     profiles it read and the comparisons it made; with ``first`` it stops
     at its first violation, and so does the sweep."""
-    table, mode = _domain_table(mech, mode, max_n)
     # ETE reads only the profiles with two equal reports (a quarter of
     # them at n=4), so it evaluates those as it reads them, with no fill
-    if mode == "exhaustive" and axiom != "ete":
-        table.fill(jobs)
+    table, mode = _domain_table(mech, mode, max_n, jobs, fill=axiom != "ete")
     test = _PROFILE_TESTS[axiom](table)
     first = mode == "first"
     violations: list[ViolationReport] = []
@@ -824,9 +814,8 @@ def _replay_pair(
     if axiom == "weak-sp":
         if new == old or not fosd(new, old, truth):
             return False
-        return _strict_dominance_rank(new, old, truth) == (
-            report.rank, report.lhs, report.rhs
-        )
+        rank, lhs, rhs = fosd_failure(old, new, truth)
+        return (rank, rhs, lhs) == (report.rank, report.lhs, report.rhs)
     swap = report.swap
     swaps = dict(adjacent_swaps(truth))
     if swap is None or swaps.get(report.deviation) != swap or len(report.objects) != 1:

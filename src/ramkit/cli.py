@@ -363,16 +363,16 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--mechanism", required=True)
     p.add_argument("--mode", choices=("exhaustive", "first"), default=None,
                    help="collect all violations or stop at the first "
-                        "(default: exhaustive for n<=3, first above)")
+                        "(default: exhaustive for n<=3, first above); past "
+                        "n=4 only first runs")
     p.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
                    help="worker processes that build the domain table of "
                         "a sweep, at least 1 and at most the CPU count; "
                         "anonymous mechanisms (ps, rp, sea at one speed for "
                         "all) are filled in this process, once per multiset "
                         "of reports; the comparisons run in the main "
-                        "process; ete, and with mode=first the neutral, oe "
-                        "and ex-post sweeps and pair sweeps past n=4, "
-                        "evaluate profiles serially as they read them")
+                        "process; ete and sweeps past n=4 evaluate profiles "
+                        "as they read them")
     common(p, need_n=True)
     p.set_defaults(func=cmd_check)
 

@@ -37,15 +37,17 @@ mechanism's one denominator ``D = mech.D``; nothing is rescaled.
   slices: one slice for agent 0 (its cells are contiguous profiles), one
   slice with step ``m`` profiles for the last agent, and for the agents in
   between one slice per run of ``s`` consecutive cells that share the
-  agents before.  The fill runs by index range, optionally on a process
-  pool.
+  agents before.  The fill evaluates the profiles in index order and
+  appends their values to storage: in this process, or on a process pool
+  by index range, appending each range's part in index order.
 
 No Fractions are stored.  An unfilled table is a stateless reader:
 :meth:`DomainTable.columns` and :meth:`DomainTable.entry` evaluate each
 profile they read and keep nothing, so a read never allocates more than
-it returns.  Sweeps fill up to the sweep cap; only a first-mode sweep past
-it, whose domain is too large to fill, reads unfilled.  A table is meant
-to live for one sweep; nothing is cached at module level.
+it returns.  Sweeps fill up to the sweep cap, except equal treatment of
+equals; past it, where the domain is too large to fill, only first-mode
+sweeps run, reading unfilled.  A table is meant to live for one sweep;
+nothing is cached at module level.
 """
 
 from __future__ import annotations
@@ -61,8 +63,8 @@ from .mechanisms import Mechanism
 
 Store = Union[array, list]
 
-#: Index ranges per worker in a fill: a slow range does not hold a pool
-#: back, and a serial fill keeps a quarter of the domain in transit.
+#: Index ranges per worker in a pool fill, so a slow range does not hold
+#: the pool back.
 _TASKS_PER_WORKER = 4
 
 
@@ -91,12 +93,15 @@ def _flat(mech: Mechanism, profile: Profile) -> list[int]:
     return [x for row in mech.scaled_assignment(profile) for x in row]
 
 
-def _append(store: Store, values: list[int]) -> Store:
+def _append(store: Store, values: Store) -> Store:
     """``store`` with ``values`` appended: a signed 64-bit array until one
     value does not fit, a list of Python ints from then on."""
     if isinstance(store, array):
         try:
-            store.fromlist(values)  # all or nothing
+            if isinstance(values, array):
+                store.extend(values)  # same type code: every value fits
+            else:
+                store.fromlist(values)  # all or nothing
             return store
         except OverflowError:
             store = store.tolist()
@@ -127,10 +132,9 @@ def _init_worker(mech: Mechanism, prefs: list[Preference]) -> None:
     _worker_job = (mech, prefs)
 
 
-def _fill_task(bounds: tuple[int, int]) -> tuple[int, int, Store]:
-    lo, hi = bounds
+def _fill_task(bounds: tuple[int, int]) -> Store:
     mech, prefs = _worker_job
-    return lo, hi, _evaluate_range(mech, prefs, lo, hi)
+    return _evaluate_range(mech, prefs, *bounds)
 
 
 class DomainTable:
@@ -178,13 +182,6 @@ class DomainTable:
 
     # -- filling -----------------------------------------------------------
 
-    def _put(self, lo: int, hi: int, nums: Store) -> None:
-        """Store the numerators of profiles ``[lo, hi)``."""
-        if isinstance(self.nums, array) and not isinstance(nums, array):
-            # a value exceeds 64 bits: keep everything as Python ints
-            self.nums = self.nums.tolist()
-        self.nums[lo * self._nn: hi * self._nn] = nums
-
     def fill(self, jobs: int = 1) -> None:
         """Evaluate the whole domain.  An anonymous mechanism is evaluated
         once per multiset of reports, in this process.  Any other is
@@ -195,22 +192,21 @@ class DomainTable:
         if self.mech.anonymous:
             self._fill_by_multiset()
             return
-        self.nums = array("q", [0]) * (self.size * self._nn)
         jobs = min(jobs, os.cpu_count() or 1)
-        tasks = min(self.size, max(jobs, 1) * _TASKS_PER_WORKER)
-        step = -(-self.size // tasks)
-        bounds = [(lo, min(lo + step, self.size)) for lo in range(0, self.size, step)]
         if jobs <= 1:
-            for lo, hi in bounds:
-                self._put(lo, hi, _evaluate_range(self.mech, self.prefs, lo, hi))
+            self.nums = _evaluate_range(self.mech, self.prefs, 0, self.size)
             return
+        step = -(-self.size // (jobs * _TASKS_PER_WORKER))
+        bounds = [(lo, min(lo + step, self.size)) for lo in range(0, self.size, step)]
+        nums: Store = array("q")
         with ProcessPoolExecutor(
             max_workers=min(jobs, len(bounds)),
             initializer=_init_worker,
             initargs=(self.mech, self.prefs),
         ) as pool:
-            for lo, hi, nums in pool.map(_fill_task, bounds):
-                self._put(lo, hi, nums)
+            for part in pool.map(_fill_task, bounds):  # in index order
+                nums = _append(nums, part)
+        self.nums = nums
 
     def _fill_by_multiset(self) -> None:
         """Evaluate each multiset of reports once, at its sorted profile, and

@@ -52,7 +52,7 @@ from .axioms import _PairSweep, _replay_pair
 from .mechanisms import Mechanism
 from .reports import CheckOutcome, ViolationReport
 
-#: Default denominator of the sampling grid for priors.
+#: Denominator of the sampling grid for priors.
 PRIOR_GRID = 10 ** 6
 
 #: Default number of redraws before the ball sampler gives up.
@@ -412,21 +412,21 @@ def _uniform_int(rng: random.Random, lo: int, hi: int) -> int:
             return lo + value
 
 
-def _grid_base(center: Prior, grid: int) -> list[int]:
+def _grid_base(center: Prior) -> list[int]:
     """Round the center onto the grid: floors, remainder spread one unit at
     a time from the lexicographically first preference."""
-    base = [int(p * grid) for p in center.probs]
-    for j in range(grid - sum(base)):
+    base = [int(p * PRIOR_GRID) for p in center.probs]
+    for j in range(PRIOR_GRID - sum(base)):
         base[j % len(base)] += 1
     return base
 
 
 def _validate_ball_point(
-    numerators: list[int], center: Prior, epsilon: Fraction, grid: int
+    numerators: list[int], center: Prior, epsilon: Fraction
 ) -> Optional[Prior]:
     if any(c < 0 for c in numerators):
         return None
-    probs = tuple(Fraction(c, grid) for c in numerators)
+    probs = tuple(Fraction(c, PRIOR_GRID) for c in numerators)
     if any(abs(p - q) >= epsilon for p, q in zip(probs, center.probs)):
         return None
     return Prior(center.instance, probs)
@@ -437,41 +437,40 @@ def sample_prior_in_ball(
     epsilon: Fraction,
     seed: int,
     *,
-    grid: int = PRIOR_GRID,
     max_attempts: int = SAMPLER_RETRY_BUDGET,
 ) -> PriorBallSample:
     """Deterministic pseudo-random prior within the epsilon-ball.
 
     Draws an integer offset for every preference, shifts the rounded
-    center by the offsets, and rebalances the total back to ``grid`` by a
-    uniform shift plus a one-unit remainder spread; the candidate is
-    rejected and redrawn until every probability is nonnegative and within
-    the ball.  Identical (center, epsilon, seed) always yields the
-    identical prior.
+    center by the offsets, and rebalances the total back to
+    :data:`PRIOR_GRID` by a uniform shift plus a one-unit remainder
+    spread; the candidate is rejected and redrawn until every probability
+    is nonnegative and within the ball.  Identical (center, epsilon, seed)
+    always yields the identical prior.
     """
     epsilon = Fraction(epsilon)
     if epsilon <= 0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
     m = len(center.probs)
-    base = _grid_base(center, grid)
-    reach = max(1, ceil(epsilon * grid) - 1)
+    base = _grid_base(center)
+    reach = max(1, ceil(epsilon * PRIOR_GRID) - 1)
     rng = random.Random(seed)
     for attempt in range(1, max_attempts + 1):
         offsets = [_uniform_int(rng, -reach, reach) for _ in range(m)]
         numerators = [b + o for b, o in zip(base, offsets)]
-        surplus = sum(numerators) - grid
+        surplus = sum(numerators) - PRIOR_GRID
         shift, rest = divmod(surplus, m)
         numerators = [c - shift for c in numerators]
         for j in range(rest):
             numerators[j] -= 1
-        prior = _validate_ball_point(numerators, center, epsilon, grid)
+        prior = _validate_ball_point(numerators, center, epsilon)
         if prior is not None:
             return PriorBallSample(
                 center=center, radius=epsilon, seed=seed,
                 prior=prior, attempts=attempt,
             )
     raise SamplingExhaustedError(
-        f"no valid prior on the 1/{grid} grid within {epsilon} of the center "
+        f"no valid prior on the 1/{PRIOR_GRID} grid within {epsilon} of the center "
         f"after {max_attempts} attempts"
     )
 
@@ -483,7 +482,6 @@ def lrobic_search(
     samples: int,
     seed: int,
     *,
-    grid: int = PRIOR_GRID,
     max_n: Optional[int] = None,
 ) -> Optional[tuple[PriorBallSample, ViolationReport]]:
     """Search sampled priors in the ball for one where OBIC fails.
@@ -497,7 +495,7 @@ def lrobic_search(
     if samples < 1:
         raise ValueError(f"need at least one sample, got {samples}")
     for k in range(samples):
-        sample = sample_prior_in_ball(center, epsilon, seed + k, grid=grid)
+        sample = sample_prior_in_ball(center, epsilon, seed + k)
         outcome = check_obic(mech, sample.prior, max_n=max_n)
         if not outcome.satisfied:
             return sample, outcome.violations[0]

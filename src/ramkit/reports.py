@@ -33,43 +33,32 @@ from .core import (
 from .domain import reports_at
 
 
+class _Strings(dict):
+    """``make(key)`` by ``key``, each built on its first read."""
+
+    __slots__ = ("make",)
+
+    def __init__(self, make):
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, key) -> str:
+        s = self[key] = self.make(key)
+        return s
+
+
 class _Names:
     """Display strings of one instance, each built once while a batch of
     reports renders."""
 
     def __init__(self, instance: Instance):
-        self.objects = instance.object_names
-        self._prefs: dict[Preference, str] = {}
-        self._profiles: dict[Profile, str] = {}
-        self._swaps: dict[SwapInfo, str] = {}
-        self._lists: dict[tuple[int, ...], str] = {}
-
-    def pref(self, pref: Preference) -> str:
-        s = self._prefs.get(pref)
-        if s is None:
-            s = self._prefs[pref] = ">".join(self.objects[x] for x in pref)
-        return s
-
-    def profile(self, profile: Profile) -> str:
-        s = self._profiles.get(profile)
-        if s is None:
-            s = self._profiles[profile] = "|".join(self.pref(p) for p in profile)
-        return s
-
-    def object_list(self, objects: tuple[int, ...]) -> str:
-        s = self._lists.get(objects)
-        if s is None:
-            s = self._lists[objects] = ",".join(self.objects[x] for x in objects)
-        return s
-
-    def swap(self, swap: SwapInfo) -> str:
-        s = self._swaps.get(swap)
-        if s is None:
-            names = self.objects
-            s = self._swaps[swap] = (
-                f"swap=rank{swap.position}:{names[swap.lowered]}<->{names[swap.raised]}"
-            )
-        return s
+        self.objects = names = instance.object_names
+        self.pref = _Strings(lambda pref: ">".join(names[x] for x in pref)).__getitem__
+        self.profile = _Strings(lambda profile: "|".join(map(self.pref, profile))).__getitem__
+        self.object_list = _Strings(lambda xs: ",".join(names[x] for x in xs)).__getitem__
+        self.swap = _Strings(
+            lambda swap: f"swap=rank{swap.position}:{names[swap.lowered]}<->{names[swap.raised]}"
+        ).__getitem__
 
 
 @dataclass(frozen=True, slots=True)
@@ -166,32 +155,6 @@ class PairBatch(NamedTuple):
 _CHUNK_LINES = 8192
 
 
-class _ValueStrings(dict):
-    """``str(Fraction(v, d))`` by numerator ``v`` over one ``d``."""
-
-    def __init__(self, d: int):
-        super().__init__()
-        self.d = d
-
-    def __missing__(self, v: int) -> str:
-        s = self[v] = str(Fraction(v, self.d))
-        return s
-
-
-class _ReportStrings(dict):
-    """``template`` around the reports of ``count`` agents, by their
-    mixed-radix index over ``prefs`` (see :func:`ramkit.domain.reports_at`)."""
-
-    def __init__(self, prefs: list[str], count: int, template: str):
-        super().__init__()
-        self.prefs, self.count, self.template = prefs, count, template
-
-    def __missing__(self, index: int) -> str:
-        reports = reports_at(self.prefs, self.count, index)
-        s = self[index] = self.template.format("|".join(reports))
-        return s
-
-
 class Violations(Sequence):
     """The violations of one pair axiom, held as :class:`PairBatch` records
     of numerators over ``D``.
@@ -284,14 +247,18 @@ class Violations(Sequence):
         prefs = self.prefs
         m, n = len(prefs), len(prefs[0])
         P = [names.pref(p) for p in prefs]
-        V = _ValueStrings(self.D)
+        V = _Strings(lambda v, d=self.D: str(Fraction(v, d)))
         rank_strings = {rank: f"{rank} violated=" for rank in range(1, n + 1)}
         for batch in self._batches:
             agent = batch.agent
             if self.ex_post:
                 step = m ** (n - 1 - agent)
-                before = _ReportStrings(P, agent, "{}|") if agent else [""]
-                after = _ReportStrings(P, n - 1 - agent, "|{}") if agent < n - 1 else [""]
+                before = _Strings(
+                    lambda c, j=agent: "|".join(reports_at(P, j, c)) + "|"
+                ) if agent else [""]
+                after = _Strings(
+                    lambda c, j=n - 1 - agent: "|" + "|".join(reports_at(P, j, c))
+                ) if agent < n - 1 else [""]
                 head = f"{prefix}{self.axiom} agent={agent + 1} profile="
             else:  # one cell, 0
                 before = after = [""]

@@ -1,6 +1,8 @@
 import dataclasses
 import itertools
+import os
 import random
+from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
 import pytest
@@ -16,6 +18,7 @@ from helpers import (
     profile_sweep_oracle,
     random_bistochastic,
     random_profile,
+    random_table,
 )
 from ramkit.core import (
     CapExceededError,
@@ -25,6 +28,7 @@ from ramkit.core import (
     transposition,
 )
 import ramkit.axioms
+import ramkit.domain
 from ramkit.axioms import (
     PAIR_AXIOMS,
     PROFILE_AXIOMS,
@@ -110,6 +114,17 @@ class TestWeakStrategyProofness:
         # have no influence on their own rows
         assert outcome.satisfied
         assert check_elementary_monotonicity(mech).satisfied
+
+    def test_witnesses_replay_exactly(self):
+        """Every weak-sp witness of a random table replays; one with the
+        next prefix, or with its two prefix sums swapped, does not."""
+        mech = random_table(Instance.default(3), seed=1)
+        violations = check_weak_strategy_proofness(mech, mode="exhaustive").violations
+        assert len(violations) == 1139
+        for v in violations:
+            assert reverify_violation(mech, v)
+            assert not reverify_violation(mech, dataclasses.replace(v, rank=v.rank + 1))
+            assert not reverify_violation(mech, dataclasses.replace(v, lhs=v.rhs, rhs=v.lhs))
 
 
 class TestElementaryMonotonicity:
@@ -460,6 +475,50 @@ class TestProfileSweeps:
         with pytest.raises(CapExceededError):
             PUBLIC_PROFILE_CHECKS[axiom](mech)
         assert mech.counts == {} and mech.assignment_calls == 0
+
+    def test_exhaustive_past_the_cap_raises_before_any_evaluation(self):
+        """Past the sweep cap only first mode runs; an exhaustive sweep is
+        refused before it evaluates anything, even with the cap raised."""
+        mech = CountingPS(Instance.default(5))
+        with pytest.raises(CapExceededError):
+            run_pair_sweep(mech, ("em",), mode="exhaustive", max_n=5)
+        with pytest.raises(CapExceededError):
+            check_equal_treatment_of_equals(mech, mode="exhaustive", max_n=5)
+        for axiom in PAIR_AXIOMS + PROFILE_AXIOMS:
+            with pytest.raises(CapExceededError):
+                run_axiom_check(mech, axiom, mode="exhaustive", max_n=5)
+        assert mech.counts == {} and mech.assignment_calls == 0
+
+    def test_first_mode_fills_once_per_multiset_at_n4(self):
+        """Up to the sweep cap a first-mode profile sweep reads a filled
+        table, so PS is evaluated once per report multiset."""
+        mech = CountingPS(Instance.default(4))
+        assert check_mechanism_ordinal_efficiency(mech, mode="first").satisfied
+        assert len(mech.counts) == 17_550 and set(mech.counts.values()) == {1}
+
+    def test_first_mode_fills_on_the_pool(self, monkeypatch):
+        """A first-mode profile sweep of a mechanism that is not anonymous
+        fills its table on ``jobs`` workers, and its outcome equals the
+        serial one and the oracle's."""
+        pools = []
+
+        class RecordingPool(ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                pools.append(kwargs["max_workers"])
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(ramkit.domain, "ProcessPoolExecutor", RecordingPool)
+        workers = min(2, os.cpu_count() or 1)
+        for name in ("sd", "table"):
+            mech = build_mechanism(name, 3)
+            assert not mech.anonymous
+            for axiom in ("neutral", "oe", "ex-post"):
+                expected = profile_sweep_oracle(mech, axiom, mode="first")
+                assert run_axiom_check(mech, axiom, mode="first", jobs=1) == expected
+                assert pools == []
+                assert run_axiom_check(mech, axiom, mode="first", jobs=2) == expected
+                assert pools == ([workers] if workers > 1 else []), (name, axiom)
+                pools.clear()
 
     @pytest.mark.parametrize("mode", ("exhaustive", "first"))
     @pytest.mark.parametrize("axiom", PAIR_AXIOMS + PROFILE_AXIOMS)

@@ -436,6 +436,13 @@ print(code, digest.hexdigest(), resource.getrusage(resource.RUSAGE_CHILDREN).ru_
 """
 
 
+def _limit_address_space():
+    """Give a child process 1 GiB of address space."""
+    import resource
+
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
 @pytest.fixture(scope="module")
 def li_ps4():
     run = subprocess.run(
@@ -463,21 +470,31 @@ class TestStreamedOutput:
         """At n=5 the first li violation is rendered from its own cell's
         opponents; strings for all 120**4 opponent profiles of agent 1
         would not fit in the 1 GiB address space the run is given."""
-        import resource
-
-        def limit():
-            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
-
         run = subprocess.run(
             _ram("check", "--axiom", "li", "--mechanism", "ps", "--n", "5", "--max-n", "5",
                  "--format", "machine"),
-            env=_env(), capture_output=True, text=True, preexec_fn=limit, timeout=600,
+            env=_env(), capture_output=True, text=True, preexec_fn=_limit_address_space,
+            timeout=600,
         )
         assert (run.returncode, run.stderr) == (1, "")
         lines = run.stdout.splitlines()
         assert len(lines) == 2
         assert lines[0].startswith("check axiom=li verdict=violated violations=1 ")
         assert lines[1].startswith("violation li agent=1 profile=")
+
+    def test_exhaustive_past_the_cap_exits_before_evaluating(self):
+        """Past the sweep cap an exhaustive sweep is refused with the cap
+        status, before it evaluates anything; filling PS's table by
+        multiset at n=5 would not fit in 1 GiB of address space."""
+        run = subprocess.run(
+            _ram("check", "--axiom", "em", "--mechanism", "ps", "--n", "5", "--max-n", "5",
+                 "--mode", "exhaustive"),
+            env=_env(), capture_output=True, text=True, preexec_fn=_limit_address_space,
+            timeout=600,
+        )
+        assert (run.returncode, run.stdout) == (3, "")
+        assert run.stderr.startswith("ram: exhaustive sweep for n=5 exceeds the cap")
+        assert len(run.stderr.splitlines()) == 1
 
     def test_closed_pipe_ends_quietly(self, tmp_path, instance3):
         """The reader takes one line and closes the pipe, as ``| head -1``

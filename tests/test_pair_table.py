@@ -4,6 +4,7 @@ the Fraction cell oracle in ``helpers.pair_sweep_oracle``."""
 import itertools
 import math
 import random
+from array import array
 from fractions import Fraction
 
 import pytest
@@ -21,7 +22,7 @@ from helpers import (
 )
 from ramkit.axioms import PAIR_AXIOMS, check_equal_treatment_of_equals, run_pair_sweep
 from ramkit.core import Instance, enumerate_preferences, enumerate_profiles
-from ramkit.domain import DomainTable
+from ramkit.domain import DomainTable, _append
 from ramkit.mechanisms import (
     Mechanism,
     ProbabilisticSerial,
@@ -227,6 +228,18 @@ def test_one_wide_profile_widens_the_whole_table(jobs):
     assert run_pair_sweep(mech, PAIR_AXIOMS, mode="exhaustive", jobs=jobs) == (
         pair_sweep_oracle(mech, PAIR_AXIOMS)
     )
+
+
+def test_append_widens_at_the_first_wide_part():
+    """A pool fill appends each range's part in index order: parts that fit
+    extend the signed 64-bit array, and the first part past 64 bits turns
+    the whole store, and all later parts, into Python ints."""
+    wide = 2 ** 70
+    store = _append(_append(array("q"), array("q", [1, 2])), [3, 4])
+    assert isinstance(store, array) and store.tolist() == [1, 2, 3, 4]
+    store = _append(store, [5, wide])
+    assert store == [1, 2, 3, 4, 5, wide]
+    assert _append(store, array("q", [6])) == [1, 2, 3, 4, 5, wide, 6]
 
 
 def test_lazy_cells_keep_wide_values_exact():
