@@ -410,12 +410,20 @@ def make_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: Library argument named by a CapExceededError -> the ``ram`` flag for it.
+_OVERRIDE_FLAGS = {"max_n": "--max-n", "mode='first'": "--mode first"}
+
+
 def main(argv=None) -> int:
     parser = make_parser()
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (CapExceededError, SamplingExhaustedError) as exc:
+    except CapExceededError as exc:
+        flag = _OVERRIDE_FLAGS.get(exc.override, exc.override)
+        print(f"ram: {exc.message(flag)}", file=sys.stderr)
+        return 3
+    except SamplingExhaustedError as exc:
         print(f"ram: {exc}", file=sys.stderr)
         return 3
     except (ParseError, ValueError, OSError) as exc:

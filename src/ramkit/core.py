@@ -47,12 +47,19 @@ class CapExceededError(RuntimeError):
     """Raised when an enumeration would exceed the configured size cap."""
 
     def __init__(self, what: str, n: int, cap: int, override: str):
-        super().__init__(
-            f"{what} for n={n} exceeds the cap n <= {cap}; "
-            f"pass {override} to override"
-        )
+        self.what = what
         self.n = n
         self.cap = cap
+        #: The library argument that lifts the cap, e.g. ``max_n``.
+        self.override = override
+        super().__init__(self.message(override))
+
+    def message(self, override: str) -> str:
+        """The error message, naming ``override`` as the way past the cap."""
+        return (
+            f"{self.what} for n={self.n} exceeds the cap n <= {self.cap}; "
+            f"pass {override} to override"
+        )
 
 
 class InvalidAssignmentError(ValueError):

@@ -56,7 +56,7 @@ import itertools
 import os
 from array import array
 from concurrent.futures import ProcessPoolExecutor
-from typing import Optional, Sequence, Union
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .core import Preference, Profile
 from .mechanisms import Mechanism
@@ -120,6 +120,34 @@ def _evaluate_range(
     for profile in itertools.islice(profiles, lo, hi):
         nums = _append(nums, _flat(mech, profile))
     return nums
+
+
+def multiset_rows(
+    mech: Mechanism, prefs: Sequence[Preference], multisets: Iterable[tuple[int, ...]]
+) -> Iterator[tuple[int, tuple[int, ...], Sequence[int]]]:
+    """Evaluate an anonymous mechanism once per multiset of report indices
+    into ``prefs``, each given sorted, at its sorted profile, and yield
+    ``(r, others, row)`` for each distinct report ``r`` in it: ``others``
+    are the other reports' indices, sorted, and ``row`` the numerators over
+    ``mech.D`` of any agent reporting ``prefs[r]``.
+
+    Raises ValueError if two agents with equal reports get different rows:
+    the mechanism is then not anonymous."""
+    for reports in multisets:
+        # from a list: a tuple grown from a generator is resized, and each
+        # one freed then piles up on the interpreter's tuple free list
+        profile = tuple([prefs[r] for r in reports])
+        out = mech.scaled_assignment(profile)
+        for i, r in enumerate(reports):
+            if i and r == reports[i - 1]:
+                if out[i] != out[i - 1]:
+                    raise ValueError(
+                        f"{mech.descriptor()} is declared anonymous, but agents "
+                        f"{i} and {i + 1} report alike and get different rows at "
+                        f"profile {profile}"
+                    )
+                continue
+            yield r, reports[:i] + reports[i + 1:], out[i]
 
 
 # Set once per pool worker by the initializer, so the mechanism is pickled
@@ -215,24 +243,14 @@ class DomainTable:
 
         Raises ValueError if two agents with equal reports get different
         rows: the mechanism is then not anonymous."""
-        m, n, prefs = self.m, self.n, self.prefs
+        m, n = self.m, self.n
         ids = {
             ms: k for k, ms in enumerate(itertools.combinations_with_replacement(range(m), n - 1))
         }
         rows: list[list] = [[None] * len(ids) for _ in range(m)]
-        for reports in itertools.combinations_with_replacement(range(m), n):
-            profile = tuple(prefs[r] for r in reports)
-            out = self.mech.scaled_assignment(profile)
-            for i, r in enumerate(reports):
-                if i and r == reports[i - 1]:
-                    if out[i] != out[i - 1]:
-                        raise ValueError(
-                            f"{self.mech.descriptor()} is declared anonymous, but agents "
-                            f"{i} and {i + 1} report alike and get different rows at "
-                            f"profile {profile}"
-                        )
-                    continue
-                rows[r][ids[reports[:i] + reports[i + 1:]]] = tuple(out[i])
+        multisets = itertools.combinations_with_replacement(range(m), n)
+        for r, others, row in multiset_rows(self.mech, self.prefs, multisets):
+            rows[r][ids[others]] = tuple(row)
         self._rows = rows
         self._multiset = array("l", [
             ids[tuple(sorted(cell))]

@@ -13,17 +13,23 @@ integer grid with a fixed denominator so downstream sums stay exact.
 
 The checks read every agent's interim rows from one integer pass over the
 prior's support domain (:func:`_interim_rows`): the prior becomes integer
-weights over its common denominator ``Q``, and each profile with at most
-one off-support report is evaluated exactly once through
-:meth:`Mechanism.scaled_assignment`.  Every agent's rows come out as
-integers over one denominator, ``mech.D * Q**(n-1)``, and OBIC and the
-interim em/ui/li
-run on them in the ex-post pair sweep's column kernel
-(:class:`ramkit.axioms._PairSweep`), one single-cell batch per agent.  The
-pass needs no memo; a mechanism's memo stays empty.
-:func:`obic_decomposition_report` builds the rows once for OBIC and the
-em/ui/li sweep.  :func:`interim_share_vector` is a separate Fraction
-route, and replaying a witness reads its rows only from that route.
+weights over its common denominator ``Q``, and only profiles with at most
+one off-support report carry weight.  An anonymous mechanism
+(``Mechanism.anonymous``: PS, RP, eating at one speed for all) is
+evaluated once per multiset of such reports, at its sorted profile, and
+its rows are summed per report with each opponent multiset weighted by
+its number of orderings; every agent gets the same rows.  Any other
+mechanism is evaluated once per such profile, and each agent's rows are
+summed over ordered opponent profiles.  Both routes evaluate through
+:meth:`Mechanism.scaled_assignment`, stream into the sums and hold no
+table.  Every agent's rows come out as integers over one denominator,
+``mech.D * Q**(n-1)``, and OBIC and the interim em/ui/li run on them in
+the ex-post pair sweep's column kernel (:class:`ramkit.axioms._PairSweep`),
+one single-cell batch per agent.  The pass needs no memo; a mechanism's
+memo stays empty.  :func:`obic_decomposition_report` builds the rows once
+for OBIC and the em/ui/li sweep.  :func:`interim_share_vector` is a
+separate Fraction route, and replaying a witness reads its rows only from
+that route.
 """
 
 from __future__ import annotations
@@ -49,6 +55,7 @@ from .core import (
     insert_report,
 )
 from .axioms import _PairSweep, _replay_pair
+from .domain import multiset_rows
 from .mechanisms import Mechanism
 from .reports import CheckOutcome, ViolationReport
 
@@ -185,12 +192,12 @@ def _interim_rows(
     agent i's interim row for report r is the sum over opponent profiles of
     ``prod_{j != i} w[P_j] * row_i(P)``, over ``Q**(n-1)``.  Only profiles in
     which at least n-1 agents report a positive-probability preference
-    carry weight for some agent: where all n do, every agent accumulates;
-    where exactly one agent is off the support, only that agent does.  Each
-    such profile is evaluated exactly once, through
+    carry weight for some agent.  An anonymous mechanism is evaluated once
+    per multiset of such reports (:func:`_multiset_sums`), and every agent
+    gets the same rows; any other mechanism once per such profile
+    (:func:`_profile_sums`).  Either way each evaluation goes through
     :meth:`Mechanism.scaled_assignment`, and the weighted numerators over
-    ``mech.D`` are summed as integers per (agent, report).  No Fraction is
-    built.
+    ``mech.D`` are summed as integers.  No Fraction is built.
     """
     instance = mech.instance
     _check_prior(mech, prior)
@@ -203,19 +210,75 @@ def _interim_rows(
             raise ValueError(f"agent {i + 1} is not one of agents 1..{n}")
     q = math.lcm(*(p.denominator for p in prior.probs))
     weights = [p.numerator * (q // p.denominator) for p in prior.probs]
+    if mech.anonymous:
+        sums = _multiset_sums(mech, prefs, weights)
+        rows_by_agent = {i: sums for i in agents}  # read only, never written
+    else:
+        rows_by_agent = _profile_sums(mech, prefs, weights, agents)
+    return rows_by_agent, mech.D * q ** (n - 1)
+
+
+def _add(acc: list[int], weight: int, row) -> None:
+    """Add ``weight * row`` into ``acc``, skipping zero shares."""
+    for a, x in enumerate(row):
+        if x:
+            acc[a] += weight * x
+
+
+def _multiset_sums(mech: Mechanism, prefs, weights: list[int]) -> list[list[int]]:
+    """Weighted numerators of any agent's interim row for each report of
+    an anonymous mechanism.
+
+    The row for report r is ``sum_M mult(M) * prod(w[M]) * row(r, M)`` over
+    the multisets ``M`` of n-1 on-support opponent reports, where
+    ``mult(M) = (n-1)! / prod(c!)`` counts the orderings of ``M``.  Each
+    multiset of n reports with at most one off the support is evaluated
+    once, at its sorted profile (:func:`ramkit.domain.multiset_rows`), and
+    streamed into the sums; nothing else is held."""
+    n = len(prefs[0])
+    on = [k for k, w in enumerate(weights) if w]
+    off = [k for k, w in enumerate(weights) if not w]
+    multisets = itertools.chain(
+        itertools.combinations_with_replacement(on, n),
+        (
+            tuple(sorted(rest + (k,)))
+            for k in off
+            for rest in itertools.combinations_with_replacement(on, n - 1)
+        ),
+    )
+    sums = [[0] * n for _ in prefs]
+    for r, others, row in multiset_rows(mech, prefs, multisets):
+        weight = math.prod(weights[o] for o in others)
+        if weight:
+            _add(sums[r], _orderings(others) * weight, row)
+    return sums
+
+
+def _orderings(reports: tuple[int, ...]) -> int:
+    """Number of distinct orderings of the sorted multiset ``reports``:
+    ``len! / prod(c!)``, dividing by 1, 2, ..., c along each run of ``c``
+    equal reports (exact at every step)."""
+    count, run = factorial(len(reports)), 1
+    for a, b in zip(reports, reports[1:]):
+        run = run + 1 if a == b else 1
+        count //= run
+    return count
+
+
+def _profile_sums(
+    mech: Mechanism, prefs, weights: list[int], agents
+) -> dict[int, list[list[int]]]:
+    """Weighted numerators of each of ``agents``' interim rows for each
+    report, one evaluation per profile: where all n reports are on the
+    support, every agent accumulates; where exactly one agent is off it,
+    only that agent does, once per off-support report."""
+    n = len(prefs[0])
     on = [k for k, w in enumerate(weights) if w]
     on_prefs = [prefs[k] for k in on]
     on_weights = [weights[k] for k in on]
     # sums[i][k]: agent i's weighted numerators for report prefs[k]
     sums = {i: [[0] * n for _ in prefs] for i in agents}
     scaled = mech.scaled_assignment
-
-    def add(i, k, weight, row):
-        acc = sums[i][k]
-        for a, x in enumerate(row):
-            if x:
-                acc[a] += weight * x
-
     for profile, ks, ws in zip(
         itertools.product(on_prefs, repeat=n),
         itertools.product(on, repeat=n),
@@ -224,7 +287,7 @@ def _interim_rows(
         rows = scaled(profile)
         total = math.prod(ws)
         for i in agents:
-            add(i, ks[i], total // ws[i], rows[i])
+            _add(sums[i][ks[i]], total // ws[i], rows[i])
     for i in agents:
         for k, w in enumerate(weights):
             if w:
@@ -234,8 +297,9 @@ def _interim_rows(
                 itertools.product(on_prefs, repeat=n - 1),
                 itertools.product(on_weights, repeat=n - 1),
             ):
-                add(i, k, math.prod(ws), scaled(insert_report(opponents, i, report))[i])
-    return sums, mech.D * q ** (n - 1)
+                _add(sums[i][k], math.prod(ws),
+                     scaled(insert_report(opponents, i, report))[i])
+    return sums
 
 
 def interim_share_vector(

@@ -251,6 +251,12 @@ class CountingUndeclaredPS(CountingPS):
     anonymous = False
 
 
+class AnonymousSD(SerialDictatorship):
+    """Serial dictatorship falsely declared anonymous."""
+
+    anonymous = True
+
+
 def interim_shares_oracle(mechanism, agent, report, prior):
     """Brute-force interim shares: full product over all opponent profiles,
     no support skipping, no shared tables."""

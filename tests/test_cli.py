@@ -116,6 +116,20 @@ class TestCheck:
         code, _, err = run_cli("check", "--axiom", "sp", "--mechanism", "ps", "--n", "8")
         assert code == 3 and "cap" in err
 
+    @pytest.mark.parametrize("argv,line", (
+        (("check", "--axiom", "em", "--mechanism", "ps", "--n", "5", "--max-n", "5",
+          "--mode", "exhaustive"),
+         "ram: exhaustive sweep for n=5 exceeds the cap n <= 4; "
+         "pass --mode first to override\n"),
+        (("obic", "--mechanism", "ps", "--n", "5"),
+         "ram: full-domain enumeration for n=5 exceeds the cap n <= 4; "
+         "pass --max-n to override\n"),
+    ))
+    def test_cap_message_names_the_flag(self, argv, line):
+        """The library names its own arguments (``mode='first'``,
+        ``max_n``); ``ram`` names the flags that set them."""
+        assert run_cli(*argv) == (3, "", line)
+
     def test_jobs_flag_changes_nothing(self):
         _, seq, _ = run_cli(
             "check", "--axiom", "li", "--mechanism", "ps", "--n", "3",
@@ -349,7 +363,7 @@ class TestMaxN:
 
     def test_random_priority_cap_without_max_n(self, profile7):
         code, _, err = run_cli("eval", "--mechanism", "rp", "--profile", profile7)
-        assert code == 3 and "pass max_n to override" in err
+        assert code == 3 and "pass --max-n to override" in err
 
 
 class TestUsage:

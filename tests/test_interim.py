@@ -8,7 +8,9 @@ import pytest
 
 from helpers import (
     MECHANISM_KINDS,
+    AnonymousSD,
     CountingPS,
+    CountingUndeclaredPS,
     build_mechanism,
     interim_shares_oracle,
     interim_sweep_oracle,
@@ -498,9 +500,11 @@ class TestOnePassRows:
             _interim_rows(ps3, uniform3, agents=(3,))
 
     def test_each_support_profile_evaluated_once(self, instance3):
+        """A mechanism not declared anonymous is evaluated once at every
+        profile with at most one off-support report."""
         prior = _half_support(instance3)
         on = {p for p, w in prior.items() if w}
-        mech = CountingPS(instance3, cache=True)
+        mech = CountingUndeclaredPS(instance3, cache=True)
         report = obic_decomposition_report(mech, prior)
         assert report.obic.profiles_checked == 3 * 6
         expected = {
@@ -509,6 +513,32 @@ class TestOnePassRows:
         }
         assert set(mech.counts) == expected
         assert set(mech.counts.values()) == {1}
+        assert mech._cache == {}
+
+    @pytest.mark.parametrize("n,support", ((3, "half"), (4, "half"), (4, "uniform")))
+    def test_each_support_multiset_evaluated_once(self, n, support):
+        """An anonymous mechanism is evaluated once per multiset of reports
+        with at most one off the support, at its sorted profile:
+        ``C(s+n-1, n) + (m-s) * C(s+n-2, n-1)`` evaluations for ``s`` of the
+        ``m`` preferences on the support."""
+        instance = Instance.default(n)
+        prior = _half_support(instance) if support == "half" else uniform_prior(instance)
+        prefs = enumerate_preferences(instance)
+        on = [prior.of(p) != 0 for p in prefs]
+        mech = CountingPS(instance, cache=True)
+        report = obic_decomposition_report(mech, prior)
+        assert report.obic.profiles_checked == n * len(prefs)
+        expected = {
+            tuple(prefs[r] for r in reports)
+            for reports in itertools.combinations_with_replacement(range(len(prefs)), n)
+            if sum(not on[r] for r in reports) <= 1
+        }
+        assert set(mech.counts) == expected
+        assert set(mech.counts.values()) == {1}
+        m, s = len(prefs), sum(on)
+        assert len(expected) == math.comb(s + n - 1, n) + (m - s) * math.comb(s + n - 2, n - 1)
+        assert len(expected) == {(3, "half"): 28, (4, "half"): 5_733,
+                                 (4, "uniform"): 17_550}[n, support]
         assert mech._cache == {}
 
     def test_rank_vector_reports_share_one_pass(self, instance3, violating_prior):
@@ -521,6 +551,70 @@ class TestOnePassRows:
                 ProbabilisticSerial(instance3), violating_prior, report.agent
             )
             assert report == single
+
+
+class UndeclaredRP(RandomPriority):
+    """Random priority not declared anonymous."""
+
+    anonymous = False
+
+
+class UndeclaredEating(SimultaneousEating):
+    """Simultaneous eating not declared anonymous, whatever its speeds."""
+
+    anonymous = False
+
+
+def _declared_and_undeclared(kind, instance):
+    """An anonymous mechanism of ``kind``, and the same mechanism not
+    declared anonymous, so that its interim rows come from the per-profile
+    pass."""
+    if kind == "ps":
+        return ProbabilisticSerial(instance), CountingUndeclaredPS(instance)
+    if kind == "rp":
+        return RandomPriority(instance), UndeclaredRP(instance)
+    unit = EatingSpeedSchedule.unit(instance.n)
+    return SimultaneousEating(instance, unit), UndeclaredEating(instance, unit)
+
+
+class TestMultisetPass:
+    """The multiset pass of an anonymous mechanism gives the per-profile
+    pass's rows exactly, and the Fraction oracle's."""
+
+    @pytest.mark.parametrize("kind", ("ps", "rp", "sea-unit"))
+    def test_rows_match_per_profile_pass_and_oracle(self, kind, instance3, violating_prior):
+        mech, undeclared = _declared_and_undeclared(kind, instance3)
+        assert mech.anonymous and not undeclared.anonymous
+        prefs = enumerate_preferences(instance3)
+        rng = random.Random(1313)
+        priors = {
+            "uniform": uniform_prior(instance3),
+            "violating": violating_prior,
+            **{f"random{k}": random_prior(rng, instance3) for k in range(3)},
+            "point": Prior(instance3, tuple(F(int(p == prefs[2])) for p in prefs)),
+            "half": _half_support(instance3),
+        }
+        for name, prior in priors.items():
+            assert _interim_rows(mech, prior) == _interim_rows(undeclared, prior), name
+            for agent, rows in _fraction_rows(mech, prior).items():
+                for report, shares in rows.items():
+                    expected = interim_shares_oracle(mech, agent, report, prior)
+                    assert shares == expected, (name, agent, report)
+
+    def test_ps_n4_half_support_matches_per_profile_pass(self):
+        instance = Instance.default(4)
+        prior = _half_support(instance)
+        fast, fast_common = _interim_rows(ProbabilisticSerial(instance), prior)
+        slow, slow_common = _interim_rows(CountingUndeclaredPS(instance), prior)
+        assert fast_common == slow_common
+        assert list(fast) == list(slow) == [0, 1, 2, 3]
+        for agent in instance.agents:
+            assert fast[agent] == slow[agent], agent
+
+    def test_false_anonymity_raises(self, instance3, uniform3):
+        mech = AnonymousSD(instance3, (0, 1, 2))
+        with pytest.raises(ValueError, match="declared anonymous"):
+            check_obic(mech, uniform3)
 
 
 class TestReplay:

@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from helpers import (
     MECHANISM_KINDS,
+    AnonymousSD,
     CountingPS,
     CountingUndeclaredPS,
     build_mechanism,
@@ -384,12 +385,6 @@ def test_declared_anonymous_mechanisms_permute_rows_with_agents(kind, n):
 @pytest.mark.parametrize("kind", ("sd", "sea", "table"))
 def test_other_mechanisms_declare_not_anonymous(kind, n):
     assert not build_mechanism(kind, n).anonymous
-
-
-class AnonymousSD(SerialDictatorship):
-    """Serial dictatorship falsely declared anonymous."""
-
-    anonymous = True
 
 
 def test_false_anonymity_makes_the_fill_raise():
