@@ -16,15 +16,10 @@ from .core import (
     SwapInfo,
     apply_permutation,
     apply_permutation_profile,
-    enumerate_opponent_profiles,
     enumerate_preferences,
     enumerate_profiles,
     fosd,
     fosd_failure,
-    lower_contour,
-    object_at,
-    swap_relation,
-    upper_contour,
     validate_assignment,
 )
 from .mechanisms import (

@@ -32,7 +32,9 @@ is read.  :func:`_replay_pair` is the one replay comparison for both
 families.  Neutrality, equal treatment of equals and ordinal and ex-post
 efficiency share one driver, :func:`_profile_sweep`, which runs one test
 on the integer rows of each profile in turn; only ex-post efficiency
-builds Fractions, for the outcomes it decomposes.
+builds Fractions, for the outcomes it decomposes.  Neutrality reads one
+representative per relabeling orbit, the profile in which agent 1 reports
+the identity order, so it visits (n!)**(n-1) profiles, not (n!)**n.
 """
 
 from __future__ import annotations
@@ -168,12 +170,12 @@ class _PairSweep:
     ``cols[r][x][k]`` the agent's numerator of object ``x`` under report
     ``prefs[r]`` in cell ``start + k``, over the source's one denominator
     ``source.D``.  Cells are numbered as in
-    :class:`~ramkit.domain.DomainTable`, whose
-    ``opponents(cell)`` gives the cell's opponent reports; a source whose
-    ``opponents`` is None (interim rows) makes reports with ``truth=`` and
-    ``prior=`` instead of ``profile=``.  ``labels`` (see
+    :class:`~ramkit.domain.DomainTable`.  Without a ``prior`` the reports
+    name a cell's profile (``profile=``); with one, the source is interim
+    rows and the reports carry ``truth=`` and ``prior=``.  ``labels`` (see
     :data:`_EX_POST_LABELS`) names the axioms and details.  A source whose
-    ``anonymous`` is true gives every agent the same columns.
+    ``anonymous`` is true gives every agent the same columns: a table filled
+    by multiset, or the interim rows of an anonymous mechanism.
 
     Each comparison slot (em raised or lowered, ui above or li below the
     pair, for each swap pair; sp and weak-sp per prefix, for each ordered
@@ -243,10 +245,7 @@ class _PairSweep:
             outcomes[name] = CheckOutcome(
                 axiom=name,
                 satisfied=not batches,
-                violations=Violations(
-                    name, self.prefs, batches, source.D,
-                    ex_post=source.opponents is not None, prior=self.prior,
-                ),
+                violations=Violations(name, self.prefs, batches, source.D, self.prior),
                 profiles_checked=self.rows_read,
                 comparisons=self.comparisons,
             )
@@ -607,7 +606,9 @@ def _profile_sweep(mech, axiom, mode, jobs, max_n) -> CheckOutcome:
     """Sweep ``axiom``, one of :data:`PROFILE_AXIOMS`, over the profiles in
     lexicographic order.  Its test returns a profile's violations, the
     profiles it read and the comparisons it made; with ``first`` it stops
-    at its first violation, and so does the sweep."""
+    at its first violation, and so does the sweep.  Neutrality is handed
+    only the first ``(n!)**(n-1)`` profiles, those in which agent 1 reports
+    the identity order: each relabeling orbit has exactly one of them."""
     # ETE reads only the profiles with two equal reports (a quarter of
     # them at n=4), so it evaluates those as it reads them, with no fill
     table, mode = _domain_table(mech, mode, max_n, jobs, fill=axiom != "ete")
@@ -615,7 +616,10 @@ def _profile_sweep(mech, axiom, mode, jobs, max_n) -> CheckOutcome:
     first = mode == "first"
     violations: list[ViolationReport] = []
     read = comparisons = 0
-    for index, profile in enumerate(itertools.product(table.prefs, repeat=table.n)):
+    profiles = itertools.product(table.prefs, repeat=table.n)
+    if axiom == "neutral":
+        profiles = itertools.islice(profiles, table.m ** (table.n - 1))
+    for index, profile in enumerate(profiles):
         found, r, c = test(index, profile, first)
         violations += found
         read += r
@@ -629,9 +633,11 @@ def _profile_sweep(mech, axiom, mode, jobs, max_n) -> CheckOutcome:
 
 
 def _neutrality_test(table: DomainTable):
-    """Neutrality at the lexicographic minimum of each relabeling orbit:
-    each member's rows against those of each of its relabelings, found by
-    report index.  Each member is read once."""
+    """Neutrality at the representative of each relabeling orbit, the
+    profile in which agent 1 reports the identity order: each member's
+    rows against those of each of its relabelings, found by report index.
+    No relabeling but the identity fixes agent 1's report, so the orbit has
+    n! distinct members, and each is read once."""
     n, prefs, D = table.n, table.prefs, table.D
     position = {p: k for k, p in enumerate(prefs)}
     sigmas = list(itertools.permutations(range(n)))
@@ -647,8 +653,6 @@ def _neutrality_test(table: DomainTable):
     def test(index, profile, first):
         digits = [position[p] for p in profile]
         images = [[r[d] for d in digits] for r in relabel]
-        if min(images) < digits:
-            return (), 0, 0  # handled at the orbit's lexicographic minimum
         at = [sum(map(mul, image, weights)) for image in images]
         members = {k: t for t, k in enumerate(at)}  # image index -> a relabeling to it
         rows = {k: list(table.entry(k)) for k in sorted(members)}

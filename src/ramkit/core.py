@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, NamedTuple, Optional
 
-Rational = Fraction
 Preference = tuple[int, ...]
 Profile = tuple[Preference, ...]
 ShareVector = tuple[Fraction, ...]
@@ -144,51 +143,9 @@ class SwapInfo(NamedTuple):
     raised: int
 
 
-def object_at(pref: Preference, k: int) -> int:
-    """Object ranked k-th best (k is 1-based, 1 <= k <= n)."""
-    if not 1 <= k <= len(pref):
-        raise ValueError(f"rank {k} out of range 1..{len(pref)}")
-    return pref[k - 1]
-
-
-def rank_of(pref: Preference, a: int) -> int:
-    """1-based rank of object ``a`` in ``pref``."""
-    try:
-        return pref.index(a) + 1
-    except ValueError:
-        raise ValueError(f"object {a} not in preference {pref}") from None
-
-
-def upper_contour(pref: Preference, a: int) -> frozenset[int]:
-    """Objects strictly preferred to ``a``."""
-    return frozenset(pref[: rank_of(pref, a) - 1])
-
-
-def lower_contour(pref: Preference, a: int) -> frozenset[int]:
-    """Objects strictly worse than ``a``."""
-    return frozenset(pref[rank_of(pref, a):])
-
-
 def prefers(pref: Preference, a: int, b: int) -> bool:
     """True iff ``a`` is ranked strictly above ``b``."""
     return pref.index(a) < pref.index(b)
-
-
-def identity_permutation(n: int) -> ObjectPermutation:
-    return tuple(range(n))
-
-
-def transposition(n: int, a: int, b: int) -> ObjectPermutation:
-    sigma = list(range(n))
-    sigma[a], sigma[b] = sigma[b], sigma[a]
-    return tuple(sigma)
-
-
-def inverse_permutation(sigma: ObjectPermutation) -> ObjectPermutation:
-    inv = [0] * len(sigma)
-    for x, y in enumerate(sigma):
-        inv[y] = x
-    return tuple(inv)
 
 
 def apply_permutation(pref: Preference, sigma: ObjectPermutation) -> Preference:
@@ -200,41 +157,12 @@ def apply_permutation_profile(profile: Profile, sigma: ObjectPermutation) -> Pro
     return tuple(apply_permutation(p, sigma) for p in profile)
 
 
-def swap_relation(p: Preference, q: Preference) -> Optional[SwapInfo]:
-    """Detect whether ``q`` is an adjacent-swap of ``p``.
-
-    Returns SwapInfo(k, lowered=p[k-1], raised=p[k]) when ``p`` and ``q``
-    agree everywhere except ranks k, k+1, which are exchanged; None
-    otherwise.  Detection is symmetric: nonempty for (p, q) iff nonempty
-    for (q, p).
-    """
-    if len(p) != len(q):
-        raise ValueError("preferences over different instances")
-    diffs = [i for i, (x, y) in enumerate(zip(p, q)) if x != y]
-    if len(diffs) != 2:
-        return None
-    i, j = diffs
-    if j != i + 1 or p[i] != q[j] or p[j] != q[i]:
-        return None
-    return SwapInfo(position=i + 1, lowered=p[i], raised=p[j])
-
-
 def adjacent_swaps(pref: Preference) -> Iterator[tuple[Preference, SwapInfo]]:
     """All preferences one adjacent transposition away from ``pref``."""
     for k in range(len(pref) - 1):
         swapped = list(pref)
         swapped[k], swapped[k + 1] = swapped[k + 1], swapped[k]
         yield tuple(swapped), SwapInfo(position=k + 1, lowered=pref[k], raised=pref[k + 1])
-
-
-def prefix_sums(shares: ShareVector, pref: Preference) -> tuple[Fraction, ...]:
-    """Cumulative shares of the top-l objects of ``pref``, l = 1..n."""
-    total = ZERO
-    out = []
-    for a in pref:
-        total += shares[a]
-        out.append(total)
-    return tuple(out)
 
 
 def fosd(pi: ShareVector, pi_prime: ShareVector, pref: Preference) -> bool:
@@ -245,15 +173,7 @@ def fosd(pi: ShareVector, pi_prime: ShareVector, pref: Preference) -> bool:
     relation is reflexive and not complete.  Integer share numerators over
     one common denominator work as well as Fractions.
     """
-    if not (len(pi) == len(pi_prime) == len(pref)):
-        raise ValueError("mismatched sizes in FOSD comparison")
-    lhs = rhs = 0
-    for a in pref:
-        lhs += pi[a]
-        rhs += pi_prime[a]
-        if lhs < rhs:
-            return False
-    return True
+    return fosd_failure(pi, pi_prime, pref) is None
 
 
 def fosd_failure(
@@ -291,22 +211,6 @@ def enumerate_profiles(
     _check_sweep_cap(instance.n, max_n)
     prefs = enumerate_preferences(instance, max_n=max_n)
     return itertools.product(prefs, repeat=instance.n)
-
-
-def enumerate_opponent_profiles(
-    instance: Instance, agent: int, *, max_n: Optional[int] = None
-) -> Iterator[tuple[Preference, ...]]:
-    """All (n!)**(n-1) opponent profiles for ``agent``, lexicographic.
-
-    An opponent profile lists the other agents' preferences in agent-index
-    order with ``agent`` removed; combine with a report via
-    :func:`insert_report`.  Each call returns an independent stream.
-    """
-    if agent not in instance.agents:
-        raise ValueError(f"agent {agent} out of range 0..{instance.n - 1}")
-    _check_sweep_cap(instance.n, max_n)
-    prefs = enumerate_preferences(instance, max_n=max_n)
-    return itertools.product(prefs, repeat=instance.n - 1)
 
 
 def insert_report(

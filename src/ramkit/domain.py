@@ -204,10 +204,6 @@ class DomainTable:
     def profile(self, index: int) -> Profile:
         return reports_at(self.prefs, self.n, index)
 
-    def opponents(self, cell: int) -> Profile:
-        """The opponents' reports of cell ``cell``, in agent order."""
-        return reports_at(self.prefs, self.n - 1, cell)
-
     # -- filling -----------------------------------------------------------
 
     def fill(self, jobs: int = 1) -> None:

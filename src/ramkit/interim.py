@@ -25,7 +25,9 @@ summed over ordered opponent profiles.  Both routes evaluate through
 table.  Every agent's rows come out as integers over one denominator,
 ``mech.D * Q**(n-1)``, and OBIC and the interim em/ui/li run on them in
 the ex-post pair sweep's column kernel (:class:`ramkit.axioms._PairSweep`),
-one single-cell batch per agent.  The pass needs no memo; a mechanism's
+one single-cell batch per agent.  The agents of an anonymous mechanism
+share one set of rows, so the kernel sweeps agent 1's once and relabels
+its violations for the others.  The pass needs no memo; a mechanism's
 memo stays empty.  :func:`obic_decomposition_report` builds the rows once
 for OBIC and the em/ui/li sweep.  :func:`interim_share_vector` is a
 separate Fraction route, and replaying a witness reads its rows only from
@@ -120,11 +122,6 @@ class Prior:
         object.__setattr__(self, "probs", tuple(cleaned))
 
     @classmethod
-    def uniform(cls, instance: Instance) -> "Prior":
-        count = factorial(instance.n)
-        return cls(instance, tuple(Fraction(1, count) for _ in range(count)))
-
-    @classmethod
     def from_mapping(cls, instance: Instance, mapping) -> "Prior":
         prefs = enumerate_preferences(instance)
         lookup = {tuple(k): Fraction(v) for k, v in mapping.items()}
@@ -150,7 +147,8 @@ class Prior:
 
 def uniform_prior(instance: Instance) -> Prior:
     """Probability exactly 1/n! on every preference."""
-    return Prior.uniform(instance)
+    count = factorial(instance.n)
+    return Prior(instance, tuple(Fraction(1, count) for _ in range(count)))
 
 
 @dataclass(frozen=True)
@@ -330,16 +328,18 @@ def interim_share_vector(
 
 class _RowCells:
     """Interim rows as a source for the pair kernel: one cell per agent,
-    every row over the one denominator ``D``."""
+    every row over the one denominator ``D``.  It is ``anonymous`` when
+    every agent shares one set of rows, as :func:`_interim_rows` gives an
+    anonymous mechanism's agents, so the kernel sweeps them once."""
 
     cells = 1
-    opponents = None  # reports carry truth= and prior=
-    anonymous = False  # each agent has her own rows
 
     def __init__(self, rows_by_agent: dict[int, list[list[int]]], D: int):
         self.rows_by_agent = rows_by_agent
         self.D = D
         self.agents = tuple(rows_by_agent)
+        first = rows_by_agent[self.agents[0]]
+        self.anonymous = all(rows is first for rows in rows_by_agent.values())
 
     def columns(self, agent: int, start: int, count: int) -> list:
         return [[[x] for x in row] for row in self.rows_by_agent[agent]]

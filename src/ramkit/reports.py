@@ -161,21 +161,21 @@ class Violations(Sequence):
 
     It behaves like the tuple of its reports: ``len``, iteration, an index
     (a ViolationReport built on the spot), a slice (a tuple of reports),
-    ``==`` against such a tuple and its hash.  Ex-post records name a cell
-    of :mod:`ramkit.domain`, numbered in lexicographic order of its
-    opponents' reports, and their reports carry ``profile=``; interim
-    records carry ``truth=`` and ``prior=`` instead.
+    ``==`` against such a tuple and its hash.  Without a ``prior`` the
+    records are ex-post: they name a cell of :mod:`ramkit.domain`, numbered
+    in lexicographic order of its opponents' reports, and their reports
+    carry ``profile=``.  With one they are interim, and their reports carry
+    ``truth=`` and ``prior=`` instead.
     """
 
-    __slots__ = ("axiom", "prefs", "D", "prior", "ex_post", "_batches", "_ends")
+    __slots__ = ("axiom", "prefs", "D", "prior", "_batches", "_ends")
 
     def __init__(self, axiom: str, prefs: list[Preference], batches: list[PairBatch],
-                 D: int, *, ex_post: bool, prior: object = None):
+                 D: int, prior: object = None):
         self.axiom = axiom
         self.prefs = prefs
         self.D = D
         self.prior = prior
-        self.ex_post = ex_post
         self._batches = batches
         self._ends = list(itertools.accumulate(len(b.order) for b in batches))
 
@@ -219,7 +219,7 @@ class Violations(Sequence):
         at = k - batch.starts[g]
         prefs, agent = self.prefs, batch.agent
         profile = truth = None
-        if self.ex_post:
+        if self.prior is None:
             opponents = reports_at(prefs, len(prefs[0]) - 1, cells[at])
             profile = insert_report(opponents, agent, prefs[r])
         else:
@@ -251,7 +251,7 @@ class Violations(Sequence):
         rank_strings = {rank: f"{rank} violated=" for rank in range(1, n + 1)}
         for batch in self._batches:
             agent = batch.agent
-            if self.ex_post:
+            if self.prior is None:
                 step = m ** (n - 1 - agent)
                 before = _Strings(
                     lambda c, j=agent: "|".join(reports_at(P, j, c)) + "|"

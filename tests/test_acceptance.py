@@ -25,9 +25,9 @@ from helpers import (
 )
 from ramkit.core import (
     Instance,
+    adjacent_swaps,
     enumerate_profiles,
     fosd,
-    swap_relation,
 )
 from ramkit.axioms import (
     PAIR_AXIOMS,
@@ -143,7 +143,7 @@ def test_obic_decomposition_biconditional(instance3, ps3, rp3):
         obic_agents = set()
         for v in report.obic.violations:
             obic_agents.add(v.agent)
-            if swap_relation(v.truth, v.deviation) is not None:
+            if dict(adjacent_swaps(v.truth)).get(v.deviation) is not None:
                 assert (v.agent, frozenset((v.truth, v.deviation))) in interim_pairs
         assert {agent for agent, _ in interim_pairs} & obic_agents
 

@@ -25,7 +25,6 @@ from ramkit.core import (
     Instance,
     enumerate_preferences,
     enumerate_profiles,
-    transposition,
 )
 import ramkit.axioms
 import ramkit.domain
@@ -158,7 +157,7 @@ class TestNeutrality:
         mech = constant_mechanism(instance3, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
         outcome = check_neutrality(mech)
         assert not outcome.satisfied
-        swap_ab = transposition(3, A, B)
+        swap_ab = (B, A, C)
         assert any(v.sigma == swap_ab for v in outcome.violations)
 
     def test_violations_reverify(self, instance3):

@@ -11,21 +11,16 @@ from ramkit.core import (
     SwapInfo,
     adjacent_swaps,
     apply_permutation,
-    enumerate_opponent_profiles,
     enumerate_preferences,
+    enumerate_profiles,
     fosd,
     fosd_failure,
-    identity_permutation,
-    inverse_permutation,
-    lower_contour,
-    object_at,
     parse_rational,
-    prefix_sums,
-    swap_relation,
-    transposition,
-    upper_contour,
+    prefers,
     validate_assignment,
 )
+from ramkit.domain import DomainTable
+from ramkit.mechanisms import ProbabilisticSerial
 
 A, B, C = 0, 1, 2
 CAB = (C, A, B)
@@ -76,80 +71,70 @@ class TestInstance:
             Instance.default(2).object_index("z")
 
 
-class TestRankAccess:
-    def test_top_of_cab_is_c(self):
-        assert object_at(CAB, 1) == C
-
-    def test_last_of_abc_is_c(self):
-        assert object_at(ABC, 3) == C
-
-    def test_second_of_acb_is_c(self):
-        assert object_at(ACB, 2) == C
-
-    @pytest.mark.parametrize("k", [0, 4, -1])
-    def test_rank_out_of_range(self, k):
-        with pytest.raises(ValueError, match="out of range"):
-            object_at(CAB, k)
-
-
 class TestContours:
+    """The objects ranked above and below an object, through ``prefers``."""
+
     def test_upper_of_middle(self):
-        assert upper_contour(CAB, A) == {C}
+        assert {x for x in CAB if prefers(CAB, x, A)} == {C}
 
     def test_upper_of_top_is_empty(self):
-        assert upper_contour(CAB, C) == frozenset()
+        assert not any(prefers(CAB, x, C) for x in CAB)
 
     def test_lower_of_middle(self):
-        assert lower_contour(CAB, A) == {B}
+        assert {x for x in CAB if prefers(CAB, A, x)} == {B}
 
     def test_unknown_object(self):
         with pytest.raises(ValueError):
-            upper_contour((0, 1), 5)
+            prefers((0, 1), 5, 0)
 
     @given(perms(4), st.integers(min_value=0, max_value=3))
     def test_contours_partition(self, pref, a):
-        up, down = upper_contour(pref, a), lower_contour(pref, a)
+        up = {x for x in pref if prefers(pref, x, a)}
+        down = {x for x in pref if prefers(pref, a, x)}
         assert up | down | {a} == set(range(4))
         assert not up & down and a not in up | down
 
 
 class TestPermutations:
     def test_swap_a_c(self):
-        assert apply_permutation(ACB, transposition(3, A, C)) == CAB
+        assert apply_permutation(ACB, (C, B, A)) == CAB
 
     def test_identity(self):
         for pref in enumerate_preferences(Instance.default(3)):
-            assert apply_permutation(pref, identity_permutation(3)) == pref
+            assert apply_permutation(pref, (A, B, C)) == pref
 
     def test_swap_endpoints(self):
-        assert apply_permutation((C, B, A), transposition(3, A, C)) == ABC
+        assert apply_permutation((C, B, A), (C, B, A)) == ABC
 
     @given(perms(4), perms(4))
     def test_inverse_round_trip(self, pref, sigma):
-        back = apply_permutation(apply_permutation(pref, sigma), inverse_permutation(sigma))
-        assert back == pref
+        inverse = tuple(sigma.index(y) for y in range(4))
+        assert apply_permutation(apply_permutation(pref, sigma), inverse) == pref
 
 
 class TestSwapRelation:
+    """Whether one preference is an adjacent swap of another, read from
+    ``adjacent_swaps``."""
+
     def test_table1_pair(self):
-        assert swap_relation(CAB, ACB) == SwapInfo(position=1, lowered=C, raised=A)
+        assert dict(adjacent_swaps(CAB)).get(ACB) == SwapInfo(position=1, lowered=C, raised=A)
 
     def test_identical_preferences(self):
-        assert swap_relation(CAB, CAB) is None
+        assert dict(adjacent_swaps(CAB)).get(CAB) is None
 
     def test_non_adjacent(self):
-        assert swap_relation(ABC, (C, B, A)) is None
+        assert dict(adjacent_swaps(ABC)).get((C, B, A)) is None
 
     @given(perms(4), perms(4))
     def test_detection_is_symmetric(self, p, q):
-        assert (swap_relation(p, q) is None) == (swap_relation(q, p) is None)
+        assert (q in dict(adjacent_swaps(p))) == (p in dict(adjacent_swaps(q)))
 
     @given(perms(5))
     def test_adjacent_swaps_differ_in_two_positions(self, pref):
         for swapped, info in adjacent_swaps(pref):
             diffs = [k for k in range(5) if pref[k] != swapped[k]]
             assert diffs == [info.position - 1, info.position]
-            assert swap_relation(pref, swapped) == info
+            assert (info.lowered, info.raised) == (pref[info.position - 1], pref[info.position])
 
 
 class TestFosd:
@@ -186,10 +171,6 @@ class TestFosd:
         if fosd(x, y, pref) and fosd(y, z, pref):
             assert fosd(x, z, pref)
 
-    @given(share_vectors(4), perms(4))
-    def test_full_prefix_is_one(self, pi, pref):
-        assert prefix_sums(pi, pref)[-1] == 1
-
 
 class TestEnumeration:
     def test_two_objects(self):
@@ -217,26 +198,14 @@ class TestEnumeration:
 
     @pytest.mark.parametrize("n,agent,count", [(3, 0, 36), (2, 1, 2), (4, 0, 13824)])
     def test_opponent_counts(self, n, agent, count):
-        stream = enumerate_opponent_profiles(Instance.default(n), agent)
-        assert sum(1 for _ in stream) == count
-
-    def test_opponent_streams_are_independent(self):
-        inst = Instance.default(3)
-        s1 = enumerate_opponent_profiles(inst, 0)
-        s2 = enumerate_opponent_profiles(inst, 0)
-        next(s1)
-        assert list(s1) != list(s2)
-        assert list(enumerate_opponent_profiles(inst, 0)) == list(
-            enumerate_opponent_profiles(inst, 0)
-        )
+        """A domain table has one cell per opponent profile of each agent."""
+        inst = Instance.default(n)
+        table = DomainTable(ProbabilisticSerial(inst), enumerate_preferences(inst))
+        assert agent in table.agents and table.cells == count
 
     def test_opponent_cap(self):
         with pytest.raises(CapExceededError):
-            next(enumerate_opponent_profiles(Instance.default(5), 0))
-
-    def test_bad_agent(self):
-        with pytest.raises(ValueError):
-            enumerate_opponent_profiles(Instance.default(3), 3)
+            enumerate_profiles(Instance.default(5))
 
 
 class TestValidateAssignment:

@@ -16,7 +16,7 @@ from helpers import (
     interim_sweep_oracle,
     random_prior,
 )
-from ramkit.core import Instance, enumerate_preferences, insert_report
+from ramkit.core import Instance, adjacent_swaps, enumerate_preferences, insert_report
 from ramkit.axioms import check_elementary_monotonicity, check_neutrality
 from ramkit.interim import (
     INTERIM_AXIOMS,
@@ -30,6 +30,7 @@ from ramkit.interim import (
     interim_share_vector,
     lrobic_search,
     obic_decomposition_report,
+    _RowCells,
     _interim_rows,
     rank_vector_report,
     rank_vector_reports,
@@ -236,8 +237,6 @@ class TestInterimAxioms:
     def test_obic_failure_at_swap_pair_has_matching_interim_witness(
         self, ps3, violating_prior
     ):
-        from ramkit.core import swap_relation
-
         obic = check_obic(ps3, violating_prior)
         results = run_interim_sweep(ps3, violating_prior)
         interim_pairs = {
@@ -247,7 +246,7 @@ class TestInterimAxioms:
         }
         adjacent = [
             v for v in obic.violations
-            if swap_relation(v.truth, v.deviation) is not None
+            if dict(adjacent_swaps(v.truth)).get(v.deviation) is not None
         ]
         assert adjacent, "expected at least one adjacent OBIC violation"
         for v in adjacent:
@@ -345,7 +344,6 @@ class TestLrobicSearch:
 
 class TestExPostInvarianceAcrossSwaps:
     def test_rp_shares_of_bystander_objects_never_move(self, rp3, instance3):
-        from ramkit.core import adjacent_swaps, insert_report
         prefs = enumerate_preferences(instance3)
         for agent in instance3.agents:
             for opponents in itertools.product(prefs, repeat=2):
@@ -600,6 +598,34 @@ class TestMultisetPass:
                 for report, shares in rows.items():
                     expected = interim_shares_oracle(mech, agent, report, prior)
                     assert shares == expected, (name, agent, report)
+
+    @pytest.mark.parametrize("kind", ("ps", "rp", "sea-unit"))
+    def test_sweeps_match_undeclared_twin(self, kind, instance3):
+        """An anonymous mechanism's agents share one set of interim rows, so
+        the kernel sweeps agent 1 and relabels; the undeclared twin is swept
+        agent by agent, and every outcome comes out the same."""
+        mech, undeclared = _declared_and_undeclared(kind, instance3)
+        assert _RowCells(*_interim_rows(mech, uniform_prior(instance3))).anonymous
+        assert not _RowCells(*_interim_rows(undeclared, uniform_prior(instance3))).anonymous
+        priors = (
+            uniform_prior(instance3),
+            _half_support(instance3),
+            random_prior(random.Random(2718), instance3),
+        )
+        for prior in priors:
+            fast = obic_decomposition_report(mech, prior)
+            slow = obic_decomposition_report(undeclared, prior)
+            outcomes = [(fast.obic, slow.obic), (fast.interim_em, slow.interim_em),
+                        (fast.interim_ui, slow.interim_ui), (fast.interim_li, slow.interim_li)]
+            fast_sweep = run_interim_sweep(mech, prior)
+            slow_sweep = run_interim_sweep(undeclared, prior)
+            assert list(fast_sweep) == list(slow_sweep)
+            outcomes += [(fast_sweep[ax], slow_sweep[ax]) for ax in fast_sweep]
+            for a, b in outcomes:
+                assert (a.axiom, a.satisfied, a.profiles_checked, a.comparisons) == (
+                    b.axiom, b.satisfied, b.profiles_checked, b.comparisons
+                )
+                assert tuple(a.violations) == tuple(b.violations), a.axiom
 
     def test_ps_n4_half_support_matches_per_profile_pass(self):
         instance = Instance.default(4)

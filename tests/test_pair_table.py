@@ -23,7 +23,7 @@ from helpers import (
 )
 from ramkit.axioms import PAIR_AXIOMS, check_equal_treatment_of_equals, run_pair_sweep
 from ramkit.core import Instance, enumerate_preferences, enumerate_profiles
-from ramkit.domain import DomainTable, _append
+from ramkit.domain import DomainTable, _append, reports_at
 from ramkit.mechanisms import (
     Mechanism,
     ProbabilisticSerial,
@@ -125,7 +125,7 @@ def test_cell_walks_one_agent_report():
         for agent in range(3):
             opponents = base[:agent] + base[agent + 1:]
             cell = sum(position[p] * 6 ** (1 - j) for j, p in enumerate(opponents))
-            assert table.opponents(cell) == opponents
+            assert reports_at(table.prefs, table.n - 1, cell) == opponents
             cols = table.columns(agent, cell, 1)
             for r, pref in enumerate(table.prefs):
                 profile = base[:agent] + (pref,) + base[agent + 1:]
@@ -318,7 +318,7 @@ def _check_columns(table, agent, start, count):
     assert len(cols) == table.m and all(len(c) == n for c in cols)
     for k in range(count):
         opp = opponents[start + k]
-        assert table.opponents(start + k) == opp
+        assert reports_at(table.prefs, table.n - 1, start + k) == opp
         for r, pref in enumerate(table.prefs):
             rows = table.mech.scaled_assignment(opp[:agent] + (pref,) + opp[agent:])
             assert [col[k] for col in cols[r]] == list(rows[agent])
