@@ -2,11 +2,16 @@
 
 Mechanisms (probabilistic serial and the wider simultaneous-eating family,
 serial dictatorship, random priority, tabulated mechanisms) map preference
-profiles to bistochastic share matrices over exact rationals; the axiom
-engines verify incentive and efficiency properties (strategy-proofness,
-OBIC and its locally robust variant, elementary monotonicity, neutrality,
-invariances, ordinal and ex-post efficiency) by exhaustive enumeration and
-report self-certifying witnesses.
+profiles to bistochastic share matrices over exact rationals.  Each ex-post
+axiom has one name (``sp``, ``weak-sp``, ``em``, ``ui``, ``li``,
+``neutral``, ``ete``, ``oe``, ``ex-post``), checked by exhaustive
+enumeration in :func:`run_axiom_check`, or several pair axioms in one pass
+by :func:`run_pair_sweep`.  Under a prior, :func:`check_obic`,
+:func:`run_interim_sweep` (interim em/ui/li), :func:`obic_decomposition_report`
+(all four) and :func:`rank_vector_reports` read one set of interim rows, and
+:func:`lrobic_search` samples priors near a center for an OBIC failure.
+Every violation is a witness that :func:`reverify_violation` or
+:func:`reverify_interim_violation` replays.
 """
 
 from .core import (
@@ -34,17 +39,8 @@ from .mechanisms import (
     tabulate,
 )
 from .axioms import (
-    check_elementary_monotonicity,
-    check_equal_treatment_of_equals,
-    check_ex_post_efficiency,
-    check_lower_invariance,
-    check_mechanism_ex_post_efficiency,
     check_mechanism_ordinal_efficiency,
-    check_neutrality,
-    check_ordinal_efficiency,
-    check_strategy_proofness,
-    check_upper_invariance,
-    check_weak_strategy_proofness,
+    ex_post_inefficiency_witness,
     lp_dominance_oracle,
     reverify_violation,
     run_axiom_check,
@@ -62,16 +58,13 @@ from .interim import (
     Prior,
     PriorBallSample,
     SamplingExhaustedError,
-    check_interim_elementary_monotonicity,
-    check_interim_lower_invariance,
-    check_interim_upper_invariance,
     check_obic,
     interim_share_vector,
     lrobic_search,
     obic_decomposition_report,
-    rank_vector_report,
     rank_vector_reports,
     reverify_interim_violation,
+    run_interim_sweep,
     sample_prior_in_ball,
     uniform_prior,
 )

@@ -3,8 +3,10 @@
 Exhaustive sweeps over the full preference domain for strategy-proofness,
 weak strategy-proofness, elementary monotonicity, upper/lower invariance,
 neutrality, equal treatment of equals and ordinal and ex-post efficiency,
-plus pointwise efficiency checks with the exact LP oracle as an
-independent second route.
+each named by one string and run by :func:`run_axiom_check` (or, several
+pair axioms in one pass, :func:`run_pair_sweep`), plus pointwise
+efficiency checks (:func:`trade_cycle`, :func:`ex_post_inefficiency_witness`)
+with the exact LP oracle as an independent second route.
 
 Sweeps enumerate lexicographically, so the first violation is the same on
 every run and platform.  ``mode`` selects between collecting every
@@ -452,36 +454,6 @@ def run_pair_sweep(
     return sweep.run(table)
 
 
-def _single(mech, axiom, mode, jobs, max_n) -> CheckOutcome:
-    return run_pair_sweep(mech, (axiom,), mode=mode, jobs=jobs, max_n=max_n)[axiom]
-
-
-def check_strategy_proofness(mech: Mechanism, *, mode=None, jobs=1, max_n=None):
-    """Truth-telling must FOSD every deviation, for every opponent profile."""
-    return _single(mech, "sp", mode, jobs, max_n)
-
-
-def check_weak_strategy_proofness(mech: Mechanism, *, mode=None, jobs=1, max_n=None):
-    """No deviation may strictly FOSD truth-telling."""
-    return _single(mech, "weak-sp", mode, jobs, max_n)
-
-
-def check_elementary_monotonicity(mech: Mechanism, *, mode=None, jobs=1, max_n=None):
-    """Raising an object one rank weakly raises its share and weakly lowers
-    the displaced object's share."""
-    return _single(mech, "em", mode, jobs, max_n)
-
-
-def check_upper_invariance(mech: Mechanism, *, mode=None, jobs=1, max_n=None):
-    """An adjacent swap leaves shares of objects above the pair unchanged."""
-    return _single(mech, "ui", mode, jobs, max_n)
-
-
-def check_lower_invariance(mech: Mechanism, *, mode=None, jobs=1, max_n=None):
-    """An adjacent swap leaves shares of objects below the pair unchanged."""
-    return _single(mech, "li", mode, jobs, max_n)
-
-
 # ---------------------------------------------------------------------------
 # efficiency: pointwise operations
 # ---------------------------------------------------------------------------
@@ -505,14 +477,6 @@ def trade_cycle(assignment: AssignmentMatrix, profile: Profile) -> Optional[tupl
                     edge[a][b] = True
     cycle = find_cycle([[y for y in range(n) if edge[x][y]] for x in range(n)])
     return None if cycle is None else tuple(cycle)
-
-
-def check_ordinal_efficiency(
-    assignment: AssignmentMatrix, profile: Profile
-) -> tuple[bool, Optional[tuple[int, ...]]]:
-    """(efficient?, witness object cycle when not)."""
-    cycle = trade_cycle(assignment, profile)
-    return cycle is None, cycle
 
 
 def lp_dominance_oracle(
@@ -580,16 +544,12 @@ def lp_dominance_oracle(
     return witness
 
 
-def check_ex_post_efficiency(assignment: AssignmentMatrix, profile: Profile) -> bool:
-    """All deterministic components of a decomposition are Pareto efficient."""
-    return ex_post_inefficiency_witness(assignment, profile) is None
-
-
 def ex_post_inefficiency_witness(
     assignment: AssignmentMatrix, profile: Profile
 ) -> Optional[tuple[Fraction, tuple[int, ...], tuple[int, ...]]]:
     """(weight, component, agent cycle) for the first Pareto-inefficient
-    component, or None."""
+    component of the Birkhoff decomposition, or None when every component
+    is Pareto efficient (the pointwise ex-post check)."""
     for weight, perm in birkhoff_decompose(assignment).terms:
         cycle = _improvement_cycle(perm, profile)
         if cycle is not None:
@@ -749,36 +709,11 @@ _PROFILE_TESTS = {
 }
 
 
-def check_neutrality(
-    mech: Mechanism, *, mode: Optional[str] = None, max_n: Optional[int] = None
-) -> CheckOutcome:
-    """Relabeling objects must relabel output shares: for every profile and
-    every object permutation, the share of ``a`` at the original profile
-    equals the share of the image of ``a`` at the relabeled profile.  Each
-    assignment is read once, with its relabeling orbit.
-    """
-    return _profile_sweep(mech, "neutral", mode, 1, max_n)
-
-
-def check_equal_treatment_of_equals(
-    mech: Mechanism, *, mode: Optional[str] = None, max_n: Optional[int] = None
-) -> CheckOutcome:
-    """Agents reporting identical preferences receive identical rows."""
-    return _profile_sweep(mech, "ete", mode, 1, max_n)
-
-
 def check_mechanism_ordinal_efficiency(
     mech: Mechanism, *, mode: Optional[str] = None, max_n: Optional[int] = None
 ) -> CheckOutcome:
     """Ordinal efficiency of every output over the full profile domain."""
     return _profile_sweep(mech, "oe", mode, 1, max_n)
-
-
-def check_mechanism_ex_post_efficiency(
-    mech: Mechanism, *, mode: Optional[str] = None, max_n: Optional[int] = None
-) -> CheckOutcome:
-    """Ex-post efficiency of every output over the full profile domain."""
-    return _profile_sweep(mech, "ex-post", mode, 1, max_n)
 
 
 def run_axiom_check(
@@ -789,9 +724,23 @@ def run_axiom_check(
     jobs: int = 1,
     max_n: Optional[int] = None,
 ) -> CheckOutcome:
-    """Dispatch one named axiom sweep (the CLI surface)."""
+    """Sweep one named axiom over the profile domain (the CLI surface).
+
+    Pair axioms, one agent varying her report against fixed opponents
+    (several run in one pass by :func:`run_pair_sweep`): ``sp``,
+    truth-telling FOSDs every deviation; ``weak-sp``, no deviation strictly
+    FOSDs it; ``em``, raising an object one rank weakly raises its share and
+    weakly lowers the displaced object's; ``ui`` / ``li``, an adjacent swap
+    leaves the shares of the objects above / below the pair unchanged.
+
+    Profile axioms, one test per profile: ``neutral``, relabeling the
+    objects relabels the shares (the share of ``a`` at a profile equals that
+    of the image of ``a`` at the relabeled profile); ``ete``, equal reports
+    get equal rows; ``oe`` / ``ex-post``, every output is ordinally /
+    ex-post efficient.
+    """
     if axiom in PAIR_AXIOMS:
-        return _single(mech, axiom, mode, jobs, max_n)
+        return run_pair_sweep(mech, (axiom,), mode=mode, jobs=jobs, max_n=max_n)[axiom]
     if axiom in PROFILE_AXIOMS:
         return _profile_sweep(mech, axiom, mode, jobs, max_n)
     raise ValueError(f"unknown axiom {axiom!r}")

@@ -91,7 +91,16 @@ def build_mechanism(
     if kind == "sd":
         if not arg:
             raise ValueError("serial dictatorship needs an order: sd:1,2,3")
-        order = tuple(int(tok) - 1 for tok in arg.split(","))
+        try:
+            order = tuple(int(tok) - 1 for tok in arg.split(","))
+        except ValueError:
+            order = ()
+        if sorted(order) != list(instance.agents):
+            numbers = ",".join(str(i + 1) for i in instance.agents)
+            raise ValueError(
+                f"serial dictatorship order must be agent numbers 1..{instance.n}, "
+                f"each once, e.g. sd:{numbers}; got {arg!r}"
+            )
         return SerialDictatorship(instance, order)
     if kind == "sea":
         if not arg:

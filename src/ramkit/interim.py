@@ -64,7 +64,7 @@ from .reports import CheckOutcome, ViolationReport
 #: Denominator of the sampling grid for priors.
 PRIOR_GRID = 10 ** 6
 
-#: Default number of redraws before the ball sampler gives up.
+#: Number of redraws before the ball sampler gives up.
 SAMPLER_RETRY_BUDGET = 10_000
 
 INTERIM_AXIOMS = ("interim-em", "interim-ui", "interim-li")
@@ -365,26 +365,20 @@ def run_interim_sweep(
     mech: Mechanism, prior: Prior, axioms=INTERIM_AXIOMS, *,
     max_n: Optional[int] = None,
 ) -> dict[str, CheckOutcome]:
-    """Interim swap axioms: monotonicity of the swapped pair's shares and
-    invariance of the shares above and below the pair."""
+    """Interim swap axioms, exhaustive, on one set of interim rows: for
+    every agent and every adjacent swap of her report,
+
+    - ``interim-em``: raising an object one rank weakly raises its interim
+      share and weakly lowers the displaced object's;
+    - ``interim-ui`` / ``interim-li``: the interim shares of the objects
+      above / below the swapped pair are unchanged.
+    """
     axioms = tuple(axioms)
     for ax in axioms:
         if ax not in INTERIM_AXIOMS:
             raise ValueError(f"unknown interim axiom {ax!r}")
     table = _interim_rows(mech, prior, max_n=max_n)
     return _interim_sweep(table, prior, [_PAIR_AXIOM[ax] for ax in axioms])
-
-
-def check_interim_elementary_monotonicity(mech, prior, *, max_n=None):
-    return run_interim_sweep(mech, prior, ("interim-em",), max_n=max_n)["interim-em"]
-
-
-def check_interim_upper_invariance(mech, prior, *, max_n=None):
-    return run_interim_sweep(mech, prior, ("interim-ui",), max_n=max_n)["interim-ui"]
-
-
-def check_interim_lower_invariance(mech, prior, *, max_n=None):
-    return run_interim_sweep(mech, prior, ("interim-li",), max_n=max_n)["interim-li"]
 
 
 @dataclass(frozen=True)
@@ -430,12 +424,6 @@ def rank_vector_reports(
             rank_vector=values[0] if invariant else None,
         ))
     return reports
-
-
-def rank_vector_report(
-    mech: Mechanism, prior: Prior, agent: int, *, max_n: Optional[int] = None
-) -> RankVectorReport:
-    return rank_vector_reports(mech, prior, (agent,), max_n=max_n)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -496,21 +484,16 @@ def _validate_ball_point(
     return Prior(center.instance, probs)
 
 
-def sample_prior_in_ball(
-    center: Prior,
-    epsilon: Fraction,
-    seed: int,
-    *,
-    max_attempts: int = SAMPLER_RETRY_BUDGET,
-) -> PriorBallSample:
+def sample_prior_in_ball(center: Prior, epsilon: Fraction, seed: int) -> PriorBallSample:
     """Deterministic pseudo-random prior within the epsilon-ball.
 
     Draws an integer offset for every preference, shifts the rounded
     center by the offsets, and rebalances the total back to
     :data:`PRIOR_GRID` by a uniform shift plus a one-unit remainder
     spread; the candidate is rejected and redrawn until every probability
-    is nonnegative and within the ball.  Identical (center, epsilon, seed)
-    always yields the identical prior.
+    is nonnegative and within the ball, at most :data:`SAMPLER_RETRY_BUDGET`
+    times before :class:`SamplingExhaustedError`.  Identical (center,
+    epsilon, seed) always yields the identical prior.
     """
     epsilon = Fraction(epsilon)
     if epsilon <= 0:
@@ -519,7 +502,7 @@ def sample_prior_in_ball(
     base = _grid_base(center)
     reach = max(1, ceil(epsilon * PRIOR_GRID) - 1)
     rng = random.Random(seed)
-    for attempt in range(1, max_attempts + 1):
+    for attempt in range(1, SAMPLER_RETRY_BUDGET + 1):
         offsets = [_uniform_int(rng, -reach, reach) for _ in range(m)]
         numerators = [b + o for b, o in zip(base, offsets)]
         surplus = sum(numerators) - PRIOR_GRID
@@ -535,7 +518,7 @@ def sample_prior_in_ball(
             )
     raise SamplingExhaustedError(
         f"no valid prior on the 1/{PRIOR_GRID} grid within {epsilon} of the center "
-        f"after {max_attempts} attempts"
+        f"after {SAMPLER_RETRY_BUDGET} attempts"
     )
 
 

@@ -386,21 +386,25 @@ class TabulatedMechanism(Mechanism):
 
     def __init__(self, instance: Instance, table, *, max_n: Optional[int] = None):
         super().__init__(instance, cache=False)
-        # profile -> number of its matrix among the distinct ones; a run of
-        # profiles given the same matrix object is validated once
+        # profile -> number of its matrix among the distinct ones; each
+        # matrix object is validated once, by id, and kept in ``held`` so
+        # that no other object can take its id
         checked: dict[Profile, int] = {}
         distinct: dict[AssignmentMatrix, int] = {}
-        last = number = None
+        numbers: dict[int, int] = {}  # id of a matrix object -> its number
+        held = []
         for profile, matrix in table.items():
-            key = tuple(tuple(p) for p in profile)
-            if matrix is not last:
+            key = tuple(map(tuple, profile))
+            number = numbers.get(id(matrix))
+            if number is None:
                 try:
                     fixed = validate_assignment(matrix, instance)
                 except ValueError as exc:
                     raise ValueError(
                         f"invalid assignment for profile {key}: {exc}"
                     ) from exc
-                last, number = matrix, distinct.setdefault(fixed, len(distinct))
+                number = numbers[id(matrix)] = distinct.setdefault(fixed, len(distinct))
+                held.append(matrix)
             checked[key] = number
         for profile in enumerate_profiles(instance, max_n=max_n):
             if profile not in checked:
@@ -420,11 +424,16 @@ class TabulatedMechanism(Mechanism):
 
 
 def tabulate(mechanism: Mechanism, *, max_n: Optional[int] = None) -> TabulatedMechanism:
-    """Snapshot a mechanism into a lookup table over the full domain."""
-    table = {
-        profile: mechanism.assignment(profile)
-        for profile in enumerate_profiles(mechanism.instance, max_n=max_n)
-    }
+    """Snapshot a mechanism into a lookup table over the full domain.
+    Profiles with equal integer shares are handed one matrix object, built
+    once, so the table validates each distinct matrix once."""
+    matrices: dict[tuple, AssignmentMatrix] = {}  # integer rows -> matrix
+    table = {}
+    for profile in enumerate_profiles(mechanism.instance, max_n=max_n):
+        rows = tuple(map(tuple, mechanism.scaled_assignment(profile)))
+        if rows not in matrices:
+            matrices[rows] = mechanism.assignment(profile)
+        table[profile] = matrices[rows]
     return TabulatedMechanism(mechanism.instance, table, max_n=max_n)
 
 

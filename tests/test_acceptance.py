@@ -31,11 +31,10 @@ from ramkit.core import (
 )
 from ramkit.axioms import (
     PAIR_AXIOMS,
-    check_equal_treatment_of_equals,
     check_mechanism_ordinal_efficiency,
-    check_neutrality,
     lp_dominance_oracle,
     reverify_violation,
+    run_axiom_check,
     run_pair_sweep,
     trade_cycle,
 )
@@ -44,7 +43,7 @@ from ramkit.interim import (
     check_obic,
     lrobic_search,
     obic_decomposition_report,
-    rank_vector_report,
+    rank_vector_reports,
     run_interim_sweep,
     sample_prior_in_ball,
     uniform_prior,
@@ -94,8 +93,8 @@ def test_ps_axiom_sweep_n3(ps3):
     assert pair["em"].satisfied
     assert pair["weak-sp"].satisfied
     assert pair["ui"].satisfied
-    assert check_neutrality(ps3).satisfied
-    assert check_equal_treatment_of_equals(ps3).satisfied
+    assert run_axiom_check(ps3, "neutral").satisfied
+    assert run_axiom_check(ps3, "ete").satisfied
     assert check_mechanism_ordinal_efficiency(ps3).satisfied
     assert not pair["sp"].satisfied
     assert not pair["li"].satisfied
@@ -112,7 +111,7 @@ def test_uniform_prior_obic_certificate(instance3, ps3, rp3):
     for mech in mechanisms:
         assert check_obic(mech, uniform).satisfied
         for agent in instance3.agents:
-            report = rank_vector_report(mech, uniform, agent)
+            report = rank_vector_reports(mech, uniform, (agent,))[0]
             assert report.rank_invariant
             assert report.rank_monotone
     assert time.perf_counter() - start < 60.0

@@ -31,22 +31,13 @@ import ramkit.domain
 from ramkit.axioms import (
     PAIR_AXIOMS,
     PROFILE_AXIOMS,
-    check_elementary_monotonicity,
-    check_equal_treatment_of_equals,
-    check_ex_post_efficiency,
-    check_lower_invariance,
-    check_mechanism_ex_post_efficiency,
     check_mechanism_ordinal_efficiency,
-    check_neutrality,
-    check_ordinal_efficiency,
-    check_strategy_proofness,
-    check_upper_invariance,
-    check_weak_strategy_proofness,
     ex_post_inefficiency_witness,
     lp_dominance_oracle,
     reverify_violation,
     run_axiom_check,
     run_pair_sweep,
+    trade_cycle,
 )
 from ramkit.mechanisms import (
     ProbabilisticSerial,
@@ -80,7 +71,7 @@ def favorite_to_agent1(instance):
 
 class TestStrategyProofness:
     def test_ps_violated_with_known_witness(self, ps3):
-        out = check_strategy_proofness(ps3)
+        out = run_axiom_check(ps3, "sp")
         assert not out.satisfied
         hits = [
             v for v in out.violations
@@ -90,35 +81,35 @@ class TestStrategyProofness:
         assert (hits[0].rank, hits[0].lhs, hits[0].rhs) == (2, F(2, 3), F(3, 4))
 
     def test_rp_satisfied(self, rp3):
-        assert check_strategy_proofness(rp3).satisfied
+        assert run_axiom_check(rp3, "sp").satisfied
 
     def test_sd_satisfied(self, instance3):
         sd = SerialDictatorship(instance3, (1, 2, 0), cache=True)
-        assert check_strategy_proofness(sd).satisfied
+        assert run_axiom_check(sd, "sp").satisfied
 
 
 class TestWeakStrategyProofness:
     def test_ps_satisfied(self, ps3):
-        assert check_weak_strategy_proofness(ps3).satisfied
+        assert run_axiom_check(ps3, "weak-sp").satisfied
 
     def test_strategy_proof_mechanisms_satisfy_it(self, rp3, instance3):
-        assert check_weak_strategy_proofness(rp3).satisfied
+        assert run_axiom_check(rp3, "weak-sp").satisfied
         sd = SerialDictatorship(instance3, (0, 1, 2), cache=True)
-        assert check_weak_strategy_proofness(sd).satisfied
+        assert run_axiom_check(sd, "weak-sp").satisfied
 
     def test_favorite_to_agent1_report(self, instance3):
         mech = favorite_to_agent1(instance3)
-        outcome = check_weak_strategy_proofness(mech)
+        outcome = run_axiom_check(mech, "weak-sp")
         # nobody can strictly gain: agent 1 controls only her top, others
         # have no influence on their own rows
         assert outcome.satisfied
-        assert check_elementary_monotonicity(mech).satisfied
+        assert run_axiom_check(mech, "em").satisfied
 
     def test_witnesses_replay_exactly(self):
         """Every weak-sp witness of a random table replays; one with the
         next prefix, or with its two prefix sums swapped, does not."""
         mech = random_table(Instance.default(3), seed=1)
-        violations = check_weak_strategy_proofness(mech, mode="exhaustive").violations
+        violations = run_axiom_check(mech, "weak-sp", mode="exhaustive").violations
         assert len(violations) == 1139
         for v in violations:
             assert reverify_violation(mech, v)
@@ -128,7 +119,7 @@ class TestWeakStrategyProofness:
 
 class TestElementaryMonotonicity:
     def test_ps_satisfied_exhaustively(self, ps3):
-        assert check_elementary_monotonicity(ps3).satisfied
+        assert run_axiom_check(ps3, "em").satisfied
 
     def test_table1_swap_instance(self, ps3):
         old = ps3.assignment(TRUTH_PROFILE)[0]
@@ -139,15 +130,15 @@ class TestElementaryMonotonicity:
 
     def test_constant_mechanism_satisfied(self, instance3):
         mech = constant_mechanism(instance3, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
-        assert check_elementary_monotonicity(mech).satisfied
+        assert run_axiom_check(mech, "em").satisfied
 
 
 class TestNeutrality:
     def test_ps_satisfied(self, ps3):
-        assert check_neutrality(ps3).satisfied
+        assert run_axiom_check(ps3, "neutral").satisfied
 
     def test_rp_satisfied(self, rp3):
-        assert check_neutrality(rp3).satisfied
+        assert run_axiom_check(rp3, "neutral").satisfied
 
     def test_identity_relabeling_trivially_holds(self, ps3):
         out = ps3.assignment(TRUTH_PROFILE)
@@ -155,23 +146,23 @@ class TestNeutrality:
 
     def test_fixed_object_mechanism_violated(self, instance3):
         mech = constant_mechanism(instance3, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
-        outcome = check_neutrality(mech)
+        outcome = run_axiom_check(mech, "neutral")
         assert not outcome.satisfied
         swap_ab = (B, A, C)
         assert any(v.sigma == swap_ab for v in outcome.violations)
 
     def test_violations_reverify(self, instance3):
         mech = constant_mechanism(instance3, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
-        outcome = check_neutrality(mech, mode="first")
+        outcome = run_axiom_check(mech, "neutral", mode="first")
         assert reverify_violation(mech, outcome.violations[0])
 
 
 class TestInvariances:
     def test_ps_upper_invariance_satisfied(self, ps3):
-        assert check_upper_invariance(ps3).satisfied
+        assert run_axiom_check(ps3, "ui").satisfied
 
     def test_ps_lower_invariance_violated_at_table1(self, ps3):
-        outcome = check_lower_invariance(ps3)
+        outcome = run_axiom_check(ps3, "li")
         assert not outcome.satisfied
         # swap pairs are checked once per unordered pair, so the witness may
         # carry either direction of the c>a>b <-> a>c>b swap
@@ -189,25 +180,25 @@ class TestInvariances:
         assert {witness.lhs, witness.rhs} == {F(1, 3), F(1, 4)}
 
     def test_strategy_proof_mechanisms_pass_both(self, rp3, instance3):
-        assert check_upper_invariance(rp3).satisfied
-        assert check_lower_invariance(rp3).satisfied
+        assert run_axiom_check(rp3, "ui").satisfied
+        assert run_axiom_check(rp3, "li").satisfied
         sd = SerialDictatorship(instance3, (2, 1, 0), cache=True)
-        assert check_upper_invariance(sd).satisfied
-        assert check_lower_invariance(sd).satisfied
+        assert run_axiom_check(sd, "ui").satisfied
+        assert run_axiom_check(sd, "li").satisfied
 
 
 class TestEqualTreatmentOfEquals:
     def test_ps_satisfied_and_table1_rows_equal(self, ps3):
-        assert check_equal_treatment_of_equals(ps3).satisfied
+        assert run_axiom_check(ps3, "ete").satisfied
         out = ps3.assignment(TRUTH_PROFILE)
         assert out[0] == out[2]
 
     def test_rp_satisfied(self, rp3):
-        assert check_equal_treatment_of_equals(rp3).satisfied
+        assert run_axiom_check(rp3, "ete").satisfied
 
     def test_dictatorship_violated_at_unanimous_profile(self, instance3):
         sd = SerialDictatorship(instance3, (0, 1, 2), cache=True)
-        outcome = check_equal_treatment_of_equals(sd)
+        outcome = run_axiom_check(sd, "ete")
         assert not outcome.satisfied
         unanimous = ((A, B, C),) * 3
         assert any(v.profile == unanimous for v in outcome.violations)
@@ -234,15 +225,12 @@ class TestOrdinalEfficiency:
     def test_two_agent_swap_cycle(self):
         profile = ((A, B), (B, A))
         swapped = ((F(0), F(1)), (F(1), F(0)))
-        efficient, cycle = check_ordinal_efficiency(swapped, profile)
-        assert not efficient
+        cycle = trade_cycle(swapped, profile)
+        assert cycle is not None
         assert sorted(cycle) == [A, B]
 
     def test_ps_truth_profile_efficient(self, ps3):
-        efficient, cycle = check_ordinal_efficiency(
-            ps3.assignment(TRUTH_PROFILE), TRUTH_PROFILE
-        )
-        assert efficient and cycle is None
+        assert trade_cycle(ps3.assignment(TRUTH_PROFILE), TRUTH_PROFILE) is None
 
     def test_ps_mechanism_sweep(self, ps3):
         assert check_mechanism_ordinal_efficiency(ps3).satisfied
@@ -253,9 +241,8 @@ class TestOrdinalEfficiency:
         profile = ((A, B, C, d), (A, B, C, d), (B, A, d, C), (B, A, d, C))
         rp = RandomPriority(inst)
         ps = ProbabilisticSerial(inst)
-        rp_eff, _ = check_ordinal_efficiency(rp.assignment(profile), profile)
-        ps_eff, _ = check_ordinal_efficiency(ps.assignment(profile), profile)
-        assert not rp_eff and ps_eff
+        assert trade_cycle(rp.assignment(profile), profile) is not None
+        assert trade_cycle(ps.assignment(profile), profile) is None
         assert lp_dominance_oracle(rp.assignment(profile), profile) is not None
         assert lp_dominance_oracle(ps.assignment(profile), profile) is None
 
@@ -264,26 +251,26 @@ class TestExPostEfficiency:
     def test_dictatorship_outcome_efficient(self, instance3):
         sd = SerialDictatorship(instance3, (0, 1, 2))
         out = sd.assignment(TRUTH_PROFILE)
-        assert check_ex_post_efficiency(out, TRUTH_PROFILE)
+        assert ex_post_inefficiency_witness(out, TRUTH_PROFILE) is None
 
     def test_two_agent_swap_inefficient(self):
         profile = ((A, B), (B, A))
         swapped = ((F(0), F(1)), (F(1), F(0)))
-        assert not check_ex_post_efficiency(swapped, profile)
-        weight, perm, cycle = ex_post_inefficiency_witness(swapped, profile)
+        witness = ex_post_inefficiency_witness(swapped, profile)
+        assert witness is not None
+        weight, perm, cycle = witness
         assert weight == 1 and perm == (B, A) and sorted(cycle) == [0, 1]
 
     def test_ps_sweep_satisfied(self, ps3):
-        assert check_mechanism_ex_post_efficiency(ps3).satisfied
+        assert run_axiom_check(ps3, "ex-post").satisfied
 
     def test_ordinal_implies_ex_post_on_random_matrices(self):
         rng = random.Random(55)
         for _ in range(40):
             matrix = random_bistochastic(rng, 3)
             profile = random_profile(rng, 3)
-            efficient, _ = check_ordinal_efficiency(matrix, profile)
-            if efficient:
-                assert check_ex_post_efficiency(matrix, profile)
+            if trade_cycle(matrix, profile) is None:
+                assert ex_post_inefficiency_witness(matrix, profile) is None
 
 
 class TestImplicationStructure:
@@ -316,12 +303,12 @@ class TestWitnessIntegrity:
                 assert reverify_violation(ps3, violation)
 
     def test_corrupted_witness_fails_reverification(self, ps3):
-        violation = check_strategy_proofness(ps3).violations[0]
+        violation = run_axiom_check(ps3, "sp").violations[0]
         corrupted = dataclasses.replace(violation, lhs=violation.lhs + F(1, 97))
         assert not reverify_violation(ps3, corrupted)
 
     def test_corrupted_swap_witness_fails_reverification(self, ps3):
-        violation = check_lower_invariance(ps3).violations[0]
+        violation = run_axiom_check(ps3, "li").violations[0]
         swap, agent = violation.swap, violation.agent
         deviated = list(violation.profile)
         deviated[agent] = violation.deviation
@@ -339,7 +326,7 @@ class TestWitnessIntegrity:
 
     def test_ete_and_expost_witnesses_reverify(self, instance3):
         sd = SerialDictatorship(instance3, (0, 1, 2), cache=True)
-        ete = check_equal_treatment_of_equals(sd, mode="first")
+        ete = run_axiom_check(sd, "ete", mode="first")
         assert reverify_violation(sd, ete.violations[0])
 
     def test_oe_witness_reverifies(self):
@@ -355,7 +342,6 @@ class TestWitnessIntegrity:
             def assignment(self, p):
                 return table[p]
 
-        from ramkit.axioms import trade_cycle
         from ramkit.reports import ViolationReport
 
         cycle = trade_cycle(rp.assignment(profile), profile)
@@ -365,8 +351,8 @@ class TestWitnessIntegrity:
 
 class TestSweepMechanics:
     def test_first_mode_returns_lexicographic_first(self, ps3):
-        exhaustive = check_strategy_proofness(ps3, mode="exhaustive")
-        first = check_strategy_proofness(ps3, mode="first")
+        exhaustive = run_axiom_check(ps3, "sp", mode="exhaustive")
+        first = run_axiom_check(ps3, "sp", mode="first")
         assert len(first.violations) == 1
         assert first.violations[0] == exhaustive.violations[0]
 
@@ -382,9 +368,9 @@ class TestSweepMechanics:
         inst = Instance.default(5)
         ps = ProbabilisticSerial(inst)
         with pytest.raises(CapExceededError):
-            check_strategy_proofness(ps)
+            run_axiom_check(ps, "sp")
         with pytest.raises(CapExceededError):
-            check_neutrality(ps)
+            run_axiom_check(ps, "neutral")
 
     def test_dispatch_names(self, ps3):
         for axiom, expected in [
@@ -419,14 +405,6 @@ def _profile_sweep_mechanism(name, n):
     return build_mechanism(name, n)
 
 
-PUBLIC_PROFILE_CHECKS = {
-    "neutral": check_neutrality,
-    "ete": check_equal_treatment_of_equals,
-    "oe": check_mechanism_ordinal_efficiency,
-    "ex-post": check_mechanism_ex_post_efficiency,
-}
-
-
 class TestProfileSweeps:
     """Neutrality, ETE, OE and ex-post read the integer domain table and
     must return what the Fraction loops of ``helpers.profile_sweep_oracle``
@@ -441,7 +419,8 @@ class TestProfileSweeps:
         mech = _profile_sweep_mechanism(name, n)
         for axiom in PROFILE_AXIOMS:
             expected = profile_sweep_oracle(mech, axiom, mode=mode)
-            assert PUBLIC_PROFILE_CHECKS[axiom](mech, mode=mode) == expected, axiom
+            if axiom == "oe":  # the one profile sweep with its own public name
+                assert check_mechanism_ordinal_efficiency(mech, mode=mode) == expected
             for jobs in (1, 2):
                 got = run_axiom_check(mech, axiom, mode=mode, jobs=jobs)
                 assert got == expected, (axiom, jobs)
@@ -471,8 +450,9 @@ class TestProfileSweeps:
         mech = CountingPS(Instance.default(5))
         with pytest.raises(CapExceededError):
             run_axiom_check(mech, axiom)
-        with pytest.raises(CapExceededError):
-            PUBLIC_PROFILE_CHECKS[axiom](mech)
+        if axiom == "oe":
+            with pytest.raises(CapExceededError):
+                check_mechanism_ordinal_efficiency(mech)
         assert mech.counts == {} and mech.assignment_calls == 0
 
     def test_exhaustive_past_the_cap_raises_before_any_evaluation(self):
@@ -482,7 +462,7 @@ class TestProfileSweeps:
         with pytest.raises(CapExceededError):
             run_pair_sweep(mech, ("em",), mode="exhaustive", max_n=5)
         with pytest.raises(CapExceededError):
-            check_equal_treatment_of_equals(mech, mode="exhaustive", max_n=5)
+            run_axiom_check(mech, "ete", mode="exhaustive", max_n=5)
         for axiom in PAIR_AXIOMS + PROFILE_AXIOMS:
             with pytest.raises(CapExceededError):
                 run_axiom_check(mech, axiom, mode="exhaustive", max_n=5)
@@ -552,9 +532,9 @@ class TestProfileSweeps:
             return original(matrix)
 
         monkeypatch.setattr(ramkit.axioms, "birkhoff_decompose", counting)
-        outcome = check_mechanism_ex_post_efficiency(build_mechanism("ps", 3))
+        outcome = run_axiom_check(build_mechanism("ps", 3), "ex-post")
         assert outcome.satisfied and outcome.profiles_checked == 6 ** 3
         assert calls == []
         # an outcome with a trade cycle is still decomposed
-        assert not check_mechanism_ex_post_efficiency(build_mechanism("table", 3)).satisfied
+        assert not run_axiom_check(build_mechanism("table", 3), "ex-post").satisfied
         assert calls

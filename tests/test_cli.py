@@ -88,6 +88,17 @@ class TestEval:
         code, _, err = run_cli("eval", "--mechanism", "xyz", "--profile", profile_file)
         assert code == 2 and "unknown mechanism selector" in err
 
+    @pytest.mark.parametrize("order", ("a,b,c", "0,1,2", "1,2", "1,1,2"))
+    def test_bad_sd_order(self, order):
+        code, out, err = run_cli(
+            "check", "--axiom", "em", "--mechanism", f"sd:{order}", "--n", "3"
+        )
+        assert code == 2 and out == ""
+        assert err == (
+            "ram: serial dictatorship order must be agent numbers 1..3, each once, "
+            f"e.g. sd:1,2,3; got '{order}'\n"
+        )
+
 
 class TestCheck:
     def test_sp_violated_exit_1(self):

@@ -199,9 +199,9 @@ class TestRendering:
         assert all(" : " in line and "↦" in line for line in lines)
 
     def test_outcome_lines_machine_vs_human(self, instance3, ps3):
-        from ramkit.axioms import check_strategy_proofness
+        from ramkit.axioms import run_axiom_check
 
-        outcome = check_strategy_proofness(ps3, mode="first")
+        outcome = run_axiom_check(ps3, "sp", mode="first")
         machine = outcome_lines(instance3, outcome, machine=True)
         human = outcome_lines(instance3, outcome, machine=False)
         assert machine[0].startswith("check axiom=sp verdict=violated")
@@ -209,7 +209,7 @@ class TestRendering:
         assert len(machine) == len(human) == 2
 
     def test_batch_render_matches_render(self, instance3, ps3):
-        from ramkit.axioms import check_neutrality, run_pair_sweep
+        from ramkit.axioms import run_axiom_check, run_pair_sweep
         from ramkit.interim import check_obic
         from ramkit.reports import ViolationReport, render_reports
 
@@ -225,7 +225,7 @@ class TestRendering:
             profile: random_bistochastic(rng, 3) for profile in enumerate_profiles(instance3)
         })
         reports += check_obic(table, uniform_prior(instance3)).violations[:1]
-        reports += check_neutrality(table, mode="first").violations
+        reports += run_axiom_check(table, "neutral", mode="first").violations
         # equal values that are distinct objects, and every optional field
         reports.append(ViolationReport(
             axiom="x", agent=0, agent2=2, profile=TRUTH_PROFILE, truth=(0, 1, 2),

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -19,6 +20,7 @@ from helpers import (
     random_profile,
     uniform_int,
 )
+import ramkit.mechanisms
 from ramkit.axioms import PAIR_AXIOMS, run_pair_sweep
 from ramkit.core import (
     Instance,
@@ -463,6 +465,42 @@ class TestTabulatedMechanism:
         bad[0][0] += F(1, 7)
         table[bad_profile] = bad
         with pytest.raises(ValueError, match="invalid assignment for profile"):
+            TabulatedMechanism(instance3, table)
+
+    def test_tabulate_validates_each_distinct_matrix_once(self, instance3, monkeypatch):
+        """``tabulate`` hands equal matrices over as one object, and the
+        table validates each matrix object once."""
+        calls = []
+        original = ramkit.mechanisms.validate_assignment
+
+        def counting(matrix, instance=None):
+            calls.append(matrix)
+            return original(matrix, instance)
+
+        monkeypatch.setattr(ramkit.mechanisms, "validate_assignment", counting)
+        for mech in (SerialDictatorship(instance3, (2, 0, 1)), ProbabilisticSerial(instance3)):
+            calls.clear()
+            table = tabulate(mech)
+            distinct = {mech.assignment(p) for p in enumerate_profiles(instance3)}
+            assert len(calls) == len(distinct)
+            for profile in enumerate_profiles(instance3):
+                assert table.assignment(profile) == mech.assignment(profile)
+        assert len(distinct) < 6 ** 3
+
+    @pytest.mark.parametrize("entry", (F(1, 7), 1.0))
+    def test_invalid_later_matrix_named(self, instance3, entry):
+        """A matrix given at one later profile is validated even when it
+        equals the one object given everywhere else: an off entry, or a
+        float that compares equal to the exact share, raises and names
+        that profile."""
+        identity = ((F(1), F(0), F(0)), (F(0), F(1), F(0)), (F(0), F(0), F(1)))
+        profiles = list(enumerate_profiles(instance3))
+        table = dict.fromkeys(profiles, identity)
+        bad = [list(row) for row in identity]
+        bad[0][0] = entry
+        table[profiles[100]] = bad
+        message = re.escape(f"invalid assignment for profile {profiles[100]}")
+        with pytest.raises(ValueError, match=message):
             TabulatedMechanism(instance3, table)
 
     def test_missing_profile_named(self, instance3, ps3):

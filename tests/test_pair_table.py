@@ -21,7 +21,7 @@ from helpers import (
     random_bistochastic,
     random_profile,
 )
-from ramkit.axioms import PAIR_AXIOMS, check_equal_treatment_of_equals, run_pair_sweep
+from ramkit.axioms import PAIR_AXIOMS, run_axiom_check, run_pair_sweep
 from ramkit.core import Instance, enumerate_preferences, enumerate_profiles
 from ramkit.domain import DomainTable, _append, reports_at
 from ramkit.mechanisms import (
@@ -401,9 +401,9 @@ def test_ete_stays_a_real_check_for_declared_anonymous_mechanisms():
     does not turn it into a consequence of the fact."""
     mech = AnonymousSD(Instance.default(3), (0, 1, 2))
     honest = SerialDictatorship(Instance.default(3), (0, 1, 2))
-    got = check_equal_treatment_of_equals(mech, mode="exhaustive")
+    got = run_axiom_check(mech, "ete", mode="exhaustive")
     assert not got.satisfied
-    assert got == check_equal_treatment_of_equals(honest, mode="exhaustive")
+    assert got == run_axiom_check(honest, "ete", mode="exhaustive")
 
 
 # ---------------------------------------------------------------------------
