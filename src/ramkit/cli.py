@@ -25,6 +25,7 @@ from .axioms import PAIR_AXIOMS, PROFILE_AXIOMS, run_axiom_check
 from .core import (
     CapExceededError,
     Instance,
+    _check_sweep_cap,
     fosd,
     parse_rational,
 )
@@ -111,7 +112,11 @@ def build_mechanism(
     raise ValueError(f"unknown mechanism selector {selector!r}")
 
 
-def build_prior(selector: str, instance: Instance):
+def build_prior(selector: str, instance: Instance, max_n: int | None):
+    """The prior a ``--prior`` or ``--center`` selector names.  Every command
+    that reads one sweeps the domain, so the sweep cap is checked first:
+    past it no n!-long prior is built or read."""
+    _check_sweep_cap(instance.n, max_n)
     if selector == "uniform":
         return uniform_prior(instance)
     kind, _, path = selector.partition(":")
@@ -198,7 +203,7 @@ def cmd_check(args) -> int:
 def cmd_obic(args) -> int:
     mech = _mechanism_from_args(args)
     instance = mech.instance
-    prior = build_prior(args.prior, instance)
+    prior = build_prior(args.prior, instance, args.max_n)
     report = obic_decomposition_report(mech, prior, max_n=args.max_n)
     machine = args.format == "machine"
     _stream(
@@ -212,7 +217,7 @@ def cmd_obic(args) -> int:
 def cmd_lrobic(args) -> int:
     mech = _mechanism_from_args(args)
     instance = mech.instance
-    center = build_prior(args.center, instance)
+    center = build_prior(args.center, instance, args.max_n)
     epsilon = parse_rational(args.epsilon)
     hit = lrobic_search(
         mech, center, epsilon, args.samples, args.seed, max_n=args.max_n
@@ -253,7 +258,7 @@ def cmd_decompose(args) -> int:
 def cmd_ranks(args) -> int:
     mech = _mechanism_from_args(args)
     instance = mech.instance
-    prior = build_prior(args.prior, instance)
+    prior = build_prior(args.prior, instance, args.max_n)
     agents = None if args.agent is None else [args.agent - 1]
     machine = args.format == "machine"
     lines = []

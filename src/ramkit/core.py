@@ -220,9 +220,10 @@ def insert_report(
     return opponents[:agent] + (report,) + opponents[agent:]
 
 
-def _as_exact(value) -> Fraction:
+def _as_exact(value, what: str) -> Fraction:
+    """``value`` as a Fraction; a float is refused, naming it as ``what``."""
     if isinstance(value, float):
-        raise ValueError(f"floating point entry {value!r}; shares must be exact rationals")
+        raise ValueError(f"floating point {what} {value!r}; it must be an exact rational")
     return Fraction(value)
 
 
@@ -236,7 +237,7 @@ def validate_assignment(
     all violated entries, rows and columns with their exact values.  Rows
     are reported 1-based to match agent numbering.
     """
-    rows = [tuple(_as_exact(x) for x in row) for row in matrix]
+    rows = [tuple(_as_exact(x, "share") for x in row) for row in matrix]
     n = len(rows)
     if n == 0 or any(len(row) != n for row in rows):
         raise ValueError("assignment matrix must be square and non-empty")

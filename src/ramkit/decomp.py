@@ -21,6 +21,7 @@ from .core import (
     AssignmentMatrix,
     Preference,
     Profile,
+    _as_exact,
     prefers,
     validate_assignment,
 )
@@ -53,9 +54,7 @@ class Decomposition:
         seen = set()
         cleaned = []
         for weight, perm in self.terms:
-            if isinstance(weight, float):
-                raise ValueError("weights must be exact rationals")
-            weight = Fraction(weight)
+            weight = _as_exact(weight, "weight")
             if weight <= 0:
                 raise ValueError(f"weight {weight} must be positive")
             perm = validate_deterministic(perm, n)

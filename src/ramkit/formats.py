@@ -20,6 +20,7 @@ value.
 
 from __future__ import annotations
 
+import itertools
 import re
 from fractions import Fraction
 from typing import Iterator
@@ -129,8 +130,6 @@ def render_profile_file(instance: Instance, profile: Profile) -> str:
 
 def parse_prior_file(text: str) -> tuple[Instance, Prior]:
     """Read an objects header plus one probability line per preference."""
-    from .core import enumerate_preferences
-
     lines = _content_lines(text)
     if not lines:
         raise ParseError(1, "empty prior file")
@@ -150,9 +149,13 @@ def parse_prior_file(text: str) -> tuple[Instance, Prior]:
         if prob < 0:
             raise ParseError(num, f"negative probability {prob}")
         seen[pref] = prob
-    missing = [p for p in enumerate_preferences(instance) if p not in seen]
-    if missing:
-        names = " ".join(instance.object_names[x] for x in missing[0])
+    # the first unlisted preference in enumeration order, found without
+    # listing more preferences than the file has lines
+    missing = next(
+        (p for p in itertools.permutations(range(instance.n)) if p not in seen), None
+    )
+    if missing is not None:
+        names = " ".join(instance.object_names[x] for x in missing)
         raise ParseError(
             lines[-1][0], f"missing probability line for preference '{names}'"
         )

@@ -51,7 +51,7 @@ from .core import (
     Instance,
     Preference,
     ShareVector,
-    _check_pref_cap,
+    _as_exact,
     _check_sweep_cap,
     enumerate_preferences,
     insert_report,
@@ -96,21 +96,20 @@ class Prior:
     """Probability distribution over all n! preferences, used i.i.d.
 
     ``probs`` is aligned with :func:`ramkit.core.enumerate_preferences`.
+    A prior already lists all n! probabilities, so its preferences are
+    enumerated at any n, past the preference cap.
     """
 
     instance: Instance
     probs: tuple[Fraction, ...]
 
     def __post_init__(self):
-        _check_pref_cap(self.instance.n, None)
         count = factorial(self.instance.n)
         if len(self.probs) != count:
             raise ValueError(f"expected {count} probabilities, got {len(self.probs)}")
         cleaned = []
         for p in self.probs:
-            if isinstance(p, float):
-                raise ValueError("prior probabilities must be exact rationals")
-            p = Fraction(p)
+            p = _as_exact(p, "probability")
             if p < 0:
                 raise ValueError(f"negative probability {p}")
             cleaned.append(p)
@@ -123,8 +122,8 @@ class Prior:
 
     @classmethod
     def from_mapping(cls, instance: Instance, mapping) -> "Prior":
-        prefs = enumerate_preferences(instance)
-        lookup = {tuple(k): Fraction(v) for k, v in mapping.items()}
+        prefs = enumerate_preferences(instance, max_n=instance.n)
+        lookup = {tuple(k): v for k, v in mapping.items()}
         unknown = set(lookup) - set(prefs)
         if unknown:
             raise ValueError(f"unknown preference {sorted(unknown)[0]}")
@@ -135,13 +134,14 @@ class Prior:
 
     @cached_property
     def _index(self) -> dict[Preference, int]:
-        return {p: k for k, p in enumerate(enumerate_preferences(self.instance))}
+        prefs = enumerate_preferences(self.instance, max_n=self.instance.n)
+        return {p: k for k, p in enumerate(prefs)}
 
     def of(self, pref: Preference) -> Fraction:
         return self.probs[self._index[pref]]
 
     def items(self):
-        prefs = enumerate_preferences(self.instance)
+        prefs = enumerate_preferences(self.instance, max_n=self.instance.n)
         return tuple(zip(prefs, self.probs))
 
 

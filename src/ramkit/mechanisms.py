@@ -41,6 +41,7 @@ from .core import (
     Instance,
     PREFERENCE_ENUM_CAP,
     Profile,
+    _as_exact,
     enumerate_profiles,
     validate_assignment,
 )
@@ -48,12 +49,6 @@ from .core import (
 SpeedPiece = tuple[Fraction, Fraction, Fraction]  # (start, end, rate)
 # (end tick, (agent, integer rate) for every agent eating in the segment)
 Segments = tuple[tuple[int, tuple[tuple[int, int], ...]], ...]
-
-
-def _exact(x) -> Fraction:
-    if isinstance(x, float):
-        raise ValueError(f"floating point value {x!r}; speeds and times must be exact")
-    return Fraction(x)
 
 
 @dataclass(frozen=True)
@@ -77,7 +72,7 @@ class EatingSpeedSchedule:
             cursor = ZERO
             integral = ZERO
             for start, end, rate in agent_pieces:
-                start, end, rate = _exact(start), _exact(end), _exact(rate)
+                start, end, rate = (_as_exact(x, "speed or time") for x in (start, end, rate))
                 if start != cursor:
                     raise ValueError(
                         f"agent {i + 1}: piece starts at {start}, expected {cursor}"

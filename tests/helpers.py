@@ -85,6 +85,16 @@ def random_prior(rng: random.Random, instance):
     return Prior(instance, tuple(Fraction(r, total) for r in raw))
 
 
+def half_support_prior(instance):
+    """Uniform over the first n!/2 preferences, zero on the rest."""
+    from ramkit.interim import Prior
+
+    m = math.factorial(instance.n)
+    return Prior(instance, tuple(
+        Fraction(1, m // 2) if k < m // 2 else Fraction(0) for k in range(m)
+    ))
+
+
 HALF = Fraction(1, 2)
 
 #: Mechanism kinds of :func:`build_mechanism`.

@@ -1,16 +1,14 @@
 import io
-import os
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
-from pathlib import Path
 
 from fractions import Fraction
 
 import pytest
 
-import ramkit
 from helpers import huge_denominator_table
+from pinned_outputs import ROWS, ram_command, ram_env, run_row, write_inputs
 from ramkit import domain
 from ramkit.cli import main
 from ramkit.core import Instance, enumerate_profiles
@@ -134,6 +132,9 @@ class TestCheck:
          "pass --mode first to override\n"),
         (("obic", "--mechanism", "ps", "--n", "5"),
          "ram: full-domain enumeration for n=5 exceeds the cap n <= 4; "
+         "pass --max-n to override\n"),
+        (("ranks", "--mechanism", "ps", "--n", "7"),
+         "ram: full-domain enumeration for n=7 exceeds the cap n <= 4; "
          "pass --max-n to override\n"),
     ))
     def test_cap_message_names_the_flag(self, argv, line):
@@ -432,20 +433,12 @@ class TestJobs:
         assert code == 0 and out == serial
 
 
-def _ram(*argv):
-    """Command line of ``ram`` run from this checkout's sources."""
-    return [sys.executable, "-m", "ramkit.cli", *argv]
-
-
-def _env():
-    src = str(Path(ramkit.__file__).resolve().parents[1])
-    path = os.environ.get("PYTHONPATH")
-    return dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
-
-
-#: sha256 of ``ram check --axiom li --mechanism ps --n 4 --mode exhaustive
-#: --format machine``: 457,632 violation lines, 72,693,882 bytes.
-LI_PS4_SHA256 = "67a8a68fda89b54b8d60a24b44d2e24351df4e9324ff80a8477bdd09c562c216"
+#: The pinned row of ``ram check --axiom li --mechanism ps --n 4 --mode
+#: exhaustive --format machine --jobs 2``.
+LI_PS4 = next(row for row in ROWS if row.argv == (
+    "check", "--axiom", "li", "--mechanism", "ps", "--n", "4",
+    "--mode", "exhaustive", "--format", "machine", "--jobs", "2",
+))
 
 #: Runs argv[1:] as its one child and prints that child's exit code, the
 #: sha256 of its stdout and its max RSS in KiB (the largest of it and the
@@ -471,11 +464,8 @@ def _limit_address_space():
 @pytest.fixture(scope="module")
 def li_ps4():
     run = subprocess.run(
-        [sys.executable, "-c", _MEASURE] + _ram(
-            "check", "--axiom", "li", "--mechanism", "ps", "--n", "4",
-            "--mode", "exhaustive", "--format", "machine", "--jobs", "2",
-        ),
-        env=_env(), capture_output=True, text=True, check=True,
+        [sys.executable, "-c", _MEASURE] + ram_command(*LI_PS4.argv),
+        env=ram_env(), capture_output=True, text=True, check=True,
     )
     code, digest, max_rss_kib = run.stdout.split()
     return int(code), digest, int(max_rss_kib)
@@ -484,8 +474,7 @@ def li_ps4():
 class TestStreamedOutput:
     def test_n4_li_output_pinned(self, li_ps4):
         code, digest, _ = li_ps4
-        assert code == 1
-        assert digest == LI_PS4_SHA256
+        assert (code, digest) == (LI_PS4.code, LI_PS4.digest)
 
     def test_n4_li_max_rss(self, li_ps4):
         _, _, max_rss_kib = li_ps4
@@ -496,9 +485,9 @@ class TestStreamedOutput:
         opponents; strings for all 120**4 opponent profiles of agent 1
         would not fit in the 1 GiB address space the run is given."""
         run = subprocess.run(
-            _ram("check", "--axiom", "li", "--mechanism", "ps", "--n", "5", "--max-n", "5",
-                 "--format", "machine"),
-            env=_env(), capture_output=True, text=True, preexec_fn=_limit_address_space,
+            ram_command("check", "--axiom", "li", "--mechanism", "ps", "--n", "5",
+                        "--max-n", "5", "--format", "machine"),
+            env=ram_env(), capture_output=True, text=True, preexec_fn=_limit_address_space,
             timeout=600,
         )
         assert (run.returncode, run.stderr) == (1, "")
@@ -512,14 +501,27 @@ class TestStreamedOutput:
         status, before it evaluates anything; filling PS's table by
         multiset at n=5 would not fit in 1 GiB of address space."""
         run = subprocess.run(
-            _ram("check", "--axiom", "em", "--mechanism", "ps", "--n", "5", "--max-n", "5",
-                 "--mode", "exhaustive"),
-            env=_env(), capture_output=True, text=True, preexec_fn=_limit_address_space,
+            ram_command("check", "--axiom", "em", "--mechanism", "ps", "--n", "5",
+                        "--max-n", "5", "--mode", "exhaustive"),
+            env=ram_env(), capture_output=True, text=True, preexec_fn=_limit_address_space,
             timeout=600,
         )
         assert (run.returncode, run.stdout) == (3, "")
         assert run.stderr.startswith("ram: exhaustive sweep for n=5 exceeds the cap")
         assert len(run.stderr.splitlines()) == 1
+
+    def test_prior_past_the_cap_is_never_built(self):
+        """Past the sweep cap a prior command exits before it builds or
+        reads a prior; the uniform prior's 12! probabilities would not fit
+        in the 1 GiB of address space the run is given."""
+        run = subprocess.run(
+            ram_command("obic", "--mechanism", "ps", "--n", "12"),
+            env=ram_env(), capture_output=True, text=True, preexec_fn=_limit_address_space,
+            timeout=600,
+        )
+        assert (run.returncode, run.stdout) == (3, "")
+        assert run.stderr == ("ram: full-domain enumeration for n=12 exceeds the cap n <= 4; "
+                              "pass --max-n to override\n")
 
     def test_closed_pipe_ends_quietly(self, tmp_path, instance3):
         """The reader takes one line and closes the pipe, as ``| head -1``
@@ -535,7 +537,7 @@ class TestStreamedOutput:
         _, full, _ = run_cli(*args)
         assert len(full) > 4 * 65536
         proc = subprocess.Popen(
-            _ram(*args), env=_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            ram_command(*args), env=ram_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE,
         )
         first = proc.stdout.readline().decode()
         proc.stdout.close()
@@ -543,3 +545,18 @@ class TestStreamedOutput:
         assert proc.wait() == 1
         assert first == full.splitlines(keepends=True)[0]
         assert err == ""
+
+
+@pytest.fixture(scope="module")
+def pinned_inputs(tmp_path_factory):
+    return write_inputs(tmp_path_factory.mktemp("pinned"))
+
+
+@pytest.mark.parametrize(
+    "row", [row for row in ROWS if row.argv[row.argv.index("--n") + 1] == "3"],
+    ids=lambda row: " ".join(row.argv),
+)
+def test_n3_output_pinned(row, pinned_inputs):
+    """Every ``--n 3`` row of ``tests/pinned_outputs.py`` gives its pinned
+    exit code and stdout digest."""
+    assert run_row(row, pinned_inputs) == (row.code, row.digest)

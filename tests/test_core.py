@@ -19,8 +19,10 @@ from ramkit.core import (
     prefers,
     validate_assignment,
 )
+from ramkit.decomp import Decomposition
 from ramkit.domain import DomainTable
-from ramkit.mechanisms import ProbabilisticSerial
+from ramkit.interim import Prior
+from ramkit.mechanisms import EatingSpeedSchedule, ProbabilisticSerial
 
 A, B, C = 0, 1, 2
 CAB = (C, A, B)
@@ -240,6 +242,19 @@ class TestValidateAssignment:
     def test_rejects_non_square(self):
         with pytest.raises(ValueError, match="square"):
             validate_assignment([[F(1)], [F(1)]][:1] + [[F(0), F(1)]])
+
+
+@pytest.mark.parametrize("noun,build", (
+    ("share", lambda: validate_assignment([[0.5, F(1, 2)], [F(1, 2), F(1, 2)]])),
+    ("speed or time", lambda: EatingSpeedSchedule((((0, 0.5, 2), (F(1, 2), 1, 0)),))),
+    ("probability", lambda: Prior(Instance.default(2), (0.5, F(1, 2)))),
+    ("weight", lambda: Decomposition(((0.5, (0, 1)), (F(1, 2), (1, 0))))),
+), ids=("share", "speed", "probability", "weight"))
+def test_float_refused_by_name(noun, build):
+    """Every exact-rational input refuses a float by one rule, naming it."""
+    message = f"^floating point {noun} 0.5; it must be an exact rational$"
+    with pytest.raises(ValueError, match=message):
+        build()
 
 
 class TestExactArithmetic:

@@ -12,11 +12,18 @@ from helpers import (
     CountingPS,
     CountingUndeclaredPS,
     build_mechanism,
+    half_support_prior,
     interim_shares_oracle,
     interim_sweep_oracle,
     random_prior,
 )
-from ramkit.core import Instance, adjacent_swaps, enumerate_preferences, insert_report
+from ramkit.core import (
+    CapExceededError,
+    Instance,
+    adjacent_swaps,
+    enumerate_preferences,
+    insert_report,
+)
 from ramkit.axioms import run_axiom_check
 from ramkit.interim import (
     INTERIM_AXIOMS,
@@ -92,6 +99,22 @@ class TestPrior:
     def test_from_mapping_requires_totality(self, instance3):
         with pytest.raises(ValueError, match="missing"):
             Prior.from_mapping(instance3, {(0, 1, 2): F(1)})
+
+    def test_builds_past_the_preference_cap(self):
+        """A prior lists all n! probabilities, so n=7 needs no ``max_n``;
+        PS's rank vectors under a prior on two preferences, from one pass
+        with ``max_n=7``, match the Fraction route on and off the support."""
+        instance = Instance.default(7)
+        assert len(uniform_prior(instance).probs) == 5040
+        prior = Prior(instance, (F(1, 2), F(1, 2)) + (F(0),) * 5038)
+        prefs = enumerate_preferences(instance, max_n=7)
+        ps = ProbabilisticSerial(instance)
+        (report,) = rank_vector_reports(ps, prior, (0,), max_n=7)
+        for pref in (prefs[0], prefs[1], prefs[2], prefs[-1]):
+            shares = interim_share_vector(ps, 0, pref, prior, max_n=7).shares
+            assert report.vectors[pref] == tuple(shares[a] for a in pref)
+        with pytest.raises(CapExceededError, match="full-domain"):
+            check_obic(ps, prior)
 
 
 class TestInterimShares:
@@ -405,14 +428,6 @@ class TestPriorInstanceMismatch:
 # ---------------------------------------------------------------------------
 
 
-def _half_support(instance):
-    """Uniform over the first n!/2 preferences, zero on the rest."""
-    m = len(enumerate_preferences(instance))
-    return Prior(instance, tuple(
-        F(1, m // 2) if k < m // 2 else F(0) for k in range(m)
-    ))
-
-
 def _coprime_prior(instance):
     """Full support over distinct Mersenne-prime denominators, so the
     integer weights and sums run far past 64 bits."""
@@ -428,7 +443,7 @@ def _priors(instance, seed):
     return {
         "uniform": uniform_prior(instance),
         "random": random_prior(rng, instance),
-        "half": _half_support(instance),
+        "half": half_support_prior(instance),
         "point": Prior(instance, tuple(
             F(1) if p == prefs[-1] else F(0) for p in prefs
         )),
@@ -469,7 +484,7 @@ class TestOnePassRows:
 
     def test_seeded_reports_at_n4_half_support(self):
         instance = Instance.default(4)
-        prior = _half_support(instance)
+        prior = half_support_prior(instance)
         prefs = enumerate_preferences(instance)
         table = _fraction_rows(ProbabilisticSerial(instance), prior)
         oracle_mech = ProbabilisticSerial(instance, cache=True)
@@ -494,7 +509,7 @@ class TestOnePassRows:
     def test_each_support_profile_evaluated_once(self, instance3):
         """A mechanism not declared anonymous is evaluated once at every
         profile with at most one off-support report."""
-        prior = _half_support(instance3)
+        prior = half_support_prior(instance3)
         on = {p for p, w in prior.items() if w}
         mech = CountingUndeclaredPS(instance3, cache=True)
         report = obic_decomposition_report(mech, prior)
@@ -514,7 +529,7 @@ class TestOnePassRows:
         ``C(s+n-1, n) + (m-s) * C(s+n-2, n-1)`` evaluations for ``s`` of the
         ``m`` preferences on the support."""
         instance = Instance.default(n)
-        prior = _half_support(instance) if support == "half" else uniform_prior(instance)
+        prior = half_support_prior(instance) if support == "half" else uniform_prior(instance)
         prefs = enumerate_preferences(instance)
         on = [prior.of(p) != 0 for p in prefs]
         mech = CountingPS(instance, cache=True)
@@ -584,7 +599,7 @@ class TestMultisetPass:
             "violating": violating_prior,
             **{f"random{k}": random_prior(rng, instance3) for k in range(3)},
             "point": Prior(instance3, tuple(F(int(p == prefs[2])) for p in prefs)),
-            "half": _half_support(instance3),
+            "half": half_support_prior(instance3),
         }
         for name, prior in priors.items():
             assert _interim_rows(mech, prior) == _interim_rows(undeclared, prior), name
@@ -603,7 +618,7 @@ class TestMultisetPass:
         assert not _RowCells(*_interim_rows(undeclared, uniform_prior(instance3))).anonymous
         priors = (
             uniform_prior(instance3),
-            _half_support(instance3),
+            half_support_prior(instance3),
             random_prior(random.Random(2718), instance3),
         )
         for prior in priors:
@@ -623,7 +638,7 @@ class TestMultisetPass:
 
     def test_ps_n4_half_support_matches_per_profile_pass(self):
         instance = Instance.default(4)
-        prior = _half_support(instance)
+        prior = half_support_prior(instance)
         fast, fast_common = _interim_rows(ProbabilisticSerial(instance), prior)
         slow, slow_common = _interim_rows(CountingUndeclaredPS(instance), prior)
         assert fast_common == slow_common
@@ -664,7 +679,7 @@ class TestReplay:
 
     def test_first_ten_n4_violations_reverify(self):
         instance = Instance.default(4)
-        prior = _half_support(instance)
+        prior = half_support_prior(instance)
         report = obic_decomposition_report(ProbabilisticSerial(instance), prior)
         replay = ProbabilisticSerial(instance, cache=True)
         for outcome in (report.obic, report.interim_li):
