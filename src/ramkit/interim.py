@@ -15,13 +15,19 @@ The checks read every agent's interim rows from one integer pass over the
 prior's support domain (:func:`_interim_rows`): the prior becomes integer
 weights over its common denominator ``Q``, and only profiles with at most
 one off-support report carry weight.  An anonymous mechanism
-(``Mechanism.anonymous``: PS, RP, eating at one speed for all) is
-evaluated once per multiset of such reports, at its sorted profile, and
-its rows are summed per report with each opponent multiset weighted by
-its number of orderings; every agent gets the same rows.  Any other
-mechanism is evaluated once per such profile, and each agent's rows are
-summed over ordered opponent profiles.  Both routes evaluate through
-:meth:`Mechanism.scaled_assignment`, stream into the sums and hold no
+(``Mechanism.anonymous``: PS, RP, eating at one speed for all) gives
+every agent the same rows, summed per report with each opponent multiset
+weighted by its number of orderings.  If it is also neutral
+(``Mechanism.neutral``), relabeling the objects relabels its rows, so up
+to :data:`~ramkit.core.SWEEP_CAP` every report's row is read from the
+identity report's: it is evaluated once per multiset of the identity
+report's opponent reports that weighs some report (2,600 PS evaluations
+at n=4 under the uniform prior).  Otherwise an anonymous mechanism is
+evaluated once per multiset of n reports with at most one off the
+support (17,550), at its sorted profile.  Any other mechanism is
+evaluated once per such profile, and each agent's rows are summed over
+ordered opponent profiles.  Every route evaluates through
+:meth:`Mechanism.scaled_assignment`, streams into the sums and holds no
 table.  Every agent's rows come out as integers over one denominator,
 ``mech.D * Q**(n-1)``, and OBIC and the interim em/ui/li run on them in
 the ex-post pair sweep's column kernel (:class:`ramkit.axioms._PairSweep`),
@@ -47,6 +53,7 @@ from typing import Optional
 
 from .core import (
     ONE,
+    SWEEP_CAP,
     ZERO,
     Instance,
     Preference,
@@ -190,10 +197,13 @@ def _interim_rows(
     agent i's interim row for report r is the sum over opponent profiles of
     ``prod_{j != i} w[P_j] * row_i(P)``, over ``Q**(n-1)``.  Only profiles in
     which at least n-1 agents report a positive-probability preference
-    carry weight for some agent.  An anonymous mechanism is evaluated once
-    per multiset of such reports (:func:`_multiset_sums`), and every agent
-    gets the same rows; any other mechanism once per such profile
-    (:func:`_profile_sums`).  Either way each evaluation goes through
+    carry weight for some agent.  Every agent of an anonymous mechanism
+    gets the same rows.  Up to ``SWEEP_CAP`` a neutral one is evaluated
+    once per weighing multiset of the identity report's opponent reports
+    (:func:`_neutral_sums`); any other anonymous one, or one past the cap,
+    where the ``m x m`` weight columns would not fit, once per multiset of
+    such reports (:func:`_multiset_sums`); any other mechanism once per
+    such profile (:func:`_profile_sums`).  Every route evaluates through
     :meth:`Mechanism.scaled_assignment`, and the weighted numerators over
     ``mech.D`` are summed as integers.  No Fraction is built.
     """
@@ -209,7 +219,10 @@ def _interim_rows(
     q = math.lcm(*(p.denominator for p in prior.probs))
     weights = [p.numerator * (q // p.denominator) for p in prior.probs]
     if mech.anonymous:
-        sums = _multiset_sums(mech, prefs, weights)
+        if mech.neutral and n <= SWEEP_CAP:
+            sums = _neutral_sums(mech, prefs, weights)
+        else:
+            sums = _multiset_sums(mech, prefs, weights)
         rows_by_agent = {i: sums for i in agents}  # read only, never written
     else:
         rows_by_agent = _profile_sums(mech, prefs, weights, agents)
@@ -250,6 +263,44 @@ def _multiset_sums(mech: Mechanism, prefs, weights: list[int]) -> list[list[int]
         if weight:
             _add(sums[r], _orderings(others) * weight, row)
     return sums
+
+
+def _neutral_sums(mech: Mechanism, prefs, weights: list[int]) -> list[list[int]]:
+    """Weighted numerators of any agent's interim row for each report of
+    an anonymous and neutral mechanism, from one evaluation per multiset
+    of opponent reports of the identity report ``prefs[0]``.
+
+    With ``s_r`` the relabeling that maps object ``r[k]`` to ``k``,
+    neutrality gives ``row(r, M)[r[k]] = row(id, s_r M)[k]``.  So, with
+    ``M' = s_r M``, the share of object ``r[k]`` in the row for report r is
+    ``sum_M' mult(M') * prod_{p in M'} w[r o p] * row(id, M')[k]`` over the
+    ``C(m+n-2, n-1)`` multisets ``M'`` of n-1 reports, where ``r o p =
+    s_r^-1 p`` reads p's objects through r.  Column ``cols[p][r] = w[r o
+    p]``, so the elementwise product of ``M'``'s columns weighs ``M'`` for
+    every report at once; ``M'`` is evaluated only if some weight is
+    nonzero, once, at the sorted profile ``(id,) + M'``
+    (:func:`ramkit.domain.multiset_rows`), and streamed into the sums;
+    nothing else is held."""
+    n, m = len(prefs[0]), len(prefs)
+    index = {p: k for k, p in enumerate(prefs)}
+    cols = [[weights[index[tuple([r[a] for a in p])]] for r in prefs] for p in prefs]
+    # acc[k][r]: numerator of the share of object r[k] for report r
+    acc = [[0] * m for _ in range(n)]
+    for others in itertools.combinations_with_replacement(range(m), n - 1):
+        ws = cols[others[0]] if others else [1] * m
+        for o in others[1:]:
+            ws = [a * b for a, b in zip(ws, cols[o])]
+        if not any(ws):
+            continue
+        mult = _orderings(others)
+        for r, _, row in multiset_rows(mech, prefs, ((0,) + others,)):
+            if r:
+                continue  # the other reports' rows only run the anonymity guard
+            for k, x in enumerate(row):
+                if x:
+                    c = mult * x
+                    acc[k] = [a + c * w for a, w in zip(acc[k], ws)]
+    return [[acc[pref.index(a)][r] for a in range(n)] for r, pref in enumerate(prefs)]
 
 
 def _orderings(reports: tuple[int, ...]) -> int:

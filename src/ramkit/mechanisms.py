@@ -23,6 +23,16 @@ when every agent eats at the same speed at every time.
 ``Mechanism.anonymous`` states this as a fact of the mechanism, not an
 option, and lets a domain table evaluate each multiset of reports once
 (:mod:`ramkit.domain`).
+
+A mechanism is **neutral** when relabeling the objects in every report
+relabels the columns of its assignment the same way.  SD, RP and every
+eating mechanism are, whatever the speeds, because speeds belong to
+agents, not to objects; a table is not assumed to be.
+``Mechanism.neutral`` states this fact.  An anonymous and neutral
+mechanism's interim rows come from one evaluation per multiset of
+opponent reports of one fixed report (:mod:`ramkit.interim`).  The
+ex-post neutrality sweep never reads the declaration, so it stays a real
+check.
 """
 
 from __future__ import annotations
@@ -216,6 +226,9 @@ class Mechanism:
     #: Permuting the agents permutes the rows (see the module docstring).
     #: False unless the mechanism is anonymous by construction.
     anonymous = False
+    #: Relabeling the objects relabels the shares (see the module
+    #: docstring).  False unless the mechanism is neutral by construction.
+    neutral = False
     #: The one denominator of every share the mechanism returns.
     D: int
 
@@ -280,6 +293,7 @@ class SerialDictatorship(Mechanism):
     """Agents pick their best remaining object in a fixed priority order."""
 
     kind = "sd"
+    neutral = True
     D = 1
 
     def __init__(self, instance: Instance, order, *, cache: bool = False):
@@ -308,6 +322,7 @@ class RandomPriority(Mechanism):
 
     kind = "rp"
     anonymous = True
+    neutral = True
 
     def __init__(self, instance: Instance, *, cache: bool = False,
                  max_n: Optional[int] = None):
@@ -334,6 +349,7 @@ class SimultaneousEating(Mechanism):
     integers over the schedule's fixed denominator ``D`` (:func:`_compile`)."""
 
     kind = "sea"
+    neutral = True
 
     def __init__(self, instance: Instance, schedule: EatingSpeedSchedule, *,
                  cache: bool = False):

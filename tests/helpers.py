@@ -261,10 +261,30 @@ class CountingUndeclaredPS(CountingPS):
     anonymous = False
 
 
+class CountingNonNeutralPS(CountingPS):
+    """A counting PS that declares itself anonymous but not neutral, so its
+    interim rows come from the multiset pass."""
+
+    neutral = False
+
+
 class AnonymousSD(SerialDictatorship):
     """Serial dictatorship falsely declared anonymous."""
 
     anonymous = True
+
+
+class FalselyNeutralPS(ProbabilisticSerial):
+    """Anonymous and declared neutral, but not neutral: PS at profiles where
+    every agent ranks object a first, equal division elsewhere."""
+
+    neutral = True
+
+    def _shares(self, profile):
+        if all(p[0] == A for p in profile):
+            return super()._shares(profile)
+        n = len(profile)
+        return [[self.D // n] * n for _ in range(n)]
 
 
 def interim_shares_oracle(mechanism, agent, report, prior):

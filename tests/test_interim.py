@@ -9,6 +9,7 @@ import pytest
 from helpers import (
     MECHANISM_KINDS,
     AnonymousSD,
+    CountingNonNeutralPS,
     CountingPS,
     CountingUndeclaredPS,
     build_mechanism,
@@ -523,16 +524,44 @@ class TestOnePassRows:
         assert mech._cache == {}
 
     @pytest.mark.parametrize("n,support", ((3, "half"), (4, "half"), (4, "uniform")))
+    def test_each_identity_multiset_evaluated_once(self, n, support):
+        """An anonymous and neutral mechanism is evaluated once per multiset
+        ``M'`` of opponent reports of the identity report that weighs some
+        report r, at its sorted profile ``(id,) + M'``: ``M'`` weighs r when
+        every report of ``M'``, its objects read through r, is on the
+        support."""
+        instance = Instance.default(n)
+        prior = half_support_prior(instance) if support == "half" else uniform_prior(instance)
+        prefs = enumerate_preferences(instance)
+        on = {p for p in prefs if prior.of(p) != 0}
+        mech = CountingPS(instance, cache=True)
+        assert mech.anonymous and mech.neutral
+        report = obic_decomposition_report(mech, prior)
+        assert report.obic.profiles_checked == n * len(prefs)
+        expected = {
+            (prefs[0],) + others
+            for others in itertools.combinations_with_replacement(prefs, n - 1)
+            if any(all(tuple(r[a] for a in p) in on for p in others) for r in prefs)
+        }
+        assert set(mech.counts) == expected
+        assert set(mech.counts.values()) == {1}
+        assert len(expected) <= math.comb(len(prefs) + n - 2, n - 1)
+        assert len(expected) == {(3, "half"): 18, (4, "half"): 1_736,
+                                 (4, "uniform"): 2_600}[n, support]
+        assert mech._cache == {}
+
+    @pytest.mark.parametrize("n,support", ((3, "half"), (4, "half"), (4, "uniform")))
     def test_each_support_multiset_evaluated_once(self, n, support):
-        """An anonymous mechanism is evaluated once per multiset of reports
-        with at most one off the support, at its sorted profile:
-        ``C(s+n-1, n) + (m-s) * C(s+n-2, n-1)`` evaluations for ``s`` of the
-        ``m`` preferences on the support."""
+        """An anonymous mechanism not declared neutral is evaluated once per
+        multiset of reports with at most one off the support, at its sorted
+        profile: ``C(s+n-1, n) + (m-s) * C(s+n-2, n-1)`` evaluations for
+        ``s`` of the ``m`` preferences on the support."""
         instance = Instance.default(n)
         prior = half_support_prior(instance) if support == "half" else uniform_prior(instance)
         prefs = enumerate_preferences(instance)
         on = [prior.of(p) != 0 for p in prefs]
-        mech = CountingPS(instance, cache=True)
+        mech = CountingNonNeutralPS(instance, cache=True)
+        assert mech.anonymous and not mech.neutral
         report = obic_decomposition_report(mech, prior)
         assert report.obic.profiles_checked == n * len(prefs)
         expected = {
@@ -566,32 +595,48 @@ class UndeclaredRP(RandomPriority):
     anonymous = False
 
 
+class NonNeutralRP(RandomPriority):
+    """Random priority declared anonymous but not neutral."""
+
+    neutral = False
+
+
 class UndeclaredEating(SimultaneousEating):
     """Simultaneous eating not declared anonymous, whatever its speeds."""
 
     anonymous = False
 
 
-def _declared_and_undeclared(kind, instance):
-    """An anonymous mechanism of ``kind``, and the same mechanism not
-    declared anonymous, so that its interim rows come from the per-profile
-    pass."""
+class NonNeutralEating(SimultaneousEating):
+    """Simultaneous eating not declared neutral."""
+
+    neutral = False
+
+
+def _three_routes(kind, instance):
+    """A neutral anonymous mechanism of ``kind``, the same mechanism not
+    declared neutral, and not declared anonymous, so that its interim rows
+    come from the neutral pass, the multiset pass and the per-profile pass."""
     if kind == "ps":
-        return ProbabilisticSerial(instance), CountingUndeclaredPS(instance)
+        return (ProbabilisticSerial(instance), CountingNonNeutralPS(instance),
+                CountingUndeclaredPS(instance))
     if kind == "rp":
-        return RandomPriority(instance), UndeclaredRP(instance)
+        return RandomPriority(instance), NonNeutralRP(instance), UndeclaredRP(instance)
     unit = EatingSpeedSchedule.unit(instance.n)
-    return SimultaneousEating(instance, unit), UndeclaredEating(instance, unit)
+    return (SimultaneousEating(instance, unit), NonNeutralEating(instance, unit),
+            UndeclaredEating(instance, unit))
 
 
 class TestMultisetPass:
-    """The multiset pass of an anonymous mechanism gives the per-profile
-    pass's rows exactly, and the Fraction oracle's."""
+    """The neutral pass and the multiset pass of an anonymous mechanism give
+    the per-profile pass's rows exactly, and the Fraction oracle's."""
 
     @pytest.mark.parametrize("kind", ("ps", "rp", "sea-unit"))
     def test_rows_match_per_profile_pass_and_oracle(self, kind, instance3, violating_prior):
-        mech, undeclared = _declared_and_undeclared(kind, instance3)
-        assert mech.anonymous and not undeclared.anonymous
+        routes = _three_routes(kind, instance3)
+        assert [(m.anonymous, m.neutral) for m in routes] == [
+            (True, True), (True, False), (False, True)
+        ]
         prefs = enumerate_preferences(instance3)
         rng = random.Random(1313)
         priors = {
@@ -602,19 +647,22 @@ class TestMultisetPass:
             "half": half_support_prior(instance3),
         }
         for name, prior in priors.items():
-            assert _interim_rows(mech, prior) == _interim_rows(undeclared, prior), name
-            for agent, rows in _fraction_rows(mech, prior).items():
-                for report, shares in rows.items():
-                    expected = interim_shares_oracle(mech, agent, report, prior)
-                    assert shares == expected, (name, agent, report)
+            rows = [_interim_rows(mech, prior) for mech in routes]
+            assert rows[0] == rows[1] == rows[2], name
+            for mech in routes[:2]:
+                for agent, by_report in _fraction_rows(mech, prior).items():
+                    for report, shares in by_report.items():
+                        expected = interim_shares_oracle(mech, agent, report, prior)
+                        assert shares == expected, (name, mech, agent, report)
 
     @pytest.mark.parametrize("kind", ("ps", "rp", "sea-unit"))
     def test_sweeps_match_undeclared_twin(self, kind, instance3):
         """An anonymous mechanism's agents share one set of interim rows, so
         the kernel sweeps agent 1 and relabels; the undeclared twin is swept
         agent by agent, and every outcome comes out the same."""
-        mech, undeclared = _declared_and_undeclared(kind, instance3)
+        mech, non_neutral, undeclared = _three_routes(kind, instance3)
         assert _RowCells(*_interim_rows(mech, uniform_prior(instance3))).anonymous
+        assert _RowCells(*_interim_rows(non_neutral, uniform_prior(instance3))).anonymous
         assert not _RowCells(*_interim_rows(undeclared, uniform_prior(instance3))).anonymous
         priors = (
             uniform_prior(instance3),
@@ -622,32 +670,42 @@ class TestMultisetPass:
             random_prior(random.Random(2718), instance3),
         )
         for prior in priors:
-            fast = obic_decomposition_report(mech, prior)
             slow = obic_decomposition_report(undeclared, prior)
-            outcomes = [(fast.obic, slow.obic), (fast.interim_em, slow.interim_em),
-                        (fast.interim_ui, slow.interim_ui), (fast.interim_li, slow.interim_li)]
-            fast_sweep = run_interim_sweep(mech, prior)
             slow_sweep = run_interim_sweep(undeclared, prior)
-            assert list(fast_sweep) == list(slow_sweep)
-            outcomes += [(fast_sweep[ax], slow_sweep[ax]) for ax in fast_sweep]
-            for a, b in outcomes:
-                assert (a.axiom, a.satisfied, a.profiles_checked, a.comparisons) == (
-                    b.axiom, b.satisfied, b.profiles_checked, b.comparisons
-                )
-                assert tuple(a.violations) == tuple(b.violations), a.axiom
+            for twin in (mech, non_neutral):
+                fast = obic_decomposition_report(twin, prior)
+                outcomes = [(fast.obic, slow.obic), (fast.interim_em, slow.interim_em),
+                            (fast.interim_ui, slow.interim_ui),
+                            (fast.interim_li, slow.interim_li)]
+                fast_sweep = run_interim_sweep(twin, prior)
+                assert list(fast_sweep) == list(slow_sweep)
+                outcomes += [(fast_sweep[ax], slow_sweep[ax]) for ax in fast_sweep]
+                for a, b in outcomes:
+                    assert (a.axiom, a.satisfied, a.profiles_checked, a.comparisons) == (
+                        b.axiom, b.satisfied, b.profiles_checked, b.comparisons
+                    )
+                    assert tuple(a.violations) == tuple(b.violations), a.axiom
 
     def test_ps_n4_half_support_matches_per_profile_pass(self):
         instance = Instance.default(4)
         prior = half_support_prior(instance)
         fast, fast_common = _interim_rows(ProbabilisticSerial(instance), prior)
+        multiset, multiset_common = _interim_rows(CountingNonNeutralPS(instance), prior)
         slow, slow_common = _interim_rows(CountingUndeclaredPS(instance), prior)
-        assert fast_common == slow_common
-        assert list(fast) == list(slow) == [0, 1, 2, 3]
+        assert fast_common == multiset_common == slow_common
+        assert list(fast) == list(multiset) == list(slow) == [0, 1, 2, 3]
         for agent in instance.agents:
-            assert fast[agent] == slow[agent], agent
+            assert fast[agent] == multiset[agent] == slow[agent], agent
 
     def test_false_anonymity_raises(self, instance3, uniform3):
+        """The false declaration raises in the neutral pass, which
+        ``AnonymousSD`` takes with SD's neutrality, and in the multiset
+        pass."""
         mech = AnonymousSD(instance3, (0, 1, 2))
+        assert mech.neutral
+        with pytest.raises(ValueError, match="declared anonymous"):
+            check_obic(mech, uniform3)
+        mech.neutral = False
         with pytest.raises(ValueError, match="declared anonymous"):
             check_obic(mech, uniform3)
 

@@ -15,6 +15,7 @@ from helpers import (
     AnonymousSD,
     CountingPS,
     CountingUndeclaredPS,
+    FalselyNeutralPS,
     build_mechanism,
     huge_denominator_table,
     pair_sweep_oracle,
@@ -22,7 +23,12 @@ from helpers import (
     random_profile,
 )
 from ramkit.axioms import PAIR_AXIOMS, run_axiom_check, run_pair_sweep
-from ramkit.core import Instance, enumerate_preferences, enumerate_profiles
+from ramkit.core import (
+    Instance,
+    apply_permutation_profile,
+    enumerate_preferences,
+    enumerate_profiles,
+)
 from ramkit.domain import DomainTable, _append, reports_at
 from ramkit.mechanisms import (
     Mechanism,
@@ -404,6 +410,68 @@ def test_ete_stays_a_real_check_for_declared_anonymous_mechanisms():
     got = run_axiom_check(mech, "ete", mode="exhaustive")
     assert not got.satisfied
     assert got == run_axiom_check(honest, "ete", mode="exhaustive")
+
+
+# ---------------------------------------------------------------------------
+# neutral mechanisms: the declared fact, and a check it does not replace
+# ---------------------------------------------------------------------------
+
+
+NEUTRAL_KINDS = ("ps", "rp", "sd", "sea", "sea-unit", "sea-shared", "sea-split")
+
+
+def _assert_relabels_rows(mech, profile, sigmas):
+    """Relabeling the objects of every report by ``sigma`` relabels the
+    columns of ``mech``'s assignment the same way."""
+    out = mech.assignment(profile)
+    for sigma in sigmas:
+        relabeled = mech.assignment(apply_permutation_profile(profile, sigma))
+        assert relabeled == tuple(
+            tuple(row[sigma.index(a)] for a in range(len(row))) for row in out
+        ), (profile, sigma)
+
+
+@pytest.mark.parametrize("n", (2, 3))
+@pytest.mark.parametrize("kind", NEUTRAL_KINDS)
+def test_declared_neutral_mechanisms_permute_rows_with_objects(kind, n):
+    mech = build_mechanism(kind, n)
+    assert mech.neutral
+    sigmas = list(itertools.permutations(range(n)))
+    for profile in enumerate_profiles(mech.instance):
+        _assert_relabels_rows(mech, profile, sigmas)
+
+
+@pytest.mark.parametrize("kind", NEUTRAL_KINDS)
+def test_declared_neutral_mechanisms_permute_rows_with_objects_n4(kind):
+    mech = build_mechanism(kind, 4)
+    assert mech.neutral
+    sigmas = list(itertools.permutations(range(4)))
+    rng = random.Random(17)
+    for _ in range(12):
+        _assert_relabels_rows(mech, random_profile(rng, 4), sigmas)
+
+
+@pytest.mark.parametrize("n", (2, 3))
+def test_tables_declare_not_neutral(n):
+    assert not build_mechanism("table", n).neutral
+    assert not TabulatedMechanism.neutral
+    assert not Mechanism.neutral
+
+
+class _UndeclaredFalselyNeutralPS(FalselyNeutralPS):
+    neutral = False
+
+
+def test_neutrality_stays_a_real_check_for_declared_neutral_mechanisms():
+    """The neutrality sweep reads a table filled by multiset, never the
+    declaration, so a false one does not turn the check into a consequence
+    of the fact."""
+    mech = FalselyNeutralPS(Instance.default(3))
+    assert mech.anonymous and mech.neutral
+    got = run_axiom_check(mech, "neutral", mode="exhaustive")
+    assert not got.satisfied
+    twin = _UndeclaredFalselyNeutralPS(Instance.default(3))
+    assert got == run_axiom_check(twin, "neutral", mode="exhaustive")
 
 
 # ---------------------------------------------------------------------------
