@@ -14,30 +14,28 @@ integer grid with a fixed denominator so downstream sums stay exact.
 The checks read every agent's interim rows from one integer pass over the
 prior's support domain (:func:`_interim_rows`): the prior becomes integer
 weights over its common denominator ``Q``, and only profiles with at most
-one off-support report carry weight.  An anonymous mechanism
-(``Mechanism.anonymous``: PS, RP, eating at one speed for all) gives
-every agent the same rows, summed per report with each opponent multiset
-weighted by its number of orderings.  If it is also neutral
-(``Mechanism.neutral``), relabeling the objects relabels its rows, so up
-to :data:`~ramkit.core.SWEEP_CAP` every report's row is read from the
-identity report's: it is evaluated once per multiset of the identity
-report's opponent reports that weighs some report (2,600 PS evaluations
-at n=4 under the uniform prior).  Otherwise an anonymous mechanism is
-evaluated once per multiset of n reports with at most one off the
-support (17,550), at its sorted profile.  Any other mechanism is
-evaluated once per such profile, and each agent's rows are summed over
-ordered opponent profiles.  Every route evaluates through
-:meth:`Mechanism.scaled_assignment`, streams into the sums and holds no
-table.  Every agent's rows come out as integers over one denominator,
-``mech.D * Q**(n-1)``, and OBIC and the interim em/ui/li run on them in
-the ex-post pair sweep's column kernel (:class:`ramkit.axioms._PairSweep`),
-one single-cell batch per agent.  The agents of an anonymous mechanism
-share one set of rows, so the kernel sweeps agent 1's once and relabels
-its violations for the others.  The pass needs no memo; a mechanism's
-memo stays empty.  :func:`obic_decomposition_report` builds the rows once
-for OBIC and the em/ui/li sweep.  :func:`interim_share_vector` is a
-separate Fraction route, and replaying a witness reads its rows only from
-that route.
+one off-support report carry weight.  The rows come by one of two
+routes.  An anonymous and neutral mechanism (``Mechanism.anonymous`` and
+``Mechanism.neutral``: PS, RP, eating at one speed for all) gives every
+agent the same rows, and relabeling the objects relabels them, so every
+report's row is read from the identity report's.  A walk over the
+multisets of the identity report's opponent reports, pruned wherever no
+report is weighed, evaluates each multiset that weighs some report once,
+at any n (2,600 PS evaluations at n=4 under the uniform prior, 1,736
+under a prior on half the preferences).  Any other mechanism is
+evaluated once per profile with at most one off-support report, and each
+agent's rows are summed over ordered opponent profiles.  Both routes
+evaluate through :meth:`Mechanism.scaled_assignment`, stream into the
+sums and hold no table.  Every agent's rows come out as integers over one
+denominator, ``mech.D * Q**(n-1)``, and OBIC and the interim em/ui/li run
+on them in the ex-post pair sweep's column kernel
+(:class:`ramkit.axioms._PairSweep`), one single-cell batch per agent.
+The agents of an anonymous and neutral mechanism share one set of rows,
+so the kernel sweeps agent 1's once and relabels its violations for the
+others.  The pass needs no memo; a mechanism's memo stays empty.
+:func:`obic_decomposition_report` builds the rows once for OBIC and the
+em/ui/li sweep.  :func:`interim_share_vector` is a separate Fraction
+route, and replaying a witness reads its rows only from that route.
 """
 
 from __future__ import annotations
@@ -45,6 +43,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -53,7 +52,6 @@ from typing import Optional
 
 from .core import (
     ONE,
-    SWEEP_CAP,
     ZERO,
     Instance,
     Preference,
@@ -181,6 +179,13 @@ def _check_prior(mech: Mechanism, prior: Prior) -> None:
         )
 
 
+def _check_agents(n: int, agents) -> None:
+    """Reject an agent index outside ``0..n-1``."""
+    for i in agents:
+        if not 0 <= i < n:
+            raise ValueError(f"agent {i + 1} is not one of agents 1..{n}")
+
+
 def _interim_rows(
     mech: Mechanism, prior: Prior, *, agents=None, max_n: Optional[int] = None
 ) -> tuple[dict[int, list[list[int]]], int]:
@@ -197,13 +202,11 @@ def _interim_rows(
     agent i's interim row for report r is the sum over opponent profiles of
     ``prod_{j != i} w[P_j] * row_i(P)``, over ``Q**(n-1)``.  Only profiles in
     which at least n-1 agents report a positive-probability preference
-    carry weight for some agent.  Every agent of an anonymous mechanism
-    gets the same rows.  Up to ``SWEEP_CAP`` a neutral one is evaluated
-    once per weighing multiset of the identity report's opponent reports
-    (:func:`_neutral_sums`); any other anonymous one, or one past the cap,
-    where the ``m x m`` weight columns would not fit, once per multiset of
-    such reports (:func:`_multiset_sums`); any other mechanism once per
-    such profile (:func:`_profile_sums`).  Every route evaluates through
+    carry weight for some agent.  Every agent of an anonymous and neutral
+    mechanism gets the same rows, evaluated once per weighing multiset of
+    the identity report's opponent reports (:func:`_neutral_sums`); any
+    other mechanism is evaluated once per such profile
+    (:func:`_profile_sums`).  Both routes evaluate through
     :meth:`Mechanism.scaled_assignment`, and the weighted numerators over
     ``mech.D`` are summed as integers.  No Fraction is built.
     """
@@ -213,16 +216,11 @@ def _interim_rows(
     n = instance.n
     prefs = enumerate_preferences(instance, max_n=max_n)
     agents = tuple(instance.agents) if agents is None else tuple(agents)
-    for i in agents:
-        if not 0 <= i < n:
-            raise ValueError(f"agent {i + 1} is not one of agents 1..{n}")
+    _check_agents(n, agents)
     q = math.lcm(*(p.denominator for p in prior.probs))
     weights = [p.numerator * (q // p.denominator) for p in prior.probs]
-    if mech.anonymous:
-        if mech.neutral and n <= SWEEP_CAP:
-            sums = _neutral_sums(mech, prefs, weights)
-        else:
-            sums = _multiset_sums(mech, prefs, weights)
+    if mech.anonymous and mech.neutral:
+        sums = _neutral_sums(mech, prefs, weights)
         rows_by_agent = {i: sums for i in agents}  # read only, never written
     else:
         rows_by_agent = _profile_sums(mech, prefs, weights, agents)
@@ -236,71 +234,63 @@ def _add(acc: list[int], weight: int, row) -> None:
             acc[a] += weight * x
 
 
-def _multiset_sums(mech: Mechanism, prefs, weights: list[int]) -> list[list[int]]:
-    """Weighted numerators of any agent's interim row for each report of
-    an anonymous mechanism.
-
-    The row for report r is ``sum_M mult(M) * prod(w[M]) * row(r, M)`` over
-    the multisets ``M`` of n-1 on-support opponent reports, where
-    ``mult(M) = (n-1)! / prod(c!)`` counts the orderings of ``M``.  Each
-    multiset of n reports with at most one off the support is evaluated
-    once, at its sorted profile (:func:`ramkit.domain.multiset_rows`), and
-    streamed into the sums; nothing else is held."""
-    n = len(prefs[0])
-    on = [k for k, w in enumerate(weights) if w]
-    off = [k for k, w in enumerate(weights) if not w]
-    multisets = itertools.chain(
-        itertools.combinations_with_replacement(on, n),
-        (
-            tuple(sorted(rest + (k,)))
-            for k in off
-            for rest in itertools.combinations_with_replacement(on, n - 1)
-        ),
-    )
-    sums = [[0] * n for _ in prefs]
-    for r, others, row in multiset_rows(mech, prefs, multisets):
-        weight = math.prod(weights[o] for o in others)
-        if weight:
-            _add(sums[r], _orderings(others) * weight, row)
-    return sums
-
-
 def _neutral_sums(mech: Mechanism, prefs, weights: list[int]) -> list[list[int]]:
     """Weighted numerators of any agent's interim row for each report of
     an anonymous and neutral mechanism, from one evaluation per multiset
-    of opponent reports of the identity report ``prefs[0]``.
+    of opponent reports of the identity report ``prefs[0]`` that weighs
+    some report.
 
     With ``s_r`` the relabeling that maps object ``r[k]`` to ``k``,
     neutrality gives ``row(r, M)[r[k]] = row(id, s_r M)[k]``.  So, with
     ``M' = s_r M``, the share of object ``r[k]`` in the row for report r is
     ``sum_M' mult(M') * prod_{p in M'} w[r o p] * row(id, M')[k]`` over the
-    ``C(m+n-2, n-1)`` multisets ``M'`` of n-1 reports, where ``r o p =
-    s_r^-1 p`` reads p's objects through r.  Column ``cols[p][r] = w[r o
-    p]``, so the elementwise product of ``M'``'s columns weighs ``M'`` for
-    every report at once; ``M'`` is evaluated only if some weight is
-    nonzero, once, at the sorted profile ``(id,) + M'``
-    (:func:`ramkit.domain.multiset_rows`), and streamed into the sums;
-    nothing else is held."""
-    n, m = len(prefs[0]), len(prefs)
+    multisets ``M'`` of n-1 reports, where ``r o p = s_r^-1 p`` reads p's
+    objects through r.  The walk grows the sorted ``M'`` one report at a
+    time and keeps, at each prefix, only the reports r whose prefix
+    weight ``prod w[r o p]`` is nonzero, with that weight.  Children come
+    from ``steps[r]``: every p with ``r o p`` on the support, that is
+    ``p[a] = r^-1(q[a])`` for an on-support q, with ``w[q]``; it holds
+    ``m * s`` entries for ``s`` reports on the support (288 for a prior on
+    half of n=4's preferences, 10,080 on two of n=7's; a full-support
+    prior at n=7 would make it ``m**2``, 25 M).  A full ``M'`` is
+    evaluated once, at the sorted profile ``(id,) + M'``
+    (:func:`ramkit.domain.multiset_rows`), and streamed into the sums."""
+    n = len(prefs[0])
     index = {p: k for k, p in enumerate(prefs)}
-    cols = [[weights[index[tuple([r[a] for a in p])]] for r in prefs] for p in prefs]
-    # acc[k][r]: numerator of the share of object r[k] for report r
-    acc = [[0] * m for _ in range(n)]
-    for others in itertools.combinations_with_replacement(range(m), n - 1):
-        ws = cols[others[0]] if others else [1] * m
-        for o in others[1:]:
-            ws = [a * b for a, b in zip(ws, cols[o])]
-        if not any(ws):
-            continue
-        mult = _orderings(others)
-        for r, _, row in multiset_rows(mech, prefs, ((0,) + others,)):
-            if r:
-                continue  # the other reports' rows only run the anonymity guard
-            for k, x in enumerate(row):
-                if x:
-                    c = mult * x
-                    acc[k] = [a + c * w for a, w in zip(acc[k], ws)]
-    return [[acc[pref.index(a)][r] for a in range(n)] for r, pref in enumerate(prefs)]
+    on = [(q, w) for q, w in zip(prefs, weights) if w]
+    # steps[r]: (p, w[r o p]) for every p with r o p on the support, by p
+    steps = []
+    for r in prefs:
+        inverse = [0] * n
+        for k, a in enumerate(r):
+            inverse[a] = k
+        steps.append(sorted((index[tuple([inverse[a] for a in q])], w) for q, w in on))
+    # acc[r][k]: numerator of the share of object r[k] for report r
+    acc = [[0] * n for _ in prefs]
+
+    def walk(members: tuple[int, ...], node: list[tuple[int, int]]) -> None:
+        if len(members) == n - 1:
+            mult = _orderings(members)
+            for r, _, row in multiset_rows(mech, prefs, ((0,) + members,)):
+                if r:
+                    continue  # the other reports' rows only run the anonymity guard
+                terms = [(k, mult * x) for k, x in enumerate(row) if x]
+                for s, weight in node:
+                    shares = acc[s]
+                    for k, c in terms:
+                        shares[k] += c * weight
+            return
+        children: dict[int, list[tuple[int, int]]] = {}
+        for r, weight in node:
+            step = steps[r]
+            # p >= the last member keeps M' sorted; () sorts before every step
+            for p, w in step[bisect_left(step, members[-1:]):]:
+                children.setdefault(p, []).append((r, weight * w))
+        for p in sorted(children):
+            walk(members + (p,), children[p])
+
+    walk((), [(r, 1) for r in range(len(prefs))])
+    return [[acc[r][pref.index(a)] for a in range(n)] for r, pref in enumerate(prefs)]
 
 
 def _orderings(reports: tuple[int, ...]) -> int:
@@ -365,6 +355,9 @@ def interim_share_vector(
     _check_prior(mech, prior)
     _check_sweep_cap(instance.n, max_n)
     n = instance.n
+    _check_agents(n, (agent,))
+    if sorted(report) != list(range(n)):
+        raise ValueError(f"report {report} is not a preference over the {n} objects")
     support = [(p, w) for p, w in prior.items() if w != 0]
     acc = [ZERO] * n
     for combo in itertools.product(support, repeat=n - 1):
@@ -381,7 +374,8 @@ class _RowCells:
     """Interim rows as a source for the pair kernel: one cell per agent,
     every row over the one denominator ``D``.  It is ``anonymous`` when
     every agent shares one set of rows, as :func:`_interim_rows` gives an
-    anonymous mechanism's agents, so the kernel sweeps them once."""
+    anonymous and neutral mechanism's agents, so the kernel sweeps them
+    once."""
 
     cells = 1
 

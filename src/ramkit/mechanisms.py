@@ -30,7 +30,8 @@ eating mechanism are, whatever the speeds, because speeds belong to
 agents, not to objects; a table is not assumed to be.
 ``Mechanism.neutral`` states this fact.  An anonymous and neutral
 mechanism's interim rows come from one evaluation per multiset of
-opponent reports of one fixed report (:mod:`ramkit.interim`).  The
+opponent reports of one fixed report, at any n; any other mechanism's
+from one evaluation per profile (:mod:`ramkit.interim`).  The
 ex-post neutrality sweep never reads the declaration, so it stays a real
 check.
 """

@@ -95,6 +95,14 @@ def half_support_prior(instance):
     ))
 
 
+def two_point_prior(instance):
+    """Half on each of the first two preferences, zero on the rest."""
+    from ramkit.interim import Prior
+
+    m = math.factorial(instance.n)
+    return Prior(instance, (Fraction(1, 2),) * 2 + (Fraction(0),) * (m - 2))
+
+
 HALF = Fraction(1, 2)
 
 #: Mechanism kinds of :func:`build_mechanism`.
@@ -263,7 +271,7 @@ class CountingUndeclaredPS(CountingPS):
 
 class CountingNonNeutralPS(CountingPS):
     """A counting PS that declares itself anonymous but not neutral, so its
-    interim rows come from the multiset pass."""
+    interim rows come from the per-profile pass."""
 
     neutral = False
 

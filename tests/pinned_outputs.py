@@ -4,9 +4,9 @@ Every row of :data:`PINS` is a ``ram`` command with the exit code it must
 give and the sha256 of the stdout it must write.  Each command runs as its
 own child, ``python -m ramkit.cli`` with this checkout's ``src`` first on
 ``PYTHONPATH``, and its stdout is hashed through a real pipe as the child
-writes it.  ``{sea3}``, ``{sea4}``, ``{half4}`` and ``{table3}`` in a
-command name the input files that :func:`write_inputs` builds; no input
-file reaches the output.
+writes it.  ``{sea3}``, ``{sea4}``, ``{half4}``, ``{two5}`` and
+``{table3}`` in a command name the input files that :func:`write_inputs`
+builds; no input file reaches the output.
 
 Run it with no arguments::
 
@@ -28,7 +28,12 @@ from typing import NamedTuple
 SRC = Path(__file__).resolve().parents[1] / "src"
 sys.path.insert(0, str(SRC))
 
-from helpers import half_support_prior, huge_denominator_table, nonunit_schedule  # noqa: E402
+from helpers import (  # noqa: E402
+    half_support_prior,
+    huge_denominator_table,
+    nonunit_schedule,
+    two_point_prior,
+)
 from ramkit.core import Instance, enumerate_profiles  # noqa: E402
 from ramkit.formats import render_prior_file, render_speed_file, render_table_file  # noqa: E402
 
@@ -60,6 +65,10 @@ PINS = """
 # exact interim shares of rp and ps under that prior, which is not neutral; recorded while interim rows were built once per report multiset
 0 35fc4147df2f99eadb049bded25e4b3e57220266935b39ed27523f98f98e02f1 ranks --mechanism rp --n 4 --prior file:{half4} --format machine
 0 f089d501d16b038bf39b38f07f82756a49eb31cfb016a1d2d557d0fcffd591c3 ranks --mechanism ps --n 4 --prior file:{half4} --format machine
+# interim rows past the preference cap: ps and rp at n=5 under half on each of the first two preferences; recorded while anonymous rows past n=4 were built once per report multiset
+0 b51f4158b0c9a8a7b6e8b3db7466a62b20ebe9b23855736d6901532c7333affd ranks --mechanism ps --n 5 --max-n 5 --prior file:{two5} --format machine
+1 69f303ddce5331786055f4b2d9e7b4a6ca263b2321c457da7a6d546739d906d8 obic --mechanism ps --n 5 --max-n 5 --prior file:{two5} --format machine
+0 b0b9c439e633e5a685706d50156c0e1b637fb352ed53d5abfbfc0f25fbe88b34 obic --mechanism rp --n 5 --max-n 5 --prior file:{two5} --format machine
 # --jobs 1 twins of the rows whose table is filled on the pool: no output depends on --jobs
 1 a9cd90eca2d1be8290b39d52192318455096a4437a1b8ae004a3ef8da5dec1a1 check --axiom li --mechanism sea:{sea4} --n 4 --mode exhaustive --format machine --jobs 1
 1 3bb098e9ef9481c61c327f3c53a9dd46f1068a2694954812b3f8d01d466b735a check --axiom li --mechanism sea:{sea4} --n 4 --format machine --jobs 1
@@ -147,12 +156,13 @@ def ram_env():
 def write_inputs(directory):
     """Write the input files the rows name into ``directory``; return their
     paths by name."""
-    n3, n4 = Instance.default(3), Instance.default(4)
+    n3, n4, n5 = Instance.default(3), Instance.default(4), Instance.default(5)
     table = huge_denominator_table(n3, seed=64)
     texts = {
         "sea3": render_speed_file(nonunit_schedule(3)),
         "sea4": render_speed_file(nonunit_schedule(4)),
         "half4": render_prior_file(half_support_prior(n4)),
+        "two5": render_prior_file(two_point_prior(n5)),
         "table3": render_table_file(
             n3, {p: table.assignment(p) for p in enumerate_profiles(n3)}
         ),

@@ -17,6 +17,7 @@ from helpers import (
     interim_shares_oracle,
     interim_sweep_oracle,
     random_prior,
+    two_point_prior,
 )
 from ramkit.core import (
     CapExceededError,
@@ -104,13 +105,17 @@ class TestPrior:
     def test_builds_past_the_preference_cap(self):
         """A prior lists all n! probabilities, so n=7 needs no ``max_n``;
         PS's rank vectors under a prior on two preferences, from one pass
-        with ``max_n=7``, match the Fraction route on and off the support."""
+        with ``max_n=7``, match the Fraction route on and off the support.
+        The pass evaluates PS once at each of 17,640 identity multisets."""
         instance = Instance.default(7)
         assert len(uniform_prior(instance).probs) == 5040
-        prior = Prior(instance, (F(1, 2), F(1, 2)) + (F(0),) * 5038)
+        prior = two_point_prior(instance)
         prefs = enumerate_preferences(instance, max_n=7)
+        counting = CountingPS(instance)
+        (report,) = rank_vector_reports(counting, prior, (0,), max_n=7)
+        assert len(counting.counts) == 17_640
+        assert set(counting.counts.values()) == {1}
         ps = ProbabilisticSerial(instance)
-        (report,) = rank_vector_reports(ps, prior, (0,), max_n=7)
         for pref in (prefs[0], prefs[1], prefs[2], prefs[-1]):
             shares = interim_share_vector(ps, 0, pref, prior, max_n=7).shares
             assert report.vectors[pref] == tuple(shares[a] for a in pref)
@@ -146,6 +151,19 @@ class TestInterimShares:
                 opponents = tuple(star for _ in range(2))
                 expected = ps3.assignment(insert_report(opponents, agent, report))[agent]
                 assert interim_share_vector(ps3, agent, report, prior).shares == expected
+
+    @pytest.mark.parametrize("agent", (-1, 3))
+    def test_unknown_agent_rejected(self, instance3, uniform3, agent):
+        """Index -1 would otherwise read agent 3's row, and index 3 raise
+        an IndexError."""
+        sd = SerialDictatorship(instance3, (0, 1, 2))
+        with pytest.raises(ValueError, match=f"agent {agent + 1} is not one of agents 1..3"):
+            interim_share_vector(sd, agent, (A, B, C), uniform3)
+
+    @pytest.mark.parametrize("report", ((A, B), (A, A, B)))
+    def test_report_not_a_preference_rejected(self, ps3, uniform3, report):
+        with pytest.raises(ValueError, match="is not a preference over the 3 objects"):
+            interim_share_vector(ps3, 0, report, uniform3)
 
     def test_rank_ordered_under_uniform(self, ps3, uniform3):
         vec = interim_share_vector(ps3, 0, (A, B, C), uniform3).shares
@@ -508,20 +526,23 @@ class TestOnePassRows:
             _interim_rows(ps3, uniform3, agents=(3,))
 
     def test_each_support_profile_evaluated_once(self, instance3):
-        """A mechanism not declared anonymous is evaluated once at every
-        profile with at most one off-support report."""
+        """A mechanism not declared anonymous, or declared anonymous but not
+        neutral, is evaluated once at every profile with at most one
+        off-support report."""
         prior = half_support_prior(instance3)
         on = {p for p, w in prior.items() if w}
-        mech = CountingUndeclaredPS(instance3, cache=True)
-        report = obic_decomposition_report(mech, prior)
-        assert report.obic.profiles_checked == 3 * 6
         expected = {
             profile for profile in itertools.product(enumerate_preferences(instance3), repeat=3)
             if sum(p not in on for p in profile) <= 1
         }
-        assert set(mech.counts) == expected
-        assert set(mech.counts.values()) == {1}
-        assert mech._cache == {}
+        for cls in (CountingUndeclaredPS, CountingNonNeutralPS):
+            mech = cls(instance3, cache=True)
+            assert not (mech.anonymous and mech.neutral)
+            report = obic_decomposition_report(mech, prior)
+            assert report.obic.profiles_checked == 3 * 6
+            assert set(mech.counts) == expected, cls
+            assert set(mech.counts.values()) == {1}, cls
+            assert mech._cache == {}
 
     @pytest.mark.parametrize("n,support", ((3, "half"), (4, "half"), (4, "uniform")))
     def test_each_identity_multiset_evaluated_once(self, n, support):
@@ -548,33 +569,6 @@ class TestOnePassRows:
         assert len(expected) <= math.comb(len(prefs) + n - 2, n - 1)
         assert len(expected) == {(3, "half"): 18, (4, "half"): 1_736,
                                  (4, "uniform"): 2_600}[n, support]
-        assert mech._cache == {}
-
-    @pytest.mark.parametrize("n,support", ((3, "half"), (4, "half"), (4, "uniform")))
-    def test_each_support_multiset_evaluated_once(self, n, support):
-        """An anonymous mechanism not declared neutral is evaluated once per
-        multiset of reports with at most one off the support, at its sorted
-        profile: ``C(s+n-1, n) + (m-s) * C(s+n-2, n-1)`` evaluations for
-        ``s`` of the ``m`` preferences on the support."""
-        instance = Instance.default(n)
-        prior = half_support_prior(instance) if support == "half" else uniform_prior(instance)
-        prefs = enumerate_preferences(instance)
-        on = [prior.of(p) != 0 for p in prefs]
-        mech = CountingNonNeutralPS(instance, cache=True)
-        assert mech.anonymous and not mech.neutral
-        report = obic_decomposition_report(mech, prior)
-        assert report.obic.profiles_checked == n * len(prefs)
-        expected = {
-            tuple(prefs[r] for r in reports)
-            for reports in itertools.combinations_with_replacement(range(len(prefs)), n)
-            if sum(not on[r] for r in reports) <= 1
-        }
-        assert set(mech.counts) == expected
-        assert set(mech.counts.values()) == {1}
-        m, s = len(prefs), sum(on)
-        assert len(expected) == math.comb(s + n - 1, n) + (m - s) * math.comb(s + n - 2, n - 1)
-        assert len(expected) == {(3, "half"): 28, (4, "half"): 5_733,
-                                 (4, "uniform"): 17_550}[n, support]
         assert mech._cache == {}
 
     def test_rank_vector_reports_share_one_pass(self, instance3, violating_prior):
@@ -615,8 +609,9 @@ class NonNeutralEating(SimultaneousEating):
 
 def _three_routes(kind, instance):
     """A neutral anonymous mechanism of ``kind``, the same mechanism not
-    declared neutral, and not declared anonymous, so that its interim rows
-    come from the neutral pass, the multiset pass and the per-profile pass."""
+    declared neutral, and not declared anonymous: the first's interim rows
+    come from the identity-multiset walk, the other two's from the
+    per-profile pass."""
     if kind == "ps":
         return (ProbabilisticSerial(instance), CountingNonNeutralPS(instance),
                 CountingUndeclaredPS(instance))
@@ -628,8 +623,8 @@ def _three_routes(kind, instance):
 
 
 class TestMultisetPass:
-    """The neutral pass and the multiset pass of an anonymous mechanism give
-    the per-profile pass's rows exactly, and the Fraction oracle's."""
+    """The identity-multiset walk of an anonymous and neutral mechanism
+    gives the per-profile pass's rows exactly, and the Fraction oracle's."""
 
     @pytest.mark.parametrize("kind", ("ps", "rp", "sea-unit"))
     def test_rows_match_per_profile_pass_and_oracle(self, kind, instance3, violating_prior):
@@ -657,12 +652,12 @@ class TestMultisetPass:
 
     @pytest.mark.parametrize("kind", ("ps", "rp", "sea-unit"))
     def test_sweeps_match_undeclared_twin(self, kind, instance3):
-        """An anonymous mechanism's agents share one set of interim rows, so
-        the kernel sweeps agent 1 and relabels; the undeclared twin is swept
-        agent by agent, and every outcome comes out the same."""
+        """An anonymous and neutral mechanism's agents share one set of
+        interim rows, so the kernel sweeps agent 1 and relabels; its twins
+        are swept agent by agent, and every outcome comes out the same."""
         mech, non_neutral, undeclared = _three_routes(kind, instance3)
         assert _RowCells(*_interim_rows(mech, uniform_prior(instance3))).anonymous
-        assert _RowCells(*_interim_rows(non_neutral, uniform_prior(instance3))).anonymous
+        assert not _RowCells(*_interim_rows(non_neutral, uniform_prior(instance3))).anonymous
         assert not _RowCells(*_interim_rows(undeclared, uniform_prior(instance3))).anonymous
         priors = (
             uniform_prior(instance3),
@@ -690,24 +685,25 @@ class TestMultisetPass:
         instance = Instance.default(4)
         prior = half_support_prior(instance)
         fast, fast_common = _interim_rows(ProbabilisticSerial(instance), prior)
-        multiset, multiset_common = _interim_rows(CountingNonNeutralPS(instance), prior)
         slow, slow_common = _interim_rows(CountingUndeclaredPS(instance), prior)
-        assert fast_common == multiset_common == slow_common
-        assert list(fast) == list(multiset) == list(slow) == [0, 1, 2, 3]
+        assert fast_common == slow_common
+        assert list(fast) == list(slow) == [0, 1, 2, 3]
         for agent in instance.agents:
-            assert fast[agent] == multiset[agent] == slow[agent], agent
+            assert fast[agent] == slow[agent], agent
 
     def test_false_anonymity_raises(self, instance3, uniform3):
-        """The false declaration raises in the neutral pass, which
-        ``AnonymousSD`` takes with SD's neutrality, and in the multiset
-        pass."""
+        """The false declaration raises in the identity-multiset walk, which
+        ``AnonymousSD`` takes with SD's neutrality.  Not declared neutral,
+        it takes the per-profile pass, which never reads the declaration,
+        and its outcome is plain SD's."""
         mech = AnonymousSD(instance3, (0, 1, 2))
         assert mech.neutral
         with pytest.raises(ValueError, match="declared anonymous"):
             check_obic(mech, uniform3)
         mech.neutral = False
-        with pytest.raises(ValueError, match="declared anonymous"):
-            check_obic(mech, uniform3)
+        assert check_obic(mech, uniform3) == check_obic(
+            SerialDictatorship(instance3, (0, 1, 2)), uniform3
+        )
 
 
 class TestReplay:
