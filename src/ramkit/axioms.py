@@ -28,7 +28,11 @@ exhaustive sweep is refused before anything is evaluated.
 
 The report-pair axioms share one column kernel, :class:`_PairSweep`,
 with the interim checks of :mod:`ramkit.interim` (where strategy-proofness
-is OBIC), and keep their violations as integer records: a
+is OBIC).  It reads each batch of cells once and compares every axiom
+still checked over all of it; in first mode the batches grow, an axiom
+stops being checked after the batch of its first violation, and the
+counters of a cell-by-cell sweep follow from the cell and comparison
+block where each axiom fell.  Violations are kept as integer records: a
 :class:`~ramkit.reports.Violations` builds a ViolationReport only when one
 is read.  :func:`_replay_pair` is the one replay comparison for both
 families.  Neutrality, equal treatment of equals and ordinal and ex-post
@@ -176,31 +180,28 @@ class _PairSweep:
     name a cell's profile (``profile=``); with one, the source is interim
     rows and the reports carry ``truth=`` and ``prior=``.  ``labels`` (see
     :data:`_EX_POST_LABELS`) names the axioms and details.  A source whose
-    ``anonymous`` is true gives every agent the same columns: a table filled
-    by multiset, or the interim rows of an anonymous mechanism.
+    ``anonymous`` is true gives every agent the same columns: a table
+    filled by multiset, or the interim rows of an anonymous and neutral
+    mechanism.
 
-    Each comparison slot (em raised or lowered, ui above or li below the
+    Each batch is read once and every live axiom is compared over all of
+    it.  A comparison slot (em raised or lowered, ui above or li below the
     pair, for each swap pair; sp and weak-sp per prefix, for each ordered
-    report pair) first compares two whole columns; only columns that
-    differ are scanned for the cells that fail.  The failing cells of a
-    slot form one group.  At the end of the batch each axiom's groups
-    become one :class:`~ramkit.reports.PairBatch` of integer arrays (cells,
-    numerators, ranks), with an ``order`` sorted by an integer key that
-    orders like (cell, report pair, slot): the order in which a
-    cell-by-cell sweep finds them.  No ViolationReport is built; each
-    outcome's ``violations`` is a :class:`~ramkit.reports.Violations` over
-    its batches, which builds a report only when one is read.
+    report pair) compares two whole columns and scans only columns that
+    differ.  Each axiom's failing cells become one
+    :class:`~ramkit.reports.PairBatch` of integer arrays, ordered by a key
+    that orders like (cell, report pair, slot): the order in which a
+    cell-by-cell sweep finds them.  No ViolationReport is built.
 
-    Exhaustive sweeps take one batch per agent.  On an anonymous source
-    they sweep agent 0 only: every other agent fails the same slots in the
-    same cells, so its batches are agent 0's under its own number, and the
-    rows read and comparisons count n times over.  With ``first_only`` the
-    batches grow (1, 1, 2, 4, ... cells, up to :data:`_FIRST_BATCH_CAP`); a
-    batch in which a live axiom fails is swept again cell by cell, where
-    an axiom stops being checked right after the comparison block that
-    found its first violation.  The sweep ends after the cell in which the
-    last axiom fell, and each outcome keeps its first violation, so
-    counters equal those of a cell-by-cell sweep.
+    :meth:`run` alone knows the mode.  Exhaustive sweeps take one batch per
+    agent; first mode takes batches of 1, 1, 2, 4, ... cells, up to
+    :data:`_FIRST_BATCH_CAP`, drops an axiom after the batch in which it
+    first fails, and keeps only its first violation.  On an anonymous
+    source only agent 1 is swept: every other agent fails the same slots in
+    the same cells.  The counters are those of a cell-by-cell sweep that
+    stops checking an axiom right after the comparison block of its first
+    violation, and stops after the cell in which the last axiom fell; they
+    are computed from where each axiom fell, not tallied.
     """
 
     def __init__(
@@ -208,117 +209,106 @@ class _PairSweep:
         labels: dict = _EX_POST_LABELS, prior=None,
     ):
         self.prefs = prefs
-        self.m = len(prefs)
+        self.m = m = len(prefs)
         self.n = n = len(prefs[0])
         self.first_only = first_only
         self.labels = labels
         self.prior = prior
         self.found: dict[str, list[PairBatch]] = {ax: [] for ax in axioms}
         self.live = set(axioms)  # axioms still being checked
-        self.rows_read = 0
-        self.comparisons = 0
-        self._pairs = _swap_pairs(prefs)
+        self._pairs = pairs = _swap_pairs(prefs)
         self._singles = tuple((x,) for x in range(n))  # objects=(x,)
+        # Per axiom: the modulus of its violation keys (see _record), the
+        # key offsets in one comparison block, and the comparisons one cell
+        # makes before each block and, last, in all.  sp and weak-sp have
+        # one block per ordered report pair, of one comparison (none for
+        # t == v); the swap axioms one per swap pair p.
+        fosd_blocks = (m * m, 1, [t != v for t in range(m) for v in range(m)])
+        units = {
+            "sp": fosd_blocks, "weak-sp": fosd_blocks,
+            "em": (len(pairs) * n, n, [2] * len(pairs)),
+            "ui": (len(pairs) * n, n, [len(above) for *_, above, _ in pairs]),
+            "li": (len(pairs) * n, n, [len(below) for *_, below in pairs]),
+        }
+        self._blocks = {
+            ax: (modulus, width, list(itertools.accumulate(per_block, initial=0)))
+            for ax, (modulus, width, per_block) in units.items() if ax in axioms
+        }
 
     def run(self, source) -> dict[str, CheckOutcome]:
         """Sweep the agents of ``source`` in order and return each axiom's
         outcome under its label."""
-        if source.anonymous and not self.first_only:
-            self._batch(source, 0, 0, source.cells)
+        first_only, cells, agents = self.first_only, source.cells, source.agents
+        fell: dict[str, tuple[int, int]] = {}  # axiom -> cells before its first violation, block
+        for a, agent in enumerate(agents[:1] if source.anonymous else agents):
+            start = 0
+            while start < cells and self.live:
+                count = min(max(start, 1), _FIRST_BATCH_CAP, cells - start) if first_only else cells
+                failed = self._batch(source.columns(agent, start, count), agent, start, count)
+                if first_only:
+                    for ax, (cell, block) in failed.items():
+                        fell[ax] = (a * cells + cell, block)
+                        self.live.discard(ax)
+                start += count
+        if source.anonymous and not first_only:
             for ax, batches in self.found.items():
                 self.found[ax] = [
-                    batch._replace(agent=agent) for agent in source.agents for batch in batches
+                    batch._replace(agent=agent) for agent in agents for batch in batches
                 ]
-            self.rows_read *= len(source.agents)
-            self.comparisons *= len(source.agents)
-        else:
-            for agent in source.agents:
-                if self.first_only:
-                    self._first_batches(source, agent)
-                else:
-                    self._batch(source, agent, 0, source.cells)
-                if not self.live:
-                    break
+        visited = len(agents) * cells
+        if fell and not self.live:
+            visited = 1 + max(c for c, _ in fell.values())
+        comparisons = 0
+        for ax, (_, _, through) in self._blocks.items():
+            c, b = fell.get(ax, (visited, -1))  # an axiom that never fell: every visited cell
+            comparisons += through[-1] * c + through[b + 1]
         outcomes = {}
         for ax, batches in self.found.items():
-            if self.first_only and batches:  # keep the first violation
+            if first_only and batches:  # keep the first violation
                 batches = [batches[0]._replace(order=batches[0].order[:1])]
             name = self.labels[ax][0]
             outcomes[name] = CheckOutcome(
                 axiom=name,
                 satisfied=not batches,
                 violations=Violations(name, self.prefs, batches, source.D, self.prior),
-                profiles_checked=self.rows_read,
-                comparisons=self.comparisons,
+                profiles_checked=visited * self.m,
+                comparisons=comparisons,
             )
         return outcomes
 
-    def _first_batches(self, source, agent: int) -> None:
-        """``agent``'s cells in batches as large as all cells before them
-        (1, 1, 2, 4, ..., up to the cap); a batch in which a live axiom
-        fails is swept again cell by cell."""
-        start = 0
-        while start < source.cells and self.live:
-            count = min(max(start, 1), _FIRST_BATCH_CAP, source.cells - start)
-            if not self._batch(source, agent, start, count):
-                for cell in range(start, start + count):
-                    self._batch(source, agent, cell, 1)
-                    if not self.live:
-                        return
-            start += count
-
-    def _batch(self, source, agent: int, start: int, count: int) -> bool:
-        """Compare the columns of cells ``[start, start + count)`` and record
-        their violations.  With ``first_only`` and more than one cell, stop
-        at the first violation of a live axiom and return False, recording
-        and counting nothing."""
-        cols = source.columns(agent, start, count)
+    def _batch(self, cols, agent: int, start: int, count: int) -> dict[str, tuple[int, int]]:
+        """Compare every live axiom over ``cols``, the columns of cells
+        ``[start, start + count)``, and record their violations; for each
+        axiom that failed, the cell and comparison block of its first
+        violation."""
         # per axiom, groups of failing cells sharing a slot; see _record
         groups: dict[str, list] = {ax: [] for ax in self.live}
-        comparisons = 0
-        for compare in (self._compare_fosd, self._compare_swaps):
-            made = compare(cols, start, count, groups)
-            if made is None:
-                return False
-            comparisons += made
+        self._compare_fosd(cols, start, count, groups)
+        self._compare_swaps(cols, start, count, groups)
         del cols  # the groups hold their values; free the batch before recording
-        self.comparisons += comparisons
-        self.rows_read += count * self.m
+        failed = {}
         for ax, found in groups.items():
             if found:
-                modulus = self.m ** 2 if ax in _FOSD_AXIOMS else len(self._pairs) * self.n
-                self._record(ax, found, modulus, agent)
-        return True
+                modulus, width, _ = self._blocks[ax]
+                cell, offset = divmod(self._record(ax, found, modulus, agent), modulus)
+                failed[ax] = (cell, offset // width)
+        return failed
 
-    def _settle(self, groups: dict, axioms: tuple[str, ...], K: int) -> bool:
-        """After a comparison block under ``first_only``: stop checking each
-        of ``axioms`` that has a violation, or, probing a batch of ``K > 1``
-        cells, return False at the first such axiom."""
-        for ax in axioms:
-            if groups.get(ax):
-                if K > 1:
-                    return False
-                self.live.discard(ax)
-        return True
-
-    def _compare_fosd(self, cols, start: int, K: int, groups: dict) -> Optional[int]:
+    def _compare_fosd(self, cols, start: int, K: int, groups: dict) -> None:
         """sp and weak-sp, per ordered report pair (truth ``t``, deviation
         ``v``), on prefix columns along the truth's order, over cells
-        ``[start, start + K)``; the number of comparisons, or None when a
-        probe found a violation."""
+        ``[start, start + K)``."""
         live, labels = self.live, self.labels
-        if "sp" not in live and "weak-sp" not in live:
-            return 0
+        sp, weak = "sp" in live, "weak-sp" in live
+        if not (sp or weak):
+            return
         m, n = self.m, self.n
         cells = range(K)
-        comparisons = 0
         for t, truth in enumerate(self.prefs):
             mine = _prefix_columns(cols[t], truth)
             for v in range(m):
-                sp, weak = "sp" in live, "weak-sp" in live
-                if v == t or not (sp or weak):
+                if v == t:
                     continue
-                comparisons += K * (sp + weak)
                 theirs = _prefix_columns(cols[v], truth, None if sp else mine)
                 if len(theirs) < n:
                     continue  # only weak-sp is live, and no cell can fail it
@@ -343,25 +333,18 @@ class _PairSweep:
                         groups["weak-sp"].append(_fosd_group(
                             t, v, m, ">", labels["weak-sp"][1], start, dominated,
                         ))
-                if self.first_only and not self._settle(groups, _FOSD_AXIOMS, K):
-                    return None
-        return comparisons
 
-    def _compare_swaps(self, cols, start: int, K: int, groups: dict) -> Optional[int]:
+    def _compare_swaps(self, cols, start: int, K: int, groups: dict) -> None:
         """em, ui and li, per adjacent-swap pair of reports, over cells
-        ``[start, start + K)``; the number of comparisons, or None when a
-        probe found a violation."""
+        ``[start, start + K)``."""
         live, labels = self.live, self.labels
-        em, ui, li = "em" in live, "ui" in live, "li" in live
+        swap_axioms = [ax for ax in ("em", "ui", "li") if ax in live]
+        if not swap_axioms:
+            return
         cells = range(start, start + K)
-        comparisons = 0
         for p, (r, s, info, above, below) in enumerate(self._pairs):
-            if not (em or ui or li):
-                break
             old, new = cols[r], cols[s]
-            for ax, on in (("em", em), ("ui", ui), ("li", li)):
-                if not on:
-                    continue
+            for ax in swap_axioms:
                 if ax == "em":
                     slots = (
                         (0, info.raised, lt, "<", labels["em"][1]),
@@ -372,7 +355,6 @@ class _PairSweep:
                         (slot, x, ne, "!=", labels[ax][1])
                         for slot, x in enumerate(above if ax == "ui" else below)
                     ]
-                comparisons += len(slots) * K
                 for slot, x, op, relation, detail in slots:
                     if new[x] == old[x]:
                         continue
@@ -385,14 +367,10 @@ class _PairSweep:
                             _pack(list(itertools.compress(new[x], mask))),
                             _pack(list(itertools.compress(old[x], mask))),
                         ))
-            if self.first_only:
-                if not self._settle(groups, ("em", "ui", "li"), K):
-                    return None
-                em, ui, li = "em" in live, "ui" in live, "li" in live
-        return comparisons
 
-    def _record(self, ax, groups, modulus, agent) -> None:
-        """Append a batch's violation groups of ``ax`` as one record.
+    def _record(self, ax, groups, modulus, agent) -> int:
+        """Append a batch's violation groups of ``ax`` as one record and
+        return the least key.
 
         A group is ``(offset, r, s, swap, objects, relation, detail, cells,
         ranks, lhs, rhs)``: the cells failing the slot ``offset`` of the
@@ -410,6 +388,7 @@ class _PairSweep:
         order = array("q", sorted(range(len(keys)), key=keys.__getitem__))
         records = [group[1:] for group in groups]
         self.found[ax].append(PairBatch(agent, records, starts, order))
+        return keys[order[0]]
 
 
 def _fosd_group(
@@ -436,11 +415,12 @@ def run_pair_sweep(
 ) -> dict[str, CheckOutcome]:
     """Sweep several report-pair axioms in one pass over the domain.
 
-    Every bundled axiom reads the table of :func:`_domain_table`, which
-    decides whether it is filled, as report columns: one batch per agent in
-    exhaustive mode (agent 0's only on an anonymous mechanism's table), and
-    in first mode growing batches of cells until every axiom has a
-    violation.  The table is dropped when the sweep returns.
+    The bundled axioms read the table of :func:`_domain_table`, which
+    decides whether it is filled, as report columns through one
+    :class:`_PairSweep`: one batch per agent in exhaustive mode, and in
+    first mode growing batches of cells until every axiom has a violation.
+    A table filled by multiset gives every agent the same columns, so only
+    agent 1's are read.  The table is dropped when the sweep returns.
 
     ``profiles_checked`` counts rows read (the agent's report varies over
     all n! preferences in each cell), not distinct evaluations.

@@ -72,7 +72,7 @@ def build_mechanism(
     needs one from --n or the profile file.  ``max_n`` overrides random
     priority's enumeration cap.
     """
-    kind, _, arg = selector.partition(":")
+    kind, sep, arg = selector.partition(":")
     if kind == "table":
         if not arg:
             raise ValueError("table mechanism needs a file: table:<path>")
@@ -85,6 +85,8 @@ def build_mechanism(
         return mech
     if instance is None:
         raise ValueError("this command needs --n to build the mechanism")
+    if kind in ("ps", "rp") and sep:
+        raise ValueError(f"mechanism {kind} takes no argument; got {selector!r}")
     if kind == "ps":
         return ProbabilisticSerial(instance)
     if kind == "rp":

@@ -302,9 +302,8 @@ class CheckOutcome:
     agent.  Up to the sweep cap it reads a filled table, so it evaluates
     each profile at most once (an anonymous mechanism once per multiset of
     reports); past the cap it evaluates a profile on every read, once per
-    agent that reads it and again when a failed batch is swept cell by
-    cell.  A profile sweep (neutrality, ETE, OE,
-    ex-post) counts each profile it visits once.  ``comparisons`` counts
+    agent that reads it.  A profile sweep (neutrality, ETE, OE, ex-post)
+    counts each profile it visits once.  ``comparisons`` counts
     the exact comparisons made.  Both are deterministic for a given mode,
     independent of parallelism degree.
     """

@@ -52,6 +52,10 @@ PINS = """
 0 35c1dcf084d56b7d44a06bf421c91a8c91d55c755b7ff4a5ed53b74d715a1a16 check --axiom em --mechanism ps --n 4 --format machine
 1 ea28eded78e897de18666a2fc71c661db1b04319c11ef0db8478f6f5abeeae53 check --axiom sp --mechanism ps --n 4 --format machine
 1 3bb098e9ef9481c61c327f3c53a9dd46f1068a2694954812b3f8d01d466b735a check --axiom li --mechanism sea:{sea4} --n 4 --format machine --jobs 2
+# first-mode pair sweeps that run to the end (rp weak-sp, an sd order's em) and one past the cap, recorded while a batch holding a violation was swept again cell by cell
+0 f279c976a100423fa06c44d4d7f1460f0e4fc7d5c71577f9a2f8ff0d2e300d5b check --axiom weak-sp --mechanism rp --n 4 --format machine
+0 35c1dcf084d56b7d44a06bf421c91a8c91d55c755b7ff4a5ed53b74d715a1a16 check --axiom em --mechanism sd:4,2,1,3 --n 4 --format machine --jobs 2
+1 eafd837ccf61ff591740ad145046dbe85055ff3745a15dd92c2621c759bc46cd check --axiom li --mechanism ps --n 5 --max-n 5 --format machine
 # first-mode profile sweeps, recorded while first mode evaluated each profile as it read it
 1 4383174f5ccd7ce386256336b7cde17727a1396e6103f9f429df58080cefb8ea check --axiom oe --mechanism rp --n 4 --format machine
 0 bece1fcf79db51f9c97c6088b7e942997caacc91fd6d7905571ed518bc0c5c0e check --axiom oe --mechanism sd:4,2,1,3 --n 4 --format machine --jobs 2

@@ -97,6 +97,19 @@ class TestEval:
             f"e.g. sd:1,2,3; got '{order}'\n"
         )
 
+    @pytest.mark.parametrize("argv", (
+        ("check", "--axiom", "em", "--mechanism", "ps:garbage", "--n", "3"),
+        ("obic", "--mechanism", "rp:1,2", "--n", "3"),
+        ("check", "--axiom", "em", "--mechanism", "ps:", "--n", "3"),
+    ))
+    def test_ps_and_rp_take_no_argument(self, argv):
+        selector = argv[argv.index("--mechanism") + 1]
+        code, out, err = run_cli(*argv)
+        assert code == 2 and out == ""
+        assert err == (
+            f"ram: mechanism {selector.partition(':')[0]} takes no argument; got '{selector}'\n"
+        )
+
 
 class TestCheck:
     def test_sp_violated_exit_1(self):

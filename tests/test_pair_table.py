@@ -170,9 +170,83 @@ def test_first_sweep_at_n5_stops_early():
     assert not out.satisfied
     # li fails within agent 1's first two cells of 120 reports each
     assert len(mech.counts) <= 2 * 120
-    # past the cap every read evaluates; each profile is read once here only
-    # because those two cells are one-cell batches, never swept again
+    # past the cap every read evaluates, and every batch is read once
     assert set(mech.counts.values()) == {1}
+
+
+class LateEmPS(CountingPS):
+    """Counting PS with objects d and e exchanged in every row at one
+    profile: agent 1 reports abced against abcde, abcde, abcde, abedc.
+    Moving her report there from abcde raises e, and she then gets none of
+    e, where abcde got 1/20, so em first fails in her cell 5."""
+
+    def _shares(self, profile):
+        rows = super()._shares(profile)
+        prefs = enumerate_preferences(self.instance, max_n=5)
+        if profile == (prefs[1], prefs[0], prefs[0], prefs[0], prefs[5]):
+            rows = [[row[0], row[1], row[2], row[4], row[3]] for row in rows]
+        return rows
+
+
+def test_first_sweep_past_the_cap_reads_a_failed_batch_once():
+    """Past the cap every read evaluates.  em first fails in cell 5, inside
+    the batch of cells [4, 8), and each profile of that batch is evaluated
+    once: the batch is not swept again cell by cell."""
+    mech = LateEmPS(Instance.default(5))
+    out = run_pair_sweep(mech, ("em",), mode="first", max_n=5)["em"]
+    prefs = enumerate_preferences(mech.instance, max_n=5)
+    first = out.violations[0]
+    assert (first.agent, first.profile, first.deviation) == (
+        0, (prefs[0], prefs[0], prefs[0], prefs[0], prefs[5]), prefs[1],
+    )
+    assert out.profiles_checked == 6 * 120  # rows read by a cell-by-cell sweep
+    assert len(mech.counts) == 8 * 120  # batches 1, 1, 2, 4 cells
+    assert set(mech.counts.values()) == {1}
+
+
+@pytest.mark.parametrize("axioms", (("em", "weak-sp"), ("em", "li")))
+def test_first_sweep_of_anonymous_table_reads_agent_1_only(axioms, monkeypatch):
+    """em (and weak-sp) hold for PS, so a first-mode sweep runs to the end;
+    every agent of a table filled by multiset has the same columns, so it
+    reads agent 1's alone, and its outcomes equal those of a sweep that
+    reads every agent's."""
+    read = []
+    columns = DomainTable.columns
+
+    def recording(table, agent, start, count):
+        read.append(agent)
+        return columns(table, agent, start, count)
+
+    expected = run_pair_sweep(CountingUndeclaredPS(Instance.default(3)), axioms, mode="first")
+    monkeypatch.setattr(DomainTable, "columns", recording)
+    got = run_pair_sweep(CountingPS(Instance.default(3)), axioms, mode="first")
+    assert set(read) == {0}
+    assert got == expected
+    assert expected["em"].satisfied and expected["em"].profiles_checked == 3 * 6 ** 3
+
+
+class RowSwapPS(ProbabilisticSerial):
+    """PS, not declared anonymous, with agents 2 and 3 trading rows at one
+    profile: agent 1's columns are PS's, so em first fails in a later
+    agent than sp and li."""
+
+    anonymous = False
+
+    def _shares(self, profile):
+        rows = super()._shares(profile)
+        prefs = enumerate_preferences(self.instance)
+        if profile == (prefs[0], prefs[1], prefs[5]):
+            rows = [rows[0], rows[2], rows[1]]
+        return rows
+
+
+@pytest.mark.parametrize("axioms", (("sp", "em"), ("em", "li"), PAIR_AXIOMS))
+def test_first_sweep_when_axioms_fall_in_different_agents(axioms):
+    mech = RowSwapPS(Instance.default(3))
+    got = run_pair_sweep(mech, axioms, mode="first")
+    assert got == pair_sweep_oracle(mech, axioms, mode="first")
+    agents = {ax: got[ax].violations[0].agent for ax in axioms}
+    assert agents["em"] > min(agents.values()) == 0
 
 
 def test_satisfied_first_sweep_scans_domain_once():
@@ -475,7 +549,8 @@ def test_neutrality_stays_a_real_check_for_declared_neutral_mechanisms():
 
 
 # ---------------------------------------------------------------------------
-# mode="first": growing batches, refined cell by cell where an axiom falls
+# mode="first": growing batches, each read once; an axiom is dropped after
+# the batch in which it first fails
 # ---------------------------------------------------------------------------
 
 
