@@ -17,12 +17,16 @@ Every sweep reads the mechanism through an integer domain table
 (:mod:`ramkit.domain`) over the mechanism's one denominator ``D`` and
 compares shares as integers.  :func:`_domain_table` decides, from n alone,
 whether a sweep's table is filled.  Up to :data:`~ramkit.core.SWEEP_CAP`
-it is filled in either mode: an anonymous mechanism once per multiset of
-reports, in this process, and any other at every profile, by index range
-on up to ``jobs`` worker processes.  The comparisons then run in this
-process, so the violation list is identical for every parallelism degree.
-Equal treatment of equals never fills, so it stays a real check for a
-mechanism declared anonymous.  Past the cap only first mode runs: it
+it is filled in either mode: an anonymous and neutral mechanism once per
+multiset of the identity report's opponent reports, any other anonymous
+one once per multiset of reports, both in this process, and any other at
+every profile, by index range on up to ``jobs`` worker processes.  The
+comparisons then run in this process, so the violation list is identical
+for every parallelism degree.  A sweep never fills through the fact it
+checks: equal treatment of equals never fills, so it stays a real check
+for a mechanism declared anonymous, and neutrality fills an anonymous
+mechanism once per multiset of reports, so it stays a real check for one
+declared neutral.  Past the cap only first mode runs: it
 evaluates each profile as it reads it and keeps nothing, and an
 exhaustive sweep is refused before anything is evaluated.
 
@@ -90,11 +94,14 @@ def _resolve_mode(mode: Optional[str], n: int) -> str:
     return mode
 
 
-def _domain_table(mech: Mechanism, mode, max_n, jobs, fill=True) -> tuple[DomainTable, str]:
+def _domain_table(
+    mech: Mechanism, mode, max_n, jobs, fill=True, relabel=True
+) -> tuple[DomainTable, str]:
     """The sweep's table and resolved mode, after the cap checks.  Up to
     :data:`~ramkit.core.SWEEP_CAP` the table is filled on up to ``jobs``
-    workers when ``fill`` is set; past it the table is read unfilled, and an
-    exhaustive sweep, which would read the whole domain, is refused."""
+    workers when ``fill`` is set, through neutrality when ``relabel`` is
+    set (:meth:`DomainTable.fill`); past it the table is read unfilled, and
+    an exhaustive sweep, which would read the whole domain, is refused."""
     instance = mech.instance
     n = instance.n
     _check_sweep_cap(n, max_n)
@@ -103,7 +110,7 @@ def _domain_table(mech: Mechanism, mode, max_n, jobs, fill=True) -> tuple[Domain
         raise CapExceededError("exhaustive sweep", n, SWEEP_CAP, "mode='first'")
     table = DomainTable(mech, enumerate_preferences(instance, max_n=max_n))
     if n <= SWEEP_CAP and fill:
-        table.fill(jobs)
+        table.fill(jobs, relabel=relabel)
     return table, mode
 
 
@@ -550,8 +557,11 @@ def _profile_sweep(mech, axiom, mode, jobs, max_n) -> CheckOutcome:
     only the first ``(n!)**(n-1)`` profiles, those in which agent 1 reports
     the identity order: each relabeling orbit has exactly one of them."""
     # ETE reads only the profiles with two equal reports (a quarter of
-    # them at n=4), so it evaluates those as it reads them, with no fill
-    table, mode = _domain_table(mech, mode, max_n, jobs, fill=axiom != "ete")
+    # them at n=4), so it evaluates those as it reads them, with no fill;
+    # neutrality fills without reading rows through neutrality
+    table, mode = _domain_table(
+        mech, mode, max_n, jobs, fill=axiom != "ete", relabel=axiom != "neutral"
+    )
     test = _PROFILE_TESTS[axiom](table)
     first = mode == "first"
     violations: list[ViolationReport] = []

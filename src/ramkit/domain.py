@@ -17,18 +17,36 @@ agents before ``agent`` at ``c // s`` and those after at ``c % s``.
 ``prefs[r]``, one per cell.  Every value read is a numerator over the
 mechanism's one denominator ``D = mech.D``; nothing is rescaled.
 
-:meth:`DomainTable.fill` evaluates the whole domain, in one of two ways.
+Under neutrality (``Mechanism.neutral``) the relabeling ``s_r`` that maps
+object ``r[k]`` to ``k`` turns report ``r`` into the identity order
+``prefs[0]``; :func:`relabel_table` gives its action on report indices,
+once for the fill here and the interim rows of :mod:`ramkit.interim`.
 
-- An **anonymous** mechanism (``Mechanism.anonymous``; PS, RP, and eating
-  at one speed for all) gives an agent a row that depends only on her
-  report and the multiset of the others' reports.  Each multiset of ``n``
-  reports is evaluated once, in this process, at its sorted profile:
-  ``C(m+n-1, n)`` evaluations, 17,550 at n=4 instead of 331,776.  The table
-  keeps one row per report and multiset of ``n-1`` opponent reports
-  (24 x 2,600 at n=4), as Python ints, and raises if two agents with
-  equal reports get different rows.  Every cell has a multiset id, so a
-  column is gathered through the ids of its cells and is the same for
-  every agent.
+:meth:`DomainTable.fill` evaluates the whole domain by one of three
+routes.
+
+- An **anonymous and neutral** mechanism (PS, RP, and eating at one speed
+  for all) is evaluated once per multiset ``M'`` of ``n-1`` reports, at the
+  sorted profile ``(id,) + M'``: ``C(m+n-2, n-1)`` evaluations, 2,600 at
+  n=4 and 21 at n=3.  Every other report's row is read through
+  neutrality, ``row(r, M)[x] = row(id, s_r M)[k]`` with ``r[k] = x``.  The
+  rows the evaluations give the other reports of each profile are checked
+  against the rows read that way, so a false neutrality declaration
+  raises, as a false anonymity declaration does.  Every sweep that fills
+  takes this route except the neutrality sweep, which never fills through
+  the fact it checks (equal treatment of equals takes no fill).
+- An **anonymous** mechanism (``Mechanism.anonymous``), and the neutrality
+  sweep's anonymous and neutral one, gives an agent a row that depends
+  only on her report and the multiset of the others' reports.  Each
+  multiset of ``n`` reports is evaluated once, in this process, at its
+  sorted profile: ``C(m+n-1, n)`` evaluations, 17,550 at n=4 instead of
+  331,776.  Two agents with equal reports must get equal rows, or the
+  fill raises.
+
+  Both anonymous routes keep one row per report and multiset of ``n-1``
+  opponent reports (24 x 2,600 at n=4), as Python ints.  Every cell has a
+  multiset id, so a column is gathered through the ids of its cells and
+  is the same for every agent.
 - Any other mechanism is evaluated at every profile into **dense
   storage**: the ``n*n`` numerators of every profile.  Values live in a
   signed 64-bit array, and the table falls back to a list of Python ints
@@ -55,7 +73,7 @@ from __future__ import annotations
 import itertools
 import os
 from array import array
-from concurrent.futures import ProcessPoolExecutor
+from operator import add, itemgetter
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .core import Preference, Profile
@@ -86,6 +104,21 @@ def reports_at(prefs: Sequence[Preference], count: int, index: int) -> Profile:
         index, d = divmod(index, len(prefs))
         digits.append(prefs[d])
     return tuple(reversed(digits))
+
+
+def relabel_table(prefs: Sequence[Preference], among: Sequence[int]) -> list[list[int]]:
+    """``rel[r][j]``: the index in ``prefs`` of ``s_r(prefs[among[j]])``,
+    where ``s_r`` is the relabeling of the objects that maps ``prefs[r][k]``
+    to ``k``.  ``s_r`` turns report ``r`` into the identity order, and
+    ``s_r(p)`` reads ``p``'s objects through ``r``'s positions."""
+    index = {p: k for k, p in enumerate(prefs)}
+    rel = []
+    for r in prefs:
+        s = [0] * len(r)
+        for k, a in enumerate(r):
+            s[a] = k
+        rel.append([index[tuple([s[a] for a in prefs[p]])] for p in among])
+    return rel
 
 
 def _flat(mech: Mechanism, profile: Profile) -> list[int]:
@@ -206,20 +239,27 @@ class DomainTable:
 
     # -- filling -----------------------------------------------------------
 
-    def fill(self, jobs: int = 1) -> None:
+    def fill(self, jobs: int = 1, *, relabel: bool = True) -> None:
         """Evaluate the whole domain.  An anonymous mechanism is evaluated
-        once per multiset of reports, in this process.  Any other is
-        evaluated at every profile into dense storage, by index range on up
-        to ``jobs`` worker processes, never more than the CPU count; in this
-        process when ``jobs <= 1``."""
+        in this process: once per multiset of the identity report's
+        opponent reports when it is also neutral and ``relabel`` is set,
+        once per multiset of reports otherwise.  Any other is evaluated at
+        every profile into dense storage, by index range on up to ``jobs``
+        worker processes, never more than the CPU count; in this process
+        when ``jobs <= 1``.  The neutrality sweep clears ``relabel``, so
+        it does not fill through the fact it checks."""
         self.nums = self._rows = None
         if self.mech.anonymous:
-            self._fill_by_multiset()
+            self._fill_by_multiset(relabel and self.mech.neutral)
             return
         jobs = min(jobs, os.cpu_count() or 1)
         if jobs <= 1:
             self.nums = _evaluate_range(self.mech, self.prefs, 0, self.size)
             return
+        # imported here, so that importing the library does not load
+        # multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         step = -(-self.size // (jobs * _TASKS_PER_WORKER))
         bounds = [(lo, min(lo + step, self.size)) for lo in range(0, self.size, step)]
         nums: Store = array("q")
@@ -232,26 +272,73 @@ class DomainTable:
                 nums = _append(nums, part)
         self.nums = nums
 
-    def _fill_by_multiset(self) -> None:
-        """Evaluate each multiset of reports once, at its sorted profile, and
-        keep each distinct report's row under (report, multiset of the
-        others' reports).
+    def _fill_by_multiset(self, relabel: bool) -> None:
+        """Keep each report's row under (report, multiset of the others'
+        reports).  With ``relabel`` the rows come from one evaluation per
+        multiset of the identity report's opponent reports
+        (:meth:`_relabeled_rows`); without, from one evaluation per
+        multiset of reports, at its sorted profile.
 
         Raises ValueError if two agents with equal reports get different
         rows: the mechanism is then not anonymous."""
         m, n = self.m, self.n
-        ids = {
-            ms: k for k, ms in enumerate(itertools.combinations_with_replacement(range(m), n - 1))
-        }
-        rows: list[list] = [[None] * len(ids) for _ in range(m)]
-        multisets = itertools.combinations_with_replacement(range(m), n)
-        for r, others, row in multiset_rows(self.mech, self.prefs, multisets):
-            rows[r][ids[others]] = tuple(row)
-        self._rows = rows
+        multisets = list(itertools.combinations_with_replacement(range(m), n - 1))
+        ids = {ms: k for k, ms in enumerate(multisets)}
         self._multiset = array("l", [
             ids[tuple(sorted(cell))]
             for cell in itertools.product(range(m), repeat=n - 1)
         ])
+        if relabel:
+            self._rows = self._relabeled_rows(multisets, ids)
+            return
+        rows: list[list] = [[None] * len(ids) for _ in range(m)]
+        everyone = itertools.combinations_with_replacement(range(m), n)
+        for r, others, row in multiset_rows(self.mech, self.prefs, everyone):
+            rows[r][ids[others]] = tuple(row)
+        self._rows = rows
+
+    def _relabeled_rows(self, multisets: list[tuple[int, ...]], ids: dict) -> list[list]:
+        """Rows of an anonymous and neutral mechanism from one evaluation
+        per multiset ``M'`` of opponent reports, at ``(id,) + M'``: the row
+        of report r against M is the identity report's row against
+        ``s_r M``, its objects read through r.  ``s_r M`` is found without
+        sorting, as the multiset id of the cell whose digits are M's
+        reports relabeled.
+
+        Raises ValueError if an evaluated row of another report differs
+        from the row read through neutrality: the mechanism is then not
+        neutral; or, as :meth:`_fill_by_multiset`, not anonymous."""
+        m, n, prefs = self.m, self.n, self.prefs
+        base = []  # the identity report's row against each multiset
+        evaluated = []  # the other reports' rows, for the neutrality guard
+        profiles = ((0,) + ms for ms in multisets)
+        for r, others, row in multiset_rows(self.mech, prefs, profiles):
+            if r:
+                evaluated.append((r, others, row))
+            else:  # yielded first: report 0 leads each sorted profile
+                base.append(tuple(row))
+        # digits[j]: the j-th report of every multiset, in multiset order
+        digits = list(zip(*multisets))
+        weights = [m ** (n - 2 - j) for j in range(n - 1)]
+        rows = [base]
+        for to in relabel_table(prefs, range(m))[1:]:
+            cells = [0] * len(multisets)  # the cell of each s_r M
+            for d, w in zip(digits, weights):
+                place = [to[p] * w for p in range(m)]
+                cells = list(map(add, cells, map(place.__getitem__, d)))
+            at = map(base.__getitem__, map(self._multiset.__getitem__, cells))
+            # s_r(identity) is s_r as a tuple: object x of r's row is s_r(x)
+            # of the identity report's
+            rows.append(list(map(itemgetter(*prefs[to[0]]), at)))
+        for r, others, row in evaluated:
+            if rows[r][ids[others]] != tuple(row):
+                profile = tuple(prefs[k] for k in sorted(others + (r,)))
+                raise ValueError(
+                    f"{self.mech.descriptor()} is declared neutral, but report "
+                    f"{prefs[r]} gets a row at profile {profile} that is not "
+                    "the identity report's row relabeled"
+                )
+        return rows
 
     # -- reading -----------------------------------------------------------
 
@@ -264,11 +351,11 @@ class DomainTable:
         kept.
         """
         if self._rows is not None:
+            # each report's rows by object, gathered through the cells'
+            # multiset ids; a one-item itemgetter would return no tuple
             at = self._multiset[start:start + count]
-            return [
-                [list(col) for col in zip(*map(by_r.__getitem__, at))]
-                for by_r in self._rows
-            ]
+            pick = itemgetter(*at) if count > 1 else lambda col: (col[at[0]],)
+            return [[list(pick(col)) for col in zip(*by_r)] for by_r in self._rows]
         if self.nums is None:
             return self._evaluate_columns(agent, start, count)
         n, nn, s = self.n, self._nn, self.stride(agent)

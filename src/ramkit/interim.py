@@ -62,7 +62,7 @@ from .core import (
     insert_report,
 )
 from .axioms import _PairSweep, _replay_pair
-from .domain import multiset_rows
+from .domain import multiset_rows, relabel_table
 from .mechanisms import Mechanism
 from .reports import CheckOutcome, ViolationReport
 
@@ -249,22 +249,18 @@ def _neutral_sums(mech: Mechanism, prefs, weights: list[int]) -> list[list[int]]
     time and keeps, at each prefix, only the reports r whose prefix
     weight ``prod w[r o p]`` is nonzero, with that weight.  Children come
     from ``steps[r]``: every p with ``r o p`` on the support, that is
-    ``p[a] = r^-1(q[a])`` for an on-support q, with ``w[q]``; it holds
+    ``p = s_r(q)`` for an on-support q, with ``w[q]``, read from
+    :func:`ramkit.domain.relabel_table`; it holds
     ``m * s`` entries for ``s`` reports on the support (288 for a prior on
     half of n=4's preferences, 10,080 on two of n=7's; a full-support
     prior at n=7 would make it ``m**2``, 25 M).  A full ``M'`` is
     evaluated once, at the sorted profile ``(id,) + M'``
     (:func:`ramkit.domain.multiset_rows`), and streamed into the sums."""
     n = len(prefs[0])
-    index = {p: k for k, p in enumerate(prefs)}
-    on = [(q, w) for q, w in zip(prefs, weights) if w]
+    on = [q for q, w in enumerate(weights) if w]
+    on_weights = [weights[q] for q in on]
     # steps[r]: (p, w[r o p]) for every p with r o p on the support, by p
-    steps = []
-    for r in prefs:
-        inverse = [0] * n
-        for k, a in enumerate(r):
-            inverse[a] = k
-        steps.append(sorted((index[tuple([inverse[a] for a in q])], w) for q, w in on))
+    steps = [sorted(zip(to, on_weights)) for to in relabel_table(prefs, on)]
     # acc[r][k]: numerator of the share of object r[k] for report r
     acc = [[0] * n for _ in prefs]
 

@@ -29,11 +29,13 @@ relabels the columns of its assignment the same way.  SD, RP and every
 eating mechanism are, whatever the speeds, because speeds belong to
 agents, not to objects; a table is not assumed to be.
 ``Mechanism.neutral`` states this fact.  An anonymous and neutral
-mechanism's interim rows come from one evaluation per multiset of
-opponent reports of one fixed report, at any n; any other mechanism's
-from one evaluation per profile (:mod:`ramkit.interim`).  The
-ex-post neutrality sweep never reads the declaration, so it stays a real
-check.
+mechanism is evaluated once per multiset of opponent reports of the
+identity report, and every other report's row is read from those by
+relabeling: for its interim rows, at any n (:mod:`ramkit.interim`), and
+for the domain table of every ex-post sweep but neutrality's
+(:mod:`ramkit.domain`), which checks the rows of the other reports it
+evaluates against the relabeled ones.  The ex-post neutrality sweep
+never reads the declaration, so it stays a real check.
 """
 
 from __future__ import annotations

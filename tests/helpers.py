@@ -38,6 +38,9 @@ DEVIATION_ROW = (Fraction(1, 2), Fraction(1, 4), Fraction(1, 4))
 
 
 def uniform_int(rng: random.Random, lo: int, hi: int) -> int:
+    """Uniform integer in ``[lo, hi]``, by rejection on ``rng``'s bits."""
+    if hi < lo:
+        raise ValueError(f"empty range [{lo}, {hi}]")
     span = hi - lo + 1
     bits = span.bit_length()
     while True:
@@ -60,7 +63,10 @@ def random_profile(rng: random.Random, n: int) -> tuple[tuple[int, ...], ...]:
 
 def random_bistochastic(rng: random.Random, n: int):
     """Exact random bistochastic matrix: a random positive-rational convex
-    combination of random permutation matrices."""
+    combination of random permutation matrices.  At n=1 the only one,
+    drawing nothing from ``rng``."""
+    if n == 1:
+        return ((Fraction(1),),)
     k = uniform_int(rng, 2, (n - 1) ** 2 + 1)
     weights = {}
     raw = [uniform_int(rng, 1, 99) for _ in range(k)]

@@ -242,11 +242,12 @@ def test_four_agent_monotonicity_and_upper_invariance(instance4):
 def test_four_agent_pair_axiom_profile(instance4):
     """Every pair axiom at n=4, exhaustively: PS fails sp and li and
     satisfies weak-sp, em and ui; RP satisfies all five.  Both are
-    anonymous, so each is evaluated once per multiset of reports."""
+    anonymous and neutral, so each is evaluated once per multiset of the
+    identity report's opponent reports."""
     start = time.perf_counter()
     ps4 = CountingPS(instance4)
     ps = run_pair_sweep(ps4, PAIR_AXIOMS, mode="exhaustive")
-    assert len(ps4.counts) == 17550 and set(ps4.counts.values()) == {1}
+    assert len(ps4.counts) == 2600 and set(ps4.counts.values()) == {1}
     assert {ax: len(outcome.violations) for ax, outcome in ps.items()} == {
         "sp": 1386432, "weak-sp": 0, "em": 0, "ui": 0, "li": 457632,
     }

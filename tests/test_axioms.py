@@ -1,3 +1,4 @@
+import concurrent.futures
 import dataclasses
 import itertools
 import os
@@ -12,6 +13,7 @@ from helpers import (
     DEVIATION_PROFILE,
     MECHANISM_KINDS,
     TRUTH_PROFILE,
+    CountingNonNeutralPS,
     CountingPS,
     CountingUndeclaredPS,
     build_mechanism,
@@ -27,7 +29,6 @@ from ramkit.core import (
     enumerate_profiles,
 )
 import ramkit.axioms
-import ramkit.domain
 from ramkit.axioms import (
     PAIR_AXIOMS,
     PROFILE_AXIOMS,
@@ -470,10 +471,11 @@ class TestProfileSweeps:
 
     def test_first_mode_fills_once_per_multiset_at_n4(self):
         """Up to the sweep cap a first-mode profile sweep reads a filled
-        table, so PS is evaluated once per report multiset."""
+        table, so PS, anonymous and neutral, is evaluated once per multiset
+        of the identity report's opponent reports, C(26, 3)."""
         mech = CountingPS(Instance.default(4))
         assert check_mechanism_ordinal_efficiency(mech, mode="first").satisfied
-        assert len(mech.counts) == 17_550 and set(mech.counts.values()) == {1}
+        assert len(mech.counts) == 2_600 and set(mech.counts.values()) == {1}
 
     def test_first_mode_fills_on_the_pool(self, monkeypatch):
         """A first-mode profile sweep of a mechanism that is not anonymous
@@ -486,7 +488,7 @@ class TestProfileSweeps:
                 pools.append(kwargs["max_workers"])
                 super().__init__(*args, **kwargs)
 
-        monkeypatch.setattr(ramkit.domain, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         workers = min(2, os.cpu_count() or 1)
         for name in ("sd", "table"):
             mech = build_mechanism(name, 3)
@@ -508,7 +510,19 @@ class TestProfileSweeps:
         assert set(mech.counts.values()) == {1}
         if mode == "exhaustive":
             # ETE evaluates only the 96 profiles with two equal reports;
-            # the other sweeps fill PS once per multiset of reports, C(8, 3)
+            # neutrality fills PS once per multiset of reports, C(8, 3); the
+            # other sweeps once per multiset of the identity report's
+            # opponent reports, C(7, 2)
+            assert len(mech.counts) == {"ete": 96, "neutral": 56}.get(axiom, 21)
+
+    @pytest.mark.parametrize("mode", ("exhaustive", "first"))
+    @pytest.mark.parametrize("axiom", PAIR_AXIOMS + PROFILE_AXIOMS)
+    def test_each_profile_evaluated_at_most_once_without_neutrality(self, axiom, mode):
+        mech = CountingNonNeutralPS(Instance.default(3))
+        run_axiom_check(mech, axiom, mode=mode, jobs=1)
+        assert mech.assignment_calls == 0
+        assert set(mech.counts.values()) == {1}
+        if mode == "exhaustive":
             assert len(mech.counts) == (96 if axiom == "ete" else 56)
 
     @pytest.mark.parametrize("mode", ("exhaustive", "first"))

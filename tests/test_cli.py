@@ -1,3 +1,4 @@
+import concurrent.futures
 import io
 import subprocess
 import sys
@@ -438,7 +439,7 @@ class TestJobs:
         args = ("check", "--axiom", "em", "--mechanism", "sd:3,1,2", "--n", "3",
                 "--mode", "exhaustive", "--format", "machine")
         _, serial, _ = run_cli(*args, "--jobs", "1")
-        monkeypatch.setattr(domain, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         monkeypatch.setattr(domain, "_worker_job", None)
         monkeypatch.setattr(domain.os, "cpu_count", lambda: cpus)
         code, out, _ = run_cli(*args, "--jobs", jobs)

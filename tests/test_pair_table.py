@@ -1,9 +1,13 @@
 """The integer domain table and the pair sweep built on it, checked against
 the Fraction cell oracle in ``helpers.pair_sweep_oracle``."""
 
+import copy
 import itertools
 import math
+import os
 import random
+import subprocess
+import sys
 from array import array
 from fractions import Fraction
 
@@ -13,6 +17,7 @@ from hypothesis import given, settings, strategies as st
 from helpers import (
     MECHANISM_KINDS,
     AnonymousSD,
+    CountingNonNeutralPS,
     CountingPS,
     CountingUndeclaredPS,
     FalselyNeutralPS,
@@ -21,6 +26,7 @@ from helpers import (
     pair_sweep_oracle,
     random_bistochastic,
     random_profile,
+    uniform_int,
 )
 from ramkit.axioms import PAIR_AXIOMS, run_axiom_check, run_pair_sweep
 from ramkit.core import (
@@ -144,6 +150,15 @@ def test_each_profile_evaluated_once(mode):
     mech = CountingPS(Instance.default(3))
     run_pair_sweep(mech, ("sp", "em", "ui"), mode=mode, jobs=1)
     assert max(mech.counts.values()) == 1
+    # one per multiset of the identity report's opponent reports
+    assert len(mech.counts) == math.comb(6 + 3 - 2, 3 - 1) == 21
+
+
+@pytest.mark.parametrize("mode", ("exhaustive", "first"))
+def test_each_profile_evaluated_once_without_neutrality(mode):
+    mech = CountingNonNeutralPS(Instance.default(3))
+    run_pair_sweep(mech, ("sp", "em", "ui"), mode=mode, jobs=1)
+    assert max(mech.counts.values()) == 1
     assert len(mech.counts) == math.comb(6 + 3 - 1, 3)  # one per report multiset
 
 
@@ -157,8 +172,16 @@ def test_each_profile_evaluated_once_without_anonymity(mode):
 
 def test_first_sweep_at_n4_fills_once_per_multiset():
     """Up to the sweep cap a first-mode sweep reads a filled table, so PS is
-    evaluated once per report multiset even though li fails early."""
+    evaluated once per multiset of the identity report's opponent reports
+    even though li fails early."""
     mech = CountingPS(Instance.default(4))
+    assert not run_pair_sweep(mech, ("li",), mode="first")["li"].satisfied
+    assert len(mech.counts) == math.comb(24 + 4 - 2, 4 - 1) == 2_600
+    assert set(mech.counts.values()) == {1}
+
+
+def test_first_sweep_at_n4_fills_once_per_multiset_without_neutrality():
+    mech = CountingNonNeutralPS(Instance.default(4))
     assert not run_pair_sweep(mech, ("li",), mode="first")["li"].satisfied
     assert len(mech.counts) == math.comb(24 + 4 - 1, 4) == 17_550
     assert set(mech.counts.values()) == {1}
@@ -254,6 +277,16 @@ def test_satisfied_first_sweep_scans_domain_once():
     out = run_pair_sweep(mech, ("em",), mode="first")["em"]
     assert out.satisfied
     assert out.profiles_checked == 3 * 6 ** 3  # rows read: 3 agents, every cell
+    # one per multiset of the identity report's opponent reports
+    assert len(mech.counts) == math.comb(6 + 3 - 2, 3 - 1) == 21
+    assert set(mech.counts.values()) == {1}
+
+
+def test_satisfied_first_sweep_scans_domain_once_without_neutrality():
+    mech = CountingNonNeutralPS(Instance.default(3))
+    out = run_pair_sweep(mech, ("em",), mode="first")["em"]
+    assert out.satisfied
+    assert out.profiles_checked == 3 * 6 ** 3
     assert len(mech.counts) == math.comb(6 + 3 - 1, 3)  # one per report multiset
     assert set(mech.counts.values()) == {1}
 
@@ -279,6 +312,30 @@ def test_pool_pickles_mechanism_once_per_worker(jobs):
     # at most one pickle per started worker (none where workers fork),
     # never one per index-range task
     assert PickleCountingSD.pickles <= jobs
+
+
+def test_import_loads_no_process_pool():
+    """The pool is imported only when a fill starts one, so importing the
+    library loads neither ``concurrent.futures`` nor ``multiprocessing``."""
+    code = (
+        "import sys, ramkit; "
+        "print(sorted(m for m in ('concurrent.futures', 'multiprocessing') "
+        "if m in sys.modules))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    )
+    assert out.stdout.strip() == "[]"
+
+
+def test_one_agent_table_sweeps():
+    """A random table at n=1 is the one 1x1 matrix, drawn without touching
+    the generator, and every pair axiom holds for it."""
+    out = run_pair_sweep(build_mechanism("table", 1), PAIR_AXIOMS)
+    assert all(outcome.satisfied for outcome in out.values())
+    with pytest.raises(ValueError, match="empty range"):
+        uniform_int(random.Random(0), 2, 1)
 
 
 def test_huge_denominators_stay_exact():
@@ -546,6 +603,84 @@ def test_neutrality_stays_a_real_check_for_declared_neutral_mechanisms():
     assert not got.satisfied
     twin = _UndeclaredFalselyNeutralPS(Instance.default(3))
     assert got == run_axiom_check(twin, "neutral", mode="exhaustive")
+
+
+def _undeclared_neutral(mech):
+    """``mech``, declared not neutral: its table is filled once per
+    multiset of reports."""
+    twin = copy.copy(mech)
+    twin.neutral = False
+    return twin
+
+
+@pytest.mark.parametrize("kind, n", [
+    (kind, n) for kind in ("ps", "rp", "sea-unit", "sea-shared") for n in (2, 3)
+] + [("ps", 4), ("rp", 4)])
+def test_identity_fill_matches_the_multiset_fill(kind, n):
+    """Rows read through neutrality from the identity report's rows equal
+    the rows of one evaluation per multiset of reports."""
+    mech = build_mechanism(kind, n)
+    assert mech.anonymous and mech.neutral
+    prefs = enumerate_preferences(mech.instance)
+    relabeled, plain = DomainTable(mech, prefs), DomainTable(_undeclared_neutral(mech), prefs)
+    relabeled.fill()
+    plain.fill()
+    assert relabeled.anonymous and plain.anonymous
+    assert relabeled._rows == plain._rows
+    assert relabeled._multiset == plain._multiset
+
+
+class DeclaredSymmetricTable(TabulatedMechanism):
+    """A table declared anonymous and neutral."""
+
+    anonymous = True
+    neutral = True
+
+
+def _trading_ps():
+    """PS at n=3, declared anonymous and neutral, with agents 2 and 3
+    (reports bac and cab) trading 1/1000 of objects b and c at one profile
+    where agent 1 reports the identity order; and that profile."""
+    instance = Instance.default(3)
+    ps = ProbabilisticSerial(instance)
+    prefs = enumerate_preferences(instance)
+    traded = (prefs[0], prefs[2], prefs[4])
+    table = {p: [list(row) for row in ps.assignment(p)] for p in enumerate_profiles(instance)}
+    eps = Fraction(1, 1000)
+    m = table[traded]
+    m[1][1] -= eps
+    m[1][2] += eps
+    m[2][1] += eps
+    m[2][2] -= eps
+    return DeclaredSymmetricTable(
+        instance, {p: tuple(map(tuple, m)) for p, m in table.items()}
+    ), traded
+
+
+def test_false_neutrality_makes_the_identity_fill_raise():
+    mech, traded = _trading_ps()
+    assert mech.assignment(traded)[1] == (0, Fraction(999, 1000), Fraction(1, 1000))
+    table = DomainTable(mech, enumerate_preferences(mech.instance))
+    with pytest.raises(ValueError, match="declared neutral"):
+        table.fill()
+    with pytest.raises(ValueError, match="declared neutral"):
+        run_pair_sweep(mech, ("em",), mode="exhaustive")
+    # the neutrality sweep fills once per multiset of reports, without the guard
+    assert not run_axiom_check(mech, "neutral", mode="exhaustive").satisfied
+
+
+def test_falsely_neutral_ps_passes_the_guard():
+    """FalselyNeutralPS gives every profile read by the identity fill the
+    rows neutrality predicts from the identity report's, so the fill's
+    guard lets it through with rows that are not its own; only the
+    neutrality sweep, which never fills through neutrality, catches it."""
+    mech = FalselyNeutralPS(Instance.default(3))
+    prefs = enumerate_preferences(mech.instance)
+    relabeled, plain = DomainTable(mech, prefs), DomainTable(_undeclared_neutral(mech), prefs)
+    relabeled.fill()
+    plain.fill()
+    assert relabeled._rows != plain._rows
+    assert not run_axiom_check(mech, "neutral", mode="exhaustive").satisfied
 
 
 # ---------------------------------------------------------------------------
