@@ -45,8 +45,11 @@ routes.
 
   Both anonymous routes keep one row per report and multiset of ``n-1``
   opponent reports (24 x 2,600 at n=4), as Python ints.  Every cell has a
-  multiset id, so a column is gathered through the ids of its cells and
-  is the same for every agent.
+  multiset id, and columns are the same for every agent.
+  :meth:`DomainTable.columns` gathers a column through the ids of its
+  cells; :meth:`DomainTable.read` of a whole agent gives the columns over
+  the ids themselves, with the gather from ids to cells, so the pair sweep
+  compares 2,600 entries per column at n=4 instead of 13,824.
 - Any other mechanism is evaluated at every profile into **dense
   storage**: the ``n*n`` numerators of every profile.  Values live in a
   signed 64-bit array, and the table falls back to a list of Python ints
@@ -74,7 +77,7 @@ import itertools
 import os
 from array import array
 from operator import add, itemgetter
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 from .core import Preference, Profile
 from .mechanisms import Mechanism
@@ -104,6 +107,12 @@ def reports_at(prefs: Sequence[Preference], count: int, index: int) -> Profile:
         index, d = divmod(index, len(prefs))
         digits.append(prefs[d])
     return tuple(reversed(digits))
+
+
+def _gather(at: Sequence[int]) -> Callable[[Sequence], tuple]:
+    """The function from a sequence to the tuple of its items at the
+    indices ``at``; a one-item itemgetter would return no tuple."""
+    return itemgetter(*at) if len(at) > 1 else lambda seq: (seq[at[0]],)
 
 
 def relabel_table(prefs: Sequence[Preference], among: Sequence[int]) -> list[list[int]]:
@@ -342,6 +351,18 @@ class DomainTable:
 
     # -- reading -----------------------------------------------------------
 
+    def read(self, agent: int, start: int, count: int) -> tuple[list, Optional[Callable]]:
+        """The pair kernel's read of ``agent``'s cells ``[start, start +
+        count)``: ``(cols, to_cells)``.  A table filled by multiset, read
+        whole, gives columns over the multiset ids, ``cols[r][x][k]`` under
+        the opponent multiset ``k``, and ``to_cells``, which takes a list
+        over the ids to the tuple of its items at every cell's id, in cell
+        order; any other read gives :meth:`columns` and None."""
+        if self._rows is None or count < self.cells:
+            return self.columns(agent, start, count), None
+        cols = [[list(col) for col in zip(*by_r)] for by_r in self._rows]
+        return cols, _gather(self._multiset)
+
     def columns(self, agent: int, start: int, count: int) -> list:
         """``agent``'s report columns over cells ``[start, start + count)``:
         ``cols[r][x][k]`` is the numerator over ``D`` of the agent's share
@@ -352,9 +373,8 @@ class DomainTable:
         """
         if self._rows is not None:
             # each report's rows by object, gathered through the cells'
-            # multiset ids; a one-item itemgetter would return no tuple
-            at = self._multiset[start:start + count]
-            pick = itemgetter(*at) if count > 1 else lambda col: (col[at[0]],)
+            # multiset ids
+            pick = _gather(self._multiset[start:start + count])
             return [[list(pick(col)) for col in zip(*by_r)] for by_r in self._rows]
         if self.nums is None:
             return self._evaluate_columns(agent, start, count)

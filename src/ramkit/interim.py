@@ -382,8 +382,8 @@ class _RowCells:
         first = rows_by_agent[self.agents[0]]
         self.anonymous = all(rows is first for rows in rows_by_agent.values())
 
-    def columns(self, agent: int, start: int, count: int) -> list:
-        return [[[x] for x in row] for row in self.rows_by_agent[agent]]
+    def read(self, agent: int, start: int, count: int) -> tuple[list, None]:
+        return [[[x] for x in row] for row in self.rows_by_agent[agent]], None
 
 
 def _interim_sweep(table, prior: Prior, axioms) -> dict[str, CheckOutcome]:

@@ -237,33 +237,38 @@ class Violations(Sequence):
         the records a batch at a time and given out in lists of at most
         :data:`_CHUNK_LINES` lines, so a writer joins only that many.
 
-        A value string is built once per numerator.  The profile of an
-        ex-post cell is the string of the agents before the reporting one,
-        then her report, then the agents after.  The strings of j such
-        agents are built as the batch's cells read them, and dropped with
-        the batch, so memory stays bounded by the lines rendered.
+        A line is the part before the reporting agent's report (the head
+        and the reports of the agents before her), her report, the reports
+        of the agents after her, the group's fixed middle, and two value
+        strings: the left one ends in the relation and the right one in the
+        detail, each built once per numerator.  The parts before and after
+        come from one table per count j of agents (:func:`_report_table`),
+        in which each string is the one of j-1 agents plus one report.  A
+        table is built whole only when its ``m**j`` strings are at most the
+        batch's lines, and otherwise string by string as the cells read
+        them, so its size stays within the lines rendered even past the
+        sweep cap; the tables are dropped with the batch.
         """
         names = _Names(instance)
         prefs = self.prefs
         m, n = len(prefs), len(prefs[0])
         P = [names.pref(p) for p in prefs]
         V = _Strings(lambda v, d=self.D: str(Fraction(v, d)))
-        rank_strings = {rank: f"{rank} violated=" for rank in range(1, n + 1)}
+        lefts = _Strings(lambda relation: _Strings(lambda v: V[v] + relation))
+        rights = _Strings(lambda tail: _Strings(lambda v: V[v] + tail))
+        before_parts = [p + "|" for p in P]
+        after_parts = ["|" + p for p in P]
         for batch in self._batches:
-            agent = batch.agent
+            agent, size = batch.agent, len(batch.order)
             if self.prior is None:
                 step = m ** (n - 1 - agent)
-                before = _Strings(
-                    lambda c, j=agent: "|".join(reports_at(P, j, c)) + "|"
-                ) if agent else [""]
-                after = _Strings(
-                    lambda c, j=n - 1 - agent: "|" + "|".join(reports_at(P, j, c))
-                ) if agent < n - 1 else [""]
                 head = f"{prefix}{self.axiom} agent={agent + 1} profile="
+                before = _report_table(before_parts, agent, head, size)
+                after = _report_table(after_parts, n - 1 - agent, "", size)
             else:  # one cell, 0
-                before = after = [""]
-                head = f"{prefix}{self.axiom} agent={agent + 1} truth="
                 step = 1
+                before = [f"{prefix}{self.axiom} agent={agent + 1} truth="]
+                after = [""]
             lines: list[str] = []
             for r, s, swap, objects, relation, detail, cells, ranks, lhs, rhs in batch.groups:
                 mid = f" deviation={P[s]}"
@@ -272,21 +277,35 @@ class Violations(Sequence):
                 if objects:
                     mid += " objects=" + names.object_list(objects)
                 if ranks is None:
-                    mid += " violated="
-                    ranks = itertools.repeat("")
+                    mids = itertools.repeat(mid + " violated=")
                 else:
-                    mid += " prefix="
-                    ranks = map(rank_strings.__getitem__, ranks)
-                tail = " " + detail if detail else ""
+                    by_rank = {k: f"{mid} prefix={k} violated=" for k in range(1, n + 1)}
+                    mids = map(by_rank.__getitem__, ranks)
                 truth = P[r]
+                left, right = lefts[relation], rights[" " + detail if detail else ""]
                 lines += [
-                    f"{head}{before[c // step]}{truth}{after[c % step]}{mid}{rank}"
-                    f"{V[x]}{relation}{V[y]}{tail}"
-                    for c, rank, x, y in zip(cells, ranks, lhs, rhs)
+                    f"{before[c // step]}{truth}{after[c % step]}{middle}{left[x]}{right[y]}"
+                    for c, middle, x, y in zip(cells, mids, lhs, rhs)
                 ]
             lines = list(map(lines.__getitem__, batch.order))
             for at in range(0, len(lines), _CHUNK_LINES):
                 yield lines[at: at + _CHUNK_LINES]
+
+
+def _report_table(parts: list[str], j: int, base: str, size: int):
+    """``table[c]`` for ``c`` in ``[0, m**j)``: ``base``, then ``parts[d]``
+    for each base-``m`` digit ``d`` of ``c``, most significant first, with
+    ``m = len(parts)``.  The strings of j digits are those of j-1 plus one
+    part.  A level is built whole while it has at most ``size`` strings,
+    and string by string on first read past that."""
+    m = len(parts)
+    table = [base]
+    for k in range(1, j + 1):
+        if m ** k <= size:
+            table = [t + part for t in table for part in parts]
+        else:
+            table = _Strings(lambda c, prev=table: prev[c // m] + parts[c % m])
+    return table
 
 
 @dataclass(frozen=True)
@@ -301,10 +320,11 @@ class CheckOutcome:
     distinct mechanism evaluations: a pair sweep reads each profile once per
     agent.  Up to the sweep cap it reads a filled table, so it evaluates
     each profile at most once (an anonymous mechanism once per multiset of
-    reports); past the cap it evaluates a profile on every read, once per
-    agent that reads it.  A profile sweep (neutrality, ETE, OE, ex-post)
-    counts each profile it visits once.  ``comparisons`` counts
-    the exact comparisons made.  Both are deterministic for a given mode,
+    reports, and one that is also neutral, such as PS, once per multiset of
+    the identity report's opponent reports); past the cap it evaluates a
+    profile on every read, once per agent that reads it.  A profile sweep
+    (neutrality, ETE, OE, ex-post) counts each profile it visits once.
+    ``comparisons`` counts the exact comparisons made.  Both are deterministic for a given mode,
     independent of parallelism degree.
     """
 

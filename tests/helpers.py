@@ -282,6 +282,18 @@ class CountingNonNeutralPS(CountingPS):
     neutral = False
 
 
+class UndeclaredRP(RandomPriority):
+    """Random priority not declared anonymous."""
+
+    anonymous = False
+
+
+class UndeclaredEating(SimultaneousEating):
+    """Simultaneous eating not declared anonymous, whatever its speeds."""
+
+    anonymous = False
+
+
 class AnonymousSD(SerialDictatorship):
     """Serial dictatorship falsely declared anonymous."""
 

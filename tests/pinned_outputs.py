@@ -43,6 +43,9 @@ PINS = """
 1 67a8a68fda89b54b8d60a24b44d2e24351df4e9324ff80a8477bdd09c562c216 check --axiom li --mechanism ps --n 4 --mode exhaustive --format machine --jobs 2
 # 1,386,432 sp violation lines, recorded while every profile was evaluated on two workers
 1 8586cc886785800e297f6e031c16a29b89de9c5ba8ca73b189f4b48ce90ff9b9 check --axiom sp --mechanism ps --n 4 --mode exhaustive --format machine --jobs 2
+# exhaustive weak-sp and em of ps, both satisfied, recorded while the pair kernel compared cell columns of the multiset-filled table
+0 f279c976a100423fa06c44d4d7f1460f0e4fc7d5c71577f9a2f8ff0d2e300d5b check --axiom weak-sp --mechanism ps --n 4 --mode exhaustive --format machine
+0 35c1dcf084d56b7d44a06bf421c91a8c91d55c755b7ff4a5ed53b74d715a1a16 check --axiom em --mechanism ps --n 4 --mode exhaustive --format machine
 # profile sweeps, recorded with the Fraction loops these sweeps replaced
 1 02c2ae9353d85934415edf2a68f3640ce372d5d7cd074886cb93b850c791ba57 check --axiom oe --mechanism rp --n 4 --mode exhaustive --format machine --jobs 2
 1 2135a5a063481038678f534894620dedbc0a34da7372f1bcea9152d49a4af99f check --axiom ete --mechanism sd:4,2,1,3 --n 4 --mode exhaustive --format machine --jobs 2

@@ -12,6 +12,8 @@ from helpers import (
     CountingNonNeutralPS,
     CountingPS,
     CountingUndeclaredPS,
+    UndeclaredEating,
+    UndeclaredRP,
     build_mechanism,
     half_support_prior,
     interim_shares_oracle,
@@ -583,22 +585,10 @@ class TestOnePassRows:
             assert report == single
 
 
-class UndeclaredRP(RandomPriority):
-    """Random priority not declared anonymous."""
-
-    anonymous = False
-
-
 class NonNeutralRP(RandomPriority):
     """Random priority declared anonymous but not neutral."""
 
     neutral = False
-
-
-class UndeclaredEating(SimultaneousEating):
-    """Simultaneous eating not declared anonymous, whatever its speeds."""
-
-    anonymous = False
 
 
 class NonNeutralEating(SimultaneousEating):

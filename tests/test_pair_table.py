@@ -21,6 +21,8 @@ from helpers import (
     CountingPS,
     CountingUndeclaredPS,
     FalselyNeutralPS,
+    UndeclaredEating,
+    UndeclaredRP,
     build_mechanism,
     huge_denominator_table,
     pair_sweep_oracle,
@@ -37,10 +39,12 @@ from ramkit.core import (
 )
 from ramkit.domain import DomainTable, _append, reports_at
 from ramkit.mechanisms import (
+    EatingSpeedSchedule,
     Mechanism,
     ProbabilisticSerial,
     RandomPriority,
     SerialDictatorship,
+    SimultaneousEating,
     TabulatedMechanism,
 )
 
@@ -246,6 +250,52 @@ def test_first_sweep_of_anonymous_table_reads_agent_1_only(axioms, monkeypatch):
     assert set(read) == {0}
     assert got == expected
     assert expected["em"].satisfied and expected["em"].profiles_checked == 3 * 6 ** 3
+
+
+def _cell_route_twins(kind, instance):
+    """A mechanism of ``kind`` declared anonymous and neutral, and its twin
+    not declared anonymous, whose table is filled at every profile and read
+    by cell columns."""
+    if kind == "ps":
+        return CountingPS(instance), CountingUndeclaredPS(instance)
+    if kind == "rp":
+        return RandomPriority(instance), UndeclaredRP(instance)
+    unit = EatingSpeedSchedule.unit(instance.n)
+    return SimultaneousEating(instance, unit), UndeclaredEating(instance, unit)
+
+
+@pytest.mark.parametrize("kind", ("ps", "rp", "sea-unit"))
+@pytest.mark.parametrize("axioms", AXIOM_SETS)
+def test_exhaustive_sweep_of_anonymous_table_compares_multiset_ids(kind, axioms, monkeypatch):
+    """An exhaustive sweep of a table filled by multiset reads agent 1's
+    columns over the 21 opponent multisets of n=3 once, gathers no cell
+    column, and gives the outcomes of its twin's cell-column sweep."""
+    mech, twin = _cell_route_twins(kind, Instance.default(3))
+    assert mech.anonymous and not twin.anonymous
+    expected = run_pair_sweep(twin, axioms, mode="exhaustive")
+    gathered, reads = [], []
+    columns, read = DomainTable.columns, DomainTable.read
+
+    def recording_columns(table, *args):
+        gathered.append(args)
+        return columns(table, *args)
+
+    def recording_read(table, *args):
+        cols, to_cells = read(table, *args)
+        reads.append((args, len(cols[0][0]), to_cells))
+        return cols, to_cells
+
+    monkeypatch.setattr(DomainTable, "columns", recording_columns)
+    monkeypatch.setattr(DomainTable, "read", recording_read)
+    got = run_pair_sweep(mech, axioms, mode="exhaustive")
+    assert gathered == []
+    [(args, entries, to_cells)] = reads
+    assert args == (0, 0, 36) and entries == 21
+    ids = to_cells(range(entries))  # each cell's multiset id
+    assert len(ids) == 36 and set(ids) == set(range(21))
+    assert got == expected
+    if kind == "ps" and axioms == PAIR_AXIOMS:  # failing ids are spread to cells
+        assert not got["sp"].satisfied and not got["li"].satisfied
 
 
 class RowSwapPS(ProbabilisticSerial):

@@ -204,3 +204,11 @@ def test_n4_render_matches_report_render(ps4_swaps):
     assert len(lines) == 1 + len(li.violations)
     for i in (0, 1, 2, len(li.violations) // 2, -2, -1):
         assert lines[1:][i] == "violation " + li.violations[i].render(instance)
+    # each agent's block renders from its own prefix tables
+    block = len(li.violations) // 4
+    assert block == 114_408
+    for k in range(4):
+        for i in (k * block, (k + 1) * block - 1):
+            report = li.violations[i]
+            assert report.agent == k
+            assert lines[1 + i] == "violation " + report.render(instance)
