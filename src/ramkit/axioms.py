@@ -36,8 +36,8 @@ is OBIC).  It reads each batch of cells once and compares every axiom
 still checked over all of it; in first mode the batches grow, an axiom
 stops being checked after the batch of its first violation, and the
 counters of a cell-by-cell sweep follow from the cell and comparison
-block where each axiom fell.  Violations are kept as integer records: a
-:class:`~ramkit.reports.Violations` builds a ViolationReport only when one
+block where each axiom fell.  Violations are kept as integer records in
+sweep order: a :class:`~ramkit.reports.Violations` builds a ViolationReport only when one
 is read.  :func:`_replay_pair` is the one replay comparison for both
 families.  Neutrality, equal treatment of equals and ordinal and ex-post
 efficiency share one driver, :func:`_profile_sweep`, which runs one test
@@ -51,8 +51,9 @@ from __future__ import annotations
 
 import itertools
 from array import array
+from collections import deque
 from fractions import Fraction
-from operator import add, ge, gt, lt, mul, ne
+from operator import add, ge, gt, itemgetter, lt, mul, ne
 from typing import Iterable, Optional
 
 from .core import (
@@ -187,7 +188,7 @@ class _PairSweep:
     reports (2,600 at n=4, against 13,824 cells), and ``to_cells``, which
     gathers a list over the ids to the cells: every cell of an id compares
     alike, so the kernel compares ids and expands each failing id to its
-    cells, its values repeated (:func:`_spread`).  The source decides
+    cells, its values repeated (:meth:`_record`).  The source decides
     which columns it gives; dense tables, interim rows and first-mode
     batches give cell columns.  Cells are numbered as in
     :class:`~ramkit.domain.DomainTable`.  Without a ``prior`` the reports
@@ -203,9 +204,9 @@ class _PairSweep:
     pair, for each swap pair; sp and weak-sp per prefix, for each ordered
     report pair) compares two whole columns and scans only columns that
     differ.  Each axiom's failing cells become one
-    :class:`~ramkit.reports.PairBatch` of integer arrays, ordered by a key
-    that orders like (cell, report pair, slot): the order in which a
-    cell-by-cell sweep finds them.  No ViolationReport is built.
+    :class:`~ramkit.reports.PairBatch` of integer arrays, in the order of
+    (cell, report pair, slot): the order in which a cell-by-cell sweep
+    finds them.  No ViolationReport is built.
 
     :meth:`run` alone knows the mode.  Exhaustive sweeps take one batch per
     agent; first mode takes batches of 1, 1, 2, 4, ... cells, up to
@@ -265,7 +266,7 @@ class _PairSweep:
                         self.live.discard(ax)
                 start += count
         if source.anonymous and not first_only:
-            for ax, batches in self.found.items():
+            for ax, batches in self.found.items():  # copies sharing the records
                 self.found[ax] = [
                     batch._replace(agent=agent) for agent in agents for batch in batches
                 ]
@@ -279,7 +280,7 @@ class _PairSweep:
         outcomes = {}
         for ax, batches in self.found.items():
             if first_only and batches:  # keep the first violation
-                batches = [batches[0]._replace(order=batches[0].order[:1])]
+                batches = [batches[0].first()]
             name = self.labels[ax][0]
             outcomes[name] = CheckOutcome(
                 axiom=name,
@@ -297,36 +298,30 @@ class _PairSweep:
 
         Cell columns (``to_cells`` None) have one entry per cell.
         Multiset-id columns have one per id, and ``to_cells`` gathers a
-        list over the ids to the cells: each failing id is expanded to its
-        cells here (:func:`_spread`), its values repeated, before
-        :meth:`_record` sorts the keys."""
+        list over the ids to the cells: :meth:`_record` expands each
+        failing id to its cells."""
         K = len(cols[0][0])
-        where = range(start, start + K) if to_cells is None else range(K)
-        # per axiom, groups of failing cells (or ids) sharing a slot; see _record
+        # per axiom, groups of failing column entries sharing a slot; see _record
         groups: dict[str, list] = {ax: [] for ax in self.live}
-        self._compare_fosd(cols, where, groups)
-        self._compare_swaps(cols, where, groups)
+        self._compare_fosd(cols, groups)
+        self._compare_swaps(cols, groups)
         del cols  # the groups hold their values; free the batch before recording
         failed = {}
         for ax, found in groups.items():
             if found:
-                if to_cells is not None:
-                    found = [_spread(group, to_cells, K) for group in found]
-                modulus, width, _ = self._blocks[ax]
-                cell, offset = divmod(self._record(ax, found, modulus, agent), modulus)
-                failed[ax] = (cell, offset // width)
+                cell, offset = self._record(ax, found, K, to_cells, agent, start)
+                failed[ax] = (cell, offset // self._blocks[ax][1])
         return failed
 
-    def _compare_fosd(self, cols, where: range, groups: dict) -> None:
+    def _compare_fosd(self, cols, groups: dict) -> None:
         """sp and weak-sp, per ordered report pair (truth ``t``, deviation
-        ``v``), on prefix columns along the truth's order; column entry
-        ``k`` stands for ``where[k]``."""
+        ``v``), on prefix columns along the truth's order."""
         live, labels = self.live, self.labels
         sp, weak = "sp" in live, "weak-sp" in live
         if not (sp or weak):
             return
         m, n = self.m, self.n
-        entries = range(len(where))
+        entries = range(len(cols[0][0]))
         for t, truth in enumerate(self.prefs):
             mine = _prefix_columns(cols[t], truth)
             for v in range(m):
@@ -344,9 +339,7 @@ class _PairSweep:
                     continue
                 failing = [(k, j + 1, mine[j][k], theirs[j][k]) for k, j in ranks.items()]
                 if sp:
-                    groups["sp"].append(_fosd_group(
-                        t, v, m, "<", labels["sp"][1], where, failing,
-                    ))
+                    groups["sp"].append(_fosd_group(t, v, m, "<", labels["sp"][1], failing))
                 if weak:
                     dominated = [
                         (k, rank, rhs, lhs) for k, rank, lhs, rhs in failing
@@ -354,16 +347,16 @@ class _PairSweep:
                     ]
                     if dominated:
                         groups["weak-sp"].append(_fosd_group(
-                            t, v, m, ">", labels["weak-sp"][1], where, dominated,
+                            t, v, m, ">", labels["weak-sp"][1], dominated,
                         ))
 
-    def _compare_swaps(self, cols, where: range, groups: dict) -> None:
-        """em, ui and li, per adjacent-swap pair of reports; column entry
-        ``k`` stands for ``where[k]``."""
+    def _compare_swaps(self, cols, groups: dict) -> None:
+        """em, ui and li, per adjacent-swap pair of reports."""
         live, labels = self.live, self.labels
         swap_axioms = [ax for ax in ("em", "ui", "li") if ax in live]
         if not swap_axioms:
             return
+        entries = range(len(cols[0][0]))
         for p, (r, s, info, above, below) in enumerate(self._pairs):
             old, new = cols[r], cols[s]
             for ax in swap_axioms:
@@ -381,72 +374,65 @@ class _PairSweep:
                     if new[x] == old[x]:
                         continue
                     mask = list(map(op, new[x], old[x]))
-                    failing = array("q", itertools.compress(where, mask))
+                    failing = list(itertools.compress(entries, mask))
                     if failing:
                         groups[ax].append((
                             p * self.n + slot, r, s, info, self._singles[x], relation,
                             detail, failing, None,
-                            _pack(list(itertools.compress(new[x], mask))),
-                            _pack(list(itertools.compress(old[x], mask))),
+                            list(itertools.compress(new[x], mask)),
+                            list(itertools.compress(old[x], mask)),
                         ))
 
-    def _record(self, ax, groups, modulus, agent) -> int:
-        """Append a batch's violation groups of ``ax`` as one record and
-        return the least key.
+    def _record(self, ax, groups, K, to_cells, agent, start) -> tuple[int, int]:
+        """Append a batch's violation groups of ``ax`` as one
+        :class:`~ramkit.reports.PairBatch` in sweep order, and return the
+        cell and slot offset of its first entry.
 
-        A group is ``(offset, r, s, swap, objects, relation, detail, cells,
-        ranks, lhs, rhs)``: the cells failing the slot ``offset`` of the
-        move from report ``prefs[r]`` to ``prefs[s]``, with per-cell arrays
-        of rank (or None) and numerators.  An entry's key ``cell * modulus
-        + offset`` orders like (cell, report pair, slot), the order in
-        which a cell-by-cell sweep finds them.
+        A group is ``(offset, r, s, swap, objects, relation, detail,
+        entries, ranks, lhs, rhs)``: the column entries, among ``K``,
+        failing the slot ``offset`` of the move from report ``prefs[r]``
+        to ``prefs[s]``, with per-entry lists of rank (or None) and
+        numerators.  The groups' entries go into one bucket per column
+        entry, in order of offset; the buckets, gathered to the cells by
+        ``to_cells`` over multiset ids, read in cell order (from ``start``)
+        give the order of (cell, report pair, slot) in which a
+        cell-by-cell sweep finds them.
         """
-        repeat = itertools.repeat
-        keys: list[int] = []
-        starts = [0]
-        for offset, *_, cells, _ranks, _lhs, _rhs in groups:
-            keys.extend(map(add, map(mul, cells, repeat(modulus)), repeat(offset)))
-            starts.append(len(keys))
-        order = array("q", sorted(range(len(keys)), key=keys.__getitem__))
-        records = [group[1:] for group in groups]
-        self.found[ax].append(PairBatch(agent, records, starts, order))
-        return keys[order[0]]
+        chain, repeat = itertools.chain.from_iterable, itertools.repeat
+        groups.sort(key=itemgetter(0))
+        sizes = [len(group[7]) for group in groups]
+        buckets: list[list[int]] = [[] for _ in range(K)]
+        flat = 0  # the entries, numbered across the groups
+        for group, size in zip(groups, sizes):
+            # deque(..., 0) runs the appends and keeps nothing
+            deque(map(list.append, map(buckets.__getitem__, group[7]),
+                      range(flat, flat + size)), 0)
+            flat += size
+        per_cell = buckets if to_cells is None else to_cells(buckets)
+        picks = list(chain(per_cell))  # the flat entry numbers, in sweep order
+
+        def gather(values) -> list:
+            values = list(values)
+            return list(map(values.__getitem__, picks))
+
+        batch = PairBatch(
+            agent, [group[1:7] for group in groups],
+            array("q", gather(chain(map(repeat, range(len(groups)), sizes)))),
+            array("q", chain(map(repeat, range(start, start + len(per_cell)), map(len, per_cell)))),
+            None if groups[0][8] is None else array("q", gather(chain(g[8] for g in groups))),
+            _pack(gather(chain(g[9] for g in groups))),
+            _pack(gather(chain(g[10] for g in groups))),
+        )
+        self.found[ax].append(batch)
+        return batch.cells[0], groups[batch.group[0]][0]
 
 
-def _fosd_group(
-    t: int, v: int, m: int, relation: str, detail: str, where: range, failing
-) -> tuple:
+def _fosd_group(t: int, v: int, m: int, relation: str, detail: str, failing) -> tuple:
     """A :meth:`_PairSweep._record` group of sp or weak-sp violations of the
-    move from report ``t`` to ``v``, from ``(entry, rank, lhs, rhs)`` rows,
-    column entry ``k`` standing for ``where[k]``."""
+    move from report ``t`` to ``v``, from ``(entry, rank, lhs, rhs)``
+    rows."""
     entries, ranks, lhs, rhs = zip(*failing)
-    return (
-        t * m + v, t, v, None, (), relation, detail,
-        array("q", map(where.__getitem__, entries)), array("q", ranks),
-        _pack(list(lhs)), _pack(list(rhs)),
-    )
-
-
-def _spread(group: tuple, to_cells, ids: int) -> tuple:
-    """``group``, of failing multiset ids among ``ids``, with each id
-    replaced by its cells and its rank and numerators repeated once per
-    cell, in cell order; ``to_cells`` gathers a list over the ids to the
-    cells."""
-    *head, failing, ranks, lhs, rhs = group
-    at = [0] * ids  # 1 + the group entry of each failing id, 0 for the others
-    for e, k in enumerate(failing, 1):
-        at[k] = e
-    per_cell = to_cells(at)
-    entries = list(filter(None, per_cell))
-
-    def repeated(values) -> list:
-        return list(map([0, *values].__getitem__, entries))
-
-    return (
-        *head, array("q", itertools.compress(range(len(per_cell)), per_cell)),
-        None if ranks is None else array("q", repeated(ranks)),
-        _pack(repeated(lhs)), _pack(repeated(rhs)),
-    )
+    return (t * m + v, t, v, None, (), relation, detail, entries, ranks, lhs, rhs)
 
 
 def run_pair_sweep(

@@ -43,13 +43,14 @@ routes.
   331,776.  Two agents with equal reports must get equal rows, or the
   fill raises.
 
-  Both anonymous routes keep one row per report and multiset of ``n-1``
-  opponent reports (24 x 2,600 at n=4), as Python ints.  Every cell has a
-  multiset id, and columns are the same for every agent.
-  :meth:`DomainTable.columns` gathers a column through the ids of its
-  cells; :meth:`DomainTable.read` of a whole agent gives the columns over
-  the ids themselves, with the gather from ids to cells, so the pair sweep
-  compares 2,600 entries per column at n=4 instead of 13,824.
+  Both anonymous routes keep one column per report and object, over the
+  multisets of ``n-1`` opponent reports (24 x 4 columns of 2,600 at n=4),
+  as Python ints.  Every cell has a multiset id, and columns are the same
+  for every agent.  :meth:`DomainTable.columns` gathers a column through
+  the ids of its cells; :meth:`DomainTable.read` of a whole agent gives
+  the columns over the ids themselves, with the gather from ids to cells,
+  so the pair sweep compares 2,600 entries per column at n=4 instead of
+  13,824.
 - Any other mechanism is evaluated at every profile into **dense
   storage**: the ``n*n`` numerators of every profile.  Values live in a
   signed 64-bit array, and the table falls back to a list of Python ints
@@ -225,17 +226,17 @@ class DomainTable:
         # Dense storage, allocated by fill(); until then every read
         # evaluates the profiles it reads.
         self.nums: Optional[Store] = None
-        # Filled by multiset (anonymous mechanisms): _rows[r][k] is the row
-        # of numerators for report prefs[r] against the opponent multiset
-        # k, and _multiset[c] is the id of cell c's multiset.
-        self._rows: Optional[list[list[tuple[int, ...]]]] = None
+        # Filled by multiset (anonymous mechanisms): _cols[r][x][k] is the
+        # numerator of object x for report prefs[r] against the opponent
+        # multiset k, and _multiset[c] is the id of cell c's multiset.
+        self._cols: Optional[list[list[list[int]]]] = None
         self._multiset: Optional[array] = None
 
     @property
     def anonymous(self) -> bool:
         """Filled by multiset: :meth:`columns` is then the same for every
         agent."""
-        return self._rows is not None
+        return self._cols is not None
 
     # -- indexing ----------------------------------------------------------
 
@@ -257,7 +258,7 @@ class DomainTable:
         worker processes, never more than the CPU count; in this process
         when ``jobs <= 1``.  The neutrality sweep clears ``relabel``, so
         it does not fill through the fact it checks."""
-        self.nums = self._rows = None
+        self.nums = self._cols = None
         if self.mech.anonymous:
             self._fill_by_multiset(relabel and self.mech.neutral)
             return
@@ -282,10 +283,10 @@ class DomainTable:
         self.nums = nums
 
     def _fill_by_multiset(self, relabel: bool) -> None:
-        """Keep each report's row under (report, multiset of the others'
-        reports).  With ``relabel`` the rows come from one evaluation per
+        """Keep each report's columns over the multisets of the others'
+        reports.  With ``relabel`` they come from one evaluation per
         multiset of the identity report's opponent reports
-        (:meth:`_relabeled_rows`); without, from one evaluation per
+        (:meth:`_relabeled_columns`); without, from one evaluation per
         multiset of reports, at its sorted profile.
 
         Raises ValueError if two agents with equal reports get different
@@ -298,19 +299,21 @@ class DomainTable:
             for cell in itertools.product(range(m), repeat=n - 1)
         ])
         if relabel:
-            self._rows = self._relabeled_rows(multisets, ids)
+            self._cols = self._relabeled_columns(multisets, ids)
             return
         rows: list[list] = [[None] * len(ids) for _ in range(m)]
         everyone = itertools.combinations_with_replacement(range(m), n)
         for r, others, row in multiset_rows(self.mech, self.prefs, everyone):
-            rows[r][ids[others]] = tuple(row)
-        self._rows = rows
+            rows[r][ids[others]] = row
+        self._cols = [list(map(list, zip(*by_r))) for by_r in rows]
 
-    def _relabeled_rows(self, multisets: list[tuple[int, ...]], ids: dict) -> list[list]:
-        """Rows of an anonymous and neutral mechanism from one evaluation
-        per multiset ``M'`` of opponent reports, at ``(id,) + M'``: the row
-        of report r against M is the identity report's row against
-        ``s_r M``, its objects read through r.  ``s_r M`` is found without
+    def _relabeled_columns(self, multisets: list[tuple[int, ...]], ids: dict) -> list[list]:
+        """Columns of an anonymous and neutral mechanism from one
+        evaluation per multiset ``M'`` of opponent reports, at ``(id,) +
+        M'``: the row of report r against M is the identity report's row
+        against ``s_r M``, its objects read through r, so r's column of
+        object x is the identity report's column of ``s_r(x)`` gathered
+        through the ids of the ``s_r M``.  ``s_r M`` is found without
         sorting, as the multiset id of the cell whose digits are M's
         reports relabeled.
 
@@ -325,43 +328,45 @@ class DomainTable:
             if r:
                 evaluated.append((r, others, row))
             else:  # yielded first: report 0 leads each sorted profile
-                base.append(tuple(row))
+                base.append(row)
+        base_cols = list(map(list, zip(*base)))
         # digits[j]: the j-th report of every multiset, in multiset order
         digits = list(zip(*multisets))
         weights = [m ** (n - 2 - j) for j in range(n - 1)]
-        rows = [base]
+        cols = [base_cols]
         for to in relabel_table(prefs, range(m))[1:]:
             cells = [0] * len(multisets)  # the cell of each s_r M
             for d, w in zip(digits, weights):
                 place = [to[p] * w for p in range(m)]
                 cells = list(map(add, cells, map(place.__getitem__, d)))
-            at = map(base.__getitem__, map(self._multiset.__getitem__, cells))
+            at = list(map(self._multiset.__getitem__, cells))
             # s_r(identity) is s_r as a tuple: object x of r's row is s_r(x)
             # of the identity report's
-            rows.append(list(map(itemgetter(*prefs[to[0]]), at)))
+            cols.append([list(map(base_cols[y].__getitem__, at)) for y in prefs[to[0]]])
         for r, others, row in evaluated:
-            if rows[r][ids[others]] != tuple(row):
+            ms = ids[others]
+            if [col[ms] for col in cols[r]] != list(row):
                 profile = tuple(prefs[k] for k in sorted(others + (r,)))
                 raise ValueError(
                     f"{self.mech.descriptor()} is declared neutral, but report "
                     f"{prefs[r]} gets a row at profile {profile} that is not "
                     "the identity report's row relabeled"
                 )
-        return rows
+        return cols
 
     # -- reading -----------------------------------------------------------
 
     def read(self, agent: int, start: int, count: int) -> tuple[list, Optional[Callable]]:
         """The pair kernel's read of ``agent``'s cells ``[start, start +
         count)``: ``(cols, to_cells)``.  A table filled by multiset, read
-        whole, gives columns over the multiset ids, ``cols[r][x][k]`` under
-        the opponent multiset ``k``, and ``to_cells``, which takes a list
+        whole, gives its own columns over the multiset ids, not copies, so
+        the reader must not change them: ``cols[r][x][k]`` under the
+        opponent multiset ``k``, and ``to_cells``, which takes a list
         over the ids to the tuple of its items at every cell's id, in cell
         order; any other read gives :meth:`columns` and None."""
-        if self._rows is None or count < self.cells:
+        if self._cols is None or count < self.cells:
             return self.columns(agent, start, count), None
-        cols = [[list(col) for col in zip(*by_r)] for by_r in self._rows]
-        return cols, _gather(self._multiset)
+        return self._cols, _gather(self._multiset)
 
     def columns(self, agent: int, start: int, count: int) -> list:
         """``agent``'s report columns over cells ``[start, start + count)``:
@@ -371,11 +376,10 @@ class DomainTable:
         :meth:`fill`, each profile read is evaluated here and nothing is
         kept.
         """
-        if self._rows is not None:
-            # each report's rows by object, gathered through the cells'
-            # multiset ids
+        if self._cols is not None:
+            # each report's columns, gathered through the cells' multiset ids
             pick = _gather(self._multiset[start:start + count])
-            return [[list(pick(col)) for col in zip(*by_r)] for by_r in self._rows]
+            return [[list(pick(col)) for col in by_r] for by_r in self._cols]
         if self.nums is None:
             return self._evaluate_columns(agent, start, count)
         n, nn, s = self.n, self._nn, self.stride(agent)
@@ -414,13 +418,14 @@ class DomainTable:
         """Profile ``index``'s numerators over ``D``, agent by agent.
         Before :meth:`fill` the profile is evaluated here and nothing is
         kept."""
-        if self._rows is not None:
-            flat: tuple[int, ...] = ()
+        if self._cols is not None:
+            flat: list[int] = []
             for agent in self.agents:
                 s = self.stride(agent)
                 high, rest = divmod(index, self.m * s)
                 r, low = divmod(rest, s)
-                flat += self._rows[r][self._multiset[high * s + low]]
+                k = self._multiset[high * s + low]
+                flat += [col[k] for col in self._cols[r]]
             return flat
         if self.nums is None:
             return _flat(self.mech, self.profile(index))

@@ -132,23 +132,33 @@ def render_reports(instance: Instance, reports, prefix: str = "") -> list[str]:
 
 
 class PairBatch(NamedTuple):
-    """The violations of one pair axiom in one batch of the pair kernel.
+    """The violations of one pair axiom in one batch of the pair kernel,
+    in sweep order.
 
-    A group is ``(r, s, swap, objects, relation, detail, cells, ranks, lhs,
-    rhs)``: the move from report ``prefs[r]`` to ``prefs[s]`` failed one
-    comparison slot in each of ``cells``, with ``lhs`` and ``rhs`` the
-    numerators over ``Violations.D`` and, for sp and weak-sp, ``ranks``
-    the prefix of each failure (None otherwise).  The per-cell fields are
-    integer arrays, or lists of Python ints where a value exceeds 64 bits.
-    Entry ``k`` of the batch is entry ``k - starts[g]`` of the group ``g``
-    with ``starts[g] <= k < starts[g + 1]``; ``order`` lists the entries in
-    sweep order.
+    Entry ``k`` failed, in cell ``cells[k]``, one comparison slot of the
+    move ``groups[group[k]] = (r, s, swap, objects, relation, detail)``
+    from report ``prefs[r]`` to ``prefs[s]``, with ``lhs[k]`` and
+    ``rhs[k]`` the numerators over ``Violations.D`` and, for sp and
+    weak-sp, ``ranks[k]`` the prefix of the failure (``ranks`` is None
+    otherwise).  The per-entry fields are integer arrays, or lists of
+    Python ints where a value exceeds 64 bits.  The agent copies of an
+    anonymous sweep share every field but ``agent``, and
+    :meth:`Violations.render` builds one sweep-order view of the lines'
+    shared parts for them all.
     """
 
     agent: int
     groups: list
-    starts: list
-    order: Sequence
+    group: Sequence
+    cells: Sequence
+    ranks: Optional[Sequence]
+    lhs: Sequence
+    rhs: Sequence
+
+    def first(self) -> "PairBatch":
+        """This batch cut to its first entry."""
+        return PairBatch(self.agent, self.groups,
+                         *(None if field is None else field[:1] for field in self[2:]))
 
 
 #: Most lines in one list given out by :meth:`Violations.render`.
@@ -177,7 +187,7 @@ class Violations(Sequence):
         self.D = D
         self.prior = prior
         self._batches = batches
-        self._ends = list(itertools.accumulate(len(b.order) for b in batches))
+        self._ends = list(itertools.accumulate(len(b.cells) for b in batches))
 
     def __len__(self) -> int:
         return self._ends[-1] if self._ends else 0
@@ -192,12 +202,11 @@ class Violations(Sequence):
         if not 0 <= i < size:
             raise IndexError("violation index out of range")
         b = bisect_right(self._ends, i)
-        batch = self._batches[b]
-        return self._report(batch, batch.order[i - (self._ends[b - 1] if b else 0)])
+        return self._report(self._batches[b], i - (self._ends[b - 1] if b else 0))
 
     def __iter__(self) -> Iterator[ViolationReport]:
         for batch in self._batches:
-            for k in batch.order:
+            for k in range(len(batch.cells)):
                 yield self._report(batch, k)
 
     def __eq__(self, other) -> bool:
@@ -214,21 +223,19 @@ class Violations(Sequence):
         return f"<Violations axiom={self.axiom} reports={len(self)}>"
 
     def _report(self, batch: PairBatch, k: int) -> ViolationReport:
-        g = bisect_right(batch.starts, k) - 1
-        r, s, swap, objects, relation, detail, cells, ranks, lhs, rhs = batch.groups[g]
-        at = k - batch.starts[g]
+        r, s, swap, objects, relation, detail = batch.groups[batch.group[k]]
         prefs, agent = self.prefs, batch.agent
         profile = truth = None
         if self.prior is None:
-            opponents = reports_at(prefs, len(prefs[0]) - 1, cells[at])
+            opponents = reports_at(prefs, len(prefs[0]) - 1, batch.cells[k])
             profile = insert_report(opponents, agent, prefs[r])
         else:
             truth = prefs[r]
         return ViolationReport(
             axiom=self.axiom, agent=agent, profile=profile, truth=truth,
             deviation=prefs[s], swap=swap, objects=objects,
-            rank=None if ranks is None else ranks[at],
-            lhs=Fraction(lhs[at], self.D), rhs=Fraction(rhs[at], self.D),
+            rank=None if batch.ranks is None else batch.ranks[k],
+            lhs=Fraction(batch.lhs[k], self.D), rhs=Fraction(batch.rhs[k], self.D),
             relation=relation, prior=self.prior, detail=detail,
         )
 
@@ -239,9 +246,11 @@ class Violations(Sequence):
 
         A line is the part before the reporting agent's report (the head
         and the reports of the agents before her), her report, the reports
-        of the agents after her, the group's fixed middle, and two value
-        strings: the left one ends in the relation and the right one in the
-        detail, each built once per numerator.  The parts before and after
+        of the agents after her, and the entry's tail.  The truths and
+        tails come from the batch's view (:func:`_sweep_view`), built once
+        for each distinct set of records and shared by the agent copies of
+        an anonymous sweep, which follow one another; each view is dropped
+        before the next is built.  The parts before and after
         come from one table per count j of agents (:func:`_report_table`),
         in which each string is the one of j-1 agents plus one report.  A
         table is built whole only when its ``m**j`` strings are at most the
@@ -253,13 +262,16 @@ class Violations(Sequence):
         prefs = self.prefs
         m, n = len(prefs), len(prefs[0])
         P = [names.pref(p) for p in prefs]
-        V = _Strings(lambda v, d=self.D: str(Fraction(v, d)))
-        lefts = _Strings(lambda relation: _Strings(lambda v: V[v] + relation))
-        rights = _Strings(lambda tail: _Strings(lambda v: V[v] + tail))
+        value = _Strings(lambda v, d=self.D: str(Fraction(v, d))).__getitem__
         before_parts = [p + "|" for p in P]
         after_parts = ["|" + p for p in P]
+        records = view = None
         for batch in self._batches:
-            agent, size = batch.agent, len(batch.order)
+            if records is None or any(map(operator.is_not, batch[1:], records)):
+                records, view = batch[1:], None
+                view = _sweep_view(batch, P, names, value)
+            truths, tails = view
+            cells, agent, size = batch.cells, batch.agent, len(batch.cells)
             if self.prior is None:
                 step = m ** (n - 1 - agent)
                 head = f"{prefix}{self.axiom} agent={agent + 1} profile="
@@ -269,27 +281,42 @@ class Violations(Sequence):
                 step = 1
                 before = [f"{prefix}{self.axiom} agent={agent + 1} truth="]
                 after = [""]
-            lines: list[str] = []
-            for r, s, swap, objects, relation, detail, cells, ranks, lhs, rhs in batch.groups:
-                mid = f" deviation={P[s]}"
-                if swap is not None:
-                    mid += " " + names.swap(swap)
-                if objects:
-                    mid += " objects=" + names.object_list(objects)
-                if ranks is None:
-                    mids = itertools.repeat(mid + " violated=")
-                else:
-                    by_rank = {k: f"{mid} prefix={k} violated=" for k in range(1, n + 1)}
-                    mids = map(by_rank.__getitem__, ranks)
-                truth = P[r]
-                left, right = lefts[relation], rights[" " + detail if detail else ""]
-                lines += [
-                    f"{before[c // step]}{truth}{after[c % step]}{middle}{left[x]}{right[y]}"
-                    for c, middle, x, y in zip(cells, mids, lhs, rhs)
+            for at in range(0, size, _CHUNK_LINES):
+                end = at + _CHUNK_LINES
+                yield [
+                    f"{before[c // step]}{truth}{after[c % step]}{tail}"
+                    for c, truth, tail in zip(cells[at:end], truths[at:end], tails[at:end])
                 ]
-            lines = list(map(lines.__getitem__, batch.order))
-            for at in range(0, len(lines), _CHUNK_LINES):
-                yield lines[at: at + _CHUNK_LINES]
+
+
+def _sweep_view(batch: PairBatch, P: list[str], names: _Names, value):
+    """``(truths, tails)`` of a batch's entries, in its sweep order: each
+    entry's truth string ``P[r]``, and its tail, which is the deviation,
+    swap, objects and prefix, then the left value and relation, then the
+    right value and detail.  Each tail is built once per group and
+    ``(rank, lhs, rhs)``, and the entries refer to it."""
+    parts = []  # per group: its fixed middle, relation and end
+    for r, s, swap, objects, relation, detail in batch.groups:
+        mid = f" deviation={P[s]}"
+        if swap is not None:
+            mid += " " + names.swap(swap)
+        if objects:
+            mid += " objects=" + names.object_list(objects)
+        parts.append((mid, relation, " " + detail if detail else ""))
+
+    def tail(key) -> str:
+        g, rank, x, y = key
+        mid, relation, end = parts[g]
+        if rank is not None:
+            mid += f" prefix={rank}"
+        return f"{mid} violated={value(x)}{relation}{value(y)}{end}"
+
+    truth_of = [P[group[0]] for group in batch.groups]
+    ranks = itertools.repeat(None) if batch.ranks is None else batch.ranks
+    return (
+        list(map(truth_of.__getitem__, batch.group)),
+        list(map(_Strings(tail).__getitem__, zip(batch.group, ranks, batch.lhs, batch.rhs))),
+    )
 
 
 def _report_table(parts: list[str], j: int, base: str, size: int):

@@ -41,6 +41,8 @@ from ramkit.formats import render_prior_file, render_speed_file, render_table_fi
 PINS = """
 # 457,632 li violation lines, 72,693,882 bytes; tests/test_cli.py also pins this row's memory
 1 67a8a68fda89b54b8d60a24b44d2e24351df4e9324ff80a8477bdd09c562c216 check --axiom li --mechanism ps --n 4 --mode exhaustive --format machine --jobs 2
+# the same li violations in the human format, each line under a two-space prefix; recorded while each agent's lines were rendered in slot-group order and reordered
+1 a08b1d15e1648886ff06ccbd7f5138229184efe1c84354dc1b8be8c8ec2038ed check --axiom li --mechanism ps --n 4 --mode exhaustive --jobs 2
 # 1,386,432 sp violation lines, recorded while every profile was evaluated on two workers
 1 8586cc886785800e297f6e031c16a29b89de9c5ba8ca73b189f4b48ce90ff9b9 check --axiom sp --mechanism ps --n 4 --mode exhaustive --format machine --jobs 2
 # exhaustive weak-sp and em of ps, both satisfied, recorded while the pair kernel compared cell columns of the multiset-filled table

@@ -454,6 +454,13 @@ LI_PS4 = next(row for row in ROWS if row.argv == (
     "--mode", "exhaustive", "--format", "machine", "--jobs", "2",
 ))
 
+#: The pinned row of ``ram check --axiom sp --mechanism ps --n 4 --mode
+#: exhaustive --format machine --jobs 2``.
+SP_PS4 = next(row for row in ROWS if row.argv == (
+    "check", "--axiom", "sp", "--mechanism", "ps", "--n", "4",
+    "--mode", "exhaustive", "--format", "machine", "--jobs", "2",
+))
+
 #: Runs argv[1:] as its one child and prints that child's exit code, the
 #: sha256 of its stdout and its max RSS in KiB (the largest of it and the
 #: pool workers it waited for).
@@ -475,14 +482,25 @@ def _limit_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
 
-@pytest.fixture(scope="module")
-def li_ps4():
+def _measure(row):
+    """Run a pinned row's command; return its exit code, the sha256 of its
+    stdout and its max RSS in KiB."""
     run = subprocess.run(
-        [sys.executable, "-c", _MEASURE] + ram_command(*LI_PS4.argv),
+        [sys.executable, "-c", _MEASURE] + ram_command(*row.argv),
         env=ram_env(), capture_output=True, text=True, check=True,
     )
     code, digest, max_rss_kib = run.stdout.split()
     return int(code), digest, int(max_rss_kib)
+
+
+@pytest.fixture(scope="module")
+def li_ps4():
+    return _measure(LI_PS4)
+
+
+@pytest.fixture(scope="module")
+def sp_ps4():
+    return _measure(SP_PS4)
 
 
 class TestStreamedOutput:
@@ -493,6 +511,16 @@ class TestStreamedOutput:
     def test_n4_li_max_rss(self, li_ps4):
         _, _, max_rss_kib = li_ps4
         assert max_rss_kib <= 250 * 1024
+
+    def test_n4_sp_output_pinned(self, sp_ps4):
+        code, digest, _ = sp_ps4
+        assert (code, digest) == (SP_PS4.code, SP_PS4.digest)
+
+    def test_n4_sp_max_rss(self, sp_ps4):
+        """1,386,432 sp lines, rendered a chunk at a time from one view in
+        sweep order that all four agents share."""
+        _, _, max_rss_kib = sp_ps4
+        assert max_rss_kib <= 100 * 1024
 
     def test_first_violation_past_the_cap_renders_in_bounded_memory(self):
         """At n=5 the first li violation is rendered from its own cell's

@@ -676,7 +676,7 @@ def test_identity_fill_matches_the_multiset_fill(kind, n):
     relabeled.fill()
     plain.fill()
     assert relabeled.anonymous and plain.anonymous
-    assert relabeled._rows == plain._rows
+    assert relabeled._cols == plain._cols
     assert relabeled._multiset == plain._multiset
 
 
@@ -729,7 +729,7 @@ def test_falsely_neutral_ps_passes_the_guard():
     relabeled, plain = DomainTable(mech, prefs), DomainTable(_undeclared_neutral(mech), prefs)
     relabeled.fill()
     plain.fill()
-    assert relabeled._rows != plain._rows
+    assert relabeled._cols != plain._cols
     assert not run_axiom_check(mech, "neutral", mode="exhaustive").satisfied
 
 

@@ -16,7 +16,8 @@ from helpers import (
 )
 from ramkit.axioms import PAIR_AXIOMS, reverify_violation, run_pair_sweep
 from ramkit.core import Instance
-from ramkit.formats import outcome_lines
+from ramkit import reports
+from ramkit.formats import outcome_chunks, outcome_lines
 from ramkit.interim import (
     Prior,
     check_obic,
@@ -25,7 +26,7 @@ from ramkit.interim import (
     uniform_prior,
 )
 from ramkit.mechanisms import ProbabilisticSerial
-from ramkit.reports import ViolationReport, Violations
+from ramkit.reports import _CHUNK_LINES, ViolationReport, Violations
 
 
 @pytest.fixture(scope="module")
@@ -99,6 +100,33 @@ class TestContract:
         outcome = run_pair_sweep(build_mechanism("rp", 3), ("sp",))["sp"]
         assert outcome.satisfied and len(outcome.violations) == 0
         assert outcome.violations == () and list(outcome.violations) == []
+
+
+@pytest.mark.parametrize("interim", (False, True))
+def test_batches_sharing_groups_render_their_own_entries_and_agent(sp_table3, interim):
+    """Copies of one batch's groups with their entries in another order,
+    or under another agent, render their own reports, also after a copy
+    that differs, so the view they share is keyed on every record, not on
+    the groups alone."""
+    instance = Instance.default(3)
+    got, _ = sp_table3
+    if interim:
+        prior = random_prior(random.Random(3), instance)
+        got = check_obic(build_mechanism("table", 3), prior).violations
+    batch = got._batches[0]
+    size = len(batch.cells)
+    assert size > 1
+    backwards = batch._replace(**{
+        field: getattr(batch, field)[::-1] for field in ("group", "cells", "ranks", "lhs", "rhs")
+    })
+    batches = [
+        batch, backwards, batch._replace(agent=2), backwards._replace(agent=2), batch,
+    ]
+    violations = Violations(got.axiom, got.prefs, batches, got.D, got.prior)
+    lines = [line for chunk in violations.render(instance, "  ") for line in chunk]
+    assert lines == ["  " + v.render(instance) for v in violations]
+    assert lines[:size] == lines[-size:] != lines[size:2 * size]
+    assert lines[size:2 * size] == lines[:size][::-1]
 
 
 def _assert_renders_per_report(instance, outcomes):
@@ -212,3 +240,28 @@ def test_n4_render_matches_report_render(ps4_swaps):
             report = li.violations[i]
             assert report.agent == k
             assert lines[1 + i] == "violation " + report.render(instance)
+
+
+def test_n4_render_builds_one_view_in_bounded_chunks(ps4_swaps, monkeypatch):
+    """PS fills by multiset, so its four agents' li batches share one
+    sweep-order view; every chunk holds at most ``_CHUNK_LINES`` lines, and
+    the chunks joined are ``outcome_lines``."""
+    mech, outcomes = ps4_swaps
+    instance, li = mech.instance, outcomes["li"]
+    built = []
+    sweep_view = reports._sweep_view
+
+    def counted(*args):
+        built.append(args[0])
+        return sweep_view(*args)
+
+    monkeypatch.setattr(reports, "_sweep_view", counted)
+    lines = outcome_lines(instance, li, machine=True)
+    assert len(built) == 1 and len({id(b.cells) for b in li.violations._batches}) == 1
+    at = 0
+    for chunk in outcome_chunks(instance, li, machine=True):
+        assert 0 < len(chunk) <= _CHUNK_LINES
+        assert chunk == lines[at: at + len(chunk)]
+        at += len(chunk)
+    assert at == len(lines) == 1 + 457_632
+    assert len(built) == 2
