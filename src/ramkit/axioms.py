@@ -44,7 +44,10 @@ efficiency share one driver, :func:`_profile_sweep`, which runs one test
 on the integer rows of each profile in turn; only ex-post efficiency
 builds Fractions, for the outcomes it decomposes.  Neutrality reads one
 representative per relabeling orbit, the profile in which agent 1 reports
-the identity order, so it visits (n!)**(n-1) profiles, not (n!)**n.
+the identity order, so it visits (n!)**(n-1) profiles, not (n!)**n.  It
+compares each member of the orbit, relabeled, with the representative:
+as relabelings compose, that implies that every member agrees with every
+relabeling of it, and its comparisons are counted as that check's.
 """
 
 from __future__ import annotations
@@ -53,7 +56,7 @@ import itertools
 from array import array
 from collections import deque
 from fractions import Fraction
-from operator import add, ge, gt, itemgetter, lt, mul, ne
+from operator import add, ge, gt, itemgetter, lt, ne
 from typing import Iterable, Optional
 
 from .core import (
@@ -61,10 +64,8 @@ from .core import (
     ZERO,
     AssignmentMatrix,
     CapExceededError,
-    Instance,
     Preference,
     Profile,
-    SwapInfo,
     _check_pref_cap,
     _check_sweep_cap,
     adjacent_swaps,
@@ -168,8 +169,6 @@ _EX_POST_LABELS = {
     "ui": ("ui", "share above the swapped pair moved"),
     "li": ("li", "share below the swapped pair moved"),
 }
-
-_FOSD_AXIOMS = ("sp", "weak-sp")
 
 #: Most cells in one batch of a ``mode="first"`` sweep.
 _FIRST_BATCH_CAP = 256
@@ -609,46 +608,47 @@ def _profile_sweep(mech, axiom, mode, jobs, max_n) -> CheckOutcome:
 
 def _neutrality_test(table: DomainTable):
     """Neutrality at the representative of each relabeling orbit, the
-    profile in which agent 1 reports the identity order: each member's
-    rows against those of each of its relabelings, found by report index.
-    No relabeling but the identity fixes agent 1's report, so the orbit has
-    n! distinct members, and each is read once."""
+    profile in which agent 1 reports the identity order: no other
+    relabeling fixes agent 1's report, so the orbit's n! members are
+    distinct, and each is read once.  An orbit passes when each member,
+    relabeled, agrees with the representative; only a failing one compares
+    each member, by index, with each relabeling, to list its violations."""
     n, prefs, D = table.n, table.prefs, table.D
     position = {p: k for k, p in enumerate(prefs)}
     sigmas = list(itertools.permutations(range(n)))
-    which = {s: k for k, s in enumerate(sigmas)}
-    weights = [table.stride(j) for j in range(n)]
-    # relabel[s][d]: the index of prefs[d] relabeled by sigmas[s];
-    # compose[s][t]: sigmas[t], then sigmas[s];
-    # moved[s][i*n + a]: the flat position of agent i's share of sigmas[s][a]
-    relabel = [[position[apply_permutation(p, s)] for p in prefs] for s in sigmas]
-    compose = [[which[tuple(s[x] for x in t)] for t in sigmas] for s in sigmas]
-    moved = [[i * n + s[a] for i in range(n) for a in range(n)] for s in sigmas]
+    # relabel[p][s]: the index of report p relabeled by sigmas[s];
+    # steps[j][d]: the part of a profile's index that agent j's report prefs[d]
+    # makes, and shifts[j][p][s] that of report p relabeled by sigmas[s];
+    # moved[s]: a row's shares of sigmas[s][a], agent by agent, object by object
+    relabel = {p: [position[apply_permutation(p, s)] for s in sigmas] for p in prefs}
+    steps = [[d * table.stride(j) for d in range(table.m)] for j in range(n)]
+    shifts = [{p: list(map(step.__getitem__, r)) for p, r in relabel.items()} for step in steps]
+    moved = [itemgetter(*(i * n + s[a] for i in range(n) for a in range(n))) for s in sigmas]
+
+    def images(profile):  # the index of the profile relabeled by each of sigmas
+        return list(map(sum, zip(*map(dict.__getitem__, shifts, profile))))
 
     def test(index, profile, first):
-        digits = [position[p] for p in profile]
-        images = [[r[d] for d in digits] for r in relabel]
-        at = [sum(map(mul, image, weights)) for image in images]
-        members = {k: t for t, k in enumerate(at)}  # image index -> a relabeling to it
-        rows = {k: list(table.entry(k)) for k in sorted(members)}
+        at = images(profile)  # the identity's image first
+        rows = {k: table.entry(k) for k in sorted(at)}
+        rep = moved[0](rows[index])
+        if all(moved[t](rows[k]) == rep for t, k in enumerate(at)):
+            return (), len(rows), len(rows) * len(sigmas) * n * n
         found = []
-        for b, (base, out) in enumerate(rows.items()):
-            t = members[base]
-            for s, sigma in enumerate(sigmas):
-                relabeled = rows[at[compose[s][t]]]
-                if list(map(relabeled.__getitem__, moved[s])) == out:
+        for b, (base, row) in enumerate(rows.items()):
+            member, out = table.profile(base), moved[0](row)
+            for s, (sigma, partner) in enumerate(zip(sigmas, images(member))):
+                relabeled = moved[s](rows[partner])
+                if relabeled == out:
                     continue
-                for k, place in enumerate(moved[s]):
-                    if out[k] != relabeled[place]:
-                        found.append(ViolationReport(
-                            axiom="neutral", agent=k // n,
-                            profile=tuple(prefs[d] for d in images[t]), sigma=sigma,
-                            objects=(k % n,), lhs=Fraction(out[k], D),
-                            rhs=Fraction(relabeled[place], D), relation="!=",
-                            detail="share does not follow the relabeling",
-                        ))
-                        if first:  # the comparisons made up to this one
-                            return found, len(rows), (b * len(sigmas) + s) * n * n + k + 1
+                for k in itertools.compress(range(n * n), map(ne, out, relabeled)):
+                    found.append(ViolationReport(
+                        axiom="neutral", agent=k // n, profile=member, sigma=sigma,
+                        objects=(k % n,), lhs=Fraction(out[k], D), rhs=Fraction(relabeled[k], D),
+                        relation="!=", detail="share does not follow the relabeling",
+                    ))
+                    if first:  # the comparisons made up to this one
+                        return found, len(rows), (b * len(sigmas) + s) * n * n + k + 1
         return found, len(rows), len(rows) * len(sigmas) * n * n
 
     return test

@@ -19,7 +19,6 @@ from .core import (
     ONE,
     ZERO,
     AssignmentMatrix,
-    Preference,
     Profile,
     _as_exact,
     prefers,

@@ -66,6 +66,9 @@ PINS = """
 0 bece1fcf79db51f9c97c6088b7e942997caacc91fd6d7905571ed518bc0c5c0e check --axiom oe --mechanism sd:4,2,1,3 --n 4 --format machine --jobs 2
 # ps is neutral; recorded while every profile of an orbit was relabeled to find the orbit's minimum
 0 f4a88da74bd5c82d6b9b1ec665a04b067f794fa76b1ce0a009596a942adc7aad check --axiom neutral --mechanism ps --n 4 --mode exhaustive --format machine
+# rp filled by multiset and an sd order filled on the pool, both neutral; recorded while every member of an orbit was compared with every relabeling of it
+0 f4a88da74bd5c82d6b9b1ec665a04b067f794fa76b1ce0a009596a942adc7aad check --axiom neutral --mechanism rp --n 4 --mode exhaustive --format machine
+0 f4a88da74bd5c82d6b9b1ec665a04b067f794fa76b1ce0a009596a942adc7aad check --axiom neutral --mechanism sd:4,2,1,3 --n 4 --mode exhaustive --format machine --jobs 2
 # OBIC and rank vectors of ps under the uniform prior
 0 3182945c8d94e12f3761233c8f5b46b7fdac56242208e83ec51b0aa87da8de54 obic --mechanism ps --n 4 --format machine
 0 9549b9ece37461262fd320eb660690850ee1a6ebffca49ccd042dc1fe8726e61 ranks --mechanism ps --n 4 --format machine

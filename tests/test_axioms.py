@@ -16,6 +16,7 @@ from helpers import (
     CountingNonNeutralPS,
     CountingPS,
     CountingUndeclaredPS,
+    FalselyNeutralPS,
     build_mechanism,
     profile_sweep_oracle,
     random_bistochastic,
@@ -425,6 +426,28 @@ class TestProfileSweeps:
             for jobs in (1, 2):
                 got = run_axiom_check(mech, axiom, mode=mode, jobs=jobs)
                 assert got == expected, (axiom, jobs)
+
+    @pytest.mark.parametrize("mode", ("exhaustive", "first"))
+    @pytest.mark.parametrize("n", (2, 3))
+    def test_mixed_orbits_match_oracle(self, n, mode):
+        """At n=3 some of FalselyNeutralPS's relabeling orbits pass
+        neutrality and some fail, so its sweep both passes orbits whole and
+        lists the violations of others.  OE and ex-post are left out: the
+        identity fill reads their rows through the false declaration."""
+        mech = FalselyNeutralPS(Instance.default(n))
+        for axiom in ("neutral", "ete"):
+            expected = profile_sweep_oracle(mech, axiom, mode=mode)
+            for jobs in (1, 2):
+                got = run_axiom_check(mech, axiom, mode=mode, jobs=jobs)
+                assert got == expected, (axiom, jobs)
+        if n == 3 and mode == "exhaustive":
+            # an orbit's representative relabels agent 1's report to the identity
+            failing = {
+                tuple(tuple(map({x: k for k, x in enumerate(v.profile[0])}.get, p))
+                      for p in v.profile)
+                for v in profile_sweep_oracle(mech, "neutral", mode=mode).violations
+            }
+            assert 0 < len(failing) < 6 ** 2
 
     def test_oracle_finds_violations_of_every_axiom(self):
         """The oracle comparisons above cover failing sweeps too."""

@@ -2,6 +2,7 @@
 the Fraction cell oracle in ``helpers.pair_sweep_oracle``."""
 
 import copy
+import hashlib
 import itertools
 import math
 import os
@@ -26,6 +27,7 @@ from helpers import (
     build_mechanism,
     huge_denominator_table,
     pair_sweep_oracle,
+    profile_sweep_oracle,
     random_bistochastic,
     random_profile,
     uniform_int,
@@ -38,6 +40,7 @@ from ramkit.core import (
     enumerate_profiles,
 )
 from ramkit.domain import DomainTable, _append, reports_at
+from ramkit.formats import outcome_lines
 from ramkit.mechanisms import (
     EatingSpeedSchedule,
     Mechanism,
@@ -719,6 +722,22 @@ def test_false_neutrality_makes_the_identity_fill_raise():
     assert not run_axiom_check(mech, "neutral", mode="exhaustive").satisfied
 
 
+def test_neutrality_reads_every_agents_row():
+    """A table, PS but for agents 2 and 3 trading at one orbit's
+    representative, fails neutrality only in their rows: agent 1's row
+    follows every relabeling there, so the check must read every row."""
+    traded_ps, traded = _trading_ps()
+    instance = traded_ps.instance
+    mech = TabulatedMechanism(
+        instance, {p: traded_ps.assignment(p) for p in enumerate_profiles(instance)}
+    )
+    assert not mech.anonymous and not mech.neutral
+    got = run_axiom_check(mech, "neutral", mode="exhaustive")
+    assert got == profile_sweep_oracle(mech, "neutral", mode="exhaustive")
+    assert {v.agent for v in got.violations} == {1, 2}
+    assert traded in {v.profile for v in got.violations}
+
+
 def test_falsely_neutral_ps_passes_the_guard():
     """FalselyNeutralPS gives every profile read by the identity fill the
     rows neutrality predicts from the identity report's, so the fill's
@@ -731,6 +750,22 @@ def test_falsely_neutral_ps_passes_the_guard():
     plain.fill()
     assert relabeled._cols != plain._cols
     assert not run_axiom_check(mech, "neutral", mode="exhaustive").satisfied
+
+
+def test_falsely_neutral_ps_first_neutrality_violation_at_n4():
+    """First-mode neutrality of FalselyNeutralPS at n=4 passes the first
+    orbit and stops in the second: both orbits' 24 members are read, and
+    the comparisons are those of the all-pairs comparison up to the first
+    failing one.  Recorded while every member of an orbit was compared
+    with every relabeling of it."""
+    mech = FalselyNeutralPS(Instance.default(4))
+    got = run_axiom_check(mech, "neutral", mode="first")
+    assert not got.satisfied
+    assert (len(got.violations), got.profiles_checked, got.comparisons) == (1, 48, 9_315)
+    lines = outcome_lines(mech.instance, got, machine=True)
+    assert hashlib.sha256("".join(line + "\n" for line in lines).encode()).hexdigest() == (
+        "59cb096686a71763701e42977101394ccb6d83edcfac6dabd7dcf07873736459"
+    )
 
 
 # ---------------------------------------------------------------------------
