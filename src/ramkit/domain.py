@@ -19,8 +19,8 @@ mechanism's one denominator ``D = mech.D``; nothing is rescaled.
 
 Under neutrality (``Mechanism.neutral``) the relabeling ``s_r`` that maps
 object ``r[k]`` to ``k`` turns report ``r`` into the identity order
-``prefs[0]``; :func:`relabel_table` gives its action on report indices,
-once for the fill here and the interim rows of :mod:`ramkit.interim`.
+``prefs[0]``; :func:`relabel_table` gives its action on report indices
+for the fill here.
 
 :meth:`DomainTable.fill` evaluates the whole domain by one of three
 routes.
@@ -116,10 +116,10 @@ def _gather(at: Sequence[int]) -> Callable[[Sequence], tuple]:
     return itemgetter(*at) if len(at) > 1 else lambda seq: (seq[at[0]],)
 
 
-def relabel_table(prefs: Sequence[Preference], among: Sequence[int]) -> list[list[int]]:
-    """``rel[r][j]``: the index in ``prefs`` of ``s_r(prefs[among[j]])``,
-    where ``s_r`` is the relabeling of the objects that maps ``prefs[r][k]``
-    to ``k``.  ``s_r`` turns report ``r`` into the identity order, and
+def relabel_table(prefs: Sequence[Preference]) -> list[list[int]]:
+    """``rel[r][p]``: the index in ``prefs`` of ``s_r(prefs[p])``, where
+    ``s_r`` is the relabeling of the objects that maps ``prefs[r][k]`` to
+    ``k``.  ``s_r`` turns report ``r`` into the identity order, and
     ``s_r(p)`` reads ``p``'s objects through ``r``'s positions."""
     index = {p: k for k, p in enumerate(prefs)}
     rel = []
@@ -127,7 +127,7 @@ def relabel_table(prefs: Sequence[Preference], among: Sequence[int]) -> list[lis
         s = [0] * len(r)
         for k, a in enumerate(r):
             s[a] = k
-        rel.append([index[tuple([s[a] for a in prefs[p]])] for p in among])
+        rel.append([index[tuple([s[a] for a in p])] for p in prefs])
     return rel
 
 
@@ -231,6 +231,8 @@ class DomainTable:
         # multiset k, and _multiset[c] is the id of cell c's multiset.
         self._cols: Optional[list[list[list[int]]]] = None
         self._multiset: Optional[array] = None
+        # (s, m * s) of each agent, for reading a profile's rows by multiset
+        self._steps = [(m ** (n - 1 - i), m ** (n - i)) for i in range(n)]
 
     @property
     def anonymous(self) -> bool:
@@ -334,7 +336,7 @@ class DomainTable:
         digits = list(zip(*multisets))
         weights = [m ** (n - 2 - j) for j in range(n - 1)]
         cols = [base_cols]
-        for to in relabel_table(prefs, range(m))[1:]:
+        for to in relabel_table(prefs)[1:]:
             cells = [0] * len(multisets)  # the cell of each s_r M
             for d, w in zip(digits, weights):
                 place = [to[p] * w for p in range(m)]
@@ -420,12 +422,12 @@ class DomainTable:
         kept."""
         if self._cols is not None:
             flat: list[int] = []
-            for agent in self.agents:
-                s = self.stride(agent)
-                high, rest = divmod(index, self.m * s)
+            cols, multiset = self._cols, self._multiset
+            for s, span in self._steps:
+                high, rest = divmod(index, span)
                 r, low = divmod(rest, s)
-                k = self._multiset[high * s + low]
-                flat += [col[k] for col in self._cols[r]]
+                k = multiset[high * s + low]
+                flat += [col[k] for col in cols[r]]
             return flat
         if self.nums is None:
             return _flat(self.mech, self.profile(index))

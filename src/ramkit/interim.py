@@ -20,19 +20,25 @@ routes.  An anonymous and neutral mechanism (``Mechanism.anonymous`` and
 agent the same rows, and relabeling the objects relabels them, so every
 report's row is read from the identity report's.  A walk over the
 multisets of the identity report's opponent reports, pruned wherever no
-report is weighed, evaluates each multiset that weighs some report once,
-at any n (2,600 PS evaluations at n=4 under the uniform prior, 1,736
-under a prior on half the preferences).  Any other mechanism is
-evaluated once per profile with at most one off-support report, and each
-agent's rows are summed over ordered opponent profiles.  Both routes
-evaluate through :meth:`Mechanism.scaled_assignment`, stream into the
-sums and hold no table.  Every agent's rows come out as integers over one
-denominator, ``mech.D * Q**(n-1)``, and OBIC and the interim em/ui/li run
-on them in the ex-post pair sweep's column kernel
-(:class:`ramkit.axioms._PairSweep`), one single-cell batch per agent.
-The agents of an anonymous and neutral mechanism share one set of rows,
-so the kernel sweeps agent 1's once and relabels its violations for the
-others.  The pass needs no memo; a mechanism's memo stays empty.
+report is weighed, serves any n.  It keeps sums for one report per orbit
+of the relabelings that fix the prior (one under the uniform prior), and
+each evaluation also gives, through neutrality, the identity report's
+row against the multisets that relabel the others' reports; those rows
+wait in a bounded map until the walk reaches them.  So each profile is
+evaluated at most once (762 PS evaluations at n=4 under the uniform
+prior, out of 2,600 multisets; 702 out of 1,736 under a prior on half
+the preferences).  Any other mechanism is evaluated once per profile
+with at most one off-support report, and each agent's rows are summed
+over ordered opponent profiles.  Both routes evaluate through
+:meth:`Mechanism.scaled_assignment`, stream into the sums and hold no
+table.  Every agent's rows come out as integers over one denominator,
+``mech.D * Q**(n-1)``, and OBIC and the interim em/ui/li run on them in
+the ex-post pair sweep's column kernel (:class:`ramkit.axioms._PairSweep`),
+one single-cell batch per agent.  The agents of an anonymous and neutral
+mechanism share one set of rows, so the kernel sweeps agent 1's once and
+relabels its violations for the others.  The pass reads no memo, and a
+mechanism's memo stays empty; the walk's only store is its map of
+pending rows, of at most :data:`_PENDING_ROWS` rows.
 :func:`obic_decomposition_report` builds the rows once for OBIC and the
 em/ui/li sweep.  :func:`interim_share_vector` is a separate Fraction
 route, and replaying a witness reads its rows only from that route.
@@ -46,8 +52,9 @@ import random
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, reduce
 from math import ceil, factorial
+from operator import and_
 from typing import Optional
 
 from .core import (
@@ -62,7 +69,7 @@ from .core import (
     insert_report,
 )
 from .axioms import _PairSweep, _replay_pair
-from .domain import multiset_rows, relabel_table
+from .domain import multiset_rows
 from .mechanisms import Mechanism
 from .reports import CheckOutcome, ViolationReport
 
@@ -87,6 +94,11 @@ _INTERIM_LABELS = {
 #: Interim axiom name -> the pair axiom the kernel checks for it.
 _PAIR_AXIOM = {label[0]: ax for ax, label in _INTERIM_LABELS.items()}
 
+#: Most rows :func:`_neutral_sums` holds for multisets its walk has not
+#: reached yet.  Past it the walk evaluates those multisets when it gets
+#: there, so no result depends on it.
+_PENDING_ROWS = 1 << 16
+
 
 class SamplingExhaustedError(RuntimeError):
     """No valid grid point found within the sampler's retry budget."""
@@ -94,6 +106,13 @@ class SamplingExhaustedError(RuntimeError):
 
 class InternalConsistencyError(AssertionError):
     """Two routes that must agree by construction disagreed; a bug."""
+
+
+class _PendingRows(dict):
+    """Identity rows that :func:`_neutral_sums` has read off an evaluated
+    profile through neutrality, keyed by the multiset of opponent reports
+    they belong to, until its walk reaches that multiset.  The walk
+    stashes no more rows once it holds :data:`_PENDING_ROWS`."""
 
 
 @dataclass(frozen=True)
@@ -203,8 +222,9 @@ def _interim_rows(
     ``prod_{j != i} w[P_j] * row_i(P)``, over ``Q**(n-1)``.  Only profiles in
     which at least n-1 agents report a positive-probability preference
     carry weight for some agent.  Every agent of an anonymous and neutral
-    mechanism gets the same rows, evaluated once per weighing multiset of
-    the identity report's opponent reports (:func:`_neutral_sums`); any
+    mechanism gets the same rows, evaluated at most once per weighing
+    multiset of the identity report's opponent reports
+    (:func:`_neutral_sums`); any
     other mechanism is evaluated once per such profile
     (:func:`_profile_sums`).  Both routes evaluate through
     :meth:`Mechanism.scaled_assignment`, and the weighted numerators over
@@ -236,45 +256,95 @@ def _add(acc: list[int], weight: int, row) -> None:
 
 def _neutral_sums(mech: Mechanism, prefs, weights: list[int]) -> list[list[int]]:
     """Weighted numerators of any agent's interim row for each report of
-    an anonymous and neutral mechanism, from one evaluation per multiset
-    of opponent reports of the identity report ``prefs[0]`` that weighs
-    some report.
+    an anonymous and neutral mechanism, from at most one evaluation per
+    multiset of opponent reports of the identity report ``prefs[0]`` that
+    weighs some report.
 
     With ``s_r`` the relabeling that maps object ``r[k]`` to ``k``,
     neutrality gives ``row(r, M)[r[k]] = row(id, s_r M)[k]``.  So, with
     ``M' = s_r M``, the share of object ``r[k]`` in the row for report r is
-    ``sum_M' mult(M') * prod_{p in M'} w[r o p] * row(id, M')[k]`` over the
-    multisets ``M'`` of n-1 reports, where ``r o p = s_r^-1 p`` reads p's
-    objects through r.  The walk grows the sorted ``M'`` one report at a
-    time and keeps, at each prefix, only the reports r whose prefix
-    weight ``prod w[r o p]`` is nonzero, with that weight.  Children come
-    from ``steps[r]``: every p with ``r o p`` on the support, that is
-    ``p = s_r(q)`` for an on-support q, with ``w[q]``, read from
-    :func:`ramkit.domain.relabel_table`; it holds
-    ``m * s`` entries for ``s`` reports on the support (288 for a prior on
-    half of n=4's preferences, 10,080 on two of n=7's; a full-support
-    prior at n=7 would make it ``m**2``, 25 M).  A full ``M'`` is
-    evaluated once, at the sorted profile ``(id,) + M'``
-    (:func:`ramkit.domain.multiset_rows`), and streamed into the sums."""
-    n = len(prefs[0])
+    ``acc[r][k] = sum_M' mult(M') * prod_{p in M'} w[r o p] * row(id, M')[k]``
+    over the multisets ``M'`` of n-1 reports, where ``r o p = s_r^-1 p``
+    reads p's objects through r.
+
+    A relabeling ``σ`` that fixes the prior gives ``acc[σ·r] = acc[r]``, so
+    the walk keeps sums only for the smallest report of each orbit
+    (:func:`_prior_orbits`): one report under the uniform prior, 6 of 24
+    under a prior uniform on the 12 preferences of n=4 that rank a or b
+    first, all of them under a generic prior.  It grows the sorted ``M'``
+    one report at a time, in lexicographic order, and keeps at each prefix
+    only the kept reports r whose prefix weight ``prod w[r o p]`` is
+    nonzero, with that weight.  Children come from ``steps[r]``: every p
+    with ``r o p`` on the support, that is ``p = s_r(q)`` for an on-support
+    q, with ``w[q]``; ``s_r(q)`` is computed for the kept reports only, and
+    no ``m * m`` table is built.
+
+    A full ``M'`` is evaluated at the sorted profile ``(id,) + M'``
+    (:func:`ramkit.domain.multiset_rows`, whose anonymity guard runs at
+    every profile evaluated), and streamed into the sums.  The evaluation
+    also gives each other report r in it a row against the others'
+    multiset ``O``; read through neutrality, that is the identity report's
+    row ``[row_r[a] for a in r]`` against ``sorted(s_r O)``.  When the walk
+    has yet to reach that multiset and will, the row waits in a
+    :class:`_PendingRows` map, and the walk takes it there instead of
+    evaluating.  So each profile is evaluated once, and fewer of them: PS
+    at n=4 takes 762 evaluations under the uniform prior (2,600 multisets)
+    and 702 under the prior above (1,736), holding at most 1,104 and 402
+    pending rows; past :data:`_PENDING_ROWS` the walk stashes nothing more
+    and evaluates instead."""
+    n, m = len(prefs[0]), len(prefs)
+    index = {p: k for k, p in enumerate(prefs)}
     on = [q for q, w in enumerate(weights) if w]
-    on_weights = [weights[q] for q in on]
+    rep = _prior_orbits(prefs, weights, on)
+    kept = [r for r in range(m) if rep[r] == r]
+    # position[r][a]: the rank of object a in report r, so s_r(p) is
+    # (position[r][a] for a in p)
+    position = [[pref.index(a) for a in range(n)] for pref in prefs]
     # steps[r]: (p, w[r o p]) for every p with r o p on the support, by p
-    steps = [sorted(zip(to, on_weights)) for to in relabel_table(prefs, on)]
-    # acc[r][k]: numerator of the share of object r[k] for report r
-    acc = [[0] * n for _ in prefs]
+    steps = {
+        r: sorted((index[tuple(map(position[r].__getitem__, prefs[q]))], weights[q]) for q in on)
+        for r in kept
+    }
+    # reach[p]: a bit for each kept report r with r o p on the support, so
+    # a multiset weighs some kept report, and the walk visits it, when the
+    # bits of its reports have one in common
+    reach = [0] * m
+    for bit, r in enumerate(kept):
+        for p, _ in steps[r]:
+            reach[p] |= 1 << bit
+
+    # acc[r][k]: numerator of the share of object r[k] for kept report r
+    acc = {r: [0] * n for r in kept}
+    pending = _PendingRows()
+
+    def identity_row(members: tuple[int, ...]):
+        """``row(id, members)``: the pending row, or else evaluated, with
+        the rows the evaluation gives the walk's later multisets stashed."""
+        row = pending.pop(members, None)
+        if row is not None:
+            return row
+        room = _PENDING_ROWS - len(pending)
+        for r, others, row in multiset_rows(mech, prefs, ((0,) + members,)):
+            if not r:  # yielded first: report 0 leads each sorted profile
+                found = row
+            elif room > 0:
+                rank = position[r].__getitem__
+                key = tuple(sorted([index[tuple(map(rank, prefs[q]))] for q in others]))
+                if key > members and key not in pending and reduce(
+                    and_, map(reach.__getitem__, key)
+                ):
+                    pending[key] = [row[a] for a in prefs[r]]
+                    room -= 1
+        return found
 
     def walk(members: tuple[int, ...], node: list[tuple[int, int]]) -> None:
         if len(members) == n - 1:
             mult = _orderings(members)
-            for r, _, row in multiset_rows(mech, prefs, ((0,) + members,)):
-                if r:
-                    continue  # the other reports' rows only run the anonymity guard
-                terms = [(k, mult * x) for k, x in enumerate(row) if x]
-                for s, weight in node:
-                    shares = acc[s]
-                    for k, c in terms:
-                        shares[k] += c * weight
+            terms = [(k, mult * x) for k, x in enumerate(identity_row(members)) if x]
+            for r, weight in node:
+                shares = acc[r]
+                for k, c in terms:
+                    shares[k] += c * weight
             return
         children: dict[int, list[tuple[int, int]]] = {}
         for r, weight in node:
@@ -285,8 +355,34 @@ def _neutral_sums(mech: Mechanism, prefs, weights: list[int]) -> list[list[int]]
         for p in sorted(children):
             walk(members + (p,), children[p])
 
-    walk((), [(r, 1) for r in range(len(prefs))])
-    return [[acc[r][pref.index(a)] for a in range(n)] for r, pref in enumerate(prefs)]
+    walk((), [(r, 1) for r in kept])
+    if pending:
+        raise InternalConsistencyError(
+            f"{len(pending)} rows were stashed for multisets the walk never reached"
+        )
+    return [[acc[rep[r]][k] for k in position[r]] for r in range(m)]
+
+
+def _prior_orbits(prefs, weights: list[int], on: list[int]) -> list[int]:
+    """``rep[r]``: the smallest report of r's orbit under the relabelings
+    that fix the prior.  A relabeling ``σ`` acts on a report by ``σ·r =
+    (σ[r[0]], ..., σ[r[n-1]])``, and fixes the prior when ``w[σ·q] ==
+    w[q]`` for every q on the support ``on``: a bijection that keeps the
+    support's weights maps the rest to weight zero too.  Finding them
+    takes at most ``m * len(on)`` lookups.  Relabelings act on reports
+    freely, so each orbit has one member per fixing relabeling, and
+    listing the orbits takes ``m`` lookups."""
+    index = {p: k for k, p in enumerate(prefs)}
+    fixing = [
+        sigma for sigma in prefs
+        if all(weights[index[tuple([sigma[a] for a in prefs[q]])]] == weights[q] for q in on)
+    ]
+    rep = [-1] * len(prefs)
+    for r, pref in enumerate(prefs):
+        if rep[r] < 0:
+            for sigma in fixing:
+                rep[index[tuple([sigma[a] for a in pref])]] = r
+    return rep
 
 
 def _orderings(reports: tuple[int, ...]) -> int:

@@ -351,8 +351,13 @@ class CheckOutcome:
     the identity report's opponent reports); past the cap it evaluates a
     profile on every read, once per agent that reads it.  A profile sweep
     (neutrality, ETE, OE, ex-post) counts each profile it visits once.
-    ``comparisons`` counts the exact comparisons made.  Both are deterministic for a given mode,
-    independent of parallelism degree.
+    ``comparisons`` counts exact comparisons.  Where a sweep takes a
+    shortcut, it reports the count of the check the shortcut stands for,
+    computed by arithmetic: the first-mode pair counters are those of a
+    cell-by-cell sweep, and an orbit that passes neutrality counts those
+    of comparing every member with every relabeling (PS neutrality at n=4
+    reports 127,401,984 and makes 331,776 row comparisons).  Both are
+    deterministic for a given mode, independent of parallelism degree.
     """
 
     axiom: str

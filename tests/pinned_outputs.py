@@ -72,6 +72,9 @@ PINS = """
 # OBIC and rank vectors of ps under the uniform prior
 0 3182945c8d94e12f3761233c8f5b46b7fdac56242208e83ec51b0aa87da8de54 obic --mechanism ps --n 4 --format machine
 0 9549b9ece37461262fd320eb660690850ee1a6ebffca49ccd042dc1fe8726e61 ranks --mechanism ps --n 4 --format machine
+# rp under the uniform prior, and ps under sampled priors that no relabeling fixes; recorded while the interim walk kept sums for every report
+0 a67626c39bc2f15b8ab3f39537fcaa13f81eae836ce312c5018d1df6b06b2364 ranks --mechanism rp --n 4 --format machine
+1 4866661942a8e50c4f63d949e3d13f9cc8bca34c8e5fe221124b49ce8a4820a0 lrobic --mechanism ps --n 4 --epsilon 1/20 --samples 4 --seed 1 --format machine
 # ps under a prior on 12 of 24 preferences; recorded while interim rows were built profile by profile
 1 1c87a47ec530042d59168f78ff67f99f75ff73bb24fa460c83f5e5bcda4111f7 obic --mechanism ps --n 4 --prior file:{half4} --format machine
 # exact interim shares of rp and ps under that prior, which is not neutral; recorded while interim rows were built once per report multiset

@@ -20,6 +20,7 @@ from helpers import (
     interim_sweep_oracle,
     random_prior,
     two_point_prior,
+    uniform_int,
 )
 from ramkit.core import (
     CapExceededError,
@@ -28,6 +29,7 @@ from ramkit.core import (
     enumerate_preferences,
     insert_report,
 )
+from ramkit import interim
 from ramkit.axioms import run_axiom_check
 from ramkit.interim import (
     INTERIM_AXIOMS,
@@ -40,6 +42,7 @@ from ramkit.interim import (
     obic_decomposition_report,
     _RowCells,
     _interim_rows,
+    _prior_orbits,
     rank_vector_reports,
     reverify_interim_violation,
     run_interim_sweep,
@@ -108,14 +111,18 @@ class TestPrior:
         """A prior lists all n! probabilities, so n=7 needs no ``max_n``;
         PS's rank vectors under a prior on two preferences, from one pass
         with ``max_n=7``, match the Fraction route on and off the support.
-        The pass evaluates PS once at each of 17,640 identity multisets."""
+        Of the 17,640 identity multisets that weigh some report, the pass
+        evaluates PS once at each of 17,637: the rows of earlier profiles
+        give the other 3."""
         instance = Instance.default(7)
         assert len(uniform_prior(instance).probs) == 5040
         prior = two_point_prior(instance)
         prefs = enumerate_preferences(instance, max_n=7)
         counting = CountingPS(instance)
         (report,) = rank_vector_reports(counting, prior, (0,), max_n=7)
-        assert len(counting.counts) == 17_640
+        expected = _greedy_evaluations(prior)
+        assert len(expected) == 17_637
+        assert set(counting.counts) == set(expected)
         assert set(counting.counts.values()) == {1}
         ps = ProbabilisticSerial(instance)
         for pref in (prefs[0], prefs[1], prefs[2], prefs[-1]):
@@ -484,6 +491,63 @@ def _fraction_rows(mech, prior):
     }
 
 
+def _greedy_evaluations(prior):
+    """The profiles ``(id,) + M'`` at which the walk of an anonymous and
+    neutral mechanism evaluates, computed apart from it: the multisets
+    ``M'`` of n-1 report indices that weigh some report r (every report of
+    ``M'``, its objects read through r, is on the support), in
+    lexicographic order, skipping each one an earlier evaluated profile
+    gives.  A profile gives each report r in it, against the others'
+    multiset ``O``, the multiset ``s_r O``, where ``s_r`` maps ``r[k]`` to
+    ``k``."""
+    n = prior.instance.n
+    prefs = enumerate_preferences(prior.instance, max_n=n)
+    index = {p: k for k, p in enumerate(prefs)}
+    on = [k for k, p in enumerate(prior.probs) if p]
+
+    ranks = [[r.index(a) for a in range(n)] for r in prefs]
+
+    def s(r, reports):  # s_r of each of reports, as report indices
+        rank = ranks[r].__getitem__
+        return [index[tuple(map(rank, prefs[q]))] for q in reports]
+
+    weighing = set()
+    for r in range(len(prefs)):  # the reports p with r o p on the support are s_r(on)
+        reach = sorted(set(s(r, on)))
+        weighing.update(itertools.combinations_with_replacement(reach, n - 1))
+    given, evaluated = set(), []
+    for members in sorted(weighing):
+        if members in given:
+            continue
+        reports = (0,) + members
+        evaluated.append(tuple(prefs[k] for k in reports))
+        # the identity report, s_0 = id, gives members itself
+        for i, r in enumerate(reports[1:], 1):
+            if r != reports[i - 1]:
+                given.add(tuple(sorted(s(r, reports[:i] + reports[i + 1:]))))
+    return evaluated
+
+
+def _record_pending_rows(monkeypatch):
+    """Every pending map the walk makes from now on, each with the most
+    rows it held as ``peak``."""
+    maps = []
+
+    class Recording(interim._PendingRows):
+        peak = 0
+
+        def __init__(self):
+            super().__init__()
+            maps.append(self)
+
+        def __setitem__(self, key, row):
+            super().__setitem__(key, row)
+            self.peak = max(self.peak, len(self))
+
+    monkeypatch.setattr(interim, "_PendingRows", Recording)
+    return maps
+
+
 class TestOnePassRows:
     @pytest.mark.parametrize("n", (2, 3))
     @pytest.mark.parametrize("kind", MECHANISM_KINDS)
@@ -548,19 +612,38 @@ class TestOnePassRows:
 
     @pytest.mark.parametrize("n,support", ((3, "half"), (4, "half"), (4, "uniform")))
     def test_each_identity_multiset_evaluated_once(self, n, support):
-        """An anonymous and neutral mechanism is evaluated once per multiset
-        ``M'`` of opponent reports of the identity report that weighs some
-        report r, at its sorted profile ``(id,) + M'``: ``M'`` weighs r when
-        every report of ``M'``, its objects read through r, is on the
-        support."""
+        """An anonymous and neutral mechanism is evaluated at most once per
+        multiset ``M'`` of opponent reports of the identity report that
+        weighs some report, at its sorted profile ``(id,) + M'``; it skips
+        every ``M'`` that an earlier evaluated profile gives through
+        neutrality (:func:`_greedy_evaluations`)."""
         instance = Instance.default(n)
         prior = half_support_prior(instance) if support == "half" else uniform_prior(instance)
         prefs = enumerate_preferences(instance)
-        on = {p for p in prefs if prior.of(p) != 0}
         mech = CountingPS(instance, cache=True)
         assert mech.anonymous and mech.neutral
         report = obic_decomposition_report(mech, prior)
         assert report.obic.profiles_checked == n * len(prefs)
+        expected = _greedy_evaluations(prior)
+        assert len(set(expected)) == len(expected)
+        assert set(mech.counts) == set(expected)
+        assert set(mech.counts.values()) == {1}
+        assert len(expected) == {(3, "half"): 10, (4, "half"): 702,
+                                 (4, "uniform"): 762}[n, support]
+        assert mech._cache == {}
+
+    @pytest.mark.parametrize("n,support", ((3, "half"), (4, "half"), (4, "uniform")))
+    def test_no_pending_rows_evaluates_every_weighing_multiset(self, n, support, monkeypatch):
+        """With no room for pending rows the walk evaluates each multiset
+        ``M'`` that weighs some report, and gives the same rows."""
+        instance = Instance.default(n)
+        prior = half_support_prior(instance) if support == "half" else uniform_prior(instance)
+        prefs = enumerate_preferences(instance)
+        on = {p for p in prefs if prior.of(p) != 0}
+        shared = _interim_rows(ProbabilisticSerial(instance), prior)
+        monkeypatch.setattr(interim, "_PENDING_ROWS", 0)
+        mech = CountingPS(instance)
+        assert _interim_rows(mech, prior) == shared
         expected = {
             (prefs[0],) + others
             for others in itertools.combinations_with_replacement(prefs, n - 1)
@@ -568,10 +651,42 @@ class TestOnePassRows:
         }
         assert set(mech.counts) == expected
         assert set(mech.counts.values()) == {1}
-        assert len(expected) <= math.comb(len(prefs) + n - 2, n - 1)
         assert len(expected) == {(3, "half"): 18, (4, "half"): 1_736,
                                  (4, "uniform"): 2_600}[n, support]
-        assert mech._cache == {}
+
+    @pytest.mark.parametrize("support,peak", (("half", 402), ("uniform", 1_104)))
+    def test_pending_rows_stay_bounded_and_are_all_used(self, support, peak, monkeypatch):
+        """The pending map never holds more than ``_PENDING_ROWS`` rows and
+        is empty when the walk ends, whatever the bound; a smaller bound
+        costs evaluations, never a different row."""
+        instance = Instance.default(4)
+        prior = half_support_prior(instance) if support == "half" else uniform_prior(instance)
+        maps = _record_pending_rows(monkeypatch)
+        rows = _interim_rows(ProbabilisticSerial(instance), prior)
+        assert [(m.peak, len(m)) for m in maps] == [(peak, 0)]
+        evaluations = []
+        for bound in (peak - 1, 50, 1, 0):
+            monkeypatch.setattr(interim, "_PENDING_ROWS", bound)
+            mech = CountingPS(instance)
+            assert _interim_rows(mech, prior) == rows, bound
+            assert maps[-1].peak <= bound and len(maps[-1]) == 0, bound
+            assert set(mech.counts.values()) == {1}
+            evaluations.append(len(mech.counts))
+        assert evaluations == sorted(evaluations)
+        assert evaluations[-1] == {"half": 1_736, "uniform": 2_600}[support]
+
+    def test_pending_rows_only_for_multisets_the_walk_reaches(self, instance3, monkeypatch):
+        """Under a prior on acb and bac some evaluated profiles give rows
+        for multisets that weigh no report; the walk never reaches those,
+        so it must not stash their rows."""
+        assert enumerate_preferences(instance3)[1:3] == [(0, 2, 1), (1, 0, 2)]
+        prior = Prior(instance3, tuple(F(int(k in (1, 2)), 2) for k in range(6)))
+        maps = _record_pending_rows(monkeypatch)
+        mech = CountingPS(instance3)
+        rows = _interim_rows(mech, prior)
+        assert rows == _interim_rows(UndeclaredPS(instance3), prior)
+        assert [len(m) for m in maps] == [0] and maps[0].peak > 0
+        assert set(mech.counts) == set(_greedy_evaluations(prior))
 
     def test_rank_vector_reports_share_one_pass(self, instance3, violating_prior):
         mech = CountingPS(instance3)
@@ -693,6 +808,94 @@ class TestMultisetPass:
         mech.neutral = False
         assert check_obic(mech, uniform3) == check_obic(
             SerialDictatorship(instance3, (0, 1, 2)), uniform3
+        )
+
+
+def _transposition_prior(instance, seed):
+    """A random full-support prior that swapping the last two objects
+    fixes: each preference and its image under that swap weigh alike."""
+    prefs = enumerate_preferences(instance)
+    swap = list(range(instance.n))
+    swap[-2], swap[-1] = swap[-1], swap[-2]
+    rng = random.Random(seed)
+    raw = {}
+    for p in prefs:
+        twin = tuple(swap[a] for a in p)
+        raw[p] = raw[twin] if twin in raw else uniform_int(rng, 1, 999)
+    total = sum(raw.values())
+    return Prior(instance, tuple(F(raw[p], total) for p in prefs))
+
+
+def _symmetry_priors(instance):
+    """Priors with every kind of symmetry group, by name, each with the
+    number of reports the walk keeps sums for, where a test pins it."""
+    rng = random.Random(4242)
+    m = len(enumerate_preferences(instance))
+    return {
+        "uniform": (uniform_prior(instance), 1),
+        "half": (half_support_prior(instance), None),
+        "two-point": (two_point_prior(instance), None),
+        # rows read off some evaluations belong to multisets that weigh
+        # no report, so the walk must not stash them
+        "sparse": (Prior(instance, (F(0), F(1, 2), F(1, 2)) + (F(0),) * (m - 3)), None),
+        **{f"random{k}": (random_prior(rng, instance), m) for k in range(3)},
+        "transposition": (_transposition_prior(instance, 17), m // 2),
+    }
+
+
+def _kept(prior):
+    """The number of reports the walk keeps sums for under ``prior``."""
+    q = math.lcm(*(p.denominator for p in prior.probs))
+    weights = [p.numerator * (q // p.denominator) for p in prior.probs]
+    on = [k for k, w in enumerate(weights) if w]
+    rep = _prior_orbits(enumerate_preferences(prior.instance, max_n=prior.instance.n),
+                        weights, on)
+    return sum(r == k for k, r in enumerate(rep))
+
+
+class UndeclaredPS(ProbabilisticSerial):
+    """PS not declared anonymous, so its interim rows come from the
+    per-profile pass."""
+
+    anonymous = False
+
+
+class TestPriorSymmetry:
+    """The walk keeps sums for one report per orbit of the relabelings
+    that fix the prior, and its rows match the per-profile pass and the
+    Fraction oracle under priors with every kind of symmetry group."""
+
+    def test_kept_reports(self):
+        instance3, instance4 = Instance.default(3), Instance.default(4)
+        for name, (prior, kept) in _symmetry_priors(instance3).items():
+            if kept is not None:
+                assert _kept(prior) == kept, name
+        # two-point: abc and acb, which the swap of b and c exchanges
+        assert _kept(two_point_prior(instance3)) == 3
+        assert _kept(uniform_prior(instance4)) == 1
+        assert _kept(half_support_prior(instance4)) == 6
+        assert _kept(random_prior(random.Random(9), instance4)) == 24
+        assert _kept(_transposition_prior(instance4, 23)) == 12
+        assert _kept(uniform_prior(Instance.default(5))) == 1
+
+    @pytest.mark.parametrize("kind", ("ps", "rp", "sea-unit"))
+    def test_rows_match_undeclared_twin_and_oracle_n3(self, kind, instance3):
+        mech, _, undeclared = _three_routes(kind, instance3)
+        for name, (prior, _) in _symmetry_priors(instance3).items():
+            rows = _interim_rows(mech, prior)
+            assert rows == _interim_rows(undeclared, prior), name
+            for agent, by_report in _fraction_rows(mech, prior).items():
+                for report, shares in by_report.items():
+                    expected = interim_shares_oracle(mech, agent, report, prior)
+                    assert shares == expected, (name, agent, report)
+
+    def test_ps_n4_uniform_matches_per_profile_pass(self):
+        """Under the uniform prior the walk keeps one report's sums and
+        reads the other 23 reports' rows from them."""
+        instance = Instance.default(4)
+        prior = uniform_prior(instance)
+        assert _interim_rows(ProbabilisticSerial(instance), prior) == _interim_rows(
+            UndeclaredPS(instance), prior
         )
 
 
