@@ -42,12 +42,20 @@ is read.  :func:`_replay_pair` is the one replay comparison for both
 families.  Neutrality, equal treatment of equals and ordinal and ex-post
 efficiency share one driver, :func:`_profile_sweep`, which runs one test
 on the integer rows of each profile in turn; only ex-post efficiency
-builds Fractions, for the outcomes it decomposes.  Neutrality reads one
-representative per relabeling orbit, the profile in which agent 1 reports
-the identity order, so it visits (n!)**(n-1) profiles, not (n!)**n.  It
-compares each member of the orbit, relabeled, with the representative:
-as relabelings compose, that implies that every member agrees with every
-relabeling of it, and its comparisons are counted as that check's.
+builds Fractions, for the outcomes it decomposes.  Neutrality of a table
+filled by multiset (every anonymous mechanism) is first checked on its
+columns, with :meth:`~ramkit.domain.DomainTable.follows_relabeling`: each
+report's columns must be the identity report's relabeled, one comparison
+per report (24 at n=4), evaluating nothing beyond the fill.  A table that
+passes reports the verdict and counters of the orbit sweep by
+arithmetic.  The orbit sweep runs on a table that fails, so its
+violations are listed as before, and on every other table.  It reads one
+representative per relabeling orbit, the profile in which agent 1
+reports the identity order, so it visits (n!)**(n-1) profiles, not
+(n!)**n.  It compares each member of the orbit, relabeled, with the
+representative: as relabelings compose, that implies that every member
+agrees with every relabeling of it, and its comparisons are counted as
+that check's.
 """
 
 from __future__ import annotations
@@ -577,22 +585,29 @@ def _profile_sweep(mech, axiom, mode, jobs, max_n) -> CheckOutcome:
     """Sweep ``axiom``, one of :data:`PROFILE_AXIOMS`, over the profiles in
     lexicographic order.  Its test returns a profile's violations, the
     profiles it read and the comparisons it made; with ``first`` it stops
-    at its first violation, and so does the sweep.  Neutrality is handed
-    only the first ``(n!)**(n-1)`` profiles, those in which agent 1 reports
-    the identity order: each relabeling orbit has exactly one of them."""
+    at its first violation, and so does the sweep.  Neutrality of a table
+    filled by multiset whose columns follow the relabeling returns at once,
+    with the counters the sweep would report: every profile read, each
+    compared with every relabeling.  Otherwise neutrality is handed only
+    the first ``(n!)**(n-1)`` profiles, those in which agent 1 reports the
+    identity order: each relabeling orbit has exactly one of them."""
     # ETE reads only the profiles with two equal reports (a quarter of
     # them at n=4), so it evaluates those as it reads them, with no fill;
     # neutrality fills without reading rows through neutrality
     table, mode = _domain_table(
         mech, mode, max_n, jobs, fill=axiom != "ete", relabel=axiom != "neutral"
     )
+    profiles = itertools.product(table.prefs, repeat=table.n)
+    if axiom == "neutral":
+        if table.anonymous and table.follows_relabeling():
+            # the counters of the orbit sweep, which would read every profile
+            return CheckOutcome(axiom, True, profiles_checked=table.size,
+                                comparisons=table.size * table.m * table.n ** 2)
+        profiles = itertools.islice(profiles, table.m ** (table.n - 1))
     test = _PROFILE_TESTS[axiom](table)
     first = mode == "first"
     violations: list[ViolationReport] = []
     read = comparisons = 0
-    profiles = itertools.product(table.prefs, repeat=table.n)
-    if axiom == "neutral":
-        profiles = itertools.islice(profiles, table.m ** (table.n - 1))
     for index, profile in enumerate(profiles):
         found, r, c = test(index, profile, first)
         violations += found
@@ -612,7 +627,9 @@ def _neutrality_test(table: DomainTable):
     relabeling fixes agent 1's report, so the orbit's n! members are
     distinct, and each is read once.  An orbit passes when each member,
     relabeled, agrees with the representative; only a failing one compares
-    each member, by index, with each relabeling, to list its violations."""
+    each member, by index, with each relabeling, to list its violations.
+    A table filled by multiset reaches this test only when its columns do
+    not follow the relabeling, so that at least one orbit fails."""
     n, prefs, D = table.n, table.prefs, table.D
     position = {p: k for k, p in enumerate(prefs)}
     sigmas = list(itertools.permutations(range(n)))

@@ -30,6 +30,7 @@ from .core import (
     parse_rational,
 )
 from .decomp import birkhoff_decompose
+from .domain import available_cpus
 from .formats import (
     ParseError,
     assignment_records,
@@ -381,14 +382,16 @@ def make_parser() -> argparse.ArgumentParser:
                    help="collect all violations or stop at the first "
                         "(default: exhaustive for n<=3, first above); past "
                         "n=4 only first runs")
-    p.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
+    p.add_argument("--jobs", type=int, default=available_cpus(),
                    help="worker processes that build the domain table of "
-                        "a sweep, at least 1 and at most the CPU count; "
-                        "anonymous mechanisms (ps, rp, sea at one speed for "
-                        "all) are filled in this process, once per multiset "
-                        "of reports; the comparisons run in the main "
-                        "process; ete and sweeps past n=4 evaluate profiles "
-                        "as they read them")
+                        "a sweep, at least 1 and at most the CPUs this "
+                        "process may run on; anonymous mechanisms (ps, rp, "
+                        "sea at one speed for all) are filled in this "
+                        "process, once per multiset of the identity "
+                        "report's opponents, or for the neutrality sweep "
+                        "once per multiset of reports; the comparisons run "
+                        "in the main process; ete and sweeps past n=4 "
+                        "evaluate profiles as they read them")
     common(p, need_n=True)
     p.set_defaults(func=cmd_check)
 

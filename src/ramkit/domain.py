@@ -19,29 +19,35 @@ mechanism's one denominator ``D = mech.D``; nothing is rescaled.
 
 Under neutrality (``Mechanism.neutral``) the relabeling ``s_r`` that maps
 object ``r[k]`` to ``k`` turns report ``r`` into the identity order
-``prefs[0]``; :func:`relabel_table` gives its action on report indices
-for the fill here.
+``prefs[0]``.
 
 :meth:`DomainTable.fill` evaluates the whole domain by one of three
-routes.
+routes.  The two anonymous routes are one loop over the multisets of
+``n`` reports in lexicographic order, each evaluated once, in this
+process, at its sorted profile; the first route cuts it short.
 
 - An **anonymous and neutral** mechanism (PS, RP, and eating at one speed
-  for all) is evaluated once per multiset ``M'`` of ``n-1`` reports, at the
-  sorted profile ``(id,) + M'``: ``C(m+n-2, n-1)`` evaluations, 2,600 at
-  n=4 and 21 at n=3.  Every other report's row is read through
-  neutrality, ``row(r, M)[x] = row(id, s_r M)[k]`` with ``r[k] = x``.  The
-  rows the evaluations give the other reports of each profile are checked
-  against the rows read that way, so a false neutrality declaration
-  raises, as a false anonymity declaration does.  Every sweep that fills
-  takes this route except the neutrality sweep, which never fills through
-  the fact it checks (equal treatment of equals takes no fill).
+  for all) is evaluated at the multisets that hold the identity report,
+  which come first: the sorted profiles ``(id,) + M'`` of the multisets
+  ``M'`` of ``n-1`` reports, ``C(m+n-2, n-1)`` evaluations, 2,600 at n=4
+  and 21 at n=3.  Every other report's row is read through neutrality,
+  ``row(r, M)[x] = row(id, s_r M)[k]`` with ``r[k] = x``, by one
+  relabeling routine from the identity report's columns to every
+  report's.  The rows the evaluations give the other reports of each
+  profile are checked against the rows read that way, so a false
+  neutrality declaration raises, as a false anonymity declaration does.
+  Every sweep that fills takes this route except the neutrality sweep,
+  which never fills through the fact it checks (equal treatment of
+  equals takes no fill).
 - An **anonymous** mechanism (``Mechanism.anonymous``), and the neutrality
   sweep's anonymous and neutral one, gives an agent a row that depends
-  only on her report and the multiset of the others' reports.  Each
-  multiset of ``n`` reports is evaluated once, in this process, at its
-  sorted profile: ``C(m+n-1, n)`` evaluations, 17,550 at n=4 instead of
+  only on her report and the multiset of the others' reports.  The loop
+  runs to the end: ``C(m+n-1, n)`` evaluations, 17,550 at n=4 instead of
   331,776.  Two agents with equal reports must get equal rows, or the
-  fill raises.
+  fill raises.  :meth:`DomainTable.follows_relabeling` compares such a
+  table's columns with the relabeling routine's output from its identity
+  report's columns: the neutrality sweep's whole check of an anonymous
+  mechanism, with nothing evaluated beyond the fill.
 
   Both anonymous routes keep one column per report and object, over the
   multisets of ``n-1`` opponent reports (24 x 4 columns of 2,600 at n=4),
@@ -61,7 +67,8 @@ routes.
   between one slice per run of ``s`` consecutive cells that share the
   agents before.  The fill evaluates the profiles in index order and
   appends their values to storage: in this process, or on a process pool
-  by index range, appending each range's part in index order.
+  of at most :func:`available_cpus` workers by index range, appending
+  each range's part in index order.
 
 No Fractions are stored.  An unfilled table is a stateless reader:
 :meth:`DomainTable.columns` and :meth:`DomainTable.entry` evaluate each
@@ -99,6 +106,14 @@ def _pack(values: list[int]) -> Store:
         return values
 
 
+def available_cpus() -> int:
+    """The CPUs this process may run on: its affinity set where the
+    platform has one, else the CPU count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def reports_at(prefs: Sequence[Preference], count: int, index: int) -> Profile:
     """The ``count`` reports whose mixed-radix index over ``prefs`` is
     ``index``, the first report most significant: a profile for ``count =
@@ -114,21 +129,6 @@ def _gather(at: Sequence[int]) -> Callable[[Sequence], tuple]:
     """The function from a sequence to the tuple of its items at the
     indices ``at``; a one-item itemgetter would return no tuple."""
     return itemgetter(*at) if len(at) > 1 else lambda seq: (seq[at[0]],)
-
-
-def relabel_table(prefs: Sequence[Preference]) -> list[list[int]]:
-    """``rel[r][p]``: the index in ``prefs`` of ``s_r(prefs[p])``, where
-    ``s_r`` is the relabeling of the objects that maps ``prefs[r][k]`` to
-    ``k``.  ``s_r`` turns report ``r`` into the identity order, and
-    ``s_r(p)`` reads ``p``'s objects through ``r``'s positions."""
-    index = {p: k for k, p in enumerate(prefs)}
-    rel = []
-    for r in prefs:
-        s = [0] * len(r)
-        for k, a in enumerate(r):
-            s[a] = k
-        rel.append([index[tuple([s[a] for a in p])] for p in prefs])
-    return rel
 
 
 def _flat(mech: Mechanism, profile: Profile) -> list[int]:
@@ -257,14 +257,14 @@ class DomainTable:
         opponent reports when it is also neutral and ``relabel`` is set,
         once per multiset of reports otherwise.  Any other is evaluated at
         every profile into dense storage, by index range on up to ``jobs``
-        worker processes, never more than the CPU count; in this process
-        when ``jobs <= 1``.  The neutrality sweep clears ``relabel``, so
-        it does not fill through the fact it checks."""
+        worker processes, never more than :func:`available_cpus`; in this
+        process when ``jobs <= 1``.  The neutrality sweep clears
+        ``relabel``, so it does not fill through the fact it checks."""
         self.nums = self._cols = None
         if self.mech.anonymous:
             self._fill_by_multiset(relabel and self.mech.neutral)
             return
-        jobs = min(jobs, os.cpu_count() or 1)
+        jobs = min(jobs, available_cpus())
         if jobs <= 1:
             self.nums = _evaluate_range(self.mech, self.prefs, 0, self.size)
             return
@@ -286,75 +286,80 @@ class DomainTable:
 
     def _fill_by_multiset(self, relabel: bool) -> None:
         """Keep each report's columns over the multisets of the others'
-        reports.  With ``relabel`` they come from one evaluation per
-        multiset of the identity report's opponent reports
-        (:meth:`_relabeled_columns`); without, from one evaluation per
-        multiset of reports, at its sorted profile.
+        reports, from one evaluation per multiset of reports, at its sorted
+        profile.  With ``relabel`` only the multisets that hold the
+        identity report are evaluated: they come first, as ``(id,) + M'``
+        in the order of ``M'``.  Every report's columns are then the
+        identity report's relabeled (:meth:`_relabeled`), and
+        :meth:`_check_relabeled` checks the rows evaluated for the other
+        reports against them.
 
         Raises ValueError if two agents with equal reports get different
-        rows: the mechanism is then not anonymous."""
+        rows: the mechanism is then not anonymous; or, with ``relabel``, as
+        :meth:`_check_relabeled`."""
         m, n = self.m, self.n
         multisets = list(itertools.combinations_with_replacement(range(m), n - 1))
         ids = {ms: k for k, ms in enumerate(multisets)}
-        self._multiset = array("l", [
-            ids[tuple(sorted(cell))]
-            for cell in itertools.product(range(m), repeat=n - 1)
-        ])
-        if relabel:
-            self._cols = self._relabeled_columns(multisets, ids)
-            return
-        rows: list[list] = [[None] * len(ids) for _ in range(m)]
+        cells = itertools.product(range(m), repeat=n - 1)
+        self._multiset = array("l", [ids[tuple(sorted(cell))] for cell in cells])
         everyone = itertools.combinations_with_replacement(range(m), n)
-        for r, others, row in multiset_rows(self.mech, self.prefs, everyone):
+        evaluated = itertools.islice(everyone, len(ids) if relabel else None)
+        rows: list[list] = [[None] * len(ids) for _ in range(m)]
+        for r, others, row in multiset_rows(self.mech, self.prefs, evaluated):
             rows[r][ids[others]] = row
-        self._cols = [list(map(list, zip(*by_r))) for by_r in rows]
+        if relabel:
+            self._cols = self._relabeled(list(map(list, zip(*rows[0]))))
+            self._check_relabeled(rows, multisets)
+        else:
+            self._cols = [list(map(list, zip(*by_r))) for by_r in rows]
 
-    def _relabeled_columns(self, multisets: list[tuple[int, ...]], ids: dict) -> list[list]:
-        """Columns of an anonymous and neutral mechanism from one
-        evaluation per multiset ``M'`` of opponent reports, at ``(id,) +
-        M'``: the row of report r against M is the identity report's row
-        against ``s_r M``, its objects read through r, so r's column of
-        object x is the identity report's column of ``s_r(x)`` gathered
-        through the ids of the ``s_r M``.  ``s_r M`` is found without
-        sorting, as the multiset id of the cell whose digits are M's
-        reports relabeled.
-
-        Raises ValueError if an evaluated row of another report differs
-        from the row read through neutrality: the mechanism is then not
-        neutral; or, as :meth:`_fill_by_multiset`, not anonymous."""
+    def _relabeled(self, base: list[list[int]]) -> list[list]:
+        """Every report's columns as neutrality reads them from report 0's
+        columns ``base``: the row of report r against M is the identity
+        report's row against ``s_r M``, its objects read through r, so r's
+        column of object x is ``base[s_r(x)]`` gathered through the ids of
+        the ``s_r M``.  ``s_r M`` is found without sorting, as the multiset
+        id of the cell whose digits are M's reports relabeled."""
         m, n, prefs = self.m, self.n, self.prefs
-        base = []  # the identity report's row against each multiset
-        evaluated = []  # the other reports' rows, for the neutrality guard
-        profiles = ((0,) + ms for ms in multisets)
-        for r, others, row in multiset_rows(self.mech, prefs, profiles):
-            if r:
-                evaluated.append((r, others, row))
-            else:  # yielded first: report 0 leads each sorted profile
-                base.append(row)
-        base_cols = list(map(list, zip(*base)))
+        index = {p: k for k, p in enumerate(prefs)}
         # digits[j]: the j-th report of every multiset, in multiset order
-        digits = list(zip(*multisets))
+        digits = list(zip(*itertools.combinations_with_replacement(range(m), n - 1)))
         weights = [m ** (n - 2 - j) for j in range(n - 1)]
-        cols = [base_cols]
-        for to in relabel_table(prefs)[1:]:
-            cells = [0] * len(multisets)  # the cell of each s_r M
+        cols = [base]
+        for r in prefs[1:]:
+            s = [r.index(x) for x in range(n)]  # s_r: object r[k] to k
+            to = [index[tuple([s[x] for x in p])] for p in prefs]  # s_r on report indices
+            cells = [0] * len(base[0])  # the cell of each s_r M
             for d, w in zip(digits, weights):
                 place = [to[p] * w for p in range(m)]
                 cells = list(map(add, cells, map(place.__getitem__, d)))
             at = list(map(self._multiset.__getitem__, cells))
-            # s_r(identity) is s_r as a tuple: object x of r's row is s_r(x)
-            # of the identity report's
-            cols.append([list(map(base_cols[y].__getitem__, at)) for y in prefs[to[0]]])
-        for r, others, row in evaluated:
-            ms = ids[others]
-            if [col[ms] for col in cols[r]] != list(row):
-                profile = tuple(prefs[k] for k in sorted(others + (r,)))
-                raise ValueError(
-                    f"{self.mech.descriptor()} is declared neutral, but report "
-                    f"{prefs[r]} gets a row at profile {profile} that is not "
-                    "the identity report's row relabeled"
-                )
+            cols.append([list(map(base[y].__getitem__, at)) for y in s])
         return cols
+
+    def _check_relabeled(self, rows: list[list], multisets: list[tuple[int, ...]]) -> None:
+        """Raise ValueError if a row evaluated for a report other than the
+        identity, ``rows[r][k]`` against the opponent multiset ``k``,
+        differs from its row read through neutrality: the mechanism is
+        then not neutral."""
+        for r in range(1, self.m):
+            for k, row in enumerate(rows[r]):
+                if row is not None and [col[k] for col in self._cols[r]] != list(row):
+                    profile = tuple(self.prefs[j] for j in sorted(multisets[k] + (r,)))
+                    raise ValueError(
+                        f"{self.mech.descriptor()} is declared neutral, but report "
+                        f"{self.prefs[r]} gets a row at profile {profile} that is not "
+                        "the identity report's row relabeled"
+                    )
+
+    def follows_relabeling(self) -> bool:
+        """Whether the columns of a table filled by multiset are neutral:
+        each report's columns equal the identity report's relabeled
+        (:meth:`_relabeled`).  The table's rows depend only on an agent's
+        report and the multiset of the others', so this holds exactly when
+        relabeling the objects of every report relabels every row.  Nothing
+        is evaluated, and the declaration ``mech.neutral`` is not read."""
+        return self._cols == self._relabeled(self._cols[0])
 
     # -- reading -----------------------------------------------------------
 

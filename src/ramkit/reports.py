@@ -355,9 +355,12 @@ class CheckOutcome:
     shortcut, it reports the count of the check the shortcut stands for,
     computed by arithmetic: the first-mode pair counters are those of a
     cell-by-cell sweep, and an orbit that passes neutrality counts those
-    of comparing every member with every relabeling (PS neutrality at n=4
-    reports 127,401,984 and makes 331,776 row comparisons).  Both are
-    deterministic for a given mode, independent of parallelism degree.
+    of comparing every member with every relabeling.  A table filled by
+    multiset whose columns pass neutrality counts that check for the
+    whole table, every profile read, in either mode: PS at n=4 reports
+    331,776 profiles and 127,401,984 comparisons, and makes one column
+    comparison per report, 24 in all.  Both are deterministic for a given
+    mode, independent of parallelism degree.
     """
 
     axiom: str

@@ -313,6 +313,24 @@ class FalselyNeutralPS(ProbabilisticSerial):
         return [[self.D // n] * n for _ in range(n)]
 
 
+class HiddenTradePS(ProbabilisticSerial):
+    """Anonymous and declared neutral, but not neutral: PS, except that at
+    every ordering of the report multiset {b>a>c, b>a>c, c>b>a} (at n=3),
+    which holds no identity report, every agent's shares of a and c trade
+    places.  PS gives that multiset's agents different shares of a and c,
+    so the trade shows in every agent's row; the identity fill never
+    evaluates the multiset, so its guard cannot see the trade."""
+
+    neutral = True
+    TRADED = ((B, A, C), (B, A, C), (C, B, A))
+
+    def _shares(self, profile):
+        out = super()._shares(profile)
+        if tuple(sorted(profile)) != self.TRADED:
+            return out
+        return [[row[C], row[B], row[A]] for row in out]
+
+
 def interim_shares_oracle(mechanism, agent, report, prior):
     """Brute-force interim shares: full product over all opponent profiles,
     no support skipping, no shared tables."""

@@ -1,7 +1,6 @@
 import concurrent.futures
 import dataclasses
 import itertools
-import os
 import random
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
@@ -41,6 +40,7 @@ from ramkit.axioms import (
     run_pair_sweep,
     trade_cycle,
 )
+from ramkit.domain import available_cpus
 from ramkit.mechanisms import (
     ProbabilisticSerial,
     RandomPriority,
@@ -512,7 +512,7 @@ class TestProfileSweeps:
                 super().__init__(*args, **kwargs)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-        workers = min(2, os.cpu_count() or 1)
+        workers = min(2, available_cpus())
         for name in ("sd", "table"):
             mech = build_mechanism(name, 3)
             assert not mech.anonymous

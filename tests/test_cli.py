@@ -11,7 +11,7 @@ import pytest
 from helpers import huge_denominator_table
 from pinned_outputs import ROWS, ram_command, ram_env, run_row, write_inputs
 from ramkit import domain
-from ramkit.cli import main
+from ramkit.cli import main, make_parser
 from ramkit.core import Instance, enumerate_profiles
 from ramkit.formats import parse_prior_file, render_speed_file, render_table_file
 from ramkit.mechanisms import EatingSpeedSchedule, ProbabilisticSerial, tabulate
@@ -413,12 +413,16 @@ class TestJobs:
         assert code == 2 and out == ""
         assert "--jobs must be at least 1" in err
 
-    @pytest.mark.parametrize("cpus, jobs, started", (
-        (3, "500", [3]), (8, "2", [2]), (None, "500", []), (1, "4", []),
+    @pytest.mark.parametrize("affinity, cpus, jobs, started", (
+        ({0, 1, 2}, 3, "500", [3]), (set(range(8)), 8, "2", [2]),
+        ({0}, 2, "2", []), ({0, 1}, 8, "500", [2]),
+        (None, 3, "500", [3]), (None, None, "500", []), (None, 1, "4", []),
     ))
-    def test_fill_pool_never_exceeds_cpu_count(self, monkeypatch, cpus, jobs, started):
+    def test_fill_pool_never_exceeds_cpu_count(self, monkeypatch, affinity, cpus, jobs, started):
         """A stand-in pool records the workers a fill asks for and runs the
-        tasks in this process; no process is started."""
+        tasks in this process; no process is started.  The pool is clamped
+        to the CPUs the process may run on: its affinity set where the
+        platform has one (None: it has none), else the CPU count."""
         asked = []
 
         class RecordingPool:
@@ -441,10 +445,29 @@ class TestJobs:
         _, serial, _ = run_cli(*args, "--jobs", "1")
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         monkeypatch.setattr(domain, "_worker_job", None)
-        monkeypatch.setattr(domain.os, "cpu_count", lambda: cpus)
+        _set_cpus(monkeypatch, affinity, cpus)
         code, out, _ = run_cli(*args, "--jobs", jobs)
         assert asked == started
         assert code == 0 and out == serial
+
+    @pytest.mark.parametrize("affinity, cpus, usable", (
+        ({0}, 2, 1), ({1, 3}, 4, 2), (None, 3, 3), (None, None, 1),
+    ))
+    def test_jobs_default_is_the_usable_cpus(self, monkeypatch, affinity, cpus, usable):
+        _set_cpus(monkeypatch, affinity, cpus)
+        assert domain.available_cpus() == usable
+        args = make_parser().parse_args(["check", "--axiom", "em", "--mechanism", "ps", "--n", "3"])
+        assert args.jobs == usable
+
+
+def _set_cpus(monkeypatch, affinity, cpus):
+    """Make ``os`` report ``cpus`` CPUs and the affinity set ``affinity``,
+    or no ``sched_getaffinity`` when ``affinity`` is None."""
+    monkeypatch.setattr(domain.os, "cpu_count", lambda: cpus)
+    if affinity is None:
+        monkeypatch.delattr(domain.os, "sched_getaffinity", raising=False)
+    else:
+        monkeypatch.setattr(domain.os, "sched_getaffinity", lambda pid: set(affinity))
 
 
 #: The pinned row of ``ram check --axiom li --mechanism ps --n 4 --mode

@@ -22,6 +22,7 @@ from helpers import (
     CountingPS,
     CountingUndeclaredPS,
     FalselyNeutralPS,
+    HiddenTradePS,
     UndeclaredEating,
     UndeclaredRP,
     build_mechanism,
@@ -766,6 +767,41 @@ def test_falsely_neutral_ps_first_neutrality_violation_at_n4():
     assert hashlib.sha256("".join(line + "\n" for line in lines).encode()).hexdigest() == (
         "59cb096686a71763701e42977101394ccb6d83edcfac6dabd7dcf07873736459"
     )
+
+
+@pytest.mark.parametrize("mode", ("exhaustive", "first"))
+def test_neutrality_sees_a_trade_in_a_multiset_without_the_identity(mode):
+    """HiddenTradePS trades columns only at a report multiset that holds no
+    identity report: the identity fill never evaluates it, and report 0's
+    columns are PS's.  Only a check of every report's columns at every
+    multiset, one that never reads the declaration, finds the trade."""
+    mech = HiddenTradePS(Instance.default(3))
+    assert mech.anonymous and mech.neutral
+    table = DomainTable(mech, enumerate_preferences(mech.instance))
+    table.fill()  # the guard cannot see the trade
+    expected = profile_sweep_oracle(mech, "neutral", mode=mode)
+    assert not expected.satisfied
+    for jobs in (1, 2):
+        assert run_axiom_check(mech, "neutral", mode=mode, jobs=jobs) == expected, jobs
+    assert run_axiom_check(_undeclared_neutral(mech), "neutral", mode=mode) == expected
+
+
+@pytest.mark.parametrize("mode", ("exhaustive", "first"))
+@pytest.mark.parametrize("kind", ("ps", "rp"))
+def test_passing_neutrality_reads_no_row(kind, mode, monkeypatch):
+    """A neutral table filled by multiset passes on its columns alone, and
+    reports the orbit sweep's counters by arithmetic."""
+    mech = build_mechanism(kind, 3)
+    expected = profile_sweep_oracle(mech, "neutral", mode=mode)
+    assert expected.satisfied
+
+    def entry(self, index):
+        raise AssertionError(f"row {index} read")
+
+    monkeypatch.setattr(DomainTable, "entry", entry)
+    got = run_axiom_check(mech, "neutral", mode=mode)
+    assert got == expected
+    assert (got.profiles_checked, got.comparisons) == (6 ** 3, 6 ** 3 * 6 * 3 ** 2)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Dead names in the library's sources, found by parsing them with ``ast``:
-an import a module never uses, and a private module-level name that no
-module of the package uses."""
+an import a module never uses, a private module-level name that no module
+of the package uses, and a private method or attribute of a class that no
+module of the package reads."""
 
 import ast
 from pathlib import Path
@@ -13,14 +14,19 @@ def _modules() -> dict[str, ast.Module]:
 
 
 def _used(tree: ast.Module) -> set[str]:
-    """Every name a module reads, and every attribute it reads by name."""
+    """Every name a module reads, and every attribute it reads by name; an
+    attribute only stored to is not read."""
     names = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
             names.add(node.id)
-        elif isinstance(node, ast.Attribute):
+        elif isinstance(node, ast.Attribute) and not isinstance(node.ctx, ast.Store):
             names.add(node.attr)
     return names
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
 
 
 def _imported(tree: ast.Module) -> list[str]:
@@ -44,7 +50,23 @@ def _private_definitions(tree: ast.Module) -> list[str]:
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             names += [t.id for t in targets if isinstance(t, ast.Name)]
-    return [name for name in names if name.startswith("_") and not name.startswith("__")]
+    return [name for name in names if _private(name)]
+
+
+def _private_members(tree: ast.Module) -> list[str]:
+    """The private methods a module's class bodies define, and the private
+    attributes it stores on ``self``."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef):
+            names.update(
+                item.name for item in node.body
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+            )
+        elif (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+              and isinstance(node.value, ast.Name) and node.value.id == "self"):
+            names.add(node.attr)
+    return sorted(filter(_private, names))
 
 
 def _imported_from_package(trees: dict[str, ast.Module]) -> set[str]:
@@ -77,3 +99,17 @@ def test_every_private_module_name_is_used():
         for defined in _private_definitions(tree) if defined not in used
     ]
     assert unused == []
+
+
+def test_every_private_class_member_is_read():
+    """A private method, or a private attribute stored on ``self``, that no
+    module of the package reads is dead; so is a helper a refactor
+    orphaned."""
+    trees = _modules()
+    used = set().union(*map(_used, trees.values()))
+    unread = [
+        f"{name}: {member}"
+        for name, tree in trees.items()
+        for member in _private_members(tree) if member not in used
+    ]
+    assert unread == []
