@@ -413,42 +413,22 @@ class TestJobs:
         assert code == 2 and out == ""
         assert "--jobs must be at least 1" in err
 
+    @pytest.mark.parametrize("cpus, jobs, started", (
+        (3, "500", [3]), (8, "2", [2]), (None, "500", []), (1, "4", []),
+    ))
+    def test_fill_pool_never_exceeds_cpu_count(self, monkeypatch, cpus, jobs, started):
+        """On a platform with no affinity set the pool is clamped to the
+        CPU count."""
+        assert _fill_pool_workers(monkeypatch, None, cpus, jobs) == started
+
     @pytest.mark.parametrize("affinity, cpus, jobs, started", (
         ({0, 1, 2}, 3, "500", [3]), (set(range(8)), 8, "2", [2]),
         ({0}, 2, "2", []), ({0, 1}, 8, "500", [2]),
-        (None, 3, "500", [3]), (None, None, "500", []), (None, 1, "4", []),
     ))
-    def test_fill_pool_never_exceeds_cpu_count(self, monkeypatch, affinity, cpus, jobs, started):
-        """A stand-in pool records the workers a fill asks for and runs the
-        tasks in this process; no process is started.  The pool is clamped
-        to the CPUs the process may run on: its affinity set where the
-        platform has one (None: it has none), else the CPU count."""
-        asked = []
-
-        class RecordingPool:
-            def __init__(self, max_workers, initializer, initargs):
-                asked.append(max_workers)
-                initializer(*initargs)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                return map(fn, items)
-
-        # serial dictatorship is not anonymous, so its fill uses the pool
-        args = ("check", "--axiom", "em", "--mechanism", "sd:3,1,2", "--n", "3",
-                "--mode", "exhaustive", "--format", "machine")
-        _, serial, _ = run_cli(*args, "--jobs", "1")
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-        monkeypatch.setattr(domain, "_worker_job", None)
-        _set_cpus(monkeypatch, affinity, cpus)
-        code, out, _ = run_cli(*args, "--jobs", jobs)
-        assert asked == started
-        assert code == 0 and out == serial
+    def test_fill_pool_never_exceeds_affinity_set(self, monkeypatch, affinity, cpus, jobs, started):
+        """Where the platform has an affinity set the pool is clamped to it,
+        not to the CPU count."""
+        assert _fill_pool_workers(monkeypatch, affinity, cpus, jobs) == started
 
     @pytest.mark.parametrize("affinity, cpus, usable", (
         ({0}, 2, 1), ({1, 3}, 4, 2), (None, 3, 3), (None, None, 1),
@@ -458,6 +438,39 @@ class TestJobs:
         assert domain.available_cpus() == usable
         args = make_parser().parse_args(["check", "--axiom", "em", "--mechanism", "ps", "--n", "3"])
         assert args.jobs == usable
+
+
+def _fill_pool_workers(monkeypatch, affinity, cpus, jobs):
+    """The workers an exhaustive fill asks of the pool under ``--jobs
+    jobs``, with ``os`` set up as by :func:`_set_cpus`.  A stand-in pool
+    records them and runs the tasks in this process; no process is
+    started.  The fill's output must match a serial run."""
+    asked = []
+
+    class RecordingPool:
+        def __init__(self, max_workers, initializer, initargs):
+            asked.append(max_workers)
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    # serial dictatorship is not anonymous, so its fill uses the pool
+    args = ("check", "--axiom", "em", "--mechanism", "sd:3,1,2", "--n", "3",
+            "--mode", "exhaustive", "--format", "machine")
+    _, serial, _ = run_cli(*args, "--jobs", "1")
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(domain, "_worker_job", None)
+    _set_cpus(monkeypatch, affinity, cpus)
+    code, out, _ = run_cli(*args, "--jobs", jobs)
+    assert code == 0 and out == serial
+    return asked
 
 
 def _set_cpus(monkeypatch, affinity, cpus):
