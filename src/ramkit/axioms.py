@@ -77,13 +77,13 @@ from .core import (
     _check_pref_cap,
     _check_sweep_cap,
     adjacent_swaps,
-    apply_permutation,
     apply_permutation_profile,
     enumerate_preferences,
     fosd,
     fosd_failure,
     insert_report,
     prefers,
+    relabeling_action,
     validate_assignment,
 )
 from .decomp import _improvement_cycle, birkhoff_decompose, find_cycle
@@ -629,15 +629,16 @@ def _neutrality_test(table: DomainTable):
     relabeled, agrees with the representative; only a failing one compares
     each member, by index, with each relabeling, to list its violations.
     A table filled by multiset reaches this test only when its columns do
-    not follow the relabeling, so that at least one orbit fails."""
+    not follow the relabeling, so that at least one orbit fails.  The
+    relabelings are the reports themselves, in order, acting on report
+    indices as in :mod:`ramkit.core`."""
     n, prefs, D = table.n, table.prefs, table.D
-    position = {p: k for k, p in enumerate(prefs)}
-    sigmas = list(itertools.permutations(range(n)))
+    sigmas, act = prefs, relabeling_action(prefs)
     # relabel[p][s]: the index of report p relabeled by sigmas[s];
     # steps[j][d]: the part of a profile's index that agent j's report prefs[d]
     # makes, and shifts[j][p][s] that of report p relabeled by sigmas[s];
     # moved[s]: a row's shares of sigmas[s][a], agent by agent, object by object
-    relabel = {p: [position[apply_permutation(p, s)] for s in sigmas] for p in prefs}
+    relabel = dict(zip(prefs, zip(*(act(sigma, range(table.m)) for sigma in sigmas))))
     steps = [[d * table.stride(j) for d in range(table.m)] for j in range(n)]
     shifts = [{p: list(map(step.__getitem__, r)) for p, r in relabel.items()} for step in steps]
     moved = [itemgetter(*(i * n + s[a] for i in range(n) for a in range(n))) for s in sigmas]

@@ -14,7 +14,14 @@ Representation conventions used throughout the package:
 * ``AssignmentMatrix`` -- tuple of share vectors, one row per agent
   (a bistochastic matrix).
 * ``ObjectPermutation`` -- tuple ``sigma`` with ``sigma[x]`` the image of
-  object ``x``.
+  object ``x``.  A preference is one too: report ``r`` maps rank ``k`` to
+  object ``r[k]``.
+* Relabeling -- an object permutation ``sigma`` acts on a preference by
+  :func:`apply_permutation`, ``sigma.r = (sigma[r[0]], ..., sigma[r[n-1]])``,
+  and on a profile report by report.  ``s_r``, the inverse of report
+  ``r`` (:func:`report_inverse`), maps object ``r[k]`` to ``k``: it takes
+  ``r`` to the identity order.  :func:`relabeling_action` applies a
+  relabeling to indices into a list of preferences.
 """
 
 from __future__ import annotations
@@ -22,7 +29,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, NamedTuple, Optional
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 Preference = tuple[int, ...]
 Profile = tuple[Preference, ...]
@@ -155,6 +162,24 @@ def apply_permutation(pref: Preference, sigma: ObjectPermutation) -> Preference:
 
 def apply_permutation_profile(profile: Profile, sigma: ObjectPermutation) -> Profile:
     return tuple(apply_permutation(p, sigma) for p in profile)
+
+
+def report_inverse(pref: Preference) -> ObjectPermutation:
+    """``s_r`` of report ``pref``: object ``pref[k]`` to ``k``."""
+    return tuple(sorted(range(len(pref)), key=pref.__getitem__))
+
+
+def relabeling_action(prefs: list[Preference]) -> Callable[..., list[int]]:
+    """``images(sigma, qs)``: for each index q of ``qs``, the index in
+    ``prefs`` of ``apply_permutation(prefs[q], sigma)``.  ``prefs`` holds
+    every preference once.  Only the images asked for are computed; no
+    table of every relabeling's images is built."""
+    index = {p: k for k, p in enumerate(prefs)}
+
+    def images(sigma: ObjectPermutation, qs: Iterable[int]) -> list[int]:
+        return [index[tuple(map(sigma.__getitem__, prefs[q]))] for q in qs]
+
+    return images
 
 
 def adjacent_swaps(pref: Preference) -> Iterator[tuple[Preference, SwapInfo]]:

@@ -17,9 +17,8 @@ agents before ``agent`` at ``c // s`` and those after at ``c % s``.
 ``prefs[r]``, one per cell.  Every value read is a numerator over the
 mechanism's one denominator ``D = mech.D``; nothing is rescaled.
 
-Under neutrality (``Mechanism.neutral``) the relabeling ``s_r`` that maps
-object ``r[k]`` to ``k`` turns report ``r`` into the identity order
-``prefs[0]``.
+Under neutrality (``Mechanism.neutral``) the relabeling ``s_r`` of
+:mod:`ramkit.core` turns report ``r`` into the identity order ``prefs[0]``.
 
 :meth:`DomainTable.fill` evaluates the whole domain by one of three
 routes.  The two anonymous routes are one loop over the multisets of
@@ -32,8 +31,9 @@ process, at its sorted profile; the first route cuts it short.
   ``M'`` of ``n-1`` reports, ``C(m+n-2, n-1)`` evaluations, 2,600 at n=4
   and 21 at n=3.  Every other report's row is read through neutrality,
   ``row(r, M)[x] = row(id, s_r M)[k]`` with ``r[k] = x``, by one
-  relabeling routine from the identity report's columns to every
-  report's.  The rows the evaluations give the other reports of each
+  routine (:meth:`DomainTable._relabeled`, on the relabeling of report
+  indices of :mod:`ramkit.core`) from the identity report's columns to
+  every report's.  The rows the evaluations give the other reports of each
   profile are checked against the rows read that way, so a false
   neutrality declaration raises, as a false anonymity declaration does.
   Every sweep that fills takes this route except the neutrality sweep,
@@ -87,7 +87,7 @@ from array import array
 from operator import add, itemgetter
 from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
-from .core import Preference, Profile
+from .core import Preference, Profile, relabeling_action, report_inverse
 from .mechanisms import Mechanism
 
 Store = Union[array, list]
@@ -319,19 +319,18 @@ class DomainTable:
         report's row against ``s_r M``, its objects read through r, so r's
         column of object x is ``base[s_r(x)]`` gathered through the ids of
         the ``s_r M``.  ``s_r M`` is found without sorting, as the multiset
-        id of the cell whose digits are M's reports relabeled."""
-        m, n, prefs = self.m, self.n, self.prefs
-        index = {p: k for k, p in enumerate(prefs)}
+        id of the cell whose digits are M's reports relabeled (``s_r`` and
+        the relabeling of report indices as in :mod:`ramkit.core`)."""
+        m, n, images = self.m, self.n, relabeling_action(self.prefs)
         # digits[j]: the j-th report of every multiset, in multiset order
         digits = list(zip(*itertools.combinations_with_replacement(range(m), n - 1)))
         weights = [m ** (n - 2 - j) for j in range(n - 1)]
         cols = [base]
-        for r in prefs[1:]:
-            s = [r.index(x) for x in range(n)]  # s_r: object r[k] to k
-            to = [index[tuple([s[x] for x in p])] for p in prefs]  # s_r on report indices
+        for s in map(report_inverse, self.prefs[1:]):
+            to = images(s, range(m))  # s_r on report indices
             cells = [0] * len(base[0])  # the cell of each s_r M
             for d, w in zip(digits, weights):
-                place = [to[p] * w for p in range(m)]
+                place = [t * w for t in to]
                 cells = list(map(add, cells, map(place.__getitem__, d)))
             at = list(map(self._multiset.__getitem__, cells))
             cols.append([list(map(base[y].__getitem__, at)) for y in s])

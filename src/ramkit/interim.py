@@ -67,6 +67,8 @@ from .core import (
     _check_sweep_cap,
     enumerate_preferences,
     insert_report,
+    relabeling_action,
+    report_inverse,
 )
 from .axioms import _PairSweep, _replay_pair
 from .domain import multiset_rows
@@ -260,8 +262,8 @@ def _neutral_sums(mech: Mechanism, prefs, weights: list[int]) -> list[list[int]]
     multiset of opponent reports of the identity report ``prefs[0]`` that
     weighs some report.
 
-    With ``s_r`` the relabeling that maps object ``r[k]`` to ``k``,
-    neutrality gives ``row(r, M)[r[k]] = row(id, s_r M)[k]``.  So, with
+    With ``s_r`` the inverse of report r (:mod:`ramkit.core`), neutrality
+    gives ``row(r, M)[r[k]] = row(id, s_r M)[k]``.  So, with
     ``M' = s_r M``, the share of object ``r[k]`` in the row for report r is
     ``acc[r][k] = sum_M' mult(M') * prod_{p in M'} w[r o p] * row(id, M')[k]``
     over the multisets ``M'`` of n-1 reports, where ``r o p = s_r^-1 p``
@@ -276,8 +278,8 @@ def _neutral_sums(mech: Mechanism, prefs, weights: list[int]) -> list[list[int]]
     only the kept reports r whose prefix weight ``prod w[r o p]`` is
     nonzero, with that weight.  Children come from ``steps[r]``: every p
     with ``r o p`` on the support, that is ``p = s_r(q)`` for an on-support
-    q, with ``w[q]``; ``s_r(q)`` is computed for the kept reports only, and
-    no ``m * m`` table is built.
+    q, with ``w[q]``; ``s_r(q)`` is computed for the kept reports only, by
+    :func:`ramkit.core.relabeling_action`, and no ``m * m`` table is built.
 
     A full ``M'`` is evaluated at the sorted profile ``(id,) + M'``
     (:func:`ramkit.domain.multiset_rows`, whose anonymity guard runs at
@@ -293,18 +295,13 @@ def _neutral_sums(mech: Mechanism, prefs, weights: list[int]) -> list[list[int]]
     pending rows; past :data:`_PENDING_ROWS` the walk stashes nothing more
     and evaluates instead."""
     n, m = len(prefs[0]), len(prefs)
-    index = {p: k for k, p in enumerate(prefs)}
+    act = relabeling_action(prefs)
     on = [q for q, w in enumerate(weights) if w]
     rep = _prior_orbits(prefs, weights, on)
     kept = [r for r in range(m) if rep[r] == r]
-    # position[r][a]: the rank of object a in report r, so s_r(p) is
-    # (position[r][a] for a in p)
-    position = [[pref.index(a) for a in range(n)] for pref in prefs]
+    inverse = list(map(report_inverse, prefs))  # inverse[r]: s_r
     # steps[r]: (p, w[r o p]) for every p with r o p on the support, by p
-    steps = {
-        r: sorted((index[tuple(map(position[r].__getitem__, prefs[q]))], weights[q]) for q in on)
-        for r in kept
-    }
+    steps = {r: sorted(zip(act(inverse[r], on), map(weights.__getitem__, on))) for r in kept}
     # reach[p]: a bit for each kept report r with r o p on the support, so
     # a multiset weighs some kept report, and the walk visits it, when the
     # bits of its reports have one in common
@@ -328,8 +325,7 @@ def _neutral_sums(mech: Mechanism, prefs, weights: list[int]) -> list[list[int]]
             if not r:  # yielded first: report 0 leads each sorted profile
                 found = row
             elif room > 0:
-                rank = position[r].__getitem__
-                key = tuple(sorted([index[tuple(map(rank, prefs[q]))] for q in others]))
+                key = tuple(sorted(act(inverse[r], others)))
                 if key > members and key not in pending and reduce(
                     and_, map(reach.__getitem__, key)
                 ):
@@ -360,28 +356,25 @@ def _neutral_sums(mech: Mechanism, prefs, weights: list[int]) -> list[list[int]]
         raise InternalConsistencyError(
             f"{len(pending)} rows were stashed for multisets the walk never reached"
         )
-    return [[acc[rep[r]][k] for k in position[r]] for r in range(m)]
+    return [[acc[rep[r]][k] for k in inverse[r]] for r in range(m)]
 
 
 def _prior_orbits(prefs, weights: list[int], on: list[int]) -> list[int]:
     """``rep[r]``: the smallest report of r's orbit under the relabelings
-    that fix the prior.  A relabeling ``σ`` acts on a report by ``σ·r =
-    (σ[r[0]], ..., σ[r[n-1]])``, and fixes the prior when ``w[σ·q] ==
-    w[q]`` for every q on the support ``on``: a bijection that keeps the
-    support's weights maps the rest to weight zero too.  Finding them
-    takes at most ``m * len(on)`` lookups.  Relabelings act on reports
-    freely, so each orbit has one member per fixing relabeling, and
-    listing the orbits takes ``m`` lookups."""
-    index = {p: k for k, p in enumerate(prefs)}
-    fixing = [
-        sigma for sigma in prefs
-        if all(weights[index[tuple([sigma[a] for a in prefs[q]])]] == weights[q] for q in on)
-    ]
+    that fix the prior, acting on indices into ``prefs`` as in
+    :mod:`ramkit.core`.  A relabeling ``σ`` fixes the prior when
+    ``w[σ·q] == w[q]`` for every q on the support ``on``: a bijection that
+    keeps the support's weights maps the rest to weight zero too.  Finding
+    them takes at most ``m * len(on)`` lookups.  Relabelings act on
+    reports freely, so each orbit has one member per fixing relabeling,
+    and listing the orbits takes ``m`` lookups."""
+    act = relabeling_action(prefs)
+    fixing = [s for s in prefs if all(weights[act(s, (q,))[0]] == weights[q] for q in on)]
     rep = [-1] * len(prefs)
-    for r, pref in enumerate(prefs):
+    for r in range(len(prefs)):
         if rep[r] < 0:
             for sigma in fixing:
-                rep[index[tuple([sigma[a] for a in pref])]] = r
+                rep[act(sigma, (r,))[0]] = r
     return rep
 
 
@@ -486,8 +479,9 @@ def _interim_sweep(table, prior: Prior, axioms) -> dict[str, CheckOutcome]:
     """The pair kernel on the interim rows ``table`` of :func:`_interim_rows`,
     one cell per agent, exhaustive; ``axioms`` are pair-axiom names, the
     outcomes carry interim names."""
+    # the rows exist, so their preferences passed the caller's max_n
     sweep = _PairSweep(
-        enumerate_preferences(prior.instance), axioms, first_only=False,
+        enumerate_preferences(prior.instance, max_n=prior.instance.n), axioms, first_only=False,
         labels=_INTERIM_LABELS, prior=prior,
     )
     return sweep.run(_RowCells(*table))

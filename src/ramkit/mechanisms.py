@@ -25,17 +25,18 @@ option, and lets a domain table evaluate each multiset of reports once
 (:mod:`ramkit.domain`).
 
 A mechanism is **neutral** when relabeling the objects in every report
-relabels the columns of its assignment the same way.  SD, RP and every
-eating mechanism are, whatever the speeds, because speeds belong to
-agents, not to objects; a table is not assumed to be.
-``Mechanism.neutral`` states this fact.  An anonymous and neutral
-mechanism is evaluated once per multiset of opponent reports of the
-identity report, and every other report's row is read from those by
-relabeling: for its interim rows, at any n (:mod:`ramkit.interim`), and
-for the domain table of every ex-post sweep but neutrality's
-(:mod:`ramkit.domain`), which checks the rows of the other reports it
-evaluates against the relabeled ones.  The ex-post neutrality sweep
-never reads the declaration, so it stays a real check.
+(a relabeling as defined in :mod:`ramkit.core`) relabels the columns of
+its assignment the same way.  SD, RP and every eating mechanism are,
+whatever the speeds, because speeds belong to agents, not to objects; a
+table is not assumed to be.  ``Mechanism.neutral`` states this fact.  An
+anonymous and neutral mechanism is evaluated once per multiset of
+opponent reports of the identity report, and every other report's row is
+read from those through ``s_r``, the inverse of the report: for its
+interim rows, at any n (:mod:`ramkit.interim`), and for the domain table
+of every ex-post sweep but neutrality's (:mod:`ramkit.domain`), which
+checks the rows of the other reports it evaluates against the relabeled
+ones.  The ex-post neutrality sweep never reads the declaration, so it
+stays a real check.
 """
 
 from __future__ import annotations

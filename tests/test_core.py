@@ -17,6 +17,8 @@ from ramkit.core import (
     fosd_failure,
     parse_rational,
     prefers,
+    relabeling_action,
+    report_inverse,
     validate_assignment,
 )
 from ramkit.decomp import Decomposition
@@ -112,6 +114,27 @@ class TestPermutations:
     def test_inverse_round_trip(self, pref, sigma):
         inverse = tuple(sigma.index(y) for y in range(4))
         assert apply_permutation(apply_permutation(pref, sigma), inverse) == pref
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_relabeling_action_matches_apply_permutation(self, n):
+        """For every relabeling and every report, the action on indices
+        names the report that ``apply_permutation`` gives, and ``s_r`` takes
+        report r to the identity order."""
+        prefs = enumerate_preferences(Instance.default(n))
+        images = relabeling_action(prefs)
+        for sigma in prefs:
+            expected = [apply_permutation(p, sigma) for p in prefs]
+            assert [prefs[k] for k in images(sigma, range(len(prefs)))] == expected
+        for r in prefs:
+            assert apply_permutation(r, report_inverse(r)) == prefs[0]
+
+    def test_relabeling_action_computes_the_indices_asked_for(self):
+        prefs = enumerate_preferences(Instance.default(3))
+        images = relabeling_action(prefs)
+        assert images(CAB, ()) == []
+        # CAB sends a to c, b to a, c to b
+        assert images(CAB, (prefs.index(ACB), 0)) == [prefs.index((C, B, A)), prefs.index(CAB)]
+        assert report_inverse(CAB) == (B, C, A)
 
 
 class TestSwapRelation:

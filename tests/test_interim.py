@@ -30,7 +30,7 @@ from ramkit.core import (
     insert_report,
 )
 from ramkit import interim
-from ramkit.axioms import run_axiom_check
+from ramkit.axioms import _replay_pair, run_axiom_check
 from ramkit.interim import (
     INTERIM_AXIOMS,
     InternalConsistencyError,
@@ -130,6 +130,25 @@ class TestPrior:
             assert report.vectors[pref] == tuple(shares[a] for a in pref)
         with pytest.raises(CapExceededError, match="full-domain"):
             check_obic(ps, prior)
+
+    def test_interim_sweep_past_the_sweep_cap(self):
+        """With ``max_n=7`` the interim sweep reads the preferences its rows
+        were built over, not the capped default: PS under a prior on two
+        preferences passes interim em and ui and fails li, and the first li
+        witness matches the Fraction route."""
+        instance = Instance.default(7)
+        prior = two_point_prior(instance)
+        ps = ProbabilisticSerial(instance)
+        sweep = run_interim_sweep(ps, prior, max_n=7)
+        assert sweep["interim-em"].satisfied and sweep["interim-ui"].satisfied
+        li = sweep["interim-li"]
+        assert not li.satisfied and len(li.violations) == 14_616
+        v = li.violations[0]
+        truth, deviation = (
+            interim_share_vector(ps, v.agent, report, prior, max_n=7).shares
+            for report in (v.truth, v.deviation)
+        )
+        assert _replay_pair("li", v.truth, truth, deviation, v)
 
 
 class TestInterimShares:

@@ -769,6 +769,23 @@ def test_falsely_neutral_ps_first_neutrality_violation_at_n4():
     )
 
 
+def test_falsely_neutral_ps_neutrality_listing_at_n4():
+    """Exhaustive neutrality of FalselyNeutralPS at n=4, the only failing
+    neutrality listing at n=4: every failing orbit compares each member
+    with each relabeling.  Recorded while the neutrality sweep built its
+    own map of relabeled report indices."""
+    mech = FalselyNeutralPS(Instance.default(4))
+    got = run_axiom_check(mech, "neutral", mode="exhaustive")
+    assert not got.satisfied
+    assert (len(got.violations), got.profiles_checked, got.comparisons) == (
+        482_112, 331_776, 127_401_984
+    )
+    lines = outcome_lines(mech.instance, got, machine=True)
+    assert hashlib.sha256("".join(line + "\n" for line in lines).encode()).hexdigest() == (
+        "0d4d34180803c97fc59f40977553c88a2405aba49d796e96d771735b2be1e19c"
+    )
+
+
 @pytest.mark.parametrize("mode", ("exhaustive", "first"))
 def test_neutrality_sees_a_trade_in_a_multiset_without_the_identity(mode):
     """HiddenTradePS trades columns only at a report multiset that holds no
