@@ -27,9 +27,15 @@ row against the multisets that relabel the others' reports; those rows
 wait in a bounded map until the walk reaches them.  So each profile is
 evaluated at most once (762 PS evaluations at n=4 under the uniform
 prior, out of 2,600 multisets; 702 out of 1,736 under a prior on half
-the preferences).  Any other mechanism is evaluated once per profile
-with at most one off-support report, and each agent's rows are summed
-over ordered opponent profiles.  Both routes evaluate through
+the preferences).  The walk packs each row into one integer, a slot of
+``(D * Q**(n-1)).bit_length() + 1`` bits per share, which no weighted sum
+fills past its slot, so adding a row to a report's sums is one integer
+multiply-add; it carries each multiset's number of orderings down from
+its prefix, and reads ``s_r`` on report indices from one map per
+relabeled report, at most ``m * m`` indices (14,400 at n=5).  Any
+other mechanism is evaluated once per profile with at most one
+off-support report, and each agent's rows are summed over ordered
+opponent profiles.  Both routes evaluate through
 :meth:`Mechanism.scaled_assignment`, stream into the sums and hold no
 table.  Every agent's rows come out as integers over one denominator,
 ``mech.D * Q**(n-1)``, and OBIC and the interim em/ui/li run on them in
@@ -37,8 +43,8 @@ the ex-post pair sweep's column kernel (:class:`ramkit.axioms._PairSweep`),
 one single-cell batch per agent.  The agents of an anonymous and neutral
 mechanism share one set of rows, so the kernel sweeps agent 1's once and
 relabels its violations for the others.  The pass reads no memo, and a
-mechanism's memo stays empty; the walk's only store is its map of
-pending rows, of at most :data:`_PENDING_ROWS` rows.
+mechanism's memo stays empty; the walk stores only its map of pending
+rows, of at most :data:`_PENDING_ROWS` rows, and its relabeling maps.
 :func:`obic_decomposition_report` builds the rows once for OBIC and the
 em/ui/li sweep.  :func:`interim_share_vector` is a separate Fraction
 route, and replaying a witness reads its rows only from that route.
@@ -54,7 +60,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, reduce
 from math import ceil, factorial
-from operator import and_
+from operator import and_, lshift
 from typing import Optional
 
 from .core import (
@@ -276,10 +282,27 @@ def _neutral_sums(mech: Mechanism, prefs, weights: list[int]) -> list[list[int]]
     first, all of them under a generic prior.  It grows the sorted ``M'``
     one report at a time, in lexicographic order, and keeps at each prefix
     only the kept reports r whose prefix weight ``prod w[r o p]`` is
-    nonzero, with that weight.  Children come from ``steps[r]``: every p
-    with ``r o p`` on the support, that is ``p = s_r(q)`` for an on-support
-    q, with ``w[q]``; ``s_r(q)`` is computed for the kept reports only, by
-    :func:`ramkit.core.relabeling_action`, and no ``m * m`` table is built.
+    nonzero, with that weight.  ``mult(M')``, the number of orderings of
+    ``M'``, comes down the walk with it: appending a report to a prefix of
+    d reports multiplies it by ``d + 1`` and divides it by the length of
+    the run of equal reports the new one ends.  Children come from
+    ``steps[r]``: every p with ``r o p`` on the support, that is
+    ``p = s_r(q)`` for an on-support q, with ``w[q]``.
+
+    ``s_r`` acts on report indices through one map per report
+    (:class:`_ReportImages`), which computes each image by
+    :func:`ramkit.core.relabeling_action` the first time the walk reads it.
+    The maps hold at most ``m * m`` indices (576 at n=4, 14,400 at n=5),
+    and only those the walk reads: no map is built whole.
+
+    Each row is packed into one integer, share k in bits
+    ``[k*width, (k+1)*width)`` with ``width = (D * Q**(n-1)).bit_length() + 1``
+    and ``Q = sum(w)``.  A slot of a row (at most ``D``), of ``mult(M')``
+    times a row, or of a kept report's sums is part of a finished share's
+    numerator, a sum of non-negative terms whose weights total at most
+    ``Q**(n-1)``; so no slot exceeds ``D * Q**(n-1)`` or carries into the
+    next.  Adding a weighted row to a kept report's sums is one integer
+    multiply-add, and the sums are unpacked once at the end.
 
     A full ``M'`` is evaluated at the sorted profile ``(id,) + M'``
     (:func:`ramkit.domain.multiset_rows`, whose anonymity guard runs at
@@ -287,21 +310,28 @@ def _neutral_sums(mech: Mechanism, prefs, weights: list[int]) -> list[list[int]]
     also gives each other report r in it a row against the others'
     multiset ``O``; read through neutrality, that is the identity report's
     row ``[row_r[a] for a in r]`` against ``sorted(s_r O)``.  When the walk
-    has yet to reach that multiset and will, the row waits in a
-    :class:`_PendingRows` map, and the walk takes it there instead of
-    evaluating.  So each profile is evaluated once, and fewer of them: PS
-    at n=4 takes 762 evaluations under the uniform prior (2,600 multisets)
-    and 702 under the prior above (1,736), holding at most 1,104 and 402
-    pending rows; past :data:`_PENDING_ROWS` the walk stashes nothing more
-    and evaluates instead."""
+    will reach that multiset (every report of ``s_r O`` shares a kept
+    report's ``reach`` bit, tested before sorting) and has not yet, the row
+    waits, packed, in a :class:`_PendingRows` map, and the walk takes it
+    there instead of evaluating.  So each profile is evaluated once, and
+    fewer of them: PS at n=4 takes 762 evaluations under the uniform prior
+    (2,600 multisets) and 702 under the prior above (1,736), holding at
+    most 1,104 and 402 pending rows; past :data:`_PENDING_ROWS` the walk
+    stashes nothing more and evaluates instead."""
     n, m = len(prefs[0]), len(prefs)
+    width = (mech.D * sum(weights) ** (n - 1)).bit_length() + 1
+    shifts = range(0, n * width, width)
     act = relabeling_action(prefs)
     on = [q for q, w in enumerate(weights) if w]
     rep = _prior_orbits(prefs, weights, on)
     kept = [r for r in range(m) if rep[r] == r]
     inverse = list(map(report_inverse, prefs))  # inverse[r]: s_r
+    images = [_ReportImages(act, s) for s in inverse]  # images[r][q]: s_r(q)
     # steps[r]: (p, w[r o p]) for every p with r o p on the support, by p
-    steps = {r: sorted(zip(act(inverse[r], on), map(weights.__getitem__, on))) for r in kept}
+    steps = {
+        r: sorted(zip(map(images[r].__getitem__, on), map(weights.__getitem__, on)))
+        for r in kept
+    }
     # reach[p]: a bit for each kept report r with r o p on the support, so
     # a multiset weighs some kept report, and the walk visits it, when the
     # bits of its reports have one in common
@@ -310,37 +340,41 @@ def _neutral_sums(mech: Mechanism, prefs, weights: list[int]) -> list[list[int]]
         for p, _ in steps[r]:
             reach[p] |= 1 << bit
 
-    # acc[r][k]: numerator of the share of object r[k] for kept report r
-    acc = {r: [0] * n for r in kept}
+    def pack(shares) -> int:
+        return sum(map(lshift, shares, shifts))
+
+    # acc[r]: the packed numerators of the shares of objects r[0], r[1], ...
+    # for kept report r
+    acc = [0] * m
     pending = _PendingRows()
 
-    def identity_row(members: tuple[int, ...]):
-        """``row(id, members)``: the pending row, or else evaluated, with
-        the rows the evaluation gives the walk's later multisets stashed."""
+    def identity_row(members: tuple[int, ...]) -> int:
+        """``row(id, members)`` packed: the pending row, or else evaluated,
+        with the rows the evaluation gives the walk's later multisets
+        stashed."""
         row = pending.pop(members, None)
         if row is not None:
             return row
         room = _PENDING_ROWS - len(pending)
         for r, others, row in multiset_rows(mech, prefs, ((0,) + members,)):
             if not r:  # yielded first: report 0 leads each sorted profile
-                found = row
+                found = pack(row)
             elif room > 0:
-                key = tuple(sorted(act(inverse[r], others)))
-                if key > members and key not in pending and reduce(
-                    and_, map(reach.__getitem__, key)
-                ):
-                    pending[key] = [row[a] for a in prefs[r]]
-                    room -= 1
+                moved = list(map(images[r].__getitem__, others))
+                if reduce(and_, map(reach.__getitem__, moved)):
+                    key = tuple(sorted(moved))
+                    if key > members and key not in pending:
+                        pending[key] = pack(map(row.__getitem__, prefs[r]))
+                        room -= 1
         return found
 
-    def walk(members: tuple[int, ...], node: list[tuple[int, int]]) -> None:
+    def walk(members: tuple[int, ...], node: list[tuple[int, int]], mult: int, run: int):
+        """Visit the multisets that extend ``members``; ``mult`` is its
+        number of orderings and ``run`` the length of its last run."""
         if len(members) == n - 1:
-            mult = _orderings(members)
-            terms = [(k, mult * x) for k, x in enumerate(identity_row(members)) if x]
+            row = mult * identity_row(members)
             for r, weight in node:
-                shares = acc[r]
-                for k, c in terms:
-                    shares[k] += c * weight
+                acc[r] += weight * row
             return
         children: dict[int, list[tuple[int, int]]] = {}
         for r, weight in node:
@@ -348,15 +382,36 @@ def _neutral_sums(mech: Mechanism, prefs, weights: list[int]) -> list[list[int]]
             # p >= the last member keeps M' sorted; () sorts before every step
             for p, w in step[bisect_left(step, members[-1:]):]:
                 children.setdefault(p, []).append((r, weight * w))
+        size, last = len(members) + 1, members[-1] if members else None
         for p in sorted(children):
-            walk(members + (p,), children[p])
+            length = run + 1 if p == last else 1
+            walk(members + (p,), children[p], mult * size // length, length)
 
-    walk((), [(r, 1) for r in kept])
+    walk((), [(r, 1) for r in kept], 1, 0)
     if pending:
         raise InternalConsistencyError(
             f"{len(pending)} rows were stashed for multisets the walk never reached"
         )
-    return [[acc[rep[r]][k] for k in inverse[r]] for r in range(m)]
+    mask = (1 << width) - 1
+    sums = {r: [acc[r] >> shift & mask for shift in shifts] for r in kept}
+    return [[sums[rep[r]][k] for k in inverse[r]] for r in range(m)]
+
+
+class _ReportImages(dict):
+    """``s_r`` on indices into ``prefs`` for one report r, given ``s = s_r``:
+    the image of index q is computed by ``act`` (a
+    :func:`ramkit.core.relabeling_action`) the first time it is read and
+    kept for the rest of the walk."""
+
+    __slots__ = ("act", "s")
+
+    def __init__(self, act, s):
+        super().__init__()
+        self.act, self.s = act, s
+
+    def __missing__(self, q: int) -> int:
+        image = self[q] = self.act(self.s, (q,))[0]
+        return image
 
 
 def _prior_orbits(prefs, weights: list[int], on: list[int]) -> list[int]:
@@ -376,17 +431,6 @@ def _prior_orbits(prefs, weights: list[int], on: list[int]) -> list[int]:
             for sigma in fixing:
                 rep[act(sigma, (r,))[0]] = r
     return rep
-
-
-def _orderings(reports: tuple[int, ...]) -> int:
-    """Number of distinct orderings of the sorted multiset ``reports``:
-    ``len! / prod(c!)``, dividing by 1, 2, ..., c along each run of ``c``
-    equal reports (exact at every step)."""
-    count, run = factorial(len(reports)), 1
-    for a, b in zip(reports, reports[1:]):
-        run = run + 1 if a == b else 1
-        count //= run
-    return count
 
 
 def _profile_sums(
@@ -736,13 +780,16 @@ def obic_decomposition_report(
     )
 
 
-def reverify_interim_violation(mech: Mechanism, report: ViolationReport) -> bool:
+def reverify_interim_violation(
+    mech: Mechanism, report: ViolationReport, *, max_n: Optional[int] = None
+) -> bool:
     """Recompute the interim quantities named by a report and confirm the
-    recorded values exactly."""
+    recorded values exactly; ``max_n`` lifts the preference cap as for the
+    checks that found it."""
     axiom = _PAIR_AXIOM.get(report.axiom)
     if axiom is None:
         raise ValueError(f"cannot replay axiom {report.axiom!r}")
     prior = report.prior
-    truth_row = interim_share_vector(mech, report.agent, report.truth, prior).shares
-    dev_row = interim_share_vector(mech, report.agent, report.deviation, prior).shares
+    truth_row = interim_share_vector(mech, report.agent, report.truth, prior, max_n=max_n).shares
+    dev_row = interim_share_vector(mech, report.agent, report.deviation, prior, max_n=max_n).shares
     return _replay_pair(axiom, report.truth, truth_row, dev_row, report)

@@ -4,7 +4,7 @@ Every row of :data:`PINS` is a ``ram`` command with the exit code it must
 give and the sha256 of the stdout it must write.  Each command runs as its
 own child, ``python -m ramkit.cli`` with this checkout's ``src`` first on
 ``PYTHONPATH``, and its stdout is hashed through a real pipe as the child
-writes it.  ``{sea3}``, ``{sea4}``, ``{half4}``, ``{two5}`` and
+writes it.  ``{sea3}``, ``{sea4}``, ``{half4}``, ``{rand4}``, ``{two5}`` and
 ``{table3}`` in a command name the input files that :func:`write_inputs`
 builds; no input file reaches the output.
 
@@ -18,6 +18,7 @@ differs.  Tier-1 runs the ``--n 3`` rows (``tests/test_cli.py``).
 
 import hashlib
 import os
+import random
 import subprocess
 import sys
 import tempfile
@@ -32,6 +33,7 @@ from helpers import (  # noqa: E402
     half_support_prior,
     huge_denominator_table,
     nonunit_schedule,
+    random_prior,
     two_point_prior,
 )
 from ramkit.core import Instance, enumerate_profiles  # noqa: E402
@@ -83,6 +85,9 @@ PINS = """
 # exact interim shares of rp and ps under that prior, which is not neutral; recorded while interim rows were built once per report multiset
 0 35fc4147df2f99eadb049bded25e4b3e57220266935b39ed27523f98f98e02f1 ranks --mechanism rp --n 4 --prior file:{half4} --format machine
 0 f089d501d16b038bf39b38f07f82756a49eb31cfb016a1d2d557d0fcffd591c3 ranks --mechanism ps --n 4 --prior file:{half4} --format machine
+# ps under a seeded full-support prior that no relabeling fixes, so the walk keeps sums for all 24 reports over Q = 11,489; recorded while each share was summed as its own integer
+0 65eeaf58a6500e00c686ad3ec95bba3d3ec3c8a3c81b7e126ebf65d40327cc2c ranks --mechanism ps --n 4 --prior file:{rand4} --format machine
+1 5e9f0823d47892dae50ba6ca7d9c5323a758d16bbdb9fdf9dbfd3af89b023fdf obic --mechanism ps --n 4 --prior file:{rand4} --format machine
 # interim rows past the preference cap: ps and rp at n=5 under half on each of the first two preferences; recorded while anonymous rows past n=4 were built once per report multiset
 0 b51f4158b0c9a8a7b6e8b3db7466a62b20ebe9b23855736d6901532c7333affd ranks --mechanism ps --n 5 --max-n 5 --prior file:{two5} --format machine
 1 69f303ddce5331786055f4b2d9e7b4a6ca263b2321c457da7a6d546739d906d8 obic --mechanism ps --n 5 --max-n 5 --prior file:{two5} --format machine
@@ -180,6 +185,7 @@ def write_inputs(directory):
         "sea3": render_speed_file(nonunit_schedule(3)),
         "sea4": render_speed_file(nonunit_schedule(4)),
         "half4": render_prior_file(half_support_prior(n4)),
+        "rand4": render_prior_file(random_prior(random.Random(27), n4)),
         "two5": render_prior_file(two_point_prior(n5)),
         "table3": render_table_file(
             n3, {p: table.assignment(p) for p in enumerate_profiles(n3)}

@@ -20,8 +20,10 @@ from helpers import (
     TRUTH_PROFILE,
     TRUTH_ROW,
     interim_shares_oracle,
+    nonunit_schedule,
     random_bistochastic,
     random_profile,
+    uniform_int,
 )
 from ramkit.core import (
     Instance,
@@ -115,6 +117,49 @@ def test_uniform_prior_obic_certificate(instance3, ps3, rp3):
             assert report.rank_invariant
             assert report.rank_monotone
     assert time.perf_counter() - start < 60.0
+
+
+def seeded_schedule(rng, n):
+    """Agent-specific eating speeds in two pieces: each agent eats a seeded
+    share of its unit (0, 1/4, ..., 1) before a seeded break time (1/4,
+    1/2 or 3/4) and the rest after it."""
+    pieces = []
+    for _ in range(n):
+        brk = F(uniform_int(rng, 1, 3), 4)
+        early = F(uniform_int(rng, 0, 4), 4)
+        pieces.append(((0, brk, early / brk), (brk, 1, (1 - early) / (1 - brk))))
+    return EatingSpeedSchedule(tuple(pieces))
+
+
+def test_uniform_prior_obic_of_neutral_em_mechanisms_n3(instance3, ps3, rp3):
+    """The paper's uniform-prior result at n=3: a neutral mechanism that
+    satisfies elementary monotonicity is OBIC under the uniform prior.
+    PS and RP take the interim walk of anonymous and neutral mechanisms;
+    the six serial dictatorships and the eating schedules with
+    agent-specific speeds take the per-profile pass.  Every member here is
+    neutral and satisfies em (none is left to pin as failing it), and the
+    converse is not claimed."""
+    rng = random.Random(2705)
+    mechanisms = {
+        "ps": ps3,
+        "rp": rp3,
+        **{f"sd:{order}": SerialDictatorship(instance3, order)
+           for order in itertools.permutations(range(3))},
+        "sea:nonunit": SimultaneousEating(instance3, nonunit_schedule(3)),
+        **{f"sea:seeded{k}": SimultaneousEating(instance3, seeded_schedule(rng, 3))
+           for k in range(2)},
+    }
+    walked = {name for name, mech in mechanisms.items() if mech.anonymous and mech.neutral}
+    assert walked == {"ps", "rp"}
+    uniform = uniform_prior(instance3)
+    fails_em = set()
+    for name, mech in mechanisms.items():
+        assert run_axiom_check(mech, "neutral", mode="exhaustive").satisfied, name
+        if run_axiom_check(mech, "em", mode="exhaustive").satisfied:
+            assert check_obic(mech, uniform).satisfied, name
+        else:
+            fails_em.add(name)
+    assert fails_em == set()
 
 
 def test_obic_decomposition_biconditional(instance3, ps3, rp3):

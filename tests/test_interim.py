@@ -918,6 +918,67 @@ class TestPriorSymmetry:
         )
 
 
+def _oracle_agrees(mech, prior, reports):
+    """Agent 1's rows from the walk, for each report index of ``reports``,
+    equal the brute-force oracle's; returns the rows and their common
+    denominator."""
+    prefs = enumerate_preferences(mech.instance)
+    rows, common = _interim_rows(mech, prior, agents=(0,))
+    for k in reports:
+        expected = interim_shares_oracle(mech, 0, prefs[k], prior)
+        assert tuple(F(x, common) for x in rows[0][k]) == expected, prefs[k]
+    return rows[0], common
+
+
+class TestPackedRows:
+    """The walk sums each row packed into one integer, a slot of
+    ``(D * Q**(n-1)).bit_length() + 1`` bits per share; at the ends of that
+    range its rows still match the brute-force oracle."""
+
+    @pytest.mark.parametrize("n", (3, 4))
+    @pytest.mark.parametrize("kind", ("ps", "rp"))
+    def test_point_mass_fills_a_slot_to_the_bound(self, kind, n):
+        """With every opponent reporting b>a>c(>d), Q = 1 and the slots are
+        as narrow as they get.  The opponents never reach the last object,
+        so a report ranking it first gets all of it, and its slot holds
+        ``D * Q**(n-1)`` exactly.  (Report a>... does not: the opponents
+        turn to a once b is gone.)"""
+        instance = Instance.default(n)
+        prefs = enumerate_preferences(instance)
+        point = (1, 0) + tuple(range(2, n))
+        prior = Prior(instance, tuple(F(int(p == point)) for p in prefs))
+        mech = build_mechanism(kind, n)
+        firsts = [k for k, p in enumerate(prefs) if p[0] in (0, n - 1)]
+        rows, common = _oracle_agrees(mech, prior, firsts)
+        assert common == mech.D
+        for k, p in enumerate(prefs):
+            if p[0] == n - 1:
+                assert rows[k][n - 1] == common, p
+            assert max(rows[k]) <= common
+
+    @pytest.mark.parametrize("kind", ("ps", "rp"))
+    def test_seeded_full_support_n3(self, kind):
+        instance = Instance.default(3)
+        mech = build_mechanism(kind, 3)
+        rng = random.Random(2703)
+        for _ in range(4):
+            _oracle_agrees(mech, random_prior(rng, instance), range(6))
+
+    @pytest.mark.parametrize("kind", ("ps", "rp"))
+    def test_seeded_full_support_n4_wide_slots(self, kind):
+        """A full-support prior on a coarse grid has Q up to about 24,000
+        (11,489 here), so no relabeling fixes it, the walk keeps sums for
+        all 24 reports, and its slots are 56 bits wide for PS (D = 12**4)
+        and 47 for RP (D = 4!)."""
+        instance = Instance.default(4)
+        prior = random_prior(random.Random(27), instance)
+        q = math.lcm(*(p.denominator for p in prior.probs))
+        assert q == 11_489
+        mech = build_mechanism(kind, 4)
+        assert (mech.D * q ** 3).bit_length() + 1 == {"ps": 56, "rp": 47}[kind]
+        _oracle_agrees(mech, prior, (random.Random(2704).randrange(24),))
+
+
 class TestReplay:
     def test_every_n3_violation_reverifies(self, ps3, violating_prior):
         report = obic_decomposition_report(ps3, violating_prior)
@@ -952,6 +1013,19 @@ class TestReplay:
             assert len(outcome.violations) >= 10
             for v in outcome.violations[:10]:
                 assert reverify_interim_violation(replay, v), v
+
+    def test_n5_witness_replays_with_max_n(self):
+        """Past the preference cap a witness replays with the ``max_n`` its
+        sweep was given, and without it is refused."""
+        instance = Instance.default(5)
+        prior = two_point_prior(instance)
+        ps = ProbabilisticSerial(instance)
+        li = run_interim_sweep(ps, prior, ("interim-li",), max_n=5)["interim-li"]
+        assert len(li.violations) == 260
+        witness = li.violations[0]
+        assert reverify_interim_violation(ps, witness, max_n=5)
+        with pytest.raises(CapExceededError):
+            reverify_interim_violation(ps, witness)
 
     @pytest.mark.parametrize("kind", ("ps", "sea", "table"))
     def test_first_mode_returns_first_exhaustive_violation(self, kind):
