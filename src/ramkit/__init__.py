@@ -11,7 +11,12 @@ by :func:`run_pair_sweep`.  Under a prior, :func:`check_obic`,
 (all four) and :func:`rank_vector_reports` read one set of interim rows, and
 :func:`lrobic_search` samples priors near a center for an OBIC failure.
 Every violation is a witness that :func:`reverify_violation` or
-:func:`reverify_interim_violation` replays.
+:func:`reverify_interim_violation` replays; the interim replay reads its
+rows from :func:`interim_share_vector`, the exact Fraction shares of one
+report, and an ex-post witness names a component of the decomposition
+:func:`birkhoff_decompose` returns and :func:`recombine` sums back.  Each
+input file format is parsed and written by one pair of functions in
+:mod:`ramkit.formats`.
 """
 
 from .core import (
@@ -35,8 +40,6 @@ from .mechanisms import (
     SerialDictatorship,
     SimultaneousEating,
     TabulatedMechanism,
-    constant_mechanism,
-    tabulate,
 )
 from .axioms import (
     check_mechanism_ordinal_efficiency,
@@ -50,11 +53,9 @@ from .axioms import (
 from .decomp import (
     Decomposition,
     birkhoff_decompose,
-    deterministic_pareto_efficient,
     recombine,
 )
 from .interim import (
-    InterimShareVector,
     Prior,
     PriorBallSample,
     SamplingExhaustedError,

@@ -673,19 +673,19 @@ def _neutrality_test(table: DomainTable):
 
 
 def _ete_test(table: DomainTable):
-    """Equal treatment of equals on the row slices of agents with equal
-    reports; a profile whose reports all differ is not evaluated."""
-    n, d = table.n, table.D
+    """Equal treatment of equals on the rows of agents with equal reports;
+    a profile whose reports all differ is not evaluated."""
+    n, d, evaluate = table.n, table.D, table.mech.scaled_assignment
 
     def test(index, profile, first):
-        found, made, flat = [], 0, None
+        found, made, rows = [], 0, None
         for i, j in itertools.combinations(range(n), 2):
             if profile[i] != profile[j]:
                 continue
             made += 1
-            if flat is None:
-                flat = table.entry(index)
-            mine, theirs = flat[i * n:(i + 1) * n], flat[j * n:(j + 1) * n]
+            if rows is None:
+                rows = evaluate(profile)
+            mine, theirs = rows[i], rows[j]
             if mine != theirs:
                 a = next(x for x in range(n) if mine[x] != theirs[x])
                 found.append(ViolationReport(

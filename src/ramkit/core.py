@@ -124,10 +124,6 @@ class Instance:
     def agents(self) -> range:
         return range(self.n)
 
-    @property
-    def objects(self) -> range:
-        return range(self.n)
-
     def object_index(self, name: str) -> int:
         try:
             return self.object_names.index(name)

@@ -134,15 +134,6 @@ def recombine(decomposition: Decomposition) -> AssignmentMatrix:
     return validate_assignment(acc)
 
 
-def deterministic_pareto_efficient(
-    perm: DeterministicAssignment, profile: Profile
-) -> bool:
-    """No trading cycle: the graph i -> j when i strictly prefers j's object
-    to her own is acyclic (with strict preferences this is exactly Pareto
-    efficiency of the deterministic assignment)."""
-    return _improvement_cycle(perm, profile) is None
-
-
 def _improvement_cycle(
     perm: DeterministicAssignment, profile: Profile
 ) -> list[int] | None:

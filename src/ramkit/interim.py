@@ -58,7 +58,7 @@ import random
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, reduce
+from functools import reduce
 from math import ceil, factorial
 from operator import and_, lshift
 from typing import Optional
@@ -164,14 +164,6 @@ class Prior:
             raise ValueError(f"missing probability for preference {missing[0]}")
         return cls(instance, tuple(lookup[p] for p in prefs))
 
-    @cached_property
-    def _index(self) -> dict[Preference, int]:
-        prefs = enumerate_preferences(self.instance, max_n=self.instance.n)
-        return {p: k for k, p in enumerate(prefs)}
-
-    def of(self, pref: Preference) -> Fraction:
-        return self.probs[self._index[pref]]
-
     def items(self):
         prefs = enumerate_preferences(self.instance, max_n=self.instance.n)
         return tuple(zip(prefs, self.probs))
@@ -181,20 +173,6 @@ def uniform_prior(instance: Instance) -> Prior:
     """Probability exactly 1/n! on every preference."""
     count = factorial(instance.n)
     return Prior(instance, tuple(Fraction(1, count) for _ in range(count)))
-
-
-@dataclass(frozen=True)
-class InterimShareVector:
-    """Expected shares of one agent for one report under a prior."""
-
-    agent: int
-    report: Preference
-    prior: Prior
-    shares: ShareVector
-
-    def __post_init__(self):
-        if sum(self.shares) != ONE:
-            raise InternalConsistencyError("interim shares do not sum to 1")
 
 
 def _check_prior(mech: Mechanism, prior: Prior) -> None:
@@ -473,7 +451,7 @@ def _profile_sums(
 def interim_share_vector(
     mech: Mechanism, agent: int, report: Preference, prior: Prior, *,
     max_n: Optional[int] = None,
-) -> InterimShareVector:
+) -> ShareVector:
     """Exact prior-weighted average of the agent's rows over opponents.
 
     This is the independent Fraction route, one ``assignment`` call per
@@ -496,7 +474,9 @@ def interim_share_vector(
         for a in range(n):
             if row[a] != 0:
                 acc[a] += weight * row[a]
-    return InterimShareVector(agent=agent, report=report, prior=prior, shares=tuple(acc))
+    if sum(acc) != ONE:
+        raise InternalConsistencyError("interim shares do not sum to 1")
+    return tuple(acc)
 
 
 class _RowCells:
@@ -755,13 +735,6 @@ class ObicDecompositionReport:
                 f"ui={self.interim_ui.verdict}, li={self.interim_li.verdict}"
             )
 
-    @property
-    def verdicts(self) -> tuple[str, str, str, str]:
-        return (
-            self.obic.verdict, self.interim_em.verdict,
-            self.interim_ui.verdict, self.interim_li.verdict,
-        )
-
 
 def obic_decomposition_report(
     mech: Mechanism, prior: Prior, *, max_n: Optional[int] = None
@@ -790,6 +763,6 @@ def reverify_interim_violation(
     if axiom is None:
         raise ValueError(f"cannot replay axiom {report.axiom!r}")
     prior = report.prior
-    truth_row = interim_share_vector(mech, report.agent, report.truth, prior, max_n=max_n).shares
-    dev_row = interim_share_vector(mech, report.agent, report.deviation, prior, max_n=max_n).shares
+    truth_row = interim_share_vector(mech, report.agent, report.truth, prior, max_n=max_n)
+    dev_row = interim_share_vector(mech, report.agent, report.deviation, prior, max_n=max_n)
     return _replay_pair(axiom, report.truth, truth_row, dev_row, report)

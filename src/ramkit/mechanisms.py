@@ -436,24 +436,3 @@ class TabulatedMechanism(Mechanism):
             return self._table[profile]
         except KeyError:
             raise ValueError(f"unknown profile {profile}") from None
-
-
-def tabulate(mechanism: Mechanism, *, max_n: Optional[int] = None) -> TabulatedMechanism:
-    """Snapshot a mechanism into a lookup table over the full domain.
-    Profiles with equal integer shares are handed one matrix object, built
-    once, so the table validates each distinct matrix once."""
-    matrices: dict[tuple, AssignmentMatrix] = {}  # integer rows -> matrix
-    table = {}
-    for profile in enumerate_profiles(mechanism.instance, max_n=max_n):
-        rows = tuple(map(tuple, mechanism.scaled_assignment(profile)))
-        if rows not in matrices:
-            matrices[rows] = mechanism.assignment(profile)
-        table[profile] = matrices[rows]
-    return TabulatedMechanism(mechanism.instance, table, max_n=max_n)
-
-
-def constant_mechanism(instance: Instance, matrix) -> TabulatedMechanism:
-    """Mechanism returning the same assignment at every profile."""
-    fixed = validate_assignment(matrix, instance)
-    table = {profile: fixed for profile in enumerate_profiles(instance)}
-    return TabulatedMechanism(instance, table)

@@ -126,6 +126,26 @@ def nonunit_schedule(n):
     )
 
 
+def tabulate(mechanism: Mechanism, *, max_n: Optional[int] = None) -> TabulatedMechanism:
+    """Snapshot a mechanism into a lookup table over the full domain.
+    Profiles with equal integer shares are handed one matrix object, built
+    once, so the table validates each distinct matrix once."""
+    matrices = {}  # integer rows -> matrix
+    table = {}
+    for profile in enumerate_profiles(mechanism.instance, max_n=max_n):
+        rows = tuple(map(tuple, mechanism.scaled_assignment(profile)))
+        if rows not in matrices:
+            matrices[rows] = mechanism.assignment(profile)
+        table[profile] = matrices[rows]
+    return TabulatedMechanism(mechanism.instance, table, max_n=max_n)
+
+
+def constant_mechanism(instance, matrix) -> TabulatedMechanism:
+    """Mechanism returning the same assignment at every profile; the table
+    holds one matrix object, so it is validated once."""
+    return TabulatedMechanism(instance, dict.fromkeys(enumerate_profiles(instance), matrix))
+
+
 def random_table(instance, seed):
     """Tabulated mechanism with a seeded random bistochastic matrix at every
     profile."""
@@ -331,15 +351,23 @@ class HiddenTradePS(ProbabilisticSerial):
         return [[row[C], row[B], row[A]] for row in out]
 
 
+def decomposition_verdicts(report) -> tuple[str, str, str, str]:
+    """The verdicts of an OBIC decomposition report: OBIC, then interim em,
+    ui and li."""
+    return tuple(
+        o.verdict for o in (report.obic, report.interim_em, report.interim_ui, report.interim_li)
+    )
+
+
 def interim_shares_oracle(mechanism, agent, report, prior):
     """Brute-force interim shares: full product over all opponent profiles,
     no support skipping, no shared tables."""
     instance = mechanism.instance
     n = instance.n
-    prefs = enumerate_preferences(instance)
+    probs = dict(prior.items())
     acc = [Fraction(0)] * n
-    for opponents in itertools.product(prefs, repeat=n - 1):
-        weight = math.prod((prior.of(p) for p in opponents), start=Fraction(1))
+    for opponents in itertools.product(probs, repeat=n - 1):
+        weight = math.prod((probs[p] for p in opponents), start=Fraction(1))
         if weight == 0:
             continue
         row = mechanism.assignment(insert_report(opponents, agent, report))[agent]

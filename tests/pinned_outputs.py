@@ -85,6 +85,8 @@ PINS = """
 # exact interim shares of rp and ps under that prior, which is not neutral; recorded while interim rows were built once per report multiset
 0 35fc4147df2f99eadb049bded25e4b3e57220266935b39ed27523f98f98e02f1 ranks --mechanism rp --n 4 --prior file:{half4} --format machine
 0 f089d501d16b038bf39b38f07f82756a49eb31cfb016a1d2d557d0fcffd591c3 ranks --mechanism ps --n 4 --prior file:{half4} --format machine
+# the same ps rows in the human format: rank_invariant=false, so every report's row is printed under its agent
+0 12a2ad46613d875f4b233905f9cb0820a1ca7249923bd96cc75057affa3cc7a3 ranks --mechanism ps --n 4 --prior file:{half4}
 # ps under a seeded full-support prior that no relabeling fixes, so the walk keeps sums for all 24 reports over Q = 11,489; recorded while each share was summed as its own integer
 0 65eeaf58a6500e00c686ad3ec95bba3d3ec3c8a3c81b7e126ebf65d40327cc2c ranks --mechanism ps --n 4 --prior file:{rand4} --format machine
 1 5e9f0823d47892dae50ba6ca7d9c5323a758d16bbdb9fdf9dbfd3af89b023fdf obic --mechanism ps --n 4 --prior file:{rand4} --format machine

@@ -17,6 +17,7 @@ from helpers import (
     CountingUndeclaredPS,
     FalselyNeutralPS,
     build_mechanism,
+    constant_mechanism,
     profile_sweep_oracle,
     random_bistochastic,
     random_profile,
@@ -32,6 +33,7 @@ import ramkit.axioms
 from ramkit.axioms import (
     PAIR_AXIOMS,
     PROFILE_AXIOMS,
+    _efficiency_test,
     check_mechanism_ordinal_efficiency,
     ex_post_inefficiency_witness,
     lp_dominance_oracle,
@@ -40,13 +42,12 @@ from ramkit.axioms import (
     run_pair_sweep,
     trade_cycle,
 )
-from ramkit.domain import available_cpus
+from ramkit.domain import DomainTable, available_cpus
 from ramkit.mechanisms import (
     ProbabilisticSerial,
     RandomPriority,
     SerialDictatorship,
     TabulatedMechanism,
-    constant_mechanism,
 )
 
 F = Fraction
@@ -273,6 +274,40 @@ class TestExPostEfficiency:
             profile = random_profile(rng, 3)
             if trade_cycle(matrix, profile) is None:
                 assert ex_post_inefficiency_witness(matrix, profile) is None
+
+    def test_constant_identity_witnesses_replay(self, instance3):
+        """The identity matrix is its own one-term decomposition, and it is
+        Pareto inefficient wherever two agents want to swap.  Each witness
+        replays; with another weight, or with a component the decomposition
+        does not hold, it does not."""
+        mech = constant_mechanism(instance3, [[int(i == a) for a in range(3)] for i in range(3)])
+        outcome = run_axiom_check(mech, "ex-post", mode="exhaustive")
+        assert outcome.violations
+        for v in outcome.violations:
+            assert v.component == (A, B, C) and v.lhs == 1
+            assert reverify_violation(mech, v)
+            assert not reverify_violation(mech, dataclasses.replace(v, lhs=F(1, 2)))
+            assert not reverify_violation(mech, dataclasses.replace(v, component=(B, C, A)))
+
+    def test_rp_trade_cycle_with_efficient_terms_is_no_violation(self):
+        """Profile 25 is the first n=4 profile at which RP's outcome has a
+        trade cycle.  Every term of its decomposition is Pareto efficient,
+        so the ex-post test reports nothing there, which is right: RP is a
+        lottery over serial dictatorships."""
+        instance = Instance.default(4)
+        rp = RandomPriority(instance)
+        table = DomainTable(rp, enumerate_preferences(instance))
+        d = 3
+        profile = ((A, B, C, d), (A, B, C, d), (A, B, d, C), (A, B, d, C))
+        assert table.profile(25) == profile
+        out = rp.assignment(profile)
+        assert all(
+            trade_cycle(rp.assignment(table.profile(k)), table.profile(k)) is None
+            for k in range(25)
+        )
+        assert trade_cycle(out, profile) is not None
+        assert ex_post_inefficiency_witness(out, profile) is None
+        assert _efficiency_test(table, ex_post=True)(25, profile, False) == ((), 1, 1)
 
 
 class TestImplicationStructure:

@@ -8,13 +8,13 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import huge_denominator_table
+from helpers import huge_denominator_table, tabulate
 from pinned_outputs import ROWS, ram_command, ram_env, run_row, write_inputs
 from ramkit import domain
 from ramkit.cli import main, make_parser
 from ramkit.core import Instance, enumerate_profiles
 from ramkit.formats import parse_prior_file, render_speed_file, render_table_file
-from ramkit.mechanisms import EatingSpeedSchedule, ProbabilisticSerial, tabulate
+from ramkit.mechanisms import EatingSpeedSchedule, ProbabilisticSerial
 
 PROFILE_TEXT = """\
 objects: a b c

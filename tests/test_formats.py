@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import TRUTH_PROFILE, random_bistochastic, random_prior
+from helpers import TRUTH_PROFILE, random_bistochastic, random_prior, tabulate
 from ramkit.core import Instance, enumerate_profiles
 from ramkit.formats import (
     ParseError,
@@ -25,7 +25,6 @@ from ramkit.mechanisms import (
     EatingSpeedSchedule,
     ProbabilisticSerial,
     TabulatedMechanism,
-    tabulate,
 )
 
 F = Fraction

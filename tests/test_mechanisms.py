@@ -1,5 +1,6 @@
 import itertools
 import math
+import pickle
 import random
 import re
 from fractions import Fraction
@@ -13,11 +14,13 @@ from helpers import (
     TRUTH_PROFILE,
     TRUTH_ROW,
     build_mechanism,
+    constant_mechanism,
     eat,
     pair_sweep_oracle,
     random_bistochastic,
     random_permutation,
     random_profile,
+    tabulate,
     uniform_int,
 )
 import ramkit.mechanisms
@@ -38,9 +41,7 @@ from ramkit.mechanisms import (
     SimultaneousEating,
     TabulatedMechanism,
     _eat,
-    constant_mechanism,
     dictatorship_outcome,
-    tabulate,
 )
 
 F = Fraction
@@ -117,6 +118,21 @@ class TestSerialDictatorship:
     def test_descriptor(self):
         sd = SerialDictatorship(Instance.default(3), (2, 0, 1))
         assert sd.descriptor() == "sd:3,1,2"
+
+    def test_pickle_leaves_the_memo_behind(self, instance3):
+        """A worker gets a mechanism with an empty memo, the original keeps
+        its own, and a table filled on two workers equals one filled in
+        this process."""
+        sd = SerialDictatorship(instance3, (2, 0, 1), cache=True)
+        out = sd.assignment(TRUTH_PROFILE)
+        copy = pickle.loads(pickle.dumps(sd))
+        assert copy._cache == {}
+        assert sd._cache == {TRUTH_PROFILE: out}
+        assert copy.assignment(TRUTH_PROFILE) == out
+        here, pooled = (DomainTable(sd, enumerate_preferences(instance3)) for _ in range(2))
+        here.fill(1)
+        pooled.fill(2)
+        assert pooled.nums == here.nums
 
 
 class TestRandomPriority:

@@ -4,6 +4,7 @@ of the package uses, and a private method or attribute of a class that no
 module of the package reads."""
 
 import ast
+import re
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "ramkit"
@@ -13,8 +14,8 @@ def _modules() -> dict[str, ast.Module]:
     return {path.name: ast.parse(path.read_text(), str(path)) for path in sorted(SRC.glob("*.py"))}
 
 
-def _used(tree: ast.Module) -> set[str]:
-    """Every name a module reads, and every attribute it reads by name; an
+def _used(tree: ast.AST) -> set[str]:
+    """Every name a module (or any other node) reads, and every attribute it reads by name; an
     attribute only stored to is not read."""
     names = set()
     for node in ast.walk(tree):
@@ -113,3 +114,35 @@ def test_every_private_class_member_is_read():
         for member in _private_members(tree) if member not in used
     ]
     assert unread == []
+
+
+def _public_definitions(tree: ast.Module) -> list[ast.stmt]:
+    """The public functions and classes a module defines at its top level."""
+    return [
+        node for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and not node.name.startswith("_")
+    ]
+
+
+def test_every_public_name_is_reached():
+    """A public function or class is dead when nothing reaches it: no
+    module of the package outside its own definition (``__init__.py``'s
+    re-export aside), no benchmark script, and no mention in the README.
+    A name only tests call belongs in ``tests/``."""
+    trees = _modules()
+    del trees["__init__.py"]
+    root = SRC.parents[1]
+    benchmarks = set().union(*(
+        _used(ast.parse(path.read_text(), str(path)))
+        for path in sorted((root / "benchmarks").glob("*.py"))
+    ))
+    readme = set(re.findall(r"\w+", (root / "README.md").read_text()))
+    unreached = []
+    for name, tree in trees.items():
+        elsewhere = set().union(*(_used(t) for other, t in trees.items() if other != name))
+        for node in _public_definitions(tree):
+            own = set().union(*(_used(stmt) for stmt in tree.body if stmt is not node))
+            if not {node.name} & (elsewhere | own | benchmarks | readme):
+                unreached.append(f"{name}: {node.name}")
+    assert unreached == []
