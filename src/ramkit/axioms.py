@@ -228,7 +228,7 @@ class _PairSweep:
 
     def __init__(
         self, prefs: list[Preference], axioms: tuple[str, ...], first_only: bool,
-        labels: dict = _EX_POST_LABELS, prior=None,
+        labels: dict = _EX_POST_LABELS, prior=None, pairs: Optional[list] = None,
     ):
         self.prefs = prefs
         self.m = m = len(prefs)
@@ -238,7 +238,7 @@ class _PairSweep:
         self.prior = prior
         self.found: dict[str, list[PairBatch]] = {ax: [] for ax in axioms}
         self.live = set(axioms)  # axioms still being checked
-        self._pairs = pairs = _swap_pairs(prefs)
+        self._pairs = pairs = _swap_pairs(prefs) if pairs is None else pairs
         self._singles = tuple((x,) for x in range(n))  # objects=(x,)
         # Per axiom: the modulus of its violation keys (see _record), the
         # key offsets in one comparison block, and the comparisons one cell

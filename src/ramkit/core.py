@@ -29,7 +29,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, NamedTuple, Optional
+from operator import itemgetter
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 Preference = tuple[int, ...]
 Profile = tuple[Preference, ...]
@@ -165,15 +166,22 @@ def report_inverse(pref: Preference) -> ObjectPermutation:
     return tuple(sorted(range(len(pref)), key=pref.__getitem__))
 
 
+def gather(at: Sequence[int]) -> Callable[[Sequence], tuple]:
+    """The function from a sequence to the tuple of its items at the
+    indices ``at``; a one-item itemgetter would return no tuple."""
+    return itemgetter(*at) if len(at) > 1 else lambda seq: (seq[at[0]],)
+
+
 def relabeling_action(prefs: list[Preference]) -> Callable[..., list[int]]:
     """``images(sigma, qs)``: for each index q of ``qs``, the index in
     ``prefs`` of ``apply_permutation(prefs[q], sigma)``.  ``prefs`` holds
     every preference once.  Only the images asked for are computed; no
     table of every relabeling's images is built."""
     index = {p: k for k, p in enumerate(prefs)}
+    through = [gather(p) for p in prefs]  # through[q](sigma): prefs[q] relabeled
 
     def images(sigma: ObjectPermutation, qs: Iterable[int]) -> list[int]:
-        return [index[tuple(map(sigma.__getitem__, prefs[q]))] for q in qs]
+        return [index[through[q](sigma)] for q in qs]
 
     return images
 

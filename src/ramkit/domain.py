@@ -84,10 +84,10 @@ from __future__ import annotations
 import itertools
 import os
 from array import array
-from operator import add, itemgetter
+from operator import add
 from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
-from .core import Preference, Profile, relabeling_action, report_inverse
+from .core import Preference, Profile, gather, relabeling_action, report_inverse
 from .mechanisms import Mechanism
 
 Store = Union[array, list]
@@ -125,12 +125,6 @@ def reports_at(prefs: Sequence[Preference], count: int, index: int) -> Profile:
     return tuple(reversed(digits))
 
 
-def _gather(at: Sequence[int]) -> Callable[[Sequence], tuple]:
-    """The function from a sequence to the tuple of its items at the
-    indices ``at``; a one-item itemgetter would return no tuple."""
-    return itemgetter(*at) if len(at) > 1 else lambda seq: (seq[at[0]],)
-
-
 def _flat(mech: Mechanism, profile: Profile) -> list[int]:
     """The profile's share numerators over ``mech.D``, agent by agent."""
     return [x for row in mech.scaled_assignment(profile) for x in row]
@@ -165,32 +159,42 @@ def _evaluate_range(
     return nums
 
 
+def sorted_rows(
+    mech: Mechanism, prefs: Sequence[Preference], reports: tuple[int, ...]
+) -> list:
+    """Evaluate an anonymous mechanism once at the profile of the sorted
+    report indices ``reports`` into ``prefs`` and return its rows, agent by
+    agent, as numerators over ``mech.D``.
+
+    Raises ValueError if two agents with equal reports get different rows:
+    the mechanism is then not anonymous."""
+    # from a list: a tuple grown from a generator is resized, and each one
+    # freed then piles up on the interpreter's tuple free list
+    profile = tuple([prefs[r] for r in reports])
+    out = mech.scaled_assignment(profile)
+    for i in range(1, len(reports)):
+        if reports[i] == reports[i - 1] and out[i] != out[i - 1]:
+            raise ValueError(
+                f"{mech.descriptor()} is declared anonymous, but agents "
+                f"{i} and {i + 1} report alike and get different rows at "
+                f"profile {profile}"
+            )
+    return out
+
+
 def multiset_rows(
     mech: Mechanism, prefs: Sequence[Preference], multisets: Iterable[tuple[int, ...]]
 ) -> Iterator[tuple[int, tuple[int, ...], Sequence[int]]]:
     """Evaluate an anonymous mechanism once per multiset of report indices
-    into ``prefs``, each given sorted, at its sorted profile, and yield
+    into ``prefs``, each given sorted, by :func:`sorted_rows`, and yield
     ``(r, others, row)`` for each distinct report ``r`` in it: ``others``
     are the other reports' indices, sorted, and ``row`` the numerators over
-    ``mech.D`` of any agent reporting ``prefs[r]``.
-
-    Raises ValueError if two agents with equal reports get different rows:
-    the mechanism is then not anonymous."""
+    ``mech.D`` of any agent reporting ``prefs[r]``."""
     for reports in multisets:
-        # from a list: a tuple grown from a generator is resized, and each
-        # one freed then piles up on the interpreter's tuple free list
-        profile = tuple([prefs[r] for r in reports])
-        out = mech.scaled_assignment(profile)
+        out = sorted_rows(mech, prefs, reports)
         for i, r in enumerate(reports):
-            if i and r == reports[i - 1]:
-                if out[i] != out[i - 1]:
-                    raise ValueError(
-                        f"{mech.descriptor()} is declared anonymous, but agents "
-                        f"{i} and {i + 1} report alike and get different rows at "
-                        f"profile {profile}"
-                    )
-                continue
-            yield r, reports[:i] + reports[i + 1:], out[i]
+            if not i or r != reports[i - 1]:
+                yield r, reports[:i] + reports[i + 1:], out[i]
 
 
 # Set once per pool worker by the initializer, so the mechanism is pickled
@@ -372,7 +376,7 @@ class DomainTable:
         order; any other read gives :meth:`columns` and None."""
         if self._cols is None or count < self.cells:
             return self.columns(agent, start, count), None
-        return self._cols, _gather(self._multiset)
+        return self._cols, gather(self._multiset)
 
     def columns(self, agent: int, start: int, count: int) -> list:
         """``agent``'s report columns over cells ``[start, start + count)``:
@@ -384,7 +388,7 @@ class DomainTable:
         """
         if self._cols is not None:
             # each report's columns, gathered through the cells' multiset ids
-            pick = _gather(self._multiset[start:start + count])
+            pick = gather(self._multiset[start:start + count])
             return [[list(pick(col)) for col in by_r] for by_r in self._cols]
         if self.nums is None:
             return self._evaluate_columns(agent, start, count)

@@ -24,17 +24,19 @@ report is weighed, serves any n.  It keeps sums for one report per orbit
 of the relabelings that fix the prior (one under the uniform prior), and
 each evaluation also gives, through neutrality, the identity report's
 row against the multisets that relabel the others' reports; those rows
-wait in a bounded map until the walk reaches them.  So each profile is
-evaluated at most once (762 PS evaluations at n=4 under the uniform
-prior, out of 2,600 multisets; 702 out of 1,736 under a prior on half
-the preferences).  The walk packs each row into one integer, a slot of
-``(D * Q**(n-1)).bit_length() + 1`` bits per share, which no weighted sum
-fills past its slot, so adding a row to a report's sums is one integer
-multiply-add; it carries each multiset's number of orderings down from
-its prefix, and reads ``s_r`` on report indices from one map per
-relabeled report, at most ``m * m`` indices (14,400 at n=5).  Any
-other mechanism is evaluated once per profile with at most one
-off-support report, and each agent's rows are summed over ordered
+wait in a bounded map until the walk reaches them, and a full map keeps
+the rows the walk reaches soonest.  So each profile is evaluated at most
+once (762 PS evaluations at n=4 under the uniform prior, out of 2,600
+multisets; 702 out of 1,736 under a prior on half the preferences; at
+n=5 under the uniform prior, 6,745,216 out of 9,078,630, where the map
+is full for most of the walk).  The walk packs each row into one
+integer, a slot of ``(D * Q**(n-1)).bit_length() + 1`` bits per share,
+which no weighted sum fills past its slot, so adding a row to a report's
+sums is one integer multiply-add; it carries each multiset's number of
+orderings down from its prefix, and reads ``s_r`` on report indices from
+one map per relabeled report, at most ``m * m`` indices (14,400 at
+n=5).  Any other mechanism is evaluated once per profile with at most
+one off-support report, and each agent's rows are summed over ordered
 opponent profiles.  Both routes evaluate through
 :meth:`Mechanism.scaled_assignment`, stream into the sums and hold no
 table.  Every agent's rows come out as integers over one denominator,
@@ -44,7 +46,8 @@ one single-cell batch per agent.  The agents of an anonymous and neutral
 mechanism share one set of rows, so the kernel sweeps agent 1's once and
 relabels its violations for the others.  The pass reads no memo, and a
 mechanism's memo stays empty; the walk stores only its map of pending
-rows, of at most :data:`_PENDING_ROWS` rows, and its relabeling maps.
+rows, of at most :data:`_PENDING_ROWS` rows and, once it fills, a heap of
+at most twice as many keys, and its relabeling maps.
 :func:`obic_decomposition_report` builds the rows once for OBIC and the
 em/ui/li sweep.  :func:`interim_share_vector` is a separate Fraction
 route, and replaying a witness reads its rows only from that route.
@@ -58,9 +61,8 @@ import random
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
 from math import ceil, factorial
-from operator import and_, lshift
+from operator import lshift
 from typing import Optional
 
 from .core import (
@@ -76,8 +78,8 @@ from .core import (
     relabeling_action,
     report_inverse,
 )
-from .axioms import _PairSweep, _replay_pair
-from .domain import multiset_rows
+from .axioms import _PairSweep, _replay_pair, _swap_pairs
+from .domain import sorted_rows
 from .mechanisms import Mechanism
 from .reports import CheckOutcome, ViolationReport
 
@@ -103,8 +105,12 @@ _INTERIM_LABELS = {
 _PAIR_AXIOM = {label[0]: ax for ax, label in _INTERIM_LABELS.items()}
 
 #: Most rows :func:`_neutral_sums` holds for multisets its walk has not
-#: reached yet.  Past it the walk evaluates those multisets when it gets
-#: there, so no result depends on it.
+#: reached yet.  A full map evicts its largest key for a smaller one, and
+#: the walk evaluates the multisets whose rows it lost when it gets there,
+#: so no result depends on the bound.  PS never fills it at n=4 (at most
+#: 1,104 rows); at n=5 under the uniform prior it is full for most of the
+#: walk, which shares 26% of the 9,078,630 multisets (3% when a full map
+#: stashed nothing more).
 _PENDING_ROWS = 1 << 16
 
 
@@ -118,9 +124,73 @@ class InternalConsistencyError(AssertionError):
 
 class _PendingRows(dict):
     """Identity rows that :func:`_neutral_sums` has read off an evaluated
-    profile through neutrality, keyed by the multiset of opponent reports
-    they belong to, until its walk reaches that multiset.  The walk
-    stashes no more rows once it holds :data:`_PENDING_ROWS`."""
+    profile through neutrality, keyed by the sorted multiset of opponent
+    reports they belong to, until its walk reaches that multiset and takes
+    the row out.
+
+    The walk reads each key once, in ascending order.  So when the map
+    holds its bound of rows, a new key below the largest evicts that key,
+    and a larger one is not stashed: the map keeps the keys the walk reads
+    soonest, which is Belady's rule.  Whenever the map is full its largest
+    key is ``ceiling``, kept by ``heap``, a heap of the keys' negated codes
+    (:func:`_key_code`) built when the map first fills.  Keys the walk
+    takes out stay in the heap; they are below every key the map holds, so
+    never on top while the map is full, and the heap is rebuilt from the
+    map whenever it holds twice the bound."""
+
+    def __init__(self):
+        super().__init__()
+        self.heap: Optional[list] = None
+        self.ceiling: tuple[int, ...] = ()
+
+    def admit(self, key: tuple[int, ...], bound: int) -> bool:
+        """Whether the new ``key`` may be stashed with the map kept within
+        ``bound`` rows, evicting the largest key to make room.  The walk asks
+        from the time the map first holds ``bound`` rows, ``bound`` > 0."""
+        heap = self.heap
+        if heap is None:
+            import heapq  # only a walk whose map fills needs it
+
+            self._heapq = heapq
+            heap = self._rebuild()
+        elif len(heap) >= 2 * bound:
+            heap = self._rebuild()
+        heapq = self._heapq
+        full = len(self) >= bound
+        if full:
+            if key > self.ceiling:
+                return False
+            heapq.heappop(heap)
+            del self[self.ceiling]
+        code = -_key_code(key)
+        heapq.heappush(heap, code)
+        if heap[0] == code:
+            self.ceiling = key
+        elif full:  # with room, only a new key can top the largest
+            self.ceiling = _code_key(-heap[0], len(key))
+        return True
+
+    def _rebuild(self) -> list:
+        self.heap = [-_key_code(key) for key in self]
+        self._heapq.heapify(self.heap)
+        self.ceiling = max(self, default=())
+        return self.heap
+
+
+def _key_code(key: tuple[int, ...]) -> int:
+    """An int that orders pending keys as the tuples do: each report index
+    in a 32-bit field, wide enough for the n! reports of any domain whose
+    walk fits in memory.  A heap compares such ints faster than tuples and
+    holds them in less memory."""
+    code = 0
+    for p in key:
+        code = code << 32 | p
+    return code
+
+
+def _code_key(code: int, size: int) -> tuple[int, ...]:
+    """The key of ``size`` report indices whose :func:`_key_code` is ``code``."""
+    return tuple([code >> shift & 0xFFFFFFFF for shift in range(32 * (size - 1), -1, -32)])
 
 
 @dataclass(frozen=True)
@@ -269,9 +339,10 @@ def _neutral_sums(mech: Mechanism, prefs, weights: list[int]) -> list[list[int]]
 
     ``s_r`` acts on report indices through one map per report
     (:class:`_ReportImages`), which computes each image by
-    :func:`ramkit.core.relabeling_action` the first time the walk reads it.
-    The maps hold at most ``m * m`` indices (576 at n=4, 14,400 at n=5),
-    and only those the walk reads: no map is built whole.
+    :func:`ramkit.core.relabeling_action` the first time the walk reads it;
+    a kept report's images of the support, which its steps need, are read
+    in one call.  The maps hold at most ``m * m`` indices (576 at n=4,
+    14,400 at n=5), and only those the walk reads: no map is built whole.
 
     Each row is packed into one integer, share k in bits
     ``[k*width, (k+1)*width)`` with ``width = (D * Q**(n-1)).bit_length() + 1``
@@ -282,34 +353,41 @@ def _neutral_sums(mech: Mechanism, prefs, weights: list[int]) -> list[list[int]]
     next.  Adding a weighted row to a kept report's sums is one integer
     multiply-add, and the sums are unpacked once at the end.
 
-    A full ``M'`` is evaluated at the sorted profile ``(id,) + M'``
-    (:func:`ramkit.domain.multiset_rows`, whose anonymity guard runs at
+    A full ``M'`` is evaluated once at the sorted profile ``(id,) + M'``
+    (:func:`ramkit.domain.sorted_rows`, whose anonymity guard runs at
     every profile evaluated), and streamed into the sums.  The evaluation
     also gives each other report r in it a row against the others'
     multiset ``O``; read through neutrality, that is the identity report's
-    row ``[row_r[a] for a in r]`` against ``sorted(s_r O)``.  When the walk
-    will reach that multiset (every report of ``s_r O`` shares a kept
-    report's ``reach`` bit, tested before sorting) and has not yet, the row
-    waits, packed, in a :class:`_PendingRows` map, and the walk takes it
-    there instead of evaluating.  So each profile is evaluated once, and
-    fewer of them: PS at n=4 takes 762 evaluations under the uniform prior
-    (2,600 multisets) and 702 under the prior above (1,736), holding at
-    most 1,104 and 402 pending rows; past :data:`_PENDING_ROWS` the walk
-    stashes nothing more and evaluates instead."""
+    row ``[row_r[a] for a in r]`` against ``sorted(s_r O)``: the images of
+    the whole profile, sorted, less the first, ``s_r(r)``, the identity
+    report.  When the walk has not reached that multiset yet and will
+    (every report of ``s_r O`` shares a kept report's ``reach`` bit), the
+    row waits, packed, in a :class:`_PendingRows` map, and the walk takes it
+    there instead of evaluating; only a row that waits is packed.  So each
+    profile is evaluated once, and fewer of them: PS at n=4 takes 762
+    evaluations under the uniform prior (2,600 multisets) and 702 under
+    the prior above (1,736), holding at most 1,104 and 402 pending rows.
+    Past :data:`_PENDING_ROWS` rows the map evicts its largest key for a
+    smaller one, so it holds the rows the walk reaches soonest (Belady's
+    rule, since the walk reads each key once, in order): PS at n=5 under
+    the uniform prior takes 6,745,216 evaluations of 9,078,630 multisets,
+    where stashing nothing more once full took 8,803,979."""
     n, m = len(prefs[0]), len(prefs)
     width = (mech.D * sum(weights) ** (n - 1)).bit_length() + 1
     shifts = range(0, n * width, width)
     act = relabeling_action(prefs)
     on = [q for q, w in enumerate(weights) if w]
+    on_weights = [weights[q] for q in on]
     rep = _prior_orbits(prefs, weights, on)
     kept = [r for r in range(m) if rep[r] == r]
     inverse = list(map(report_inverse, prefs))  # inverse[r]: s_r
     images = [_ReportImages(act, s) for s in inverse]  # images[r][q]: s_r(q)
     # steps[r]: (p, w[r o p]) for every p with r o p on the support, by p
-    steps = {
-        r: sorted(zip(map(images[r].__getitem__, on), map(weights.__getitem__, on)))
-        for r in kept
-    }
+    steps = {}
+    for r in kept:
+        moved = act(inverse[r], on)
+        images[r].update(zip(on, moved))
+        steps[r] = sorted(zip(moved, on_weights))
     # reach[p]: a bit for each kept report r with r o p on the support, so
     # a multiset weighs some kept report, and the walk visits it, when the
     # bits of its reports have one in common
@@ -324,7 +402,9 @@ def _neutral_sums(mech: Mechanism, prefs, weights: list[int]) -> list[list[int]]
     # acc[r]: the packed numerators of the shares of objects r[0], r[1], ...
     # for kept report r
     acc = [0] * m
+    bound = _PENDING_ROWS
     pending = _PendingRows()
+    givers = range(1, n) if bound else ()  # the places of the reports whose rows may wait
 
     def identity_row(members: tuple[int, ...]) -> int:
         """``row(id, members)`` packed: the pending row, or else evaluated,
@@ -333,18 +413,24 @@ def _neutral_sums(mech: Mechanism, prefs, weights: list[int]) -> list[list[int]]
         row = pending.pop(members, None)
         if row is not None:
             return row
-        room = _PENDING_ROWS - len(pending)
-        for r, others, row in multiset_rows(mech, prefs, ((0,) + members,)):
-            if not r:  # yielded first: report 0 leads each sorted profile
-                found = pack(row)
-            elif room > 0:
-                moved = list(map(images[r].__getitem__, others))
-                if reduce(and_, map(reach.__getitem__, moved)):
-                    key = tuple(sorted(moved))
-                    if key > members and key not in pending:
-                        pending[key] = pack(map(row.__getitem__, prefs[r]))
-                        room -= 1
-        return found
+        reports = (0,) + members
+        out = sorted_rows(mech, prefs, reports)
+        for i in givers:
+            r = reports[i]
+            if r == reports[i - 1]:
+                continue
+            moved = sorted(map(images[r].__getitem__, reports))
+            del moved[0]  # s_r(r), the identity report, sorts first
+            key = tuple(moved)
+            if key <= members or key in pending:
+                continue
+            bits = -1
+            for p in moved:
+                bits &= reach[p]
+            if bits and (pending.heap is None and len(pending) < bound
+                         or pending.admit(key, bound)):
+                pending[key] = pack(map(out[i].__getitem__, prefs[r]))
+        return pack(out[0])
 
     def walk(members: tuple[int, ...], node: list[tuple[int, int]], mult: int, run: int):
         """Visit the multisets that extend ``members``; ``mult`` is its
@@ -398,11 +484,13 @@ def _prior_orbits(prefs, weights: list[int], on: list[int]) -> list[int]:
     :mod:`ramkit.core`.  A relabeling ``σ`` fixes the prior when
     ``w[σ·q] == w[q]`` for every q on the support ``on``: a bijection that
     keeps the support's weights maps the rest to weight zero too.  Finding
-    them takes at most ``m * len(on)`` lookups.  Relabelings act on
-    reports freely, so each orbit has one member per fixing relabeling,
-    and listing the orbits takes ``m`` lookups."""
+    them reads each relabeling's images of ``on`` in one call, ``m *
+    len(on)`` lookups.  Relabelings act on reports freely, so each orbit
+    has one member per fixing relabeling, and listing the orbits takes
+    ``m`` lookups."""
     act = relabeling_action(prefs)
-    fixing = [s for s in prefs if all(weights[act(s, (q,))[0]] == weights[q] for q in on)]
+    on_weights = [weights[q] for q in on]
+    fixing = [s for s in prefs if [weights[p] for p in act(s, on)] == on_weights]
     rep = [-1] * len(prefs)
     for r in range(len(prefs)):
         if rep[r] < 0:
@@ -499,21 +587,25 @@ class _RowCells:
         return [[[x] for x in row] for row in self.rows_by_agent[agent]], None
 
 
-def _interim_sweep(table, prior: Prior, axioms) -> dict[str, CheckOutcome]:
+def _interim_sweep(table, prior: Prior, *groups) -> list[dict[str, CheckOutcome]]:
     """The pair kernel on the interim rows ``table`` of :func:`_interim_rows`,
-    one cell per agent, exhaustive; ``axioms`` are pair-axiom names, the
-    outcomes carry interim names."""
+    one cell per agent, exhaustive: one sweep per group of pair-axiom
+    names in ``groups``, each with its own counters, all on one preference
+    list and one swap-pair table; the outcomes carry interim names."""
     # the rows exist, so their preferences passed the caller's max_n
-    sweep = _PairSweep(
-        enumerate_preferences(prior.instance, max_n=prior.instance.n), axioms, first_only=False,
-        labels=_INTERIM_LABELS, prior=prior,
-    )
-    return sweep.run(_RowCells(*table))
+    prefs = enumerate_preferences(prior.instance, max_n=prior.instance.n)
+    pairs = _swap_pairs(prefs)
+    source = _RowCells(*table)
+    return [
+        _PairSweep(prefs, axioms, first_only=False, labels=_INTERIM_LABELS,
+                   prior=prior, pairs=pairs).run(source)
+        for axioms in groups
+    ]
 
 
 def check_obic(mech: Mechanism, prior: Prior, *, max_n: Optional[int] = None) -> CheckOutcome:
     """Truth-telling must FOSD every deviation in interim shares."""
-    return _interim_sweep(_interim_rows(mech, prior, max_n=max_n), prior, ("sp",))["obic"]
+    return _interim_sweep(_interim_rows(mech, prior, max_n=max_n), prior, ("sp",))[0]["obic"]
 
 
 def run_interim_sweep(
@@ -533,7 +625,7 @@ def run_interim_sweep(
         if ax not in INTERIM_AXIOMS:
             raise ValueError(f"unknown interim axiom {ax!r}")
     table = _interim_rows(mech, prior, max_n=max_n)
-    return _interim_sweep(table, prior, [_PAIR_AXIOM[ax] for ax in axioms])
+    return _interim_sweep(table, prior, [_PAIR_AXIOM[ax] for ax in axioms])[0]
 
 
 @dataclass(frozen=True)
@@ -743,10 +835,9 @@ def obic_decomposition_report(
     interim rows."""
     table = _interim_rows(mech, prior, max_n=max_n)
     # two sweeps, so OBIC's counters stay apart from the em/ui/li ones
-    obic = _interim_sweep(table, prior, ("sp",))["obic"]
-    interim = _interim_sweep(table, prior, ("em", "ui", "li"))
+    obic, interim = _interim_sweep(table, prior, ("sp",), ("em", "ui", "li"))
     return ObicDecompositionReport(
-        obic=obic,
+        obic=obic["obic"],
         interim_em=interim["interim-em"],
         interim_ui=interim["interim-ui"],
         interim_li=interim["interim-li"],

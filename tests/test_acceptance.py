@@ -19,6 +19,7 @@ from helpers import (
     DEVIATION_ROW,
     TRUTH_PROFILE,
     TRUTH_ROW,
+    build_mechanism,
     decomposition_verdicts,
     interim_shares_oracle,
     nonunit_schedule,
@@ -161,6 +162,19 @@ def test_uniform_prior_obic_of_neutral_em_mechanisms_n3(instance3, ps3, rp3):
         else:
             fails_em.add(name)
     assert fails_em == set()
+
+
+@pytest.mark.parametrize("kind", ("ps", "rp", "sea-unit", "sea-shared"))
+def test_uniform_prior_obic_of_neutral_em_mechanisms_n4(kind):
+    """The uniform-prior result at n=4, on the anonymous and neutral
+    mechanisms that take the interim walk: PS, RP and eating at one speed
+    for all, unit or fast-then-slow.  Each is OBIC at uniform, and its
+    interim em, ui and li hold."""
+    mech = build_mechanism(kind, 4)
+    assert mech.anonymous and mech.neutral
+    uniform = uniform_prior(mech.instance)
+    assert check_obic(mech, uniform).satisfied
+    assert decomposition_verdicts(obic_decomposition_report(mech, uniform)) == ("satisfied",) * 4
 
 
 def test_obic_decomposition_biconditional(instance3, ps3, rp3):

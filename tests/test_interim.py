@@ -709,6 +709,66 @@ class TestOnePassRows:
         assert [len(m) for m in maps] == [0] and maps[0].peak > 0
         assert set(mech.counts) == set(_greedy_evaluations(prior))
 
+    @pytest.mark.parametrize("support,counts", (
+        ("half", {50: 1_245, 1: 1_693}), ("uniform", {50: 1_923, 1: 2_535}),
+    ))
+    def test_full_pending_map_keeps_the_keys_read_soonest(self, support, counts, monkeypatch):
+        """Past its bound the pending map evicts its largest key for a
+        smaller one: the rows stay the unbounded walk's, the map never holds
+        more than the bound and is empty at the end, and the heap of its
+        keys never holds more than twice the bound.  Stopping to stash once
+        full instead took 1,562 and 2,413 evaluations at bound 50."""
+        instance = Instance.default(4)
+        prior = half_support_prior(instance) if support == "half" else uniform_prior(instance)
+        rows = _interim_rows(ProbabilisticSerial(instance), prior)
+        maps = []
+
+        class Recording(interim._PendingRows):
+            peak = heap_peak = 0
+
+            def __init__(self):
+                super().__init__()
+                maps.append(self)
+
+            def __setitem__(self, key, row):
+                super().__setitem__(key, row)  # after any push onto the heap
+                self.peak = max(self.peak, len(self))
+                self.heap_peak = max(self.heap_peak, len(self.heap or ()))
+
+        monkeypatch.setattr(interim, "_PendingRows", Recording)
+        for bound, count in counts.items():
+            monkeypatch.setattr(interim, "_PENDING_ROWS", bound)
+            mech = CountingPS(instance)
+            assert _interim_rows(mech, prior) == rows, bound
+            pending = maps[-1]
+            assert pending.peak == bound and len(pending) == 0, bound
+            assert 0 < pending.heap_peak <= 2 * bound, bound
+            assert set(mech.counts.values()) == {1}
+            assert len(mech.counts) == count, bound
+
+    def test_pending_map_evicts_its_largest_key(self):
+        """``admit`` once the map has filled: when full, a key below the
+        largest evicts it and a key above is refused; with room, a key is
+        taken; keys the walk took out leave the heap when it rebuilds at
+        twice the bound."""
+        pending = interim._PendingRows()
+        pending[3, 5] = pending[1, 2] = 0  # the walk stashes freely until full
+        assert not pending.admit((4, 0), 2) and sorted(pending) == [(1, 2), (3, 5)]
+        assert pending.ceiling == (3, 5)
+        assert pending.admit((2, 7), 2) and sorted(pending) == [(1, 2)]
+        assert pending.ceiling == (2, 7)
+
+        pending = interim._PendingRows()
+        pending[1, 2] = 0
+        assert not pending.admit((3, 0), 1)
+        assert pending.admit((1, 1), 1) and len(pending) == 0
+        pending[1, 1] = 0
+        for read, key in (((1, 1), (2, 0)), ((2, 0), (2, 5))):
+            del pending[read]  # the walk takes out its smallest key
+            assert pending.admit(key, 1)
+            pending[key] = 0
+        assert pending.heap == [-interim._key_code((2, 5))] and pending.ceiling == (2, 5)
+
     def test_rank_vector_reports_share_one_pass(self, instance3, violating_prior):
         mech = CountingPS(instance3)
         together = rank_vector_reports(mech, violating_prior)
