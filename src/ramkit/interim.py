@@ -24,20 +24,20 @@ report is weighed, serves any n.  It keeps sums for one report per orbit
 of the relabelings that fix the prior (one under the uniform prior), and
 each evaluation also gives, through neutrality, the identity report's
 row against the multisets that relabel the others' reports; those rows
-wait in a bounded map until the walk reaches them, and a full map keeps
-the rows the walk reaches soonest.  So each profile is evaluated at most
-once (762 PS evaluations at n=4 under the uniform prior, out of 2,600
-multisets; 702 out of 1,736 under a prior on half the preferences; at
-n=5 under the uniform prior, 6,745,216 out of 9,078,630, where the map
-is full for most of the walk).  The walk packs each row into one
-integer, a slot of ``(D * Q**(n-1)).bit_length() + 1`` bits per share,
-which no weighted sum fills past its slot, so adding a row to a report's
-sums is one integer multiply-add; it carries each multiset's number of
-orderings down from its prefix, and reads ``s_r`` on report indices from
-one map per relabeled report, at most ``m * m`` indices (14,400 at
-n=5).  Any other mechanism is evaluated once per profile with at most
-one off-support report, and each agent's rows are summed over ordered
-opponent profiles.  Both routes evaluate through
+wait in a bounded map until the walk reaches them, and a full map takes
+no more.  So each profile is evaluated at most once (762 PS evaluations
+at n=4 under the uniform prior, out of 2,600 multisets; 702 out of 1,736
+under a prior on half the preferences; at n=5 under the uniform prior,
+8,803,979 out of 9,078,630, since the map fills early).  The walk packs
+each row into one integer, a slot of ``(D * Q**(n-1)).bit_length() + 1``
+bits per share, which no weighted sum fills past its slot, so adding a
+row to a report's sums is one integer multiply-add; it carries each
+multiset's number of orderings down from its prefix, and reads ``s_r``
+on report indices through one cache per report, which holds only the
+images the walk reads (at most ``m * m``, 14,400 at n=5).  Any other
+mechanism is evaluated once per profile with at most one off-support
+report, and each agent's rows are summed over ordered opponent
+profiles.  Both routes evaluate through
 :meth:`Mechanism.scaled_assignment`, stream into the sums and hold no
 table.  Every agent's rows come out as integers over one denominator,
 ``mech.D * Q**(n-1)``, and OBIC and the interim em/ui/li run on them in
@@ -46,8 +46,7 @@ one single-cell batch per agent.  The agents of an anonymous and neutral
 mechanism share one set of rows, so the kernel sweeps agent 1's once and
 relabels its violations for the others.  The pass reads no memo, and a
 mechanism's memo stays empty; the walk stores only its map of pending
-rows, of at most :data:`_PENDING_ROWS` rows and, once it fills, a heap of
-at most twice as many keys, and its relabeling maps.
+rows, of at most :data:`_PENDING_ROWS` rows, and its image caches.
 :func:`obic_decomposition_report` builds the rows once for OBIC and the
 em/ui/li sweep.  :func:`interim_share_vector` is a separate Fraction
 route, and replaying a witness reads its rows only from that route.
@@ -61,6 +60,7 @@ import random
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import ceil, factorial
 from operator import lshift
 from typing import Optional
@@ -105,12 +105,11 @@ _INTERIM_LABELS = {
 _PAIR_AXIOM = {label[0]: ax for ax, label in _INTERIM_LABELS.items()}
 
 #: Most rows :func:`_neutral_sums` holds for multisets its walk has not
-#: reached yet.  A full map evicts its largest key for a smaller one, and
-#: the walk evaluates the multisets whose rows it lost when it gets there,
-#: so no result depends on the bound.  PS never fills it at n=4 (at most
-#: 1,104 rows); at n=5 under the uniform prior it is full for most of the
-#: walk, which shares 26% of the 9,078,630 multisets (3% when a full map
-#: stashed nothing more).
+#: reached yet.  A full map takes no more rows, and the walk evaluates
+#: the multisets whose rows it did not take when it gets there, so no
+#: result depends on the bound.  PS never fills it at n=4 (at most 1,104
+#: rows); at n=5 under the uniform prior it fills early, and the walk
+#: evaluates 8,803,979 of the 9,078,630 multisets.
 _PENDING_ROWS = 1 << 16
 
 
@@ -120,77 +119,6 @@ class SamplingExhaustedError(RuntimeError):
 
 class InternalConsistencyError(AssertionError):
     """Two routes that must agree by construction disagreed; a bug."""
-
-
-class _PendingRows(dict):
-    """Identity rows that :func:`_neutral_sums` has read off an evaluated
-    profile through neutrality, keyed by the sorted multiset of opponent
-    reports they belong to, until its walk reaches that multiset and takes
-    the row out.
-
-    The walk reads each key once, in ascending order.  So when the map
-    holds its bound of rows, a new key below the largest evicts that key,
-    and a larger one is not stashed: the map keeps the keys the walk reads
-    soonest, which is Belady's rule.  Whenever the map is full its largest
-    key is ``ceiling``, kept by ``heap``, a heap of the keys' negated codes
-    (:func:`_key_code`) built when the map first fills.  Keys the walk
-    takes out stay in the heap; they are below every key the map holds, so
-    never on top while the map is full, and the heap is rebuilt from the
-    map whenever it holds twice the bound."""
-
-    def __init__(self):
-        super().__init__()
-        self.heap: Optional[list] = None
-        self.ceiling: tuple[int, ...] = ()
-
-    def admit(self, key: tuple[int, ...], bound: int) -> bool:
-        """Whether the new ``key`` may be stashed with the map kept within
-        ``bound`` rows, evicting the largest key to make room.  The walk asks
-        from the time the map first holds ``bound`` rows, ``bound`` > 0."""
-        heap = self.heap
-        if heap is None:
-            import heapq  # only a walk whose map fills needs it
-
-            self._heapq = heapq
-            heap = self._rebuild()
-        elif len(heap) >= 2 * bound:
-            heap = self._rebuild()
-        heapq = self._heapq
-        full = len(self) >= bound
-        if full:
-            if key > self.ceiling:
-                return False
-            heapq.heappop(heap)
-            del self[self.ceiling]
-        code = -_key_code(key)
-        heapq.heappush(heap, code)
-        if heap[0] == code:
-            self.ceiling = key
-        elif full:  # with room, only a new key can top the largest
-            self.ceiling = _code_key(-heap[0], len(key))
-        return True
-
-    def _rebuild(self) -> list:
-        self.heap = [-_key_code(key) for key in self]
-        self._heapq.heapify(self.heap)
-        self.ceiling = max(self, default=())
-        return self.heap
-
-
-def _key_code(key: tuple[int, ...]) -> int:
-    """An int that orders pending keys as the tuples do: each report index
-    in a 32-bit field, wide enough for the n! reports of any domain whose
-    walk fits in memory.  A heap compares such ints faster than tuples and
-    holds them in less memory."""
-    code = 0
-    for p in key:
-        code = code << 32 | p
-    return code
-
-
-def _code_key(code: int, size: int) -> tuple[int, ...]:
-    """The key of ``size`` report indices whose :func:`_key_code` is ``code``."""
-    return tuple([code >> shift & 0xFFFFFFFF for shift in range(32 * (size - 1), -1, -32)])
 
 
 @dataclass(frozen=True)
@@ -337,12 +265,11 @@ def _neutral_sums(mech: Mechanism, prefs, weights: list[int]) -> list[list[int]]
     ``steps[r]``: every p with ``r o p`` on the support, that is
     ``p = s_r(q)`` for an on-support q, with ``w[q]``.
 
-    ``s_r`` acts on report indices through one map per report
-    (:class:`_ReportImages`), which computes each image by
-    :func:`ramkit.core.relabeling_action` the first time the walk reads it;
-    a kept report's images of the support, which its steps need, are read
-    in one call.  The maps hold at most ``m * m`` indices (576 at n=4,
-    14,400 at n=5), and only those the walk reads: no map is built whole.
+    ``s_r`` acts on report indices through one cache per report, which
+    computes each image by :func:`ramkit.core.relabeling_action` the first
+    time the walk reads it.  The caches hold at most ``m * m`` indices (576
+    at n=4, 14,400 at n=5), and only those the walk reads: no table is
+    built whole, which at n=7 would hold 25,401,600.
 
     Each row is packed into one integer, share k in bits
     ``[k*width, (k+1)*width)`` with ``width = (D * Q**(n-1)).bit_length() + 1``
@@ -362,16 +289,14 @@ def _neutral_sums(mech: Mechanism, prefs, weights: list[int]) -> list[list[int]]
     the whole profile, sorted, less the first, ``s_r(r)``, the identity
     report.  When the walk has not reached that multiset yet and will
     (every report of ``s_r O`` shares a kept report's ``reach`` bit), the
-    row waits, packed, in a :class:`_PendingRows` map, and the walk takes it
-    there instead of evaluating; only a row that waits is packed.  So each
+    row waits, packed, in the ``pending`` map, and the walk takes it there
+    instead of evaluating; only a row that waits is packed.  So each
     profile is evaluated once, and fewer of them: PS at n=4 takes 762
     evaluations under the uniform prior (2,600 multisets) and 702 under
     the prior above (1,736), holding at most 1,104 and 402 pending rows.
-    Past :data:`_PENDING_ROWS` rows the map evicts its largest key for a
-    smaller one, so it holds the rows the walk reaches soonest (Belady's
-    rule, since the walk reads each key once, in order): PS at n=5 under
-    the uniform prior takes 6,745,216 evaluations of 9,078,630 multisets,
-    where stashing nothing more once full took 8,803,979."""
+    Once the map holds :data:`_PENDING_ROWS` rows the walk stashes no more
+    and evaluates the multisets it reaches without a row: PS at n=5 under
+    the uniform prior takes 8,803,979 evaluations of 9,078,630 multisets."""
     n, m = len(prefs[0]), len(prefs)
     width = (mech.D * sum(weights) ** (n - 1)).bit_length() + 1
     shifts = range(0, n * width, width)
@@ -381,13 +306,9 @@ def _neutral_sums(mech: Mechanism, prefs, weights: list[int]) -> list[list[int]]
     rep = _prior_orbits(prefs, weights, on)
     kept = [r for r in range(m) if rep[r] == r]
     inverse = list(map(report_inverse, prefs))  # inverse[r]: s_r
-    images = [_ReportImages(act, s) for s in inverse]  # images[r][q]: s_r(q)
+    images = [cache(lambda q, s=s: act(s, (q,))[0]) for s in inverse]  # images[r](q): s_r(q)
     # steps[r]: (p, w[r o p]) for every p with r o p on the support, by p
-    steps = {}
-    for r in kept:
-        moved = act(inverse[r], on)
-        images[r].update(zip(on, moved))
-        steps[r] = sorted(zip(moved, on_weights))
+    steps = {r: sorted(zip(map(images[r], on), on_weights)) for r in kept}
     # reach[p]: a bit for each kept report r with r o p on the support, so
     # a multiset weighs some kept report, and the walk visits it, when the
     # bits of its reports have one in common
@@ -402,9 +323,9 @@ def _neutral_sums(mech: Mechanism, prefs, weights: list[int]) -> list[list[int]]
     # acc[r]: the packed numerators of the shares of objects r[0], r[1], ...
     # for kept report r
     acc = [0] * m
-    bound = _PENDING_ROWS
-    pending = _PendingRows()
-    givers = range(1, n) if bound else ()  # the places of the reports whose rows may wait
+    # pending[M']: the packed identity row against a multiset the walk has
+    # not reached yet, read off an earlier evaluation
+    pending: dict[tuple[int, ...], int] = {}
 
     def identity_row(members: tuple[int, ...]) -> int:
         """``row(id, members)`` packed: the pending row, or else evaluated,
@@ -415,11 +336,11 @@ def _neutral_sums(mech: Mechanism, prefs, weights: list[int]) -> list[list[int]]
             return row
         reports = (0,) + members
         out = sorted_rows(mech, prefs, reports)
-        for i in givers:
+        for i in range(1, n):
             r = reports[i]
-            if r == reports[i - 1]:
+            if r == reports[i - 1] or len(pending) >= _PENDING_ROWS:
                 continue
-            moved = sorted(map(images[r].__getitem__, reports))
+            moved = sorted(map(images[r], reports))
             del moved[0]  # s_r(r), the identity report, sorts first
             key = tuple(moved)
             if key <= members or key in pending:
@@ -427,8 +348,7 @@ def _neutral_sums(mech: Mechanism, prefs, weights: list[int]) -> list[list[int]]
             bits = -1
             for p in moved:
                 bits &= reach[p]
-            if bits and (pending.heap is None and len(pending) < bound
-                         or pending.admit(key, bound)):
+            if bits:
                 pending[key] = pack(map(out[i].__getitem__, prefs[r]))
         return pack(out[0])
 
@@ -452,6 +372,9 @@ def _neutral_sums(mech: Mechanism, prefs, weights: list[int]) -> list[list[int]]
             walk(members + (p,), children[p], mult * size // length, length)
 
     walk((), [(r, 1) for r in kept], 1, 0)
+    # walk refers to itself; unbinding it frees the walk's state on return
+    # instead of at some later cycle collection
+    del walk
     if pending:
         raise InternalConsistencyError(
             f"{len(pending)} rows were stashed for multisets the walk never reached"
@@ -459,23 +382,6 @@ def _neutral_sums(mech: Mechanism, prefs, weights: list[int]) -> list[list[int]]
     mask = (1 << width) - 1
     sums = {r: [acc[r] >> shift & mask for shift in shifts] for r in kept}
     return [[sums[rep[r]][k] for k in inverse[r]] for r in range(m)]
-
-
-class _ReportImages(dict):
-    """``s_r`` on indices into ``prefs`` for one report r, given ``s = s_r``:
-    the image of index q is computed by ``act`` (a
-    :func:`ramkit.core.relabeling_action`) the first time it is read and
-    kept for the rest of the walk."""
-
-    __slots__ = ("act", "s")
-
-    def __init__(self, act, s):
-        super().__init__()
-        self.act, self.s = act, s
-
-    def __missing__(self, q: int) -> int:
-        image = self[q] = self.act(self.s, (q,))[0]
-        return image
 
 
 def _prior_orbits(prefs, weights: list[int], on: list[int]) -> list[int]:

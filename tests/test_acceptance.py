@@ -177,6 +177,19 @@ def test_uniform_prior_obic_of_neutral_em_mechanisms_n4(kind):
     assert decomposition_verdicts(obic_decomposition_report(mech, uniform)) == ("satisfied",) * 4
 
 
+def test_uniform_prior_obic_of_serial_dictatorship_n4():
+    """The uniform-prior result at n=4 on a mechanism that is neutral but
+    not anonymous, so its interim rows come one evaluation per profile
+    (``_profile_sums``), not from the walk: serial dictatorship in the
+    order 4, 2, 1, 3 is OBIC at uniform, and its interim em, ui and li
+    hold."""
+    mech = SerialDictatorship(Instance.default(4), (3, 1, 0, 2))
+    assert mech.descriptor() == "sd:4,2,1,3"
+    assert mech.neutral and not mech.anonymous
+    report = obic_decomposition_report(mech, uniform_prior(mech.instance))
+    assert decomposition_verdicts(report) == ("satisfied",) * 4
+
+
 def test_obic_decomposition_biconditional(instance3, ps3, rp3):
     uniform = uniform_prior(instance3)
     for mech in (ps3, rp3):

@@ -353,6 +353,18 @@ class TestImplicationStructure:
                 assert move(v, t, d) in sp or move(v, d, t) in sp, (ax, v)
 
 
+    @pytest.mark.parametrize("kind", ("ps", "rp"))
+    def test_swap_characterisation_in_first_mode_at_n4(self, kind):
+        """At n=4 the first-mode sp verdict equals em ∧ ui ∧ li from one
+        first-mode pair sweep: PS fails li and sp, RP satisfies all four."""
+        mech = build_mechanism(kind, 4)
+        swaps = run_pair_sweep(mech, ("em", "ui", "li"), mode="first")
+        failing = [ax for ax, outcome in swaps.items() if not outcome.satisfied]
+        assert failing == {"ps": ["li"], "rp": []}[kind]
+        sp = run_axiom_check(mech, "sp", mode="first")
+        assert sp.satisfied == all(outcome.satisfied for outcome in swaps.values())
+
+
 class TestWitnessIntegrity:
     def test_all_ps_violations_reverify(self, ps3):
         results = run_pair_sweep(ps3, ("sp", "li"))

@@ -549,26 +549,6 @@ def _greedy_evaluations(prior):
     return evaluated
 
 
-def _record_pending_rows(monkeypatch):
-    """Every pending map the walk makes from now on, each with the most
-    rows it held as ``peak``."""
-    maps = []
-
-    class Recording(interim._PendingRows):
-        peak = 0
-
-        def __init__(self):
-            super().__init__()
-            maps.append(self)
-
-        def __setitem__(self, key, row):
-            super().__setitem__(key, row)
-            self.peak = max(self.peak, len(self))
-
-    monkeypatch.setattr(interim, "_PendingRows", Recording)
-    return maps
-
-
 class TestOnePassRows:
     @pytest.mark.parametrize("n", (2, 3))
     @pytest.mark.parametrize("kind", MECHANISM_KINDS)
@@ -677,97 +657,45 @@ class TestOnePassRows:
 
     @pytest.mark.parametrize("support,peak", (("half", 402), ("uniform", 1_104)))
     def test_pending_rows_stay_bounded_and_are_all_used(self, support, peak, monkeypatch):
-        """The pending map never holds more than ``_PENDING_ROWS`` rows and
-        is empty when the walk ends, whatever the bound; a smaller bound
-        costs evaluations, never a different row."""
+        """The walk stashes a row only while the pending map holds fewer
+        than ``_PENDING_ROWS`` rows, so a smaller bound costs evaluations,
+        never a different row.  The evaluation counts pin the map's peak:
+        a bound of ``peak`` costs nothing over the default, one row less
+        costs one evaluation more.  A row left in the map when the walk
+        ends would raise :class:`InternalConsistencyError`."""
         instance = Instance.default(4)
         prior = half_support_prior(instance) if support == "half" else uniform_prior(instance)
-        maps = _record_pending_rows(monkeypatch)
-        rows = _interim_rows(ProbabilisticSerial(instance), prior)
-        assert [(m.peak, len(m)) for m in maps] == [(peak, 0)]
-        evaluations = []
-        for bound in (peak - 1, 50, 1, 0):
-            monkeypatch.setattr(interim, "_PENDING_ROWS", bound)
-            mech = CountingPS(instance)
-            assert _interim_rows(mech, prior) == rows, bound
-            assert maps[-1].peak <= bound and len(maps[-1]) == 0, bound
-            assert set(mech.counts.values()) == {1}
-            evaluations.append(len(mech.counts))
-        assert evaluations == sorted(evaluations)
-        assert evaluations[-1] == {"half": 1_736, "uniform": 2_600}[support]
-
-    def test_pending_rows_only_for_multisets_the_walk_reaches(self, instance3, monkeypatch):
-        """Under a prior on acb and bac some evaluated profiles give rows
-        for multisets that weigh no report; the walk never reaches those,
-        so it must not stash their rows."""
-        assert enumerate_preferences(instance3)[1:3] == [(0, 2, 1), (1, 0, 2)]
-        prior = Prior(instance3, tuple(F(int(k in (1, 2)), 2) for k in range(6)))
-        maps = _record_pending_rows(monkeypatch)
-        mech = CountingPS(instance3)
+        mech = CountingPS(instance)
         rows = _interim_rows(mech, prior)
-        assert rows == _interim_rows(UndeclaredPS(instance3), prior)
-        assert [len(m) for m in maps] == [0] and maps[0].peak > 0
-        assert set(mech.counts) == set(_greedy_evaluations(prior))
-
-    @pytest.mark.parametrize("support,counts", (
-        ("half", {50: 1_245, 1: 1_693}), ("uniform", {50: 1_923, 1: 2_535}),
-    ))
-    def test_full_pending_map_keeps_the_keys_read_soonest(self, support, counts, monkeypatch):
-        """Past its bound the pending map evicts its largest key for a
-        smaller one: the rows stay the unbounded walk's, the map never holds
-        more than the bound and is empty at the end, and the heap of its
-        keys never holds more than twice the bound.  Stopping to stash once
-        full instead took 1,562 and 2,413 evaluations at bound 50."""
-        instance = Instance.default(4)
-        prior = half_support_prior(instance) if support == "half" else uniform_prior(instance)
-        rows = _interim_rows(ProbabilisticSerial(instance), prior)
-        maps = []
-
-        class Recording(interim._PendingRows):
-            peak = heap_peak = 0
-
-            def __init__(self):
-                super().__init__()
-                maps.append(self)
-
-            def __setitem__(self, key, row):
-                super().__setitem__(key, row)  # after any push onto the heap
-                self.peak = max(self.peak, len(self))
-                self.heap_peak = max(self.heap_peak, len(self.heap or ()))
-
-        monkeypatch.setattr(interim, "_PendingRows", Recording)
+        counts = {
+            "half": {peak: 702, peak - 1: 703, 50: 1_562, 1: 1_726, 0: 1_736},
+            "uniform": {peak: 762, peak - 1: 763, 50: 2_413, 1: 2_590, 0: 2_600},
+        }[support]
+        assert len(mech.counts) == counts[peak]
         for bound, count in counts.items():
             monkeypatch.setattr(interim, "_PENDING_ROWS", bound)
             mech = CountingPS(instance)
             assert _interim_rows(mech, prior) == rows, bound
-            pending = maps[-1]
-            assert pending.peak == bound and len(pending) == 0, bound
-            assert 0 < pending.heap_peak <= 2 * bound, bound
-            assert set(mech.counts.values()) == {1}
+            assert set(mech.counts.values()) == {1}, bound
             assert len(mech.counts) == count, bound
 
-    def test_pending_map_evicts_its_largest_key(self):
-        """``admit`` once the map has filled: when full, a key below the
-        largest evicts it and a key above is refused; with room, a key is
-        taken; keys the walk took out leave the heap when it rebuilds at
-        twice the bound."""
-        pending = interim._PendingRows()
-        pending[3, 5] = pending[1, 2] = 0  # the walk stashes freely until full
-        assert not pending.admit((4, 0), 2) and sorted(pending) == [(1, 2), (3, 5)]
-        assert pending.ceiling == (3, 5)
-        assert pending.admit((2, 7), 2) and sorted(pending) == [(1, 2)]
-        assert pending.ceiling == (2, 7)
-
-        pending = interim._PendingRows()
-        pending[1, 2] = 0
-        assert not pending.admit((3, 0), 1)
-        assert pending.admit((1, 1), 1) and len(pending) == 0
-        pending[1, 1] = 0
-        for read, key in (((1, 1), (2, 0)), ((2, 0), (2, 5))):
-            del pending[read]  # the walk takes out its smallest key
-            assert pending.admit(key, 1)
-            pending[key] = 0
-        assert pending.heap == [-interim._key_code((2, 5))] and pending.ceiling == (2, 5)
+    def test_pending_rows_only_for_multisets_the_walk_reaches(self, instance3, monkeypatch):
+        """Under a prior on acb and bac some evaluated profiles give rows
+        for multisets that weigh no report; the walk never reaches those,
+        so it must not stash their rows, or it would raise
+        :class:`InternalConsistencyError` with them left in its map.  The
+        rows it does stash save 2 of the 12 evaluations."""
+        assert enumerate_preferences(instance3)[1:3] == [(0, 2, 1), (1, 0, 2)]
+        prior = Prior(instance3, tuple(F(int(k in (1, 2)), 2) for k in range(6)))
+        mech = CountingPS(instance3)
+        rows = _interim_rows(mech, prior)
+        assert rows == _interim_rows(UndeclaredPS(instance3), prior)
+        assert set(mech.counts) == set(_greedy_evaluations(prior))
+        assert len(mech.counts) == 10
+        monkeypatch.setattr(interim, "_PENDING_ROWS", 0)
+        mech = CountingPS(instance3)
+        assert _interim_rows(mech, prior) == rows
+        assert len(mech.counts) == 12
 
     def test_rank_vector_reports_share_one_pass(self, instance3, violating_prior):
         mech = CountingPS(instance3)
