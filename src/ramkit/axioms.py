@@ -17,16 +17,17 @@ Every sweep reads the mechanism through an integer domain table
 (:mod:`ramkit.domain`) over the mechanism's one denominator ``D`` and
 compares shares as integers.  :func:`_domain_table` decides, from n alone,
 whether a sweep's table is filled.  Up to :data:`~ramkit.core.SWEEP_CAP`
-it is filled in either mode: an anonymous and neutral mechanism once per
-multiset of the identity report's opponent reports, any other anonymous
-one once per multiset of reports, both in this process, and any other at
-every profile, by index range on up to ``jobs`` worker processes.  The
-comparisons then run in this process, so the violation list is identical
-for every parallelism degree.  A sweep never fills through the fact it
-checks: equal treatment of equals never fills, so it stays a real check
-for a mechanism declared anonymous, and neutrality fills an anonymous
-mechanism once per multiset of reports, so it stays a real check for one
-declared neutral.  Past the cap only first mode runs: it
+it is filled in either mode, in this process: an anonymous and neutral
+mechanism once per multiset of the identity report's opponent reports,
+any other anonymous one once per multiset of reports, any other neutral
+one at the profiles where agent 1 or agent 2 reports the identity order,
+and any other at every profile.  No sweep starts a worker process; the
+``jobs`` argument of the public sweeps is accepted and ignored.  A sweep
+never fills through the fact it checks: equal treatment of equals never
+fills, so it stays a real check for a mechanism declared anonymous, and
+neutrality fills an anonymous mechanism once per multiset of reports and
+reads any other unfilled, evaluating each profile once, so it stays a
+real check for one declared neutral.  Past the cap only first mode runs: it
 evaluates each profile as it reads it and keeps nothing, and an
 exhaustive sweep is refused before anything is evaluated.
 
@@ -105,12 +106,12 @@ def _resolve_mode(mode: Optional[str], n: int) -> str:
 
 
 def _domain_table(
-    mech: Mechanism, mode, max_n, jobs, fill=True, relabel=True
+    mech: Mechanism, mode, max_n, fill=True, relabel=True
 ) -> tuple[DomainTable, str]:
     """The sweep's table and resolved mode, after the cap checks.  Up to
-    :data:`~ramkit.core.SWEEP_CAP` the table is filled on up to ``jobs``
-    workers when ``fill`` is set, through neutrality when ``relabel`` is
-    set (:meth:`DomainTable.fill`); past it the table is read unfilled, and
+    :data:`~ramkit.core.SWEEP_CAP` the table is filled when ``fill`` is
+    set, through neutrality when ``relabel`` is set
+    (:meth:`DomainTable.fill`); past it the table is read unfilled, and
     an exhaustive sweep, which would read the whole domain, is refused."""
     instance = mech.instance
     n = instance.n
@@ -120,7 +121,7 @@ def _domain_table(
         raise CapExceededError("exhaustive sweep", n, SWEEP_CAP, "mode='first'")
     table = DomainTable(mech, enumerate_preferences(instance, max_n=max_n))
     if n <= SWEEP_CAP and fill:
-        table.fill(jobs, relabel=relabel)
+        table.fill(relabel=relabel)
     return table, mode
 
 
@@ -462,13 +463,15 @@ def run_pair_sweep(
     their cells.  The table is dropped when the sweep returns.
 
     ``profiles_checked`` counts rows read (the agent's report varies over
-    all n! preferences in each cell), not distinct evaluations.
+    all n! preferences in each cell), not distinct evaluations.  ``jobs``
+    is accepted for callers that pass it and ignored: every sweep runs in
+    this process.
     """
     axioms = tuple(axioms)
     for ax in axioms:
         if ax not in PAIR_AXIOMS:
             raise ValueError(f"unknown pair axiom {ax!r}")
-    table, mode = _domain_table(mech, mode, max_n, jobs)
+    table, mode = _domain_table(mech, mode, max_n)
     sweep = _PairSweep(table.prefs, axioms, first_only=mode == "first")
     return sweep.run(table)
 
@@ -581,7 +584,7 @@ def ex_post_inefficiency_witness(
 # ---------------------------------------------------------------------------
 
 
-def _profile_sweep(mech, axiom, mode, jobs, max_n) -> CheckOutcome:
+def _profile_sweep(mech, axiom, mode, max_n) -> CheckOutcome:
     """Sweep ``axiom``, one of :data:`PROFILE_AXIOMS`, over the profiles in
     lexicographic order.  Its test returns a profile's violations, the
     profiles it read and the comparisons it made; with ``first`` it stops
@@ -593,12 +596,15 @@ def _profile_sweep(mech, axiom, mode, jobs, max_n) -> CheckOutcome:
     identity order: each relabeling orbit has exactly one of them."""
     # ETE reads only the profiles with two equal reports (a quarter of
     # them at n=4), so it evaluates those as it reads them, with no fill;
-    # neutrality fills without reading rows through neutrality
+    # neutrality fills an anonymous mechanism without reading rows through
+    # neutrality, and reads any other unfilled, each profile once
+    neutral = axiom == "neutral"
     table, mode = _domain_table(
-        mech, mode, max_n, jobs, fill=axiom != "ete", relabel=axiom != "neutral"
+        mech, mode, max_n, fill=axiom != "ete" and (mech.anonymous or not neutral),
+        relabel=not neutral,
     )
     profiles = itertools.product(table.prefs, repeat=table.n)
-    if axiom == "neutral":
+    if neutral:
         if table.anonymous and table.follows_relabeling():
             # the counters of the orbit sweep, which would read every profile
             return CheckOutcome(axiom, True, profiles_checked=table.size,
@@ -746,7 +752,7 @@ def check_mechanism_ordinal_efficiency(
     mech: Mechanism, *, mode: Optional[str] = None, max_n: Optional[int] = None
 ) -> CheckOutcome:
     """Ordinal efficiency of every output over the full profile domain."""
-    return _profile_sweep(mech, "oe", mode, 1, max_n)
+    return _profile_sweep(mech, "oe", mode, max_n)
 
 
 def run_axiom_check(
@@ -771,11 +777,13 @@ def run_axiom_check(
     of the image of ``a`` at the relabeled profile); ``ete``, equal reports
     get equal rows; ``oe`` / ``ex-post``, every output is ordinally /
     ex-post efficient.
+
+    ``jobs`` is accepted and ignored: every sweep runs in this process.
     """
     if axiom in PAIR_AXIOMS:
-        return run_pair_sweep(mech, (axiom,), mode=mode, jobs=jobs, max_n=max_n)[axiom]
+        return run_pair_sweep(mech, (axiom,), mode=mode, max_n=max_n)[axiom]
     if axiom in PROFILE_AXIOMS:
-        return _profile_sweep(mech, axiom, mode, jobs, max_n)
+        return _profile_sweep(mech, axiom, mode, max_n)
     raise ValueError(f"unknown axiom {axiom!r}")
 
 

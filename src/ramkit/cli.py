@@ -30,7 +30,6 @@ from .core import (
     parse_rational,
 )
 from .decomp import birkhoff_decompose
-from .domain import available_cpus
 from .formats import (
     ParseError,
     assignment_records,
@@ -196,9 +195,7 @@ def cmd_check(args) -> int:
         raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
     mech = _mechanism_from_args(args)
     instance = mech.instance
-    outcome = run_axiom_check(
-        mech, args.axiom, mode=args.mode, jobs=args.jobs, max_n=args.max_n
-    )
+    outcome = run_axiom_check(mech, args.axiom, mode=args.mode, max_n=args.max_n)
     _stream(outcome_chunks(instance, outcome, machine=args.format == "machine"))
     return 0 if outcome.satisfied else 1
 
@@ -382,16 +379,18 @@ def make_parser() -> argparse.ArgumentParser:
                    help="collect all violations or stop at the first "
                         "(default: exhaustive for n<=3, first above); past "
                         "n=4 only first runs")
-    p.add_argument("--jobs", type=int, default=available_cpus(),
-                   help="worker processes that build the domain table of "
-                        "a sweep, at least 1 and at most the CPUs this "
-                        "process may run on; anonymous mechanisms (ps, rp, "
-                        "sea at one speed for all) are filled in this "
-                        "process, once per multiset of the identity "
-                        "report's opponents, or for the neutrality sweep "
-                        "once per multiset of reports; the comparisons run "
-                        "in the main process; ete and sweeps past n=4 "
-                        "evaluate profiles as they read them")
+    p.add_argument("--jobs", type=int, default=1,
+                   help="accepted for old command lines, at least 1, and "
+                        "ignored: no sweep starts worker processes.  Up to "
+                        "n=4 a sweep fills the domain table in this process: "
+                        "anonymous and neutral mechanisms (ps, rp, sea at "
+                        "one speed for all) once per multiset of the identity "
+                        "report's opponents, other neutral ones (sd, sea) "
+                        "where agent 1 or 2 reports the identity, others at "
+                        "every profile; neutrality fills anonymous mechanisms "
+                        "once per multiset of reports and reads others "
+                        "unfilled; ete and sweeps past n=4 evaluate profiles "
+                        "as they read them")
     common(p, need_n=True)
     p.set_defaults(func=cmd_check)
 

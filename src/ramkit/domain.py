@@ -20,10 +20,11 @@ mechanism's one denominator ``D = mech.D``; nothing is rescaled.
 Under neutrality (``Mechanism.neutral``) the relabeling ``s_r`` of
 :mod:`ramkit.core` turns report ``r`` into the identity order ``prefs[0]``.
 
-:meth:`DomainTable.fill` evaluates the whole domain by one of three
+:meth:`DomainTable.fill` evaluates the whole domain by one of four
 routes.  The two anonymous routes are one loop over the multisets of
-``n`` reports in lexicographic order, each evaluated once, in this
-process, at its sorted profile; the first route cuts it short.
+``n`` reports in lexicographic order, each evaluated once at its sorted
+profile; the first route cuts it short.  Every route evaluates in this
+process.
 
 - An **anonymous and neutral** mechanism (PS, RP, and eating at one speed
   for all) is evaluated at the multisets that hold the identity report,
@@ -57,32 +58,44 @@ process, at its sorted profile; the first route cuts it short.
   the columns over the ids themselves, with the gather from ids to cells,
   so the pair sweep compares 2,600 entries per column at n=4 instead of
   13,824.
-- Any other mechanism is evaluated at every profile into **dense
-  storage**: the ``n*n`` numerators of every profile.  Values live in a
-  signed 64-bit array, and the table falls back to a list of Python ints
-  as soon as one value does not fit, so storage never truncates or
-  wraps.  A column is cut by strided
+- A **neutral** mechanism that is not anonymous (serial dictatorship,
+  eating at speeds that differ between agents) is evaluated at the ``K``
+  profiles where agent 1 reports the identity order, the first ``K``
+  profile indices: 13,824 evaluations at n=4 instead of 331,776.  Agent
+  ``i``'s share of ``x`` at ``(prefs[r],) + c`` is its share of ``s_r(x)``
+  at ``(id,) + s_r c``, so each report's block of profiles is read from
+  those by one gather (:meth:`DomainTable._fill_by_orbit`), the opponent
+  profiles ``s_r c`` found by the digit arithmetic the multiset route uses
+  (:func:`_relabeled_cells`).  The profiles where agent 2 reports the
+  identity and agent 1 does not (13,248 at n=4) are evaluated too and
+  checked against the rows read that way, so a false declaration raises.
+  The neutrality sweep never fills a table that is not anonymous; it
+  reads the table unfilled, evaluating each profile once.
+- Any other mechanism (a table, or one declared neither anonymous nor
+  neutral) is evaluated at every profile in index order.
+
+  The last two routes keep **dense storage**: the ``n*n`` numerators of
+  every profile.  Values live in a signed 64-bit array, and the table
+  falls back to a list of Python ints as soon as one value does not fit,
+  so storage never truncates or wraps.  A column is cut by strided
   slices: one slice for agent 0 (its cells are contiguous profiles), one
   slice with step ``m`` profiles for the last agent, and for the agents in
   between one slice per run of ``s`` consecutive cells that share the
-  agents before.  The fill evaluates the profiles in index order and
-  appends their values to storage: in this process, or on a process pool
-  of at most :func:`available_cpus` workers by index range, appending
-  each range's part in index order.
+  agents before.
 
 No Fractions are stored.  An unfilled table is a stateless reader:
 :meth:`DomainTable.columns` and :meth:`DomainTable.entry` evaluate each
 profile they read and keep nothing, so a read never allocates more than
 it returns.  Sweeps fill up to the sweep cap, except equal treatment of
-equals; past it, where the domain is too large to fill, only first-mode
-sweeps run, reading unfilled.  A table is meant to live for one sweep;
+equals and the neutrality sweep of a mechanism that is not anonymous;
+past it, where the domain is too large to fill, only first-mode sweeps
+run, reading unfilled.  A table is meant to live for one sweep;
 nothing is cached at module level.
 """
 
 from __future__ import annotations
 
 import itertools
-import os
 from array import array
 from operator import add
 from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
@@ -92,26 +105,14 @@ from .mechanisms import Mechanism
 
 Store = Union[array, list]
 
-#: Index ranges per worker in a pool fill, so a slow range does not hold
-#: the pool back.
-_TASKS_PER_WORKER = 4
 
-
-def _pack(values: list[int]) -> Store:
-    """Signed 64-bit array of ``values``, or the list itself when one does
-    not fit."""
+def _pack(values: Sequence[int]) -> Union[array, Sequence[int]]:
+    """Signed 64-bit array of ``values``, or ``values`` themselves when one
+    does not fit."""
     try:
         return array("q", values)
     except OverflowError:
         return values
-
-
-def available_cpus() -> int:
-    """The CPUs this process may run on: its affinity set where the
-    platform has one, else the CPU count."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
 
 
 def reports_at(prefs: Sequence[Preference], count: int, index: int) -> Profile:
@@ -146,17 +147,25 @@ def _append(store: Store, values: Store) -> Store:
     return store
 
 
-def _evaluate_range(
-    mech: Mechanism, prefs: Sequence[Preference], lo: int, hi: int
-) -> Store:
-    """Packed numerators of the profiles with index in ``[lo, hi)``.  Each
-    profile is packed as it is evaluated, so a range is never held as
-    Python ints unless a value needs them."""
+def _evaluate(mech: Mechanism, profiles: Iterable[Profile]) -> Store:
+    """Packed numerators of ``profiles``, in order.  Each profile is packed
+    as it is evaluated, so the values are never held as Python ints
+    unless one needs them."""
     nums: Store = array("q")
-    profiles = itertools.product(prefs, repeat=len(prefs[0]))
-    for profile in itertools.islice(profiles, lo, hi):
+    for profile in profiles:
         nums = _append(nums, _flat(mech, profile))
     return nums
+
+
+def _relabeled_cells(digits: Sequence[Sequence[int]], to: Sequence[int]) -> list[int]:
+    """The cell of each opponent profile relabeled: ``digits[j]`` holds the
+    report indices of the ``j``-th opponent, one per profile, and ``to``
+    maps a report index to that of the report relabeled."""
+    m, cells = len(to), [0] * len(digits[0])
+    for j, d in enumerate(digits):
+        place = [t * m ** (len(digits) - 1 - j) for t in to]
+        cells = list(map(add, cells, map(place.__getitem__, d)))
+    return cells
 
 
 def sorted_rows(
@@ -195,21 +204,6 @@ def multiset_rows(
         for i, r in enumerate(reports):
             if not i or r != reports[i - 1]:
                 yield r, reports[:i] + reports[i + 1:], out[i]
-
-
-# Set once per pool worker by the initializer, so the mechanism is pickled
-# once per worker rather than once per task.
-_worker_job: Optional[tuple[Mechanism, list[Preference]]] = None
-
-
-def _init_worker(mech: Mechanism, prefs: list[Preference]) -> None:
-    global _worker_job
-    _worker_job = (mech, prefs)
-
-
-def _fill_task(bounds: tuple[int, int]) -> Store:
-    mech, prefs = _worker_job
-    return _evaluate_range(mech, prefs, *bounds)
 
 
 class DomainTable:
@@ -255,38 +249,23 @@ class DomainTable:
 
     # -- filling -----------------------------------------------------------
 
-    def fill(self, jobs: int = 1, *, relabel: bool = True) -> None:
-        """Evaluate the whole domain.  An anonymous mechanism is evaluated
-        in this process: once per multiset of the identity report's
+    def fill(self, *, relabel: bool = True) -> None:
+        """Evaluate the whole domain, in this process.  An anonymous
+        mechanism is evaluated once per multiset of the identity report's
         opponent reports when it is also neutral and ``relabel`` is set,
-        once per multiset of reports otherwise.  Any other is evaluated at
-        every profile into dense storage, by index range on up to ``jobs``
-        worker processes, never more than :func:`available_cpus`; in this
-        process when ``jobs <= 1``.  The neutrality sweep clears
-        ``relabel``, so it does not fill through the fact it checks."""
+        once per multiset of reports otherwise.  Any other is kept in dense
+        storage: evaluated where agent 1 reports the identity when it is
+        neutral and ``relabel`` is set (:meth:`_fill_by_orbit`), at every
+        profile otherwise.  The neutrality sweep clears ``relabel``, so it
+        does not fill through the fact it checks."""
         self.nums = self._cols = None
+        relabel = relabel and self.mech.neutral
         if self.mech.anonymous:
-            self._fill_by_multiset(relabel and self.mech.neutral)
-            return
-        jobs = min(jobs, available_cpus())
-        if jobs <= 1:
-            self.nums = _evaluate_range(self.mech, self.prefs, 0, self.size)
-            return
-        # imported here, so that importing the library does not load
-        # multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
-        step = -(-self.size // (jobs * _TASKS_PER_WORKER))
-        bounds = [(lo, min(lo + step, self.size)) for lo in range(0, self.size, step)]
-        nums: Store = array("q")
-        with ProcessPoolExecutor(
-            max_workers=min(jobs, len(bounds)),
-            initializer=_init_worker,
-            initargs=(self.mech, self.prefs),
-        ) as pool:
-            for part in pool.map(_fill_task, bounds):  # in index order
-                nums = _append(nums, part)
-        self.nums = nums
+            self._fill_by_multiset(relabel)
+        elif relabel:
+            self._fill_by_orbit()
+        else:
+            self.nums = _evaluate(self.mech, itertools.product(self.prefs, repeat=self.n))
 
     def _fill_by_multiset(self, relabel: bool) -> None:
         """Keep each report's columns over the multisets of the others'
@@ -323,19 +302,15 @@ class DomainTable:
         report's row against ``s_r M``, its objects read through r, so r's
         column of object x is ``base[s_r(x)]`` gathered through the ids of
         the ``s_r M``.  ``s_r M`` is found without sorting, as the multiset
-        id of the cell whose digits are M's reports relabeled (``s_r`` and
-        the relabeling of report indices as in :mod:`ramkit.core`)."""
+        id of the cell whose digits are M's reports relabeled
+        (:func:`_relabeled_cells`; ``s_r`` and the relabeling of report
+        indices as in :mod:`ramkit.core`)."""
         m, n, images = self.m, self.n, relabeling_action(self.prefs)
         # digits[j]: the j-th report of every multiset, in multiset order
         digits = list(zip(*itertools.combinations_with_replacement(range(m), n - 1)))
-        weights = [m ** (n - 2 - j) for j in range(n - 1)]
         cols = [base]
         for s in map(report_inverse, self.prefs[1:]):
-            to = images(s, range(m))  # s_r on report indices
-            cells = [0] * len(base[0])  # the cell of each s_r M
-            for d, w in zip(digits, weights):
-                place = [t * w for t in to]
-                cells = list(map(add, cells, map(place.__getitem__, d)))
+            cells = _relabeled_cells(digits, images(s, range(m)))  # the cell of each s_r M
             at = list(map(self._multiset.__getitem__, cells))
             cols.append([list(map(base[y].__getitem__, at)) for y in s])
         return cols
@@ -354,6 +329,46 @@ class DomainTable:
                         f"{self.prefs[r]} gets a row at profile {profile} that is not "
                         "the identity report's row relabeled"
                     )
+
+    def _fill_by_orbit(self) -> None:
+        """Dense storage of a neutral mechanism from the ``K`` profiles
+        where agent 1 reports the identity, which come first.  The profile
+        ``(prefs[r],) + c`` relabeled by ``s_r`` is ``(id,) + s_r c``, so
+        report r's block is the identity's block gathered once, column by
+        column as :meth:`_relabeled` gathers: cell ``c`` from cell ``s_r
+        c`` (:func:`_relabeled_cells`), and object ``x`` of each row from
+        object ``s_r(x)``.  The profiles where agent 2 reports the identity
+        and agent 1 does not are then evaluated and compared with the rows
+        read that way.
+
+        Raises ValueError naming the first profile whose evaluated rows
+        differ from those: the mechanism is then not neutral."""
+        m, n, nn, prefs = self.m, self.n, self._nn, self.prefs
+        base = _evaluate(self.mech, itertools.product(prefs[:1], *[prefs] * (n - 1)))
+        images = relabeling_action(prefs)
+        # digits[j]: the report index of opponent j at every cell, in cell order
+        digits = list(zip(*itertools.product(range(m), repeat=n - 1)))
+        # cols[i * n + x]: agent i's numerators of object x over the cells
+        cols = [list(base[k::nn]) for k in range(nn)]
+        size = len(base)
+        nums = base * m  # report 0's block, and room for the others'
+        for r, s in enumerate(map(report_inverse, prefs[1:]), 1):
+            pick = gather(_relabeled_cells(digits, images(s, range(m))))
+            # agent i's column of object x from her column of object s_r(x)
+            for k, q in enumerate(i * n + y for i in range(n) for y in s):
+                nums[r * size + k:(r + 1) * size:nn] = _pack(pick(cols[q]))
+        self.nums = nums
+        guard = itertools.product(prefs[1:], prefs[:1], *[prefs] * (n - 2))
+        evaluated = _evaluate(self.mech, guard)
+        width = self.cells // m  # guard profiles per report of agent 1
+        for k in range(len(evaluated) // nn):
+            index = (1 + k // width) * self.cells + k % width
+            if list(evaluated[k * nn:(k + 1) * nn]) != list(self.entry(index)):
+                raise ValueError(
+                    f"{self.mech.descriptor()} is declared neutral, but its rows at "
+                    f"profile {self.profile(index)} are not those where agent 1 "
+                    "reports the identity, relabeled"
+                )
 
     def follows_relabeling(self) -> bool:
         """Whether the columns of a table filled by multiset are neutral:

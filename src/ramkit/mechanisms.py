@@ -35,8 +35,10 @@ read from those through ``s_r``, the inverse of the report: for its
 interim rows, at any n (:mod:`ramkit.interim`), and for the domain table
 of every ex-post sweep but neutrality's (:mod:`ramkit.domain`), which
 checks the rows of the other reports it evaluates against the relabeled
-ones.  The ex-post neutrality sweep never reads the declaration, so it
-stays a real check.
+ones.  A neutral mechanism that is not anonymous is evaluated for the
+domain table only where agent 1 reports the identity order, and where
+agent 2 does as a check.  The ex-post neutrality sweep never reads the
+declaration, so it stays a real check.
 """
 
 from __future__ import annotations
@@ -306,12 +308,13 @@ class SerialDictatorship(Mechanism):
         if sorted(order) != list(instance.agents):
             raise ValueError(f"order must be a permutation of agents, got {order}")
         self.order = order
+        # the unit row of each object, shared by every matrix returned
+        n = instance.n
+        self._units = tuple(tuple(int(a == x) for a in range(n)) for x in range(n))
 
-    def _shares(self, profile: Profile) -> list[list[int]]:
-        """The permutation matrix of the picks."""
-        n = self.instance.n
-        pick = dictatorship_outcome(profile, self.order)
-        return [[int(a == pick[i]) for a in range(n)] for i in range(n)]
+    def _shares(self, profile: Profile) -> list[tuple[int, ...]]:
+        """The permutation matrix of the picks, one unit row per agent."""
+        return list(map(self._units.__getitem__, dictatorship_outcome(profile, self.order)))
 
     def descriptor(self) -> str:
         return "sd:" + ",".join(str(i + 1) for i in self.order)

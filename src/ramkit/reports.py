@@ -348,7 +348,9 @@ class CheckOutcome:
     agent.  Up to the sweep cap it reads a filled table, so it evaluates
     each profile at most once (an anonymous mechanism once per multiset of
     reports, and one that is also neutral, such as PS, once per multiset of
-    the identity report's opponent reports); past the cap it evaluates a
+    the identity report's opponent reports; a neutral one that is not
+    anonymous, such as SD, where agent 1 or agent 2 reports the identity
+    order); past the cap it evaluates a
     profile on every read, once per agent that reads it.  A profile sweep
     (neutrality, ETE, OE, ex-post) counts each profile it visits once.
     ``comparisons`` counts exact comparisons.  Where a sweep takes a
@@ -360,7 +362,7 @@ class CheckOutcome:
     whole table, every profile read, in either mode: PS at n=4 reports
     331,776 profiles and 127,401,984 comparisons, and makes one column
     comparison per report, 24 in all.  Both are deterministic for a given
-    mode, independent of parallelism degree.
+    mode.
     """
 
     axiom: str

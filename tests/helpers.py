@@ -290,9 +290,17 @@ class CountingPS(ProbabilisticSerial):
 
 class CountingUndeclaredPS(CountingPS):
     """A counting PS that does not declare itself anonymous, so a domain
-    table fills it profile by profile."""
+    table fills it from the profiles where agent 1 or agent 2 reports the
+    identity order."""
 
     anonymous = False
+
+
+class CountingDensePS(CountingUndeclaredPS):
+    """A counting PS declared neither anonymous nor neutral, so a domain
+    table fills it at every profile."""
+
+    neutral = False
 
 
 class CountingNonNeutralPS(CountingPS):

@@ -53,7 +53,7 @@ PINS = """
 # profile sweeps, recorded with the Fraction loops these sweeps replaced
 1 02c2ae9353d85934415edf2a68f3640ce372d5d7cd074886cb93b850c791ba57 check --axiom oe --mechanism rp --n 4 --mode exhaustive --format machine --jobs 2
 1 2135a5a063481038678f534894620dedbc0a34da7372f1bcea9152d49a4af99f check --axiom ete --mechanism sd:4,2,1,3 --n 4 --mode exhaustive --format machine --jobs 2
-# non-unit eating, filled profile by profile; recorded with the Fraction eating engine the integer engine replaced
+# non-unit eating, filled from its orbit representatives; recorded with the Fraction eating engine the integer engine replaced
 1 a9cd90eca2d1be8290b39d52192318455096a4437a1b8ae004a3ef8da5dec1a1 check --axiom li --mechanism sea:{sea4} --n 4 --mode exhaustive --format machine --jobs 2
 # first-mode pair sweeps, recorded while first mode evaluated profiles as it read them and kept them in a memo
 0 35c1dcf084d56b7d44a06bf421c91a8c91d55c755b7ff4a5ed53b74d715a1a16 check --axiom em --mechanism ps --n 4 --format machine
@@ -68,7 +68,7 @@ PINS = """
 0 bece1fcf79db51f9c97c6088b7e942997caacc91fd6d7905571ed518bc0c5c0e check --axiom oe --mechanism sd:4,2,1,3 --n 4 --format machine --jobs 2
 # ps is neutral; recorded while every profile of an orbit was relabeled to find the orbit's minimum
 0 f4a88da74bd5c82d6b9b1ec665a04b067f794fa76b1ce0a009596a942adc7aad check --axiom neutral --mechanism ps --n 4 --mode exhaustive --format machine
-# rp filled by multiset and an sd order filled on the pool, both neutral; recorded while every member of an orbit was compared with every relabeling of it
+# rp filled by multiset and an sd order read unfilled, both neutral; recorded while every member of an orbit was compared with every relabeling of it
 0 f4a88da74bd5c82d6b9b1ec665a04b067f794fa76b1ce0a009596a942adc7aad check --axiom neutral --mechanism rp --n 4 --mode exhaustive --format machine
 0 f4a88da74bd5c82d6b9b1ec665a04b067f794fa76b1ce0a009596a942adc7aad check --axiom neutral --mechanism sd:4,2,1,3 --n 4 --mode exhaustive --format machine --jobs 2
 # first-mode neutrality of ps and rp, recorded while each orbit's members were compared with its representative
@@ -94,7 +94,7 @@ PINS = """
 0 b51f4158b0c9a8a7b6e8b3db7466a62b20ebe9b23855736d6901532c7333affd ranks --mechanism ps --n 5 --max-n 5 --prior file:{two5} --format machine
 1 69f303ddce5331786055f4b2d9e7b4a6ca263b2321c457da7a6d546739d906d8 obic --mechanism ps --n 5 --max-n 5 --prior file:{two5} --format machine
 0 b0b9c439e633e5a685706d50156c0e1b637fb352ed53d5abfbfc0f25fbe88b34 obic --mechanism rp --n 5 --max-n 5 --prior file:{two5} --format machine
-# --jobs 1 twins of the rows whose table is filled on the pool: no output depends on --jobs
+# --jobs 1 twins of the rows whose table was once filled on a process pool: no output depends on --jobs
 1 a9cd90eca2d1be8290b39d52192318455096a4437a1b8ae004a3ef8da5dec1a1 check --axiom li --mechanism sea:{sea4} --n 4 --mode exhaustive --format machine --jobs 1
 1 3bb098e9ef9481c61c327f3c53a9dd46f1068a2694954812b3f8d01d466b735a check --axiom li --mechanism sea:{sea4} --n 4 --format machine --jobs 1
 0 bece1fcf79db51f9c97c6088b7e942997caacc91fd6d7905571ed518bc0c5c0e check --axiom oe --mechanism sd:4,2,1,3 --n 4 --format machine --jobs 1

@@ -1,4 +1,3 @@
-import concurrent.futures
 import io
 import subprocess
 import sys
@@ -10,7 +9,6 @@ import pytest
 
 from helpers import huge_denominator_table, tabulate
 from pinned_outputs import ROWS, ram_command, ram_env, run_row, write_inputs
-from ramkit import domain
 from ramkit.cli import main, make_parser
 from ramkit.core import Instance, enumerate_profiles
 from ramkit.formats import parse_prior_file, render_speed_file, render_table_file
@@ -413,74 +411,14 @@ class TestJobs:
         assert code == 2 and out == ""
         assert "--jobs must be at least 1" in err
 
-    @pytest.mark.parametrize("cpus, jobs, started", (
-        (3, "500", [3]), (8, "2", [2]), (None, "500", []), (1, "4", []),
-    ))
-    def test_fill_pool_never_exceeds_cpu_count(self, monkeypatch, cpus, jobs, started):
-        """On a platform with no affinity set the pool is clamped to the
-        CPU count."""
-        assert _fill_pool_workers(monkeypatch, None, cpus, jobs) == started
-
-    @pytest.mark.parametrize("affinity, cpus, jobs, started", (
-        ({0, 1, 2}, 3, "500", [3]), (set(range(8)), 8, "2", [2]),
-        ({0}, 2, "2", []), ({0, 1}, 8, "500", [2]),
-    ))
-    def test_fill_pool_never_exceeds_affinity_set(self, monkeypatch, affinity, cpus, jobs, started):
-        """Where the platform has an affinity set the pool is clamped to it,
-        not to the CPU count."""
-        assert _fill_pool_workers(monkeypatch, affinity, cpus, jobs) == started
-
-    @pytest.mark.parametrize("affinity, cpus, usable", (
-        ({0}, 2, 1), ({1, 3}, 4, 2), (None, 3, 3), (None, None, 1),
-    ))
-    def test_jobs_default_is_the_usable_cpus(self, monkeypatch, affinity, cpus, usable):
-        _set_cpus(monkeypatch, affinity, cpus)
-        assert domain.available_cpus() == usable
+    def test_jobs_default_is_one(self):
         args = make_parser().parse_args(["check", "--axiom", "em", "--mechanism", "ps", "--n", "3"])
-        assert args.jobs == usable
+        assert args.jobs == 1
 
-
-def _fill_pool_workers(monkeypatch, affinity, cpus, jobs):
-    """The workers an exhaustive fill asks of the pool under ``--jobs
-    jobs``, with ``os`` set up as by :func:`_set_cpus`.  A stand-in pool
-    records them and runs the tasks in this process; no process is
-    started.  The fill's output must match a serial run."""
-    asked = []
-
-    class RecordingPool:
-        def __init__(self, max_workers, initializer, initargs):
-            asked.append(max_workers)
-            initializer(*initargs)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            return map(fn, items)
-
-    # serial dictatorship is not anonymous, so its fill uses the pool
-    args = ("check", "--axiom", "em", "--mechanism", "sd:3,1,2", "--n", "3",
-            "--mode", "exhaustive", "--format", "machine")
-    _, serial, _ = run_cli(*args, "--jobs", "1")
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-    monkeypatch.setattr(domain, "_worker_job", None)
-    _set_cpus(monkeypatch, affinity, cpus)
-    code, out, _ = run_cli(*args, "--jobs", jobs)
-    assert code == 0 and out == serial
-    return asked
-
-
-def _set_cpus(monkeypatch, affinity, cpus):
-    """Make ``os`` report ``cpus`` CPUs and the affinity set ``affinity``,
-    or no ``sched_getaffinity`` when ``affinity`` is None."""
-    monkeypatch.setattr(domain.os, "cpu_count", lambda: cpus)
-    if affinity is None:
-        monkeypatch.delattr(domain.os, "sched_getaffinity", raising=False)
-    else:
-        monkeypatch.setattr(domain.os, "sched_getaffinity", lambda pid: set(affinity))
+    def test_help_says_no_sweep_starts_workers(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["check", "--help"])
+        assert "no sweep starts worker processes" in " ".join(capsys.readouterr().out.split())
 
 
 #: The pinned row of ``ram check --axiom li --mechanism ps --n 4 --mode
@@ -498,8 +436,8 @@ SP_PS4 = next(row for row in ROWS if row.argv == (
 ))
 
 #: Runs argv[1:] as its one child and prints that child's exit code, the
-#: sha256 of its stdout and its max RSS in KiB (the largest of it and the
-#: pool workers it waited for).
+#: sha256 of its stdout and its max RSS in KiB (the largest of it and any
+#: process it waited for).
 _MEASURE = """
 import hashlib, resource, subprocess, sys
 proc = subprocess.Popen(sys.argv[1:], stdout=subprocess.PIPE)

@@ -120,19 +120,25 @@ class TestSerialDictatorship:
         assert sd.descriptor() == "sd:3,1,2"
 
     def test_pickle_leaves_the_memo_behind(self, instance3):
-        """A worker gets a mechanism with an empty memo, the original keeps
-        its own, and a table filled on two workers equals one filled in
-        this process."""
+        """A pickled copy gets an empty memo, and the original keeps its
+        own."""
         sd = SerialDictatorship(instance3, (2, 0, 1), cache=True)
         out = sd.assignment(TRUTH_PROFILE)
         copy = pickle.loads(pickle.dumps(sd))
         assert copy._cache == {}
         assert sd._cache == {TRUTH_PROFILE: out}
         assert copy.assignment(TRUTH_PROFILE) == out
-        here, pooled = (DomainTable(sd, enumerate_preferences(instance3)) for _ in range(2))
-        here.fill(1)
-        pooled.fill(2)
-        assert pooled.nums == here.nums
+
+    def test_rows_are_shared_unit_tuples(self, instance3):
+        """Every profile gets the unit rows built once with the mechanism,
+        as tuples, so no caller can change them."""
+        sd = SerialDictatorship(instance3, (2, 0, 1))
+        units = {x: tuple(int(a == x) for a in range(3)) for x in range(3)}
+        for profile in enumerate_profiles(instance3):
+            rows = sd.scaled_assignment(profile)
+            pick = dictatorship_outcome(profile, sd.order)
+            assert rows == [units[x] for x in pick]
+            assert all(row is sd.scaled_assignment(profile)[i] for i, row in enumerate(rows))
 
 
 class TestRandomPriority:
@@ -455,7 +461,7 @@ class TestIntegerEngine:
         sea = SimultaneousEating(instance, sched)
         assert sea.anonymous == shared and sea.D > 2 ** 64
         table = DomainTable(sea, enumerate_preferences(instance))
-        table.fill(1)  # by multiset when shared, dense otherwise
+        table.fill()  # by multiset when shared, from the orbit representatives otherwise
         assert table.anonymous == shared and table.D == sea.D
         if not shared:
             assert isinstance(table.nums, list)

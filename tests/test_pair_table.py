@@ -7,6 +7,7 @@ import itertools
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 from array import array
@@ -18,6 +19,7 @@ from hypothesis import given, settings, strategies as st
 from helpers import (
     MECHANISM_KINDS,
     AnonymousSD,
+    CountingDensePS,
     CountingNonNeutralPS,
     CountingPS,
     CountingUndeclaredPS,
@@ -27,6 +29,7 @@ from helpers import (
     UndeclaredRP,
     build_mechanism,
     huge_denominator_table,
+    nonunit_schedule,
     pair_sweep_oracle,
     profile_sweep_oracle,
     random_bistochastic,
@@ -52,6 +55,8 @@ from ramkit.mechanisms import (
     TabulatedMechanism,
 )
 
+A, B, C = 0, 1, 2
+
 AXIOM_SETS = [PAIR_AXIOMS] + [(ax,) for ax in PAIR_AXIOMS]
 
 
@@ -76,8 +81,8 @@ def test_every_axiom_set_matches_oracle(kind, n, mode):
 
 
 def test_first_mode_ignores_jobs():
-    """A first-mode sweep fills its table on ``jobs`` workers, and its
-    outcome does not depend on them."""
+    """A first-mode sweep accepts ``jobs`` and ignores it: its outcome
+    does not depend on it."""
     for kind in MECHANISM_KINDS:
         mech = build_mechanism(kind, 3)
         expected = pair_sweep_oracle(mech, PAIR_AXIOMS, mode="first")
@@ -172,7 +177,9 @@ def test_each_profile_evaluated_once_without_neutrality(mode):
 
 @pytest.mark.parametrize("mode", ("exhaustive", "first"))
 def test_each_profile_evaluated_once_without_anonymity(mode):
-    mech = CountingUndeclaredPS(Instance.default(3))
+    """Declared neither anonymous nor neutral: the dense fill evaluates
+    every profile once."""
+    mech = CountingDensePS(Instance.default(3))
     run_pair_sweep(mech, ("sp", "em", "ui"), mode=mode, jobs=1)
     assert max(mech.counts.values()) == 1
     assert len(mech.counts) == 6 ** 3
@@ -258,8 +265,8 @@ def test_first_sweep_of_anonymous_table_reads_agent_1_only(axioms, monkeypatch):
 
 def _cell_route_twins(kind, instance):
     """A mechanism of ``kind`` declared anonymous and neutral, and its twin
-    not declared anonymous, whose table is filled at every profile and read
-    by cell columns."""
+    not declared anonymous, whose table is filled into dense storage from
+    its orbit representatives and read by cell columns."""
     if kind == "ps":
         return CountingPS(instance), CountingUndeclaredPS(instance)
     if kind == "rp":
@@ -303,11 +310,12 @@ def test_exhaustive_sweep_of_anonymous_table_compares_multiset_ids(kind, axioms,
 
 
 class RowSwapPS(ProbabilisticSerial):
-    """PS, not declared anonymous, with agents 2 and 3 trading rows at one
-    profile: agent 1's columns are PS's, so em first fails in a later
-    agent than sp and li."""
+    """PS, declared neither anonymous nor neutral, with agents 2 and 3
+    trading rows at one profile: agent 1's columns are PS's, so em first
+    fails in a later agent than sp and li."""
 
     anonymous = False
+    neutral = False
 
     def _shares(self, profile):
         rows = super()._shares(profile)
@@ -345,42 +353,29 @@ def test_satisfied_first_sweep_scans_domain_once_without_neutrality():
     assert set(mech.counts.values()) == {1}
 
 
-class PickleCountingSD(SerialDictatorship):
-    """Serial dictatorship (not anonymous, so filled on the pool) that
-    counts how often it is pickled in this process."""
-
-    pickles = 0
-
-    def __getstate__(self):
-        type(self).pickles += 1
-        return self.__dict__.copy()
-
-
-@pytest.mark.parametrize("jobs", (2, 3))
-def test_pool_pickles_mechanism_once_per_worker(jobs):
-    PickleCountingSD.pickles = 0
-    mech = PickleCountingSD(Instance.default(3), (2, 0, 1))
-    assert not mech.anonymous
-    out = run_pair_sweep(mech, ("li",), mode="exhaustive", jobs=jobs)
-    assert out == pair_sweep_oracle(mech, ("li",))
-    # at most one pickle per started worker (none where workers fork),
-    # never one per index-range task
-    assert PickleCountingSD.pickles <= jobs
-
-
 def test_import_loads_no_process_pool():
-    """The pool is imported only when a fill starts one, so importing the
-    library loads neither ``concurrent.futures`` nor ``multiprocessing``."""
+    """Importing the library, and a dense n=3 sweep asked for two jobs,
+    load neither ``concurrent.futures`` nor ``multiprocessing``: no sweep
+    starts a worker process."""
     code = (
         "import sys, ramkit; "
-        "print(sorted(m for m in ('concurrent.futures', 'multiprocessing') "
-        "if m in sys.modules))"
+        "loaded = lambda: sorted(m for m in ('concurrent.futures', 'multiprocessing') "
+        "if m in sys.modules); "
+        "print(loaded()); "
+        "from ramkit.axioms import run_axiom_check, run_pair_sweep; "
+        "from ramkit.core import Instance; "
+        "from ramkit.mechanisms import SerialDictatorship; "
+        "sd = SerialDictatorship(Instance.default(3), (2, 0, 1)); "
+        "sd.neutral = False; "
+        "run_pair_sweep(sd, ('li',), mode='exhaustive', jobs=2); "
+        "run_axiom_check(sd, 'oe', mode='exhaustive', jobs=2); "
+        "print(loaded())"
     )
     out = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, check=True,
         env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
     )
-    assert out.stdout.strip() == "[]"
+    assert out.stdout.split("\n")[:2] == ["[]", "[]"]
 
 
 def test_one_agent_table_sweeps():
@@ -413,7 +408,7 @@ def test_one_wide_profile_widens_the_whole_table(jobs):
     instance = Instance.default(3)
     mech = huge_denominator_table(instance, seed=65, every=False)
     table = DomainTable(mech, enumerate_preferences(instance))
-    table.fill(jobs)
+    table.fill()
     assert isinstance(table.nums, list) and table.D > 2 ** 64
     for index, profile in enumerate(enumerate_profiles(instance)):
         assert _rows_at(table, index) == mech.assignment(profile)
@@ -423,9 +418,9 @@ def test_one_wide_profile_widens_the_whole_table(jobs):
 
 
 def test_append_widens_at_the_first_wide_part():
-    """A pool fill appends each range's part in index order: parts that fit
-    extend the signed 64-bit array, and the first part past 64 bits turns
-    the whole store, and all later parts, into Python ints."""
+    """Parts that fit extend the signed 64-bit array, and the first part
+    past 64 bits turns the whole store, and all later parts, into Python
+    ints."""
     wide = 2 ** 70
     store = _append(_append(array("q"), array("q", [1, 2])), [3, 4])
     assert isinstance(store, array) and store.tolist() == [1, 2, 3, 4]
@@ -522,7 +517,7 @@ def test_columns_match_scaled_assignment_at_n3(kind, dense):
     mech = CodedShares(instance) if kind == "coded" else build_mechanism(kind, 3)
     table = DomainTable(mech, enumerate_preferences(instance))
     if dense:
-        table.fill(1)
+        table.fill()
     # ps, rp and sea-shared fill by multiset
     assert table.anonymous == (dense and kind in ("ps", "rp", "sea-shared"))
     assert table.D == mech.D
@@ -537,7 +532,7 @@ def test_columns_match_scaled_assignment_at_n3(kind, dense):
 def test_columns_match_scaled_assignment_at_n4():
     instance = Instance.default(4)
     table = DomainTable(CodedShares(instance), enumerate_preferences(instance))
-    table.fill(2)
+    table.fill()
     assert table.D == 2
     rng = random.Random(44)
     for agent in range(4):
@@ -801,6 +796,107 @@ def test_neutrality_sees_a_trade_in_a_multiset_without_the_identity(mode):
     for jobs in (1, 2):
         assert run_axiom_check(mech, "neutral", mode=mode, jobs=jobs) == expected, jobs
     assert run_axiom_check(_undeclared_neutral(mech), "neutral", mode=mode) == expected
+
+
+# ---------------------------------------------------------------------------
+# neutral mechanisms that are not anonymous: dense storage from the orbit
+# representatives
+# ---------------------------------------------------------------------------
+
+
+#: The declared-neutral mechanisms that are not anonymous, at n=3: every
+#: serial dictatorship order, eating on a non-unit schedule, and PS and RP
+#: not declared anonymous; and one serial dictatorship at n=4.
+ORBIT_FILLED = [
+    (SerialDictatorship, order) for order in itertools.permutations(range(3))
+] + [(SimultaneousEating, nonunit_schedule(3)), (CountingUndeclaredPS,), (UndeclaredRP,)]
+
+
+def _filled(mech, relabel=True):
+    table = DomainTable(mech, enumerate_preferences(mech.instance))
+    table.fill(relabel=relabel)
+    return table
+
+
+@pytest.mark.parametrize("n, kind", [(3, kind) for kind in ORBIT_FILLED]
+                         + [(4, (SerialDictatorship, (3, 1, 0, 2)))])
+def test_orbit_fill_equals_the_dense_fill(n, kind):
+    cls, *args = kind
+    mech = cls(Instance.default(n), *args)
+    assert mech.neutral and not mech.anonymous
+    # without relabel the same mechanism is evaluated at every profile
+    assert _filled(mech).nums == _filled(mech, relabel=False).nums
+
+
+@pytest.mark.parametrize("n, evaluations", ((3, 66), (4, 27_072)))
+def test_orbit_fill_evaluates_two_cross_sections_once(n, evaluations):
+    """The fill evaluates the profiles where agent 1 reports the identity
+    (36 and 13,824), and for its guard those where agent 2 does and agent
+    1 does not (30 and 13,248), each once."""
+    mech = CountingUndeclaredPS(Instance.default(n))
+    _filled(mech)
+    identity = tuple(range(n))
+    assert len(mech.counts) == evaluations
+    assert set(mech.counts.values()) == {1}
+    assert all(identity in profile[:2] for profile in mech.counts)
+
+
+class DeclaredNeutralRowSwapPS(RowSwapPS):
+    """RowSwapPS declared neutral, which it is not."""
+
+    neutral = True
+
+
+def test_false_neutrality_makes_the_orbit_fill_raise():
+    """The rows traded at (abc, acb, cba) are relabeled into the rest of
+    its orbit, and the guard evaluates the member where agent 2 reports
+    the identity."""
+    mech = DeclaredNeutralRowSwapPS(Instance.default(3))
+    with pytest.raises(ValueError, match=re.escape(
+        "is declared neutral, but its rows at profile ((0, 2, 1), (0, 1, 2), (1, 2, 0))"
+    )):
+        _filled(mech)
+    with pytest.raises(ValueError, match="declared neutral"):
+        run_pair_sweep(mech, ("em",), mode="exhaustive")
+
+
+class OffSectionTradePS(ProbabilisticSerial):
+    """PS, not declared anonymous and declared neutral, with objects a and c
+    traded in every row at (acb, bac, bca), where neither agent 1 nor agent
+    2 reports the identity: neither the orbit fill nor its guard evaluates
+    the profile."""
+
+    anonymous = False
+    PROFILE = ((A, C, B), (B, A, C), (B, C, A))
+
+    def _shares(self, profile):
+        rows = super()._shares(profile)
+        if profile == self.PROFILE:
+            rows = [[row[C], row[B], row[A]] for row in rows]
+        return rows
+
+
+@pytest.mark.parametrize("mode", ("exhaustive", "first"))
+def test_neutrality_sees_a_trade_the_orbit_fill_does_not_evaluate(mode):
+    mech = OffSectionTradePS(Instance.default(3))
+    assert mech.neutral and not mech.anonymous
+    assert _filled(mech).nums == _filled(CountingUndeclaredPS(mech.instance), relabel=False).nums
+    got = run_axiom_check(mech, "neutral", mode=mode)
+    assert got == profile_sweep_oracle(mech, "neutral", mode=mode)
+    assert not got.satisfied
+    if mode == "exhaustive":
+        assert mech.PROFILE in {v.profile for v in got.violations}
+
+
+def test_neutrality_of_a_neutral_mechanism_evaluates_each_profile_once(monkeypatch):
+    """The neutrality sweep of a mechanism that is not anonymous reads its
+    table unfilled, so it never fills through neutrality."""
+    mech = CountingUndeclaredPS(Instance.default(3))
+    filled = []
+    monkeypatch.setattr(DomainTable, "fill", lambda table, **kwargs: filled.append(kwargs))
+    assert run_axiom_check(mech, "neutral", mode="exhaustive").satisfied
+    assert filled == []
+    assert len(mech.counts) == 6 ** 3 and set(mech.counts.values()) == {1}
 
 
 @pytest.mark.parametrize("mode", ("exhaustive", "first"))
